@@ -78,6 +78,12 @@ echo "== bench smoke (tiny sizes) =="
 "$BUILD_DIR/bench_workload" --queries=64 --clients=1,8,64,256 \
     --rows=50000 --json="$BUILD_DIR/BENCH_workload_smoke.json"
 
+echo "== pdtbench smoke =="
+# The end-to-end benchmark (BENCHMARK.json): every workload at SF 0.01
+# for 2 s, untraced and traced. Fails on any correctness check and on a
+# metric BENCHMARK.json names but no run emitted.
+bash benchmark/run.sh --smoke
+
 echo "== bench key check =="
 # The committed BENCH_exec.json is the record of what the exec benches
 # report; a code change must not silently drop an entry (e.g. deleting
@@ -179,12 +185,16 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
   # htap_test runs the full HTAP driver (writer/reader/maintenance
   # threads over the multi-table commit chain) at small scale — the
   # densest cross-thread interleaving in the tree, so it belongs here.
+  # txn_test and multi_txn_test drive the commit engine directly:
+  # concurrent publishers, background merges, and quiet-point folds
+  # racing driverless table scans.
   cmake --build "$TSAN_DIR" -j "$(nproc)" \
       --target parallel_scan_test pipeline_test parallel_sort_join_test \
-      htap_test differential_fuzz_test workload_stress_test
+      htap_test txn_test multi_txn_test differential_fuzz_test \
+      workload_stress_test
   (cd "$TSAN_DIR" && \
       ctest --output-on-failure \
-          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test")
+          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test|txn_test|multi_txn_test")
   (cd "$TSAN_DIR" && \
       PDT_FUZZ_SEED="$FUZZ_SEED" PDT_FUZZ_ITERS="$FUZZ_ITERS" \
           ./differential_fuzz_test)

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "exec/shared_scan.h"
-#include "txn/layered.h"  // internal::LayeredScan
+#include "txn/layered.h"  // internal::LayeredMorselPlan
 #include "util/string_util.h"
 
 namespace pdtstore {

@@ -54,16 +54,17 @@ class Table {
   const ColumnStore& store() const { return *store_; }
   const SparseIndex& sparse_index() const { return sparse_index_; }
   BufferPool* buffer_pool() const { return pool_.get(); }
-  /// Raw Read-PDT pointer. Unsynchronized: legal only when the caller
-  /// excludes a concurrent ReplacePdt — it is the table's transaction
-  /// driver acting under its own lock (ReplacePdt runs under that same
-  /// lock), or no driver is attached at all. Every other reader must
-  /// pin a SharedPdt() snapshot instead.
+  /// Raw Read-PDT pointer. A transaction driver never mutates an
+  /// installed Read-PDT — each fold installs a new one via ReplacePdt —
+  /// so only the pointer read itself needs care: it is unsynchronized
+  /// against ReplacePdt, which makes it legal for the driver under its
+  /// own lock (where its installs happen) or for a table with no driver
+  /// attached. Every other reader pins a SharedPdt() snapshot instead.
   Pdt* pdt() { return pdt_.get(); }
   const Pdt* pdt() const { return pdt_.get(); }
   /// Shared ownership of the PDT (the Read-PDT of the transaction
-  /// layers). Snapshots hold this so a concurrent ReplacePdt — the
-  /// background merge installing a freshly folded Read-PDT — never
+  /// layers). Snapshots hold this so a concurrent ReplacePdt — a
+  /// Write→Read fold installing a freshly merged Read-PDT — never
   /// pulls the layer out from under a running scan: the old PDT stays
   /// alive until its last snapshot drops it. The copy itself is taken
   /// under the table's own pointer lock, so it is safe against a
@@ -72,7 +73,7 @@ class Table {
     std::lock_guard<std::mutex> lock(pdt_mu_);
     return pdt_;
   }
-  /// Swaps in a replacement Read-PDT (background Write→Read merge).
+  /// Swaps in a replacement Read-PDT (a Write→Read fold's install).
   /// Synchronized against SharedPdt() pinners by the pointer lock; the
   /// transaction driver additionally serializes it against its own
   /// Begin()/commit paths under the driver lock.
@@ -82,10 +83,10 @@ class Table {
   }
 
   /// At most one transaction driver (TxnManager or MultiTxnManager) may
-  /// manage a table at a time: drivers mutate the PDT layer stack under
-  /// their own lock, and two drivers would install/mutate it under
-  /// different locks. Returns false if another driver already holds the
-  /// claim. Released by the driver's destructor.
+  /// manage a table at a time: drivers install Read-PDTs under their own
+  /// lock, and two drivers would install them under different locks.
+  /// Returns false if another driver already holds the claim. Released
+  /// by the driver's destructor.
   bool AcquireTxnDriver() { return !txn_driver_.exchange(true); }
   void ReleaseTxnDriver() { txn_driver_.store(false); }
   Vdt* vdt() { return vdt_.get(); }

@@ -1,7 +1,7 @@
-// Internal helpers shared by the single- and multi-table transaction
-// managers and Table::Scan: resolving sort keys / full tuples through a
-// stack of PDT layers (bottom..top), walking RIDs downward through each
-// layer's SID domain, and the serial-or-parallel layered merge scan.
+// Internal helpers shared by the transaction engine and Table::Scan:
+// resolving sort keys / full tuples through a stack of PDT layers
+// (bottom..top), walking RIDs downward through each layer's SID domain,
+// and planning the serial-or-parallel layered merge scan.
 #ifndef PDTSTORE_TXN_LAYERED_H_
 #define PDTSTORE_TXN_LAYERED_H_
 
@@ -146,19 +146,6 @@ inline MorselPlan LayeredMorselPlan(
                                    final_morsel);
       };
   return plan;
-}
-
-/// Merge scan over a snapshot layer stack, serial or morsel-parallel
-/// according to `scan_opts` — the shared implementation of the
-/// transaction Scan() paths. All layers must stay unmodified while the
-/// returned source is consumed.
-inline std::unique_ptr<BatchSource> LayeredScan(
-    const ColumnStore& store, std::vector<const Pdt*> layers,
-    std::vector<ColumnId> projection, std::vector<SidRange> ranges,
-    const ScanOptions& scan_opts) {
-  return MakeScanSource(LayeredMorselPlan(store, std::move(layers),
-                                          std::move(projection),
-                                          std::move(ranges), scan_opts));
 }
 
 }  // namespace internal

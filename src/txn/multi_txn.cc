@@ -11,11 +11,10 @@ namespace pdtstore {
 
 namespace internal {
 
-// A sealed multi-table transaction on the lock-free commit chain. The
-// owner thread fills every field before the release-CAS in
-// PublishRecord; afterwards all fields except `next` are touched only
-// under the manager lock (the fold leader that claims the chain, or the
-// owner's abort-unlink).
+// A sealed transaction on the lock-free commit chain. The owner thread
+// fills every field before the release-CAS in PublishRecord; afterwards
+// all fields except `next` are touched only under the manager lock (the
+// fold leader that claims the chain, or the owner's abort-unlink).
 struct MultiDeltaRecord {
   enum State { kPublished, kCommitted, kAborted };
 
@@ -28,7 +27,7 @@ struct MultiDeltaRecord {
   // Chain mode pre-encodes the WAL frames (begin, ops, commit) outside
   // every lock; the fold appends the finished bytes in one batch. The
   // serial_commit baseline keeps the logical records instead and
-  // encodes them under the lock.
+  // encodes them under the lock — the same bytes, encoded later.
   std::vector<std::string> payloads;
   std::vector<WalRecord> redo;
   bool preencoded = false;
@@ -47,17 +46,24 @@ using internal::MultiDeltaRecord;
 
 namespace {
 
-// Returned by Scan() on a published (sealed) transaction: the Trans-PDT
-// has moved into the delta record (where a concurrent fold may be
-// serializing it), so reads fail loudly at Next() instead of handing
-// back a null source.
-class SealedMultiTxnSource : public BatchSource {
+// A source whose first Next() fails with a fixed status. Scan() returns
+// it instead of null — callers do not check — for a published (sealed)
+// transaction, whose Trans-PDTs have moved into the delta record where a
+// concurrent fold may be serializing them, and for an unmanaged table.
+class ErrorSource : public BatchSource {
  public:
-  StatusOr<bool> Next(Batch*, size_t) override {
-    return Status::InvalidArgument(
-        "transaction is published: no reads until the commit verdict");
-  }
+  explicit ErrorSource(Status status) : status_(std::move(status)) {}
+  StatusOr<bool> Next(Batch*, size_t) override { return status_; }
+
+ private:
+  Status status_;
 };
+
+// The stable-image SID ranges a key-bounded scan covers (all if null).
+std::vector<SidRange> KeyRanges(const Table& table, const KeyBounds* bounds) {
+  if (bounds == nullptr) return {};
+  return table.sparse_index().LookupRange(bounds->lo, bounds->hi);
+}
 
 }  // namespace
 
@@ -95,7 +101,7 @@ MultiTransaction::TableView MultiTxnManager::MakeViewLocked(
   MultiTransaction::TableView view;
   view.table = st->table;
   // Pin the Read-PDT (and, when a background merge is folding a claimed
-  // Write-PDT, that immutable pending layer): the merge installs a
+  // Write-PDT, that immutable pending layer): a fold installs a
   // replacement via ReplacePdt while this snapshot lives, and the
   // shared_ptrs keep the pre-merge layers — which this snapshot's RIDs
   // are defined over — alive.
@@ -116,15 +122,39 @@ StatusOr<MultiTransaction::TableView*> MultiTransaction::View(
   return Status::NotFound("table not managed: " + table);
 }
 
+StatusOr<MultiTransaction::TableView*> MultiTransaction::OpenView(
+    const std::string& table) const {
+  if (finished_ || rec_ != nullptr) {
+    return Status::InvalidArgument("transaction finished or published");
+  }
+  return View(table);
+}
+
+std::vector<const Pdt*> MultiTransaction::Layers(const TableView& v) {
+  std::vector<const Pdt*> layers;
+  layers.reserve(5);
+  layers.push_back(v.read.get());
+  if (v.pending != nullptr) layers.push_back(v.pending.get());
+  layers.push_back(v.write.get());
+  layers.push_back(v.trans.get());
+  return layers;
+}
+
+std::vector<const Pdt*> MultiTransaction::UpdateLayers(const TableView& v) {
+  std::vector<const Pdt*> layers = Layers(v);
+  if (v.query != nullptr) layers.push_back(v.query.get());
+  return layers;
+}
+
 StatusOr<Rid> MultiTransaction::UpperBoundRid(
     const TableView& v, const std::vector<Value>& key) const {
+  const std::vector<const Pdt*> layers = UpdateLayers(v);
   Rid lo = 0;
-  Rid hi = internal::LayeredRowCount(v.table->store().num_rows(), Layers(v));
+  Rid hi = internal::LayeredRowCount(v.table->store().num_rows(), layers);
   while (lo < hi) {
     Rid mid = lo + (hi - lo) / 2;
     PDT_ASSIGN_OR_RETURN(
-        auto mid_key,
-        internal::LayeredSortKey(v.table->store(), Layers(v), mid));
+        auto mid_key, internal::LayeredSortKey(v.table->store(), layers, mid));
     int cmp = 0;
     for (size_t i = 0; i < mid_key.size() && i < key.size(); ++i) {
       cmp = mid_key[i].Compare(key[i]);
@@ -145,7 +175,7 @@ StatusOr<Rid> MultiTransaction::FindRidByKey(
   if (ub == 0) return Status::NotFound("key not found");
   PDT_ASSIGN_OR_RETURN(
       auto prev_key,
-      internal::LayeredSortKey(v.table->store(), Layers(v), ub - 1));
+      internal::LayeredSortKey(v.table->store(), UpdateLayers(v), ub - 1));
   if (CompareTuples(prev_key, key) != 0) {
     return Status::NotFound("key not found");
   }
@@ -154,10 +184,7 @@ StatusOr<Rid> MultiTransaction::FindRidByKey(
 
 Status MultiTransaction::Insert(const std::string& table,
                                 const Tuple& tuple) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  PDT_ASSIGN_OR_RETURN(TableView * v, View(table));
+  PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
   const Schema& schema = v->table->schema();
   PDT_RETURN_NOT_OK(schema.ValidateTuple(tuple));
   std::vector<Value> key = schema.ExtractSortKey(tuple);
@@ -167,8 +194,9 @@ Status MultiTransaction::Insert(const std::string& table,
     return existing.status();
   }
   PDT_ASSIGN_OR_RETURN(Rid rid, UpperBoundRid(*v, key));
-  Sid sid = v->trans->SKRidToSid(key, rid);
-  PDT_RETURN_NOT_OK(v->trans->AddInsert(sid, rid, tuple));
+  Pdt* target = UpdateTarget(*v);
+  Sid sid = target->SKRidToSid(key, rid);
+  PDT_RETURN_NOT_OK(target->AddInsert(sid, rid, tuple));
   WalRecord r;
   r.type = WalRecordType::kInsert;
   r.table = table;
@@ -179,12 +207,9 @@ Status MultiTransaction::Insert(const std::string& table,
 
 Status MultiTransaction::DeleteByKey(const std::string& table,
                                      const std::vector<Value>& key) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  PDT_ASSIGN_OR_RETURN(TableView * v, View(table));
+  PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
   PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  PDT_RETURN_NOT_OK(v->trans->AddDelete(rid, key));
+  PDT_RETURN_NOT_OK(UpdateTarget(*v)->AddDelete(rid, key));
   WalRecord r;
   r.type = WalRecordType::kDelete;
   r.table = table;
@@ -196,21 +221,18 @@ Status MultiTransaction::DeleteByKey(const std::string& table,
 Status MultiTransaction::ModifyByKey(const std::string& table,
                                      const std::vector<Value>& key,
                                      ColumnId col, const Value& value) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  PDT_ASSIGN_OR_RETURN(TableView * v, View(table));
-  const Schema& schema = v->table->schema();
-  if (schema.IsSortKeyColumn(col)) {
-    PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-    PDT_ASSIGN_OR_RETURN(
-        Tuple t, internal::LayeredTuple(v->table->store(), Layers(*v), rid));
+  PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
+  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
+  if (v->table->schema().IsSortKeyColumn(col)) {
+    // SK-column modifies run as delete + insert (Sec. 2.1).
+    PDT_ASSIGN_OR_RETURN(Tuple t, internal::LayeredTuple(v->table->store(),
+                                                         UpdateLayers(*v),
+                                                         rid));
     PDT_RETURN_NOT_OK(DeleteByKey(table, key));
     t[col] = value;
     return Insert(table, t);
   }
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  PDT_RETURN_NOT_OK(v->trans->AddModify(rid, col, value));
+  PDT_RETURN_NOT_OK(UpdateTarget(*v)->AddModify(rid, col, value));
   WalRecord r;
   r.type = WalRecordType::kModify;
   r.table = table;
@@ -223,41 +245,47 @@ Status MultiTransaction::ModifyByKey(const std::string& table,
 
 StatusOr<Tuple> MultiTransaction::GetByKey(
     const std::string& table, const std::vector<Value>& key) const {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  PDT_ASSIGN_OR_RETURN(TableView * v, View(table));
+  PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
   PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  return internal::LayeredTuple(v->table->store(), Layers(*v), rid);
+  return internal::LayeredTuple(v->table->store(), UpdateLayers(*v), rid);
 }
 
 std::unique_ptr<BatchSource> MultiTransaction::Scan(
     const std::string& table, std::vector<ColumnId> projection,
     const KeyBounds* bounds, const ScanOptions& scan_opts) const {
-  if (finished_ || rec_ != nullptr) {  // sealed by Publish()
-    return std::make_unique<SealedMultiTxnSource>();
-  }
+  return MakeScanSource(
+      PlanMorsels(table, std::move(projection), bounds, scan_opts));
+}
+
+MorselPlan MultiTransaction::PlanMorsels(const std::string& table,
+                                         std::vector<ColumnId> projection,
+                                         const KeyBounds* bounds,
+                                         const ScanOptions& scan_opts) const {
   auto view = View(table);
-  if (!view.ok()) return nullptr;
-  TableView* v = *view;
-  std::vector<SidRange> ranges;
-  if (bounds != nullptr) {
-    ranges = v->table->sparse_index().LookupRange(bounds->lo, bounds->hi);
+  if (rec_ != nullptr || !view.ok()) {
+    MorselPlan plan;
+    plan.serial = std::make_unique<ErrorSource>(
+        rec_ != nullptr
+            ? Status::InvalidArgument(
+                  "transaction is published: no reads until the commit "
+                  "verdict")
+            : view.status());
+    return plan;
   }
-  return internal::LayeredScan(v->table->store(), Layers(*v),
-                               std::move(projection), std::move(ranges),
-                               scan_opts);
+  const TableView& v = **view;
+  return internal::LayeredMorselPlan(v.table->store(), Layers(v),
+                                     std::move(projection),
+                                     KeyRanges(*v.table, bounds), scan_opts);
 }
 
 StatusOr<uint64_t> MultiTransaction::RowCount(
     const std::string& table) const {
-  if (finished_ || rec_ != nullptr) {
-    // Sealed by Publish(): report the count as of sealing for tables
-    // the transaction touched (their Trans-PDTs are off-limits — a
-    // fold may be serializing them).
+  if (rec_ != nullptr) {
+    // Sealed by Publish(): report the count as of sealing (the
+    // Trans-PDTs are off-limits — a fold may be serializing them).
     auto it = sealed_counts_.find(table);
     if (it == sealed_counts_.end()) {
-      return Status::InvalidArgument("transaction finished or published");
+      return Status::NotFound("table not managed: " + table);
     }
     return it->second;
   }
@@ -265,13 +293,46 @@ StatusOr<uint64_t> MultiTransaction::RowCount(
   return internal::LayeredRowCount(v->table->store().num_rows(), Layers(*v));
 }
 
+Status MultiTransaction::BeginQueryPdt(const std::string& table) {
+  PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
+  if (v->query != nullptr) {
+    return Status::InvalidArgument("Query-PDT already active");
+  }
+  v->query = std::make_unique<Pdt>(v->table->shared_schema(),
+                                   v->table->options().pdt);
+  return Status::OK();
+}
+
+Status MultiTransaction::EndQueryPdt(const std::string& table) {
+  PDT_ASSIGN_OR_RETURN(TableView * v, View(table));
+  if (v->query == nullptr) {
+    return Status::InvalidArgument("no Query-PDT active");
+  }
+  // "When such a query finishes, its Query-PDT is propagated to its
+  // Trans-PDT and removed." (footnote 5)
+  PDT_RETURN_NOT_OK(v->trans->Propagate(*v->query));
+  v->query.reset();
+  return Status::OK();
+}
+
+bool MultiTransaction::query_pdt_active(const std::string& table) const {
+  auto v = View(table);
+  return v.ok() && (*v)->query != nullptr;
+}
+
 Status MultiTransaction::Publish() {
   if (finished_) return Status::InvalidArgument("transaction finished");
   if (rec_ != nullptr) return Status::InvalidArgument("already published");
+  for (const auto& [name, v] : views_) {
+    if (v.query != nullptr) {
+      return Status::InvalidArgument(
+          "finish the active Query-PDT before committing");
+    }
+  }
   rec_ = std::make_unique<MultiDeltaRecord>();
   rec_->txn_id = id_;
   rec_->start_time = start_time_;
-  // Seal: record per-table row counts, then move every touched table's
+  // Seal: record per-table row counts, then move every table's
   // Trans-PDT into the record (a fold may serialize them concurrently).
   for (auto& [name, v] : views_) {
     sealed_counts_[name] = internal::LayeredRowCount(
@@ -300,7 +361,7 @@ Status MultiTransaction::Publish() {
     rec_->redo = std::move(redo_);
   }
   // The serial_commit baseline skips the chain: the committer folds its
-  // own record under the lock in AwaitCommit, like the legacy path.
+  // own record under the lock in AwaitCommit.
   if (!mgr_->opts_.serial_commit) mgr_->PublishRecord(rec_.get());
   return Status::OK();
 }
@@ -316,7 +377,7 @@ Status MultiTransaction::AwaitCommit() {
   if (!st.ok()) return st;
   // Group commit: wait for the WAL to reach disk outside the commit
   // lock, so concurrent committers pile into one fsync.
-  if (durable_upto > 0) return mgr_->SyncWal(durable_upto);
+  if (durable_upto > 0) return mgr_->wal_->SyncTo(durable_upto);
   return Status::OK();
 }
 
@@ -332,7 +393,8 @@ void MultiTransaction::Abort() {
     return;
   }
   std::lock_guard<std::mutex> lock(mgr_->mu_);
-  mgr_->FinishLocked(this);
+  mgr_->FinishActiveLocked(start_time_);
+  finished_ = true;
   mgr_->aborted_count_.fetch_add(1, std::memory_order_relaxed);
   if (mgr_->wal_ != nullptr) mgr_->wal_->LogAbort(id_);
 }
@@ -345,9 +407,10 @@ MultiTxnManager::MultiTxnManager(std::vector<Table*> tables, Wal* wal,
                                  TxnManagerOptions opts)
     : opts_(opts), wal_(wal) {
   for (Table* t : tables) {
-    assert(t->pdt() != nullptr && "multi-table txns require PDT tables");
+    assert(t->pdt() != nullptr &&
+           "transaction management requires the PDT backend");
     // A table is driven by exactly one manager: this one claims the
-    // driver slot, so every layer swap (background merge installs,
+    // driver slot, so every layer install (background merges,
     // quiet-point folds, checkpoints) happens under this manager's mu_.
     bool claimed = t->AcquireTxnDriver();
     assert(claimed &&
@@ -389,8 +452,20 @@ std::unique_ptr<MultiTransaction> MultiTxnManager::Begin() {
   return txn;
 }
 
+size_t MultiTxnManager::active_transactions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return active_;
+}
+
 void MultiTxnManager::SetWalWriter(WalWriter* writer) {
   std::lock_guard<std::mutex> lock(mu_);
+  // The durability watermark itself lives in the (possibly shared) Wal
+  // and is established by whoever loaded or truncated it (RecoverFrom,
+  // Truncate, MarkAllFlushed) — resetting it here could falsely mark
+  // another manager's in-flight commit durable. The writer pointer also
+  // lives in the Wal (shared by every manager on this log, and kept
+  // stable under in-flight flushes); writer_ here only records that
+  // this manager commits durably.
   writer_ = writer;
   if (wal_ != nullptr) wal_->SetWriter(writer);
 }
@@ -399,11 +474,8 @@ Status MultiTxnManager::wal_status() const {
   return wal_ != nullptr ? wal_->health() : Status::OK();
 }
 
-Status MultiTxnManager::SyncWal(uint64_t upto) {
-  return wal_->SyncTo(upto);
-}
-
 void MultiTxnManager::FinishActiveLocked(uint64_t start_time) {
+  // Drop references on every overlapping committed transaction.
   for (auto& z : tz_) {
     if (start_time < z.commit_time) --z.refcnt;
   }
@@ -412,11 +484,6 @@ void MultiTxnManager::FinishActiveLocked(uint64_t start_time) {
                 [](const CommittedTxn& z) { return z.refcnt <= 0; }),
             tz_.end());
   --active_;
-}
-
-void MultiTxnManager::FinishLocked(MultiTransaction* txn) {
-  FinishActiveLocked(txn->start_time_);
-  txn->finished_ = true;
 }
 
 void MultiTxnManager::PublishRecord(MultiDeltaRecord* rec) {
@@ -436,7 +503,8 @@ Status MultiTxnManager::AwaitVerdict(MultiDeltaRecord* rec,
   if (rec->state == MultiDeltaRecord::kPublished) {
     // Undecided under the lock means the record is still on the chain
     // (folds run entirely under mu_): this committer is the fold leader
-    // and decides the whole published batch.
+    // and decides the whole published batch. Committers that queued on
+    // mu_ behind the leader find their verdict already in the record.
     const auto t0 = std::chrono::steady_clock::now();
     if (opts_.serial_commit) {
       CommitRecordLocked(rec);
@@ -478,17 +546,17 @@ void MultiTxnManager::FoldChainLocked() {
 
 void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   rec->durable_upto = 0;
+  auto abort = [&](Status why, bool counted) {
+    FinishActiveLocked(rec->start_time);
+    if (counted) aborted_count_.fetch_add(1, std::memory_order_relaxed);
+    rec->result = std::move(why);
+    rec->state = MultiDeltaRecord::kAborted;
+  };
   if (writer_ != nullptr) {
     // A manager whose WAL sink failed can no longer promise durability:
     // refuse the commit up front.
     Status health = wal_->health();
-    if (!health.ok()) {
-      FinishActiveLocked(rec->start_time);
-      aborted_count_.fetch_add(1, std::memory_order_relaxed);
-      rec->result = health;
-      rec->state = MultiDeltaRecord::kAborted;
-      return;
-    }
+    if (!health.ok()) return abort(health, true);
   }
   // Serialize against every overlapping committed transaction, in
   // commit order (Alg. 9 lines 2-9), per overlapping table. A conflict
@@ -496,35 +564,25 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   Status conflict = Status::OK();
   for (auto& z : tz_) {
     if (rec->start_time >= z.commit_time) continue;  // not overlapping
-    if (!conflict.ok()) continue;
     for (auto& [name, trans] : rec->trans) {
       auto zit = z.pdts.find(name);
       if (zit == z.pdts.end()) continue;
-      Status st = trans->SerializeAgainst(*zit->second);
-      if (!st.ok()) {
-        if (st.code() != StatusCode::kConflict) {
-          // Internal failure, not a write-write conflict: surface as-is.
-          FinishActiveLocked(rec->start_time);
-          rec->result = st;
-          rec->state = MultiDeltaRecord::kAborted;
-          return;
-        }
-        conflict = st;
-        break;
-      }
+      conflict = trans->SerializeAgainst(*zit->second);
+      if (!conflict.ok()) break;
     }
+    if (!conflict.ok()) break;
   }
   if (!conflict.ok()) {
-    FinishActiveLocked(rec->start_time);
-    aborted_count_.fetch_add(1, std::memory_order_relaxed);
+    // Internal failure, not a write-write conflict: surface as-is.
+    if (conflict.code() != StatusCode::kConflict) {
+      return abort(conflict, false);
+    }
     if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
-    rec->result = conflict;
-    rec->state = MultiDeltaRecord::kAborted;
-    return;
+    return abort(conflict, true);
   }
-  // Durability first: the WAL append is the commit point. One begin /
-  // ops / commit frame sequence covers every table of the group, so
-  // replay reapplies it atomically too.
+  // Durability first: the WAL append is the commit point (footnote 2).
+  // One begin / ops / commit frame sequence covers every table of the
+  // record, so replay reapplies it atomically too.
   if (wal_ != nullptr) {
     if (rec->preencoded) {
       wal_->AppendEncoded(rec->payloads);
@@ -540,18 +598,16 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
     if (writer_ != nullptr) {
       if (opts_.group_commit) {
         // Publish the frames now; the owner waits for durability up to
-        // this offset outside the commit lock (SyncWal).
+        // this offset outside the commit lock.
         rec->durable_upto = wal_->SizeBytes();
       } else {
+        // Per-commit durability: flush and fsync this commit's frames
+        // before acknowledging, still under the commit lock — every
+        // commit pays its own fsync (the ablation baseline). On failure
+        // the commit is not applied in memory (the WAL health is
+        // already poisoned).
         Status st = wal_->SyncTo(wal_->SizeBytes());
-        if (!st.ok()) {
-          // Not durable: fail the commit without applying it in memory.
-          FinishActiveLocked(rec->start_time);
-          aborted_count_.fetch_add(1, std::memory_order_relaxed);
-          rec->result = st;
-          rec->state = MultiDeltaRecord::kAborted;
-          return;
-        }
+        if (!st.ok()) return abort(st, true);
       }
     }
   }
@@ -560,36 +616,28 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   for (auto& [name, trans] : rec->trans) {
     if (trans->Empty()) continue;
     Status st = state_.at(name).write->Propagate(*trans);
-    if (!st.ok()) {
-      // Invariant failure; state may be inconsistent.
-      FinishActiveLocked(rec->start_time);
-      rec->result = st;
-      rec->state = MultiDeltaRecord::kAborted;
-      return;
-    }
+    // Invariant failure; state may be inconsistent.
+    if (!st.ok()) return abort(st, false);
   }
   ++clock_;
   committed_count_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t commit_time = clock_;
   // Release this transaction's own references first, so its freshly
   // committed Trans-PDTs are not self-decremented below.
   FinishActiveLocked(rec->start_time);
   // Keep the serialized Trans-PDTs alive for the transactions that are
   // still running (they overlap this commit) — including the later
   // members of this fold batch, which are still counted active.
-  int refs = static_cast<int>(active_);
-  if (refs > 0) {
+  if (active_ > 0) {
     CommittedTxn entry;
-    entry.commit_time = commit_time;
-    entry.refcnt = refs;
+    entry.commit_time = clock_;
+    entry.refcnt = static_cast<int>(active_);
     for (auto& [name, trans] : rec->trans) {
-      if (trans == nullptr || trans->Empty()) continue;
+      if (trans->Empty()) continue;
       entry.pdts.emplace(name, std::shared_ptr<Pdt>(trans.release()));
     }
     if (!entry.pdts.empty()) tz_.push_back(std::move(entry));
-  } else {
-    rec->trans.clear();
   }
+  rec->trans.clear();
   // Write->Read propagation: inline clone+install at quiet points, in
   // the background on the worker pool while transactions are running.
   rec->result = MaybePropagateLocked();
@@ -600,7 +648,9 @@ bool MultiTxnManager::UnlinkLocked(MultiDeltaRecord* rec) {
   if (!rec->enqueued) return false;
   // Folds run under mu_ and we hold it, so the record is still on the
   // chain. Claim the chain, drop the record, splice the rest back in
-  // their original relative order.
+  // their original relative order. Publishes that raced the splice end
+  // up behind records that were older — both orders are valid
+  // serializations of transactions that raced each other.
   MultiDeltaRecord* head =
       delta_head_.exchange(nullptr, std::memory_order_acquire);
   MultiDeltaRecord* keep_head = nullptr;
@@ -646,14 +696,15 @@ void MultiTxnManager::AbortPublished(MultiTransaction* txn) {
     rec->result = Status::InvalidArgument("transaction aborted");
     rec->state = MultiDeltaRecord::kAborted;
   }
-  // Otherwise a fold already decided it; the verdict stands.
+  // Otherwise a fold already decided it; the verdict stands (a commit
+  // is a commit — Abort after the fact is a no-op).
   txn->finished_ = true;
 }
 
 Status MultiTxnManager::FoldIntoReadLocked(TableState* st) {
-  // Never mutate the live Read-PDT: driverless analytic readers (the
-  // HTAP harness's query threads) may be scanning it right now. Fold
-  // into a clone and install it; their pins keep the old layer alive.
+  // Never mutate the installed Read-PDT: driverless scans may be reading
+  // it right now. Fold into a clone and install it; their pins keep the
+  // old layer alive.
   auto merged = st->table->SharedPdt()->Clone();
   if (st->merge_pending != nullptr) {
     // A layer parked by a failed background merge folds first — the
@@ -679,12 +730,13 @@ Status MultiTxnManager::MaybePropagateLocked() {
         st.write->EntryCount() > opts_.write_pdt_max_entries;
     if (!oversized && st.merge_pending == nullptr) continue;
     if (active_ == 0) {
-      // Quiet point: fold synchronously (still install-based).
+      // Quiet point: fold synchronously — the deterministic serial
+      // behavior, still install-based.
       PDT_RETURN_NOT_OK(FoldIntoReadLocked(&st));
     } else if (oversized && st.merge_pending == nullptr) {
       // Transactions are running: merge into a private clone on the
-      // worker pool instead of blocking this commit on an O(Read-PDT)
-      // fold.
+      // worker pool instead of blocking this commit (and every reader)
+      // on an O(Read-PDT) fold.
       StartBackgroundMergeLocked(&st);
     }
   }
@@ -727,25 +779,21 @@ void MultiTxnManager::MergeStep(std::shared_ptr<MergeJob> job) {
     // Abandon the clone; the pending layer stays parked in the snapshot
     // stack and the next quiet point folds it inline.
     job->st->merge_error = st;
-    last_merge_error_ = st;
-    job->st->merge_inflight = false;
-    --merges_inflight_;
-    merge_cv_.notify_all();
-    return;
-  }
-  if (!done) {
+  } else if (!done) {
     // Yield the worker between chunks so foreground scan morsels and
     // pipeline tasks interleave with the merge.
     lock.unlock();
     ThreadPool::Global().Submit([this, job] { MergeStep(job); });
     return;
+  } else {
+    // Install the merged Read-PDT. Snapshots (and driverless scans)
+    // taken before this instant keep the pre-merge layers alive through
+    // their shared_ptrs; new ones see [merged, write] — the same image.
+    job->st->table->ReplacePdt(
+        std::shared_ptr<Pdt>(job->merged.release()));
+    job->st->merge_pending.reset();
+    ++job->st->background_merges;
   }
-  // Install the merged Read-PDT. Snapshots (and driverless scans) taken
-  // before this instant keep the pre-merge layers alive through their
-  // shared_ptrs; new ones see [merged, write] — the same image.
-  job->st->table->ReplacePdt(std::shared_ptr<Pdt>(job->merged.release()));
-  job->st->merge_pending.reset();
-  ++job->st->background_merges;
   job->st->merge_inflight = false;
   --merges_inflight_;
   merge_cv_.notify_all();
@@ -761,7 +809,6 @@ MultiTxnStats MultiTxnManager::GetStats() const {
   s.fold_batches = fold_batches_;
   s.folded_records = folded_records_;
   s.commit_lock_ns = commit_lock_ns_;
-  s.last_merge_error = last_merge_error_;
   if (wal_ != nullptr) s.wal_records = wal_->RecordCount();
   if (writer_ != nullptr) s.wal_syncs = writer_->sync_count();
   for (const auto& [name, st] : state_) {
@@ -774,6 +821,7 @@ MultiTxnStats MultiTxnManager::GetStats() const {
     t.merge_inflight = st.merge_inflight;
     t.background_merges = st.background_merges;
     s.tables.push_back(std::move(t));
+    if (!st.merge_error.ok()) s.last_merge_error = st.merge_error;
   }
   return s;
 }
@@ -781,7 +829,7 @@ MultiTxnStats MultiTxnManager::GetStats() const {
 Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
   std::unique_lock<std::mutex> lock(mu_);
   // Drain in-flight background merges: they own clones mid-fold, and
-  // the inline paths below replace the very layers they read.
+  // the folds below replace the very layers they read.
   merge_cv_.wait(lock, [this] { return merges_inflight_ == 0; });
   if (active_ > 0) {
     // Published-but-unfolded commits still count as active, so a
@@ -798,7 +846,7 @@ Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
     // replaying the (still durable) log over the new image would apply
     // every absorbed update twice. Durable checkpointing is
     // Database::Save's job; this fast path is for in-memory managers.
-    // The shared log is NOT truncated: other tables' redo lives in it.
+    // The log is NOT truncated: other tables' redo may share it.
     if (writer_ == nullptr &&
         st.table->pdt()->EntryCount() > opts_.read_pdt_max_entries) {
       PDT_RETURN_NOT_OK(st.table->Checkpoint());
@@ -817,7 +865,23 @@ Status MultiTxnManager::Recover(const Wal& wal) {
       return Status::InvalidArgument(
           "cannot recover from the manager's own WAL");
     }
+    // Recovery only makes sense into a pristine manager: a second run,
+    // or a run after transaction activity, would apply updates twice.
+    if (recovered_) {
+      return Status::InvalidArgument("Recover already ran on this manager");
+    }
+    bool pristine = committed_count_.load() + aborted_count_.load() == 0 &&
+                    active_ == 0;
+    for (const auto& [name, st] : state_) {
+      pristine = pristine && st.write->Empty() && st.table->pdt()->Empty();
+    }
+    if (!pristine) {
+      return Status::InvalidArgument(
+          "Recover requires a pristine transaction manager");
+    }
+    recovered_ = true;
   }
+  // Group records per transaction; apply committed ones in commit order.
   std::map<uint64_t, std::vector<WalRecord>> pending;
   return wal.Replay([&](const WalRecord& r) -> Status {
     switch (r.type) {
@@ -827,7 +891,9 @@ Status MultiTxnManager::Recover(const Wal& wal) {
       case WalRecordType::kInsert:
       case WalRecordType::kDelete:
       case WalRecordType::kModify:
-        pending[r.txn_id].push_back(r);
+        // Several managers can share one log; each replays only the
+        // records addressed to its tables.
+        if (state_.count(r.table) > 0) pending[r.txn_id].push_back(r);
         break;
       case WalRecordType::kAbort:
         pending.erase(r.txn_id);
@@ -835,6 +901,11 @@ Status MultiTxnManager::Recover(const Wal& wal) {
       case WalRecordType::kCommit: {
         auto it = pending.find(r.txn_id);
         if (it == pending.end()) break;
+        if (it->second.empty()) {
+          // The transaction touched no managed table.
+          pending.erase(it);
+          break;
+        }
         auto txn = Begin();
         for (const WalRecord& op : it->second) {
           Status st;

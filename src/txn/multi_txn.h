@@ -1,26 +1,40 @@
-// Multi-table transactions: the natural generalization of Sec. 3.3 to
-// transactions spanning several tables (the paper's TPC-H refresh
-// functions update orders *and* lineitem atomically).
+// The commit engine: snapshot-isolated transactions over a set of
+// PDT-backed tables (Sec. 3.3, Fig. 14/15), generalized to transactions
+// spanning several tables (the paper's TPC-H refresh functions update
+// orders *and* lineitem atomically). The single-table TxnManager of
+// txn/txn_manager.h is this engine over one table.
 //
-// Every table keeps its own three-layer PDT stack; a transaction holds a
-// (read, write-copy, trans) triple per table it touches. Commit runs
-// Algorithm 9 with per-table Serialize: a write-write conflict on *any*
-// table aborts the whole transaction, and on success every table's
-// Trans-PDT propagates into that table's master Write-PDT under one
-// commit lock, giving all-or-nothing visibility.
+// Every table keeps its own three-layer PDT stack:
 //
-// Concurrent write path: like TxnManager, commits are two-phase. The
-// build phase (positioning updates, encoding WAL frames) runs outside
-// the manager lock; Publish() seals the transaction's per-table
-// Trans-PDTs into a delta record on a lock-free chain, and the first
-// AwaitCommit() to take the lock folds the whole chain in publication
-// order — one short critical section per batch, with every member
-// riding the WAL's group-commit fsync. Write→Read propagation always
-// installs a merged clone via Table::ReplacePdt (inline at quiet
-// points, incrementally on the worker pool under load): unlike the
-// per-table TxnManager, a MultiTxnManager is built for HTAP drivers
-// whose analytic readers scan the tables directly (outside any
-// transaction), so the live Read-PDT is never mutated in place.
+//   Trans-PDT  — private to a transaction, holds its uncommitted updates
+//   Write-PDT  — small master PDT receiving committed updates; copied
+//                (or shared, when no commit intervened) into each new
+//                transaction's snapshot
+//   Read-PDT   — large RAM-resident layer (the Table's PDT) that
+//                Write-PDT contents are periodically propagated into
+//
+// A transaction holds a (read, write-copy, trans) triple per managed
+// table, all taken at one instant. Reads are lock-free: a query merges
+// stable ▷ Read ▷ Write-copy ▷ Trans entirely from snapshot-owned
+// structures. Commits run Algorithm 9 with per-table Serialize: a
+// write-write conflict on *any* table aborts the whole transaction, and
+// on success every table's Trans-PDT propagates into that table's master
+// Write-PDT under one commit lock, giving all-or-nothing visibility.
+//
+// Concurrent write path (see DESIGN.md "Concurrent write path"): commits
+// are two-phase. The build phase (positioning updates, encoding WAL
+// frames) runs outside the manager lock; Publish() seals the
+// transaction's Trans-PDTs into a delta record on a lock-free chain, and
+// the first AwaitCommit() to take the lock folds the whole chain in
+// publication order — one short critical section per batch, with every
+// member riding the WAL's group-commit fsync.
+//
+// Install-only propagation: an installed Read-PDT is never mutated.
+// Every Write→Read fold — inline at quiet points, incrementally on the
+// worker pool under load — builds a merged clone and installs it via
+// Table::ReplacePdt, so driverless scans (Table::Scan, the HTAP
+// harness's analytic readers) can pin the Read-PDT and read it while
+// commits continue.
 #ifndef PDTSTORE_TXN_MULTI_TXN_H_
 #define PDTSTORE_TXN_MULTI_TXN_H_
 
@@ -34,7 +48,6 @@
 #include <vector>
 
 #include "db/table.h"
-#include "txn/txn_manager.h"  // TxnManagerOptions
 #include "txn/wal.h"
 
 namespace pdtstore {
@@ -44,6 +57,37 @@ class MultiTxnManager;
 namespace internal {
 struct MultiDeltaRecord;
 }  // namespace internal
+
+/// Tuning knobs of the transaction managers.
+struct TxnManagerOptions {
+  /// Propagate Write-PDT into the Read-PDT when it exceeds this many
+  /// entries (the paper keeps the Write-PDT smaller than the CPU cache).
+  size_t write_pdt_max_entries = 4096;
+  /// Checkpoint a table when its Read-PDT exceeds this many entries.
+  size_t read_pdt_max_entries = 1 << 20;
+  /// Group commit (only meaningful with a WalWriter attached): commits
+  /// publish their redo frames under the commit lock, then wait for
+  /// durability together — one leader flushes and fsyncs the batch on
+  /// behalf of every waiter. When false, each commit flushes and fsyncs
+  /// its own frames before returning (the ablation baseline
+  /// bench_wal_group_commit measures).
+  bool group_commit = true;
+  /// Single-lock ablation baseline (measured by bench_write_path): every
+  /// commit takes the manager lock itself and runs the full Algorithm 9
+  /// — conflict check, WAL record encoding + append, Write-PDT fold —
+  /// under it. Off by default: commits publish to the lock-free delta
+  /// chain and are folded in batches.
+  bool serial_commit = false;
+  /// Entries a background Write→Read merge folds per worker-pool task
+  /// before yielding the worker (so foreground scan morsels interleave).
+  size_t merge_chunk_entries = 2048;
+  /// When several managers share one WAL, they must also share a
+  /// transaction-id source — concurrent transactions with colliding ids
+  /// would be merged by replay. Database wires all its managers to one
+  /// counter; a standalone manager can leave this null and allocate ids
+  /// locally.
+  std::atomic<uint64_t>* txn_id_counter = nullptr;
+};
 
 /// Per-table layer counters of a MultiTxnManager (see GetStats()).
 struct MultiTxnTableStats {
@@ -55,7 +99,7 @@ struct MultiTxnTableStats {
   uint64_t background_merges = 0;  ///< completed background propagations
 };
 
-/// Observability counters for the multi-table write path.
+/// Observability counters for the write path (see shell `.stats`).
 struct MultiTxnStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
@@ -66,12 +110,15 @@ struct MultiTxnStats {
   uint64_t commit_lock_ns = 0;  ///< total ns commit work held the lock
   uint64_t wal_syncs = 0;       ///< fsyncs through the attached writer
   uint64_t wal_records = 0;
-  /// Why the last background merge was abandoned (OK if none was).
+  /// Why a background merge was abandoned (OK if none is): its claimed
+  /// layer stays parked in merge_pending until a quiet-point fold
+  /// absorbs it, which clears the error.
   Status last_merge_error = Status::OK();
   std::vector<MultiTxnTableStats> tables;
 };
 
-/// A snapshot-isolated transaction over a fixed set of tables.
+/// A snapshot-isolated transaction over a fixed set of tables. Not
+/// thread-safe itself; distinct transactions may run on distinct threads.
 class MultiTransaction {
  public:
   ~MultiTransaction();
@@ -82,31 +129,44 @@ class MultiTransaction {
   Status ModifyByKey(const std::string& table, const std::vector<Value>& key,
                      ColumnId col, const Value& v);
 
+  /// Point read over the full update domain (including an active
+  /// Query-PDT, since point reads feed update logic).
   StatusOr<Tuple> GetByKey(const std::string& table,
                            const std::vector<Value>& key) const;
-  /// `scan_opts` enables the morsel-parallel scan; same caveat as
-  /// Transaction::Scan (no updates to this table while consuming it).
-  /// After Publish() the snapshot is sealed: the returned source (never
-  /// null) fails with InvalidArgument on its first Next().
+  /// Snapshot scan, including own uncommitted updates. `scan_opts`
+  /// enables the morsel-driven parallel scan over the snapshot's layer
+  /// stack: the Read/Write snapshots are immutable, so workers share them
+  /// lock-free. A parallel scan also reads the Trans-PDT from worker
+  /// threads, so the transaction must not update this table while one is
+  /// being consumed (route updates through the Query-PDT, which the scan
+  /// stack deliberately excludes, or drain the scan first). Never null:
+  /// after Publish(), or for an unmanaged table, the returned source
+  /// fails on its first Next().
   std::unique_ptr<BatchSource> Scan(const std::string& table,
                                     std::vector<ColumnId> projection,
                                     const KeyBounds* bounds = nullptr,
                                     const ScanOptions& scan_opts = {}) const;
-  /// Visible row count; after Publish() it reports the sealed count for
-  /// tables the transaction touched (others fail with InvalidArgument).
+  /// The same snapshot scan as a morsel plan, feeding the parallel
+  /// pipelines (exec/pipeline.h). The caveats of Scan() apply.
+  MorselPlan PlanMorsels(const std::string& table,
+                         std::vector<ColumnId> projection,
+                         const KeyBounds* bounds = nullptr,
+                         const ScanOptions& scan_opts = {}) const;
+  /// Visible row count; after Publish() it reports the count as of
+  /// sealing.
   StatusOr<uint64_t> RowCount(const std::string& table) const;
 
   /// Commits all tables atomically; Status::Conflict aborts everything.
-  /// Equivalent to Publish() + AwaitCommit().
+  /// Equivalent to Publish() + AwaitCommit(). The transaction is
+  /// finished either way.
   Status Commit();
 
-  /// First half of the two-phase commit: seals every touched table's
-  /// Trans-PDT into one delta record and publishes it onto the
-  /// manager's lock-free commit chain — no lock is taken and no verdict
-  /// is produced yet. After Publish() the transaction accepts no
-  /// further updates or reads; the only legal follow-ups are
-  /// AwaitCommit() and Abort() (which unlinks the record if no fold
-  /// claimed it yet).
+  /// First half of the two-phase commit: seals every table's Trans-PDT
+  /// into one delta record and publishes it onto the manager's lock-free
+  /// commit chain — no lock is taken and no verdict is produced yet.
+  /// After Publish() the transaction accepts no further updates or
+  /// reads; the only legal follow-ups are AwaitCommit() and Abort()
+  /// (which unlinks the record if no fold claimed it yet).
   Status Publish();
 
   /// Second half: drives or awaits the fold that decides this record
@@ -119,6 +179,19 @@ class MultiTransaction {
   /// committed it, the commit stands and Abort is a no-op.
   void Abort();
 
+  // ------------------------------------------------------------------
+  // Query-PDT (paper footnote 5): a fourth PDT layer that shields a
+  // running query from its own updates (Halloween protection). While
+  // active, the table's updates land in the Query-PDT but Scan still
+  // sees only stable ▷ Read ▷ Write ▷ Trans; EndQueryPdt() propagates
+  // the buffered updates into the Trans-PDT. Publish() refuses while
+  // any Query-PDT is active.
+  // ------------------------------------------------------------------
+
+  Status BeginQueryPdt(const std::string& table);
+  Status EndQueryPdt(const std::string& table);
+  bool query_pdt_active(const std::string& table) const;
+
   uint64_t id() const { return id_; }
   bool finished() const { return finished_; }
   /// True between Publish() and the verdict (or unlink).
@@ -127,25 +200,32 @@ class MultiTransaction {
  private:
   friend class MultiTxnManager;
 
+  // One table's snapshot. Scans see [read, pending?, write, trans] — the
+  // optional pending layer is a claimed Write-PDT an in-flight
+  // background merge is folding into the Read-PDT; until the merged
+  // Read-PDT is installed, snapshots keep seeing those updates through
+  // this extra immutable layer. Update positioning additionally sees the
+  // Query-PDT when one is active.
   struct TableView {
     Table* table = nullptr;
-    std::shared_ptr<const Pdt> read;     // alias of the table's Read-PDT
+    std::shared_ptr<const Pdt> read;     // pinned Read-PDT
     std::shared_ptr<const Pdt> pending;  // in-flight merge layer (or null)
     std::shared_ptr<const Pdt> write;    // Write-PDT snapshot
     std::unique_ptr<Pdt> trans;          // private Trans-PDT (until Publish)
+    std::unique_ptr<Pdt> query;          // optional Query-PDT (footnote 5)
   };
 
   MultiTransaction(MultiTxnManager* mgr, uint64_t id, uint64_t start_time);
 
   StatusOr<TableView*> View(const std::string& table) const;
-  std::vector<const Pdt*> Layers(const TableView& v) const {
-    std::vector<const Pdt*> layers;
-    layers.reserve(4);
-    layers.push_back(v.read.get());
-    if (v.pending != nullptr) layers.push_back(v.pending.get());
-    layers.push_back(v.write.get());
-    layers.push_back(v.trans.get());
-    return layers;
+  // View() for updates and point reads: refuses a finished or
+  // published transaction.
+  StatusOr<TableView*> OpenView(const std::string& table) const;
+  static std::vector<const Pdt*> Layers(const TableView& v);
+  static std::vector<const Pdt*> UpdateLayers(const TableView& v);
+  // The PDT that receives updates (Query-PDT when active, else Trans).
+  static Pdt* UpdateTarget(const TableView& v) {
+    return v.query != nullptr ? v.query.get() : v.trans.get();
   }
   StatusOr<Rid> UpperBoundRid(const TableView& v,
                               const std::vector<Value>& key) const;
@@ -160,12 +240,13 @@ class MultiTransaction {
   // per-table snapshots would let a reader observe, say, a lineitem row
   // whose order isn't visible yet).
   mutable std::map<std::string, TableView> views_;
+  // Logical redo records for the WAL, in op order (until Publish).
   std::vector<WalRecord> redo_;
   // The published delta record; owned here, linked into the manager's
   // chain until a fold (or an abort-unlink) takes it out.
   std::unique_ptr<internal::MultiDeltaRecord> rec_;
-  // RowCount() per touched table as of Publish() — the sealed Trans-PDTs
-  // may be concurrently serialized by a fold, so they are off-limits.
+  // RowCount() per table as of Publish() — the sealed Trans-PDTs may be
+  // concurrently serialized by a fold, so they are off-limits.
   std::map<std::string, uint64_t> sealed_counts_;
   bool finished_ = false;
 };
@@ -173,43 +254,56 @@ class MultiTransaction {
 /// Coordinates transactions across a set of PDT-backed tables.
 ///
 /// Exclusive driver rule: a table is driven by exactly one manager at a
-/// time — either a per-table TxnManager or one MultiTxnManager. The
-/// constructor claims each table's driver slot (asserting if a
-/// TxnManager already holds it) and the destructor releases them;
-/// mixing managers on one table would mutate the PDT layer stack under
-/// two unrelated locks.
+/// time. The constructor claims each table's driver slot (asserting if
+/// another manager already holds it) and the destructor releases them;
+/// two managers on one table would install Read-PDTs under two unrelated
+/// locks.
 class MultiTxnManager {
  public:
+  /// `wal` is optional; when given, commits append logical redo records.
   MultiTxnManager(std::vector<Table*> tables, Wal* wal = nullptr,
                   TxnManagerOptions opts = {});
   /// Drains in-flight background merges (their worker-pool tasks hold a
   /// pointer to this manager).
   ~MultiTxnManager();
 
+  /// Starts a snapshot-isolated transaction over every managed table.
   std::unique_ptr<MultiTransaction> Begin();
 
-  /// Attaches the durable sink commits must reach before returning OK.
-  /// Same contract as TxnManager::SetWalWriter: the writer must outlive
-  /// the manager (or be detached with nullptr), the Wal's durability
-  /// watermark is not touched, and a later flush or fsync failure is
-  /// sticky — every subsequent commit is refused with that status.
+  /// Attaches the durable sink that commits must reach before returning
+  /// OK. The writer must outlive the manager (or be detached with
+  /// nullptr). The WAL's durability watermark is not touched — load or
+  /// truncate the Wal first so it knows which bytes are already on disk.
+  /// A later flush or fsync failure is sticky (Wal::health()): the
+  /// manager refuses every subsequent commit with that status, because
+  /// it can no longer promise durability.
   void SetWalWriter(WalWriter* writer);
 
   /// The sticky WAL health status: OK until a flush or fsync failed.
   Status wal_status() const;
 
-  /// Replays a WAL of committed multi-table transactions.
+  /// Replays a WAL (recovery): applies the updates of committed
+  /// transactions, in commit order, skipping aborted ones. Several
+  /// managers may share one log: only records addressed to managed
+  /// tables are applied, and transactions that touched none of them are
+  /// skipped; a multi-table transaction replays as one atomic commit.
+  /// Runs at most once, only on a pristine manager, and never from the
+  /// manager's own WAL — anything else returns InvalidArgument instead
+  /// of double-applying updates.
   Status Recover(const Wal& wal);
 
-  /// Write->Read propagation (and checkpointing) for every table, at a
-  /// quiet point only (returns InvalidArgument otherwise; a
-  /// published-but-unfolded commit still counts as active). Drains any
-  /// in-flight background merges first. Like TxnManager, the in-place
-  /// checkpoint fast path is reserved for managers without a durable
-  /// writer — durable checkpointing is Database::Save's manifest
-  /// protocol.
+  /// Write->Read propagation for every table, then checkpoints each
+  /// table whose Read-PDT exceeds read_pdt_max_entries. Quiet points
+  /// only: returns InvalidArgument while transactions are active (a
+  /// published-but-unfolded commit still counts). Drains in-flight
+  /// background merges first. The checkpoint fast path is reserved for
+  /// managers without a durable writer — durable checkpointing is
+  /// Database::Save's manifest protocol — and logs kCheckpoint without
+  /// truncating the WAL, which other tables' redo may share.
   Status PropagateAndMaybeCheckpoint();
 
+  size_t active_transactions() const;
+  /// Atomic, so monitor threads can poll them without the lock.
   uint64_t committed_count() const {
     return committed_count_.load(std::memory_order_relaxed);
   }
@@ -230,19 +324,20 @@ class MultiTxnManager {
   struct TableState {
     Table* table = nullptr;
     std::unique_ptr<Pdt> write;  // master Write-PDT
-    std::shared_ptr<const Pdt> write_snapshot;
-    uint64_t write_snapshot_time = 0;
+    std::shared_ptr<const Pdt> write_snapshot;  // cache: copy of write
+    uint64_t write_snapshot_time = 0;           // logical time of that copy
     // Background merge state (under mu_; the pending layer itself is
     // immutable and shared with snapshots).
     std::shared_ptr<const Pdt> merge_pending;  // claimed Write-PDT
     bool merge_inflight = false;
-    Status merge_error = Status::OK();
+    Status merge_error = Status::OK();  // abandoned merge (folded later)
     uint64_t background_merges = 0;
   };
 
+  // An entry of TZ: a committed transaction's serialized Trans-PDTs,
+  // kept while overlapping transactions still run.
   struct CommittedTxn {
-    // Serialized Trans-PDTs of the tables the transaction touched.
-    std::map<std::string, std::shared_ptr<Pdt>> pdts;
+    std::map<std::string, std::shared_ptr<Pdt>> pdts;  // tables touched
     uint64_t commit_time = 0;
     int refcnt = 0;
   };
@@ -251,22 +346,36 @@ class MultiTxnManager {
   // Caller holds mu_.
   MultiTransaction::TableView MakeViewLocked(TableState* st);
 
-  // --- delta-chain commit path (mirrors TxnManager) ---
+  // --- delta-chain commit path ---
+  // Lock-free: prepends the record to the commit chain (release CAS).
   void PublishRecord(internal::MultiDeltaRecord* rec);
+  // Blocks until `rec` has a verdict: takes the lock and, if the record
+  // is still undecided, folds the whole published chain (this committer
+  // is the fold leader; everyone folded rides the same fsync). In
+  // serial_commit mode folds just this record — the single-lock
+  // baseline. Returns the verdict; `*durable_upto` is the WAL offset to
+  // sync outside the lock (0 = nothing to wait for).
   Status AwaitVerdict(internal::MultiDeltaRecord* rec,
                       uint64_t* durable_upto);
+  // Claims the chain (atomic exchange) and commits every record in
+  // publication order. Caller holds mu_.
   void FoldChainLocked();
   // Algorithm 9 for one record, across all its tables: per-table
   // conflict check against TZ, WAL append, fold into each table's
-  // Write-PDT — all-or-nothing. Caller holds mu_.
+  // Write-PDT — all-or-nothing. Verdict lands in the record. Caller
+  // holds mu_.
   void CommitRecordLocked(internal::MultiDeltaRecord* rec);
+  // Abort of a published transaction: unlink from the chain if still
+  // there, else honor the fold's verdict. Caller is the owning thread.
   void AbortPublished(MultiTransaction* txn);
+  // Removes `rec` from the chain, preserving the others' order (they are
+  // spliced back; concurrent lock-free publishes keep their records).
+  // Caller holds mu_. Returns false if a fold already claimed it.
   bool UnlinkLocked(internal::MultiDeltaRecord* rec);
-  Status SyncWal(uint64_t upto);
+  // TZ refcount release + active_ decrement for a finishing txn.
   void FinishActiveLocked(uint64_t start_time);
-  void FinishLocked(MultiTransaction* txn);
 
-  // --- background Write→Read merge (install-based; see file comment) ---
+  // --- Write→Read propagation (install-only; see file comment) ---
   // Per table: inline clone+install at quiet points, or an incremental
   // background merge when transactions are running. Caller holds mu_.
   Status MaybePropagateLocked();
@@ -274,15 +383,20 @@ class MultiTxnManager {
   // it via ReplacePdt. Caller holds mu_ and guarantees no merge is in
   // flight for `st`.
   Status FoldIntoReadLocked(TableState* st);
+  // Claims st->write as the immutable pending layer and schedules the
+  // incremental fold on the global worker pool. Caller holds mu_.
   void StartBackgroundMergeLocked(TableState* st);
+  // One incremental merge step; re-submits itself until done, then
+  // installs the merged Read-PDT. Runs on a pool worker.
   void MergeStep(std::shared_ptr<MergeJob> job);
 
   mutable std::mutex mu_;
   TxnManagerOptions opts_;
   Wal* wal_;
   // Durable sink; the group-commit state itself lives in the (possibly
-  // shared) Wal.
+  // shared) Wal, so managers logging to one file agree on durability.
   WalWriter* writer_ = nullptr;
+  bool recovered_ = false;
   // Tables whose driver slot this manager claimed (released in dtor).
   std::vector<Table*> claimed_;
   std::map<std::string, TableState> state_;
@@ -292,18 +406,16 @@ class MultiTxnManager {
   std::atomic<internal::MultiDeltaRecord*> delta_head_{nullptr};
   std::atomic<size_t> pending_deltas_{0};
 
-  uint64_t clock_ = 1;
+  uint64_t clock_ = 1;  // logical commit clock
   uint64_t next_txn_id_ = 1;
   size_t active_ = 0;
-  // Atomic so monitor threads can poll counts without taking mu_.
   std::atomic<uint64_t> committed_count_{0};
   std::atomic<uint64_t> aborted_count_{0};
-  std::deque<CommittedTxn> tz_;
+  std::deque<CommittedTxn> tz_;  // commit-ordered
 
-  // Background merge bookkeeping across tables (under mu_).
+  // Background merges in flight across tables (under mu_).
   size_t merges_inflight_ = 0;
   std::condition_variable merge_cv_;  // signals merge completion
-  Status last_merge_error_ = Status::OK();
 
   // Write-path counters (under mu_).
   uint64_t fold_batches_ = 0;

@@ -1,909 +1,27 @@
 #include "txn/txn_manager.h"
 
-#include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <map>
-
-#include "txn/layered.h"
-#include "util/thread_pool.h"
-
 namespace pdtstore {
 
-namespace internal {
-
-// A sealed transaction on the lock-free commit chain. The owner thread
-// fills every field before the release-CAS in PublishRecord; afterwards
-// all fields except `next` are touched only under the manager lock (the
-// fold leader that claims the chain, or the owner's abort-unlink).
-struct DeltaRecord {
-  enum State { kPublished, kCommitted, kAborted };
-
-  uint64_t txn_id = 0;
-  uint64_t start_time = 0;
-  std::unique_ptr<Pdt> trans;  ///< the sealed Trans-PDT
-
-  // Chain mode pre-encodes the WAL frames (begin, ops, commit) outside
-  // every lock; the fold appends the finished bytes in one batch. The
-  // serial_commit baseline keeps the logical records instead and encodes
-  // them under the lock — the legacy write path, byte for byte.
-  std::vector<std::string> payloads;
-  std::vector<WalRecord> redo;
-  bool preencoded = false;
-
-  std::atomic<DeltaRecord*> next{nullptr};
-  bool enqueued = false;  ///< still linked into the chain
-
-  State state = kPublished;
-  Status result = Status::OK();
-  uint64_t durable_upto = 0;  ///< WAL offset the owner must sync to
-};
-
-}  // namespace internal
-
-using internal::DeltaRecord;
-
-namespace {
-
-// Returned by Scan()/PlanMorsels() on a published (sealed) transaction:
-// the Trans-PDT has moved into the delta record (where a concurrent
-// fold may be serializing it), so reads fail loudly at Next() instead
-// of handing back a null source — Scan() never returned null before
-// the two-phase commit split, and callers do not check.
-class SealedTxnSource : public BatchSource {
- public:
-  StatusOr<bool> Next(Batch*, size_t) override {
-    return Status::InvalidArgument(
-        "transaction is published: no reads until the commit verdict");
-  }
-};
-
-}  // namespace
-
-// State for one incremental background Write→Read merge. Shared between
-// the successive worker-pool tasks that advance it.
-struct TxnManager::MergeJob {
-  std::shared_ptr<const Pdt> source_read;  ///< pinned pre-merge Read-PDT
-  std::shared_ptr<const Pdt> pending;      ///< the claimed Write-PDT
-  std::unique_ptr<Pdt> merged;             ///< private clone being built
-  Pdt::Cursor cursor;                      ///< next unapplied entry
-};
-
-// ---------------------------------------------------------------------
-// Transaction.
-// ---------------------------------------------------------------------
-
-Transaction::Transaction(TxnManager* mgr, uint64_t id, uint64_t start_time,
-                         std::shared_ptr<const Pdt> read_snapshot,
-                         std::shared_ptr<const Pdt> pending_snapshot,
-                         std::shared_ptr<const Pdt> write_snapshot)
-    : mgr_(mgr),
-      id_(id),
-      start_time_(start_time),
-      read_(std::move(read_snapshot)),
-      pending_(std::move(pending_snapshot)),
-      write_(std::move(write_snapshot)),
-      trans_(std::make_unique<Pdt>(mgr->table()->shared_schema(),
-                                   mgr->table()->options().pdt)) {}
-
-Transaction::~Transaction() {
-  if (!finished_) Abort();
-}
-
-std::vector<const Pdt*> Transaction::Layers() const {
-  std::vector<const Pdt*> layers;
-  layers.reserve(4);
-  layers.push_back(read_.get());
-  if (pending_ != nullptr) layers.push_back(pending_.get());
-  layers.push_back(write_.get());
-  layers.push_back(trans_.get());
-  return layers;
-}
-
-std::vector<const Pdt*> Transaction::UpdateLayers() const {
-  std::vector<const Pdt*> layers = Layers();
-  if (query_ != nullptr) layers.push_back(query_.get());
-  return layers;
-}
-
-Pdt* Transaction::UpdateTarget() const {
-  return query_ != nullptr ? query_.get() : trans_.get();
-}
-
-uint64_t Transaction::RowCount() const {
-  // Sealed by Publish(): report the snapshot's count as of sealing (the
-  // Trans-PDT itself is off-limits — a fold may be serializing it).
-  if (trans_ == nullptr) return sealed_row_count_;
-  int64_t delta = read_->TotalDelta() + write_->TotalDelta() +
-                  trans_->TotalDelta();
-  if (pending_ != nullptr) delta += pending_->TotalDelta();
-  return static_cast<uint64_t>(
-      static_cast<int64_t>(mgr_->table()->store().num_rows()) + delta);
-}
-
-uint64_t Transaction::UpdateDomainRowCount() const {
-  uint64_t n = RowCount();
-  if (query_ != nullptr) {
-    n = static_cast<uint64_t>(static_cast<int64_t>(n) +
-                              query_->TotalDelta());
-  }
-  return n;
-}
-
-StatusOr<std::vector<Value>> Transaction::MergedSortKey(Rid rid) const {
-  return internal::LayeredSortKey(mgr_->table()->store(), UpdateLayers(), rid);
-}
-
-StatusOr<Rid> Transaction::UpperBoundRid(
-    const std::vector<Value>& key) const {
-  Rid lo = 0, hi = UpdateDomainRowCount();
-  while (lo < hi) {
-    Rid mid = lo + (hi - lo) / 2;
-    PDT_ASSIGN_OR_RETURN(auto mid_key, MergedSortKey(mid));
-    int cmp = 0;
-    for (size_t i = 0; i < mid_key.size() && i < key.size(); ++i) {
-      cmp = mid_key[i].Compare(key[i]);
-      if (cmp != 0) break;
-    }
-    if (cmp <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-StatusOr<Rid> Transaction::FindRidByKey(
-    const std::vector<Value>& key) const {
-  PDT_ASSIGN_OR_RETURN(Rid ub, UpperBoundRid(key));
-  if (ub == 0) return Status::NotFound("key not found");
-  PDT_ASSIGN_OR_RETURN(auto prev_key, MergedSortKey(ub - 1));
-  if (CompareTuples(prev_key, key) != 0) {
-    return Status::NotFound("key not found");
-  }
-  return ub - 1;
-}
-
-Status Transaction::Insert(const Tuple& tuple) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  const Schema& schema = mgr_->table()->schema();
-  PDT_RETURN_NOT_OK(schema.ValidateTuple(tuple));
-  std::vector<Value> key = schema.ExtractSortKey(tuple);
-  auto existing = FindRidByKey(key);
-  if (existing.ok()) return Status::AlreadyExists("duplicate sort key");
-  if (existing.status().code() != StatusCode::kNotFound) {
-    return existing.status();
-  }
-  PDT_ASSIGN_OR_RETURN(Rid rid, UpperBoundRid(key));
-  Pdt* target = UpdateTarget();
-  Sid sid = target->SKRidToSid(key, rid);
-  PDT_RETURN_NOT_OK(target->AddInsert(sid, rid, tuple));
-  WalRecord r;
-  r.type = WalRecordType::kInsert;
-  r.table = mgr_->table()->name();
-  r.tuple = tuple;
-  redo_.push_back(std::move(r));
-  return Status::OK();
-}
-
-Status Transaction::DeleteByKey(const std::vector<Value>& key) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(key));
-  PDT_RETURN_NOT_OK(UpdateTarget()->AddDelete(rid, key));
-  WalRecord r;
-  r.type = WalRecordType::kDelete;
-  r.table = mgr_->table()->name();
-  r.key = key;
-  redo_.push_back(std::move(r));
-  return Status::OK();
-}
-
-Status Transaction::ModifyByKey(const std::vector<Value>& key, ColumnId col,
-                                const Value& v) {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  const Schema& schema = mgr_->table()->schema();
-  if (schema.IsSortKeyColumn(col)) {
-    PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(key));
-    PDT_ASSIGN_OR_RETURN(
-        Tuple t, internal::LayeredTuple(mgr_->table()->store(), UpdateLayers(), rid));
-    PDT_RETURN_NOT_OK(DeleteByKey(key));
-    t[col] = v;
-    return Insert(t);
-  }
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(key));
-  PDT_RETURN_NOT_OK(UpdateTarget()->AddModify(rid, col, v));
-  WalRecord r;
-  r.type = WalRecordType::kModify;
-  r.table = mgr_->table()->name();
-  r.key = key;
-  r.column = col;
-  r.value = v;
-  redo_.push_back(std::move(r));
-  return Status::OK();
-}
-
-std::unique_ptr<BatchSource> Transaction::Scan(
-    std::vector<ColumnId> projection, const KeyBounds* bounds,
-    const ScanOptions& scan_opts) const {
-  if (trans_ == nullptr) {  // sealed by Publish()
-    return std::make_unique<SealedTxnSource>();
-  }
-  std::vector<SidRange> ranges;
-  if (bounds != nullptr) {
-    ranges = mgr_->table()->sparse_index().LookupRange(bounds->lo,
-                                                       bounds->hi);
-  }
-  return internal::LayeredScan(mgr_->table()->store(), Layers(),
-                               std::move(projection), std::move(ranges),
-                               scan_opts);
-}
-
-MorselPlan Transaction::PlanMorsels(std::vector<ColumnId> projection,
-                                    const KeyBounds* bounds,
-                                    const ScanOptions& scan_opts) const {
-  if (trans_ == nullptr) {  // sealed by Publish()
-    MorselPlan plan;
-    plan.serial = std::make_unique<SealedTxnSource>();
-    return plan;
-  }
-  std::vector<SidRange> ranges;
-  if (bounds != nullptr) {
-    ranges = mgr_->table()->sparse_index().LookupRange(bounds->lo,
-                                                       bounds->hi);
-  }
-  return internal::LayeredMorselPlan(mgr_->table()->store(), Layers(),
-                                     std::move(projection),
-                                     std::move(ranges), scan_opts);
-}
-
-StatusOr<Tuple> Transaction::GetByKey(const std::vector<Value>& key) const {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  // Point reads feed update logic, so they see the full update domain
-  // (including an active Query-PDT); Scan() is the protected read path.
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(key));
-  return internal::LayeredTuple(mgr_->table()->store(), UpdateLayers(), rid);
-}
-
-Status Transaction::BeginQueryPdt() {
-  if (finished_ || rec_ != nullptr) {
-    return Status::InvalidArgument("transaction finished or published");
-  }
-  if (query_ != nullptr) {
-    return Status::InvalidArgument("Query-PDT already active");
-  }
-  query_ = std::make_unique<Pdt>(mgr_->table()->shared_schema(),
-                                 mgr_->table()->options().pdt);
-  return Status::OK();
-}
-
-Status Transaction::EndQueryPdt() {
-  if (query_ == nullptr) {
-    return Status::InvalidArgument("no Query-PDT active");
-  }
-  // "When such a query finishes, its Query-PDT is propagated to its
-  // Trans-PDT and removed." (footnote 5)
-  PDT_RETURN_NOT_OK(trans_->Propagate(*query_));
-  query_.reset();
-  return Status::OK();
-}
-
-Status Transaction::Publish() {
-  if (finished_) return Status::InvalidArgument("transaction finished");
-  if (rec_ != nullptr) return Status::InvalidArgument("already published");
-  if (query_ != nullptr) {
-    return Status::InvalidArgument(
-        "finish the active Query-PDT before committing");
-  }
-  sealed_row_count_ = RowCount();
-  rec_ = std::make_unique<DeltaRecord>();
-  rec_->txn_id = id_;
-  rec_->start_time = start_time_;
-  if (!mgr_->opts_.serial_commit && mgr_->wal_ != nullptr) {
-    // Encode the commit's WAL frames here, outside every lock; the fold
-    // leader appends the finished bytes in one batch under the lock.
-    rec_->payloads.reserve(redo_.size() + 2);
-    WalRecord b;
-    b.type = WalRecordType::kBegin;
-    b.txn_id = id_;
-    rec_->payloads.push_back(Wal::EncodeRecordPayload(b));
-    for (WalRecord& r : redo_) {
-      r.txn_id = id_;
-      rec_->payloads.push_back(Wal::EncodeRecordPayload(r));
-    }
-    WalRecord c;
-    c.type = WalRecordType::kCommit;
-    c.txn_id = id_;
-    rec_->payloads.push_back(Wal::EncodeRecordPayload(c));
-    rec_->preencoded = true;
-    redo_.clear();
-  } else {
-    rec_->redo = std::move(redo_);
-  }
-  rec_->trans = std::move(trans_);
-  // The serial_commit baseline skips the chain: the committer folds its
-  // own record under the lock in AwaitCommit, like the legacy path.
-  if (!mgr_->opts_.serial_commit) mgr_->PublishRecord(rec_.get());
-  return Status::OK();
-}
-
-Status Transaction::AwaitCommit() {
-  if (finished_) return Status::InvalidArgument("transaction finished");
-  if (rec_ == nullptr) {
-    return Status::InvalidArgument("transaction not published");
-  }
-  uint64_t durable_upto = 0;
-  Status st = mgr_->AwaitVerdict(rec_.get(), &durable_upto);
-  finished_ = true;
-  if (!st.ok()) return st;
-  // Group commit: wait for the WAL to reach disk outside the commit
-  // lock, so concurrent committers pile into one fsync.
-  if (durable_upto > 0) return mgr_->SyncWal(durable_upto);
-  return Status::OK();
-}
-
-Status Transaction::Commit() {
-  PDT_RETURN_NOT_OK(Publish());
-  return AwaitCommit();
-}
-
-void Transaction::Abort() {
-  if (finished_) return;
-  if (rec_ != nullptr) {
-    mgr_->AbortPublished(this);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mgr_->mu_);
-  mgr_->FinishLocked(this);
-  ++mgr_->aborted_count_;
-  if (mgr_->wal_ != nullptr) mgr_->wal_->LogAbort(id_);
-}
-
-// ---------------------------------------------------------------------
-// TxnManager.
-// ---------------------------------------------------------------------
-
-TxnManager::TxnManager(Table* table, Wal* wal, TxnManagerOptions opts)
-    : table_(table), wal_(wal), opts_(opts) {
-  assert(table_->pdt() != nullptr &&
-         "transaction management requires the PDT backend");
-  // Claim the table's single transaction-driver slot: this manager
-  // mutates the PDT layer stack (and installs merged Read-PDTs) under
-  // mu_, which is only sound if no other manager does so under a
-  // different lock.
-  driver_claimed_ = table_->AcquireTxnDriver();
-  assert(driver_claimed_ &&
-         "table is already driven by another transaction manager");
-  write_ = std::make_unique<Pdt>(table_->shared_schema(),
-                                 table_->options().pdt);
-}
-
-TxnManager::~TxnManager() {
-  {
-    // The background merge task captures `this`; wait it out.
-    std::unique_lock<std::mutex> lock(mu_);
-    merge_cv_.wait(lock, [this] { return !merge_inflight_; });
-  }
-  if (driver_claimed_) table_->ReleaseTxnDriver();
-}
-
-size_t TxnManager::active_transactions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_;
-}
-
-std::unique_ptr<Transaction> TxnManager::Begin() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Share the Write-PDT copy when no commit happened since it was taken
-  // ("copying is not always required", Sec. 3.3).
-  if (!write_snapshot_ || write_snapshot_time_ != clock_) {
-    write_snapshot_ = std::shared_ptr<const Pdt>(write_->Clone().release());
-    write_snapshot_time_ = clock_;
-  }
-  // Pin the Read-PDT: a background merge may install a replacement
-  // while this snapshot lives, and the shared_ptr keeps the pre-merge
-  // layer (which the snapshot's RIDs are defined over) alive.
-  ++active_;
-  uint64_t id = opts_.txn_id_counter != nullptr
-                    ? opts_.txn_id_counter->fetch_add(1) + 1
-                    : next_txn_id_++;
-  return std::unique_ptr<Transaction>(
-      new Transaction(this, id, clock_, table_->SharedPdt(), merge_pending_,
-                      write_snapshot_));
-}
-
-void TxnManager::FinishActiveLocked(uint64_t start_time) {
-  // Drop references on every overlapping committed transaction.
-  for (auto& z : tz_) {
-    if (start_time < z.commit_time) {
-      --z.refcnt;
-    }
-  }
-  tz_.erase(std::remove_if(tz_.begin(), tz_.end(),
-                           [](const CommittedTxn& z) {
-                             return z.refcnt <= 0;
-                           }),
-            tz_.end());
-  --active_;
-}
-
-void TxnManager::FinishLocked(Transaction* txn) {
-  FinishActiveLocked(txn->start_time_);
-  txn->finished_ = true;
-}
-
-void TxnManager::SetWalWriter(WalWriter* writer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The durability watermark itself lives in the (possibly shared) Wal
-  // and is established by whoever loaded or truncated it (RecoverFrom,
-  // Truncate, MarkAllFlushed) — resetting it here could falsely mark
-  // another manager's in-flight commit durable. The writer pointer also
-  // lives in the Wal (shared by every manager on this log, and kept
-  // stable under in-flight flushes); writer_ here only records that
-  // this manager commits durably.
-  writer_ = writer;
-  if (wal_ != nullptr) wal_->SetWriter(writer);
-}
-
-Status TxnManager::wal_status() const {
-  return wal_ != nullptr ? wal_->health() : Status::OK();
-}
-
-Status TxnManager::SyncWal(uint64_t upto) {
-  return wal_->SyncTo(upto);
-}
-
-void TxnManager::PublishRecord(DeltaRecord* rec) {
-  rec->enqueued = true;
-  DeltaRecord* cur = delta_head_.load(std::memory_order_relaxed);
-  do {
-    rec->next.store(cur, std::memory_order_relaxed);
-  } while (!delta_head_.compare_exchange_weak(cur, rec,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed));
-  pending_deltas_.fetch_add(1, std::memory_order_relaxed);
-}
-
-Status TxnManager::AwaitVerdict(DeltaRecord* rec, uint64_t* durable_upto) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (rec->state == DeltaRecord::kPublished) {
-    // Undecided under the lock means the record is still on the chain
-    // (folds run entirely under mu_): this committer is the fold leader
-    // and decides the whole published batch. Committers that queued on
-    // mu_ behind the leader find their verdict already in the record.
-    const auto t0 = std::chrono::steady_clock::now();
-    if (opts_.serial_commit) {
-      CommitRecordLocked(rec);
-    } else {
-      FoldChainLocked();
-    }
-    commit_lock_ns_ += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-  *durable_upto = rec->durable_upto;
-  return rec->result;
-}
-
-void TxnManager::FoldChainLocked() {
-  DeltaRecord* head = delta_head_.exchange(nullptr,
-                                           std::memory_order_acquire);
-  if (head == nullptr) return;
-  // The chain is newest-first; reverse it so records fold in
-  // publication order (their WAL frames then appear in verdict order).
-  DeltaRecord* chain = nullptr;
-  while (head != nullptr) {
-    DeltaRecord* next = head->next.load(std::memory_order_relaxed);
-    head->next.store(chain, std::memory_order_relaxed);
-    chain = head;
-    head = next;
-  }
-  ++fold_batches_;
-  while (chain != nullptr) {
-    DeltaRecord* next = chain->next.load(std::memory_order_relaxed);
-    chain->enqueued = false;
-    CommitRecordLocked(chain);
-    ++folded_records_;
-    pending_deltas_.fetch_sub(1, std::memory_order_relaxed);
-    chain = next;
-  }
-}
-
-void TxnManager::CommitRecordLocked(DeltaRecord* rec) {
-  rec->durable_upto = 0;
-  if (writer_ != nullptr) {
-    // A manager whose WAL sink failed can no longer promise durability:
-    // refuse the commit up front.
-    Status health = wal_->health();
-    if (!health.ok()) {
-      FinishActiveLocked(rec->start_time);
-      ++aborted_count_;
-      rec->result = health;
-      rec->state = DeltaRecord::kAborted;
-      return;
-    }
-  }
-  // Serialize against every overlapping committed transaction, in commit
-  // order (Alg. 9 lines 2-9).
-  Status conflict = Status::OK();
-  for (auto& z : tz_) {
-    if (rec->start_time >= z.commit_time) continue;  // not overlapping
-    if (conflict.ok()) {
-      conflict = rec->trans->SerializeAgainst(*z.pdt);
-      if (!conflict.ok() && conflict.code() != StatusCode::kConflict) {
-        // Internal failure, not a write-write conflict: surface as-is.
-        FinishActiveLocked(rec->start_time);
-        rec->result = conflict;
-        rec->state = DeltaRecord::kAborted;
-        return;
-      }
-    }
-  }
-  if (!conflict.ok()) {
-    FinishActiveLocked(rec->start_time);
-    ++aborted_count_;
-    if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
-    rec->result = conflict;
-    rec->state = DeltaRecord::kAborted;
-    return;
-  }
-  // Durability first: the WAL append is the commit point (footnote 2).
-  if (wal_ != nullptr) {
-    if (rec->preencoded) {
-      // The frames were encoded by the publisher outside every lock;
-      // batch-append the finished bytes.
-      wal_->AppendEncoded(rec->payloads);
-      rec->payloads.clear();
-    } else {
-      wal_->LogBegin(rec->txn_id);
-      for (WalRecord& r : rec->redo) {
-        r.txn_id = rec->txn_id;
-        wal_->Append(r);
-      }
-      wal_->LogCommit(rec->txn_id);
-    }
-    if (writer_ != nullptr) {
-      if (opts_.group_commit) {
-        // Publish the frames now; the owner waits for durability up to
-        // this offset outside the commit lock (SyncWal).
-        rec->durable_upto = wal_->SizeBytes();
-      } else {
-        // Per-commit durability: flush and fsync this commit's frames
-        // before acknowledging, still under the commit lock — every
-        // commit pays its own fsync (the ablation baseline).
-        Status st = wal_->SyncTo(wal_->SizeBytes());
-        if (!st.ok()) {
-          // Not durable: fail the commit without applying it in memory
-          // (the WAL health is already poisoned).
-          FinishActiveLocked(rec->start_time);
-          ++aborted_count_;
-          rec->result = st;
-          rec->state = DeltaRecord::kAborted;
-          return;
-        }
-      }
-    }
-  }
-  // Fold into the master Write-PDT (Alg. 9 line 12).
-  Status st = write_->Propagate(*rec->trans);
-  if (!st.ok()) {
-    // Invariant failure; state may be inconsistent.
-    FinishActiveLocked(rec->start_time);
-    rec->result = st;
-    rec->state = DeltaRecord::kAborted;
-    return;
-  }
-  ++clock_;
-  ++committed_count_;
-  uint64_t commit_time = clock_;
-  // Release this transaction's own references first, so its freshly
-  // committed Trans-PDT is not self-decremented below.
-  FinishActiveLocked(rec->start_time);
-  // Keep the serialized Trans-PDT alive for the transactions that are
-  // still running (they overlap this commit) — including the later
-  // members of this fold batch, which are still counted active.
-  int refs = static_cast<int>(active_);
-  if (refs > 0) {
-    tz_.push_back(CommittedTxn{
-        std::shared_ptr<Pdt>(rec->trans.release()), commit_time, refs});
-  } else {
-    rec->trans.reset();
-  }
-  // Write->Read propagation: inline at quiet points, in the background
-  // on the worker pool while other transactions are running.
-  rec->result = MaybePropagateWriteLocked();
-  rec->state = DeltaRecord::kCommitted;
-}
-
-bool TxnManager::UnlinkLocked(DeltaRecord* rec) {
-  if (!rec->enqueued) return false;
-  // Folds run under mu_ and we hold it, so the record is still on the
-  // chain. Claim the chain, drop the record, splice the rest back in
-  // their original relative order. Publishes that raced the splice end
-  // up behind records that were older — both orders are valid
-  // serializations of transactions that raced each other.
-  DeltaRecord* head = delta_head_.exchange(nullptr,
-                                           std::memory_order_acquire);
-  DeltaRecord* keep_head = nullptr;
-  DeltaRecord* keep_tail = nullptr;
-  while (head != nullptr) {
-    DeltaRecord* next = head->next.load(std::memory_order_relaxed);
-    if (head == rec) {
-      rec->enqueued = false;
-    } else {
-      head->next.store(nullptr, std::memory_order_relaxed);
-      if (keep_tail == nullptr) {
-        keep_head = head;
-      } else {
-        keep_tail->next.store(head, std::memory_order_relaxed);
-      }
-      keep_tail = head;
-    }
-    head = next;
-  }
-  assert(!rec->enqueued && "published record missing from the chain");
-  if (keep_head != nullptr) {
-    DeltaRecord* cur = delta_head_.load(std::memory_order_relaxed);
-    do {
-      keep_tail->next.store(cur, std::memory_order_relaxed);
-    } while (!delta_head_.compare_exchange_weak(cur, keep_head,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed));
-  }
-  return true;
-}
-
-void TxnManager::AbortPublished(Transaction* txn) {
-  DeltaRecord* rec = txn->rec_.get();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (rec->state == DeltaRecord::kPublished) {
-    // No fold claimed it: withdraw the record and abort normally.
-    if (UnlinkLocked(rec)) {
-      pending_deltas_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    FinishActiveLocked(rec->start_time);
-    ++aborted_count_;
-    if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
-    rec->result = Status::InvalidArgument("transaction aborted");
-    rec->state = DeltaRecord::kAborted;
-  }
-  // Otherwise a fold already decided it; the verdict stands (a commit
-  // is a commit — Abort after the fact is a no-op).
-  txn->finished_ = true;
-}
-
-Status TxnManager::MaybePropagateWriteLocked() {
-  if (merge_inflight_) return Status::OK();
-  const bool oversized = write_->EntryCount() > opts_.write_pdt_max_entries;
-  if (!oversized && merge_pending_ == nullptr) return Status::OK();
-  if (active_ == 0) {
-    // Quiet point: fold inline (the deterministic serial behavior). A
-    // layer parked by a failed background merge folds first — the
-    // Write-PDT's SID domain is defined over Read ▷ pending.
-    if (merge_pending_ != nullptr) {
-      PDT_RETURN_NOT_OK(table_->pdt()->Propagate(*merge_pending_));
-      merge_pending_.reset();
-      merge_error_ = Status::OK();
-    }
-    if (oversized) {
-      PDT_RETURN_NOT_OK(table_->pdt()->Propagate(*write_));
-      write_->Clear();
-      write_snapshot_.reset();
-      write_snapshot_time_ = 0;
-    }
-    return Status::OK();
-  }
-  // Transactions are running: their snapshots pin the current Read-PDT,
-  // so merge into a private clone on the worker pool instead of
-  // blocking this commit (and every reader) on an O(Read-PDT) fold.
-  if (oversized && merge_pending_ == nullptr) StartBackgroundMergeLocked();
-  return Status::OK();
-}
-
-void TxnManager::StartBackgroundMergeLocked() {
-  auto job = std::make_shared<MergeJob>();
-  // The claimed Write-PDT becomes an immutable shared layer: commits
-  // fold into a fresh Write-PDT (whose SID domain is Read ▷ pending),
-  // and new snapshots stack [read, pending, write] until the merged
-  // Read-PDT absorbs it.
-  job->pending = std::shared_ptr<const Pdt>(write_.release());
-  merge_pending_ = job->pending;
-  write_ = std::make_unique<Pdt>(table_->shared_schema(),
-                                 table_->options().pdt);
-  write_snapshot_.reset();
-  write_snapshot_time_ = 0;
-  job->source_read = table_->SharedPdt();
-  merge_inflight_ = true;
-  ThreadPool::Global().Submit([this, job] { MergeStep(job); });
-}
-
-void TxnManager::MergeStep(std::shared_ptr<MergeJob> job) {
-  if (!job->merged) {
-    // First step: clone the pinned Read-PDT. The table's PDT cannot
-    // change while the merge is in flight: this manager's inline
-    // propagate and checkpoint both exclude merge_inflight_, and no
-    // other manager can touch the table (exclusive driver claim, taken
-    // in the constructor) — so the clone is a faithful base.
-    job->merged = job->source_read->Clone();
-    job->cursor = job->pending->Begin();
-  }
-  bool done = false;
-  Status st = job->merged->PropagateStep(*job->pending, &job->cursor,
-                                         opts_.merge_chunk_entries, &done);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!st.ok()) {
-    // Abandon the clone; the pending layer stays parked in the snapshot
-    // stack and the next quiet point folds it inline.
-    merge_error_ = st;
-    merge_inflight_ = false;
-    merge_cv_.notify_all();
-    return;
-  }
-  if (!done) {
-    // Yield the worker between chunks so foreground scan morsels and
-    // pipeline tasks interleave with the merge.
-    lock.unlock();
-    ThreadPool::Global().Submit([this, job] { MergeStep(job); });
-    return;
-  }
-  // Install the merged Read-PDT. Snapshots taken before this instant
-  // keep the pre-merge layers alive through their shared_ptrs; new
-  // snapshots see [merged, write] — the same merged image.
-  table_->ReplacePdt(std::shared_ptr<Pdt>(job->merged.release()));
-  merge_pending_.reset();
-  ++background_merges_;
-  merge_inflight_ = false;
-  merge_cv_.notify_all();
-}
-
 TxnManagerStats TxnManager::GetStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const MultiTxnStats m = MultiTxnManager::GetStats();
+  const MultiTxnTableStats& t = m.tables.front();
   TxnManagerStats s;
-  s.committed = committed_count_;
-  s.aborted = aborted_count_;
-  s.active = active_;
-  s.pending_deltas = pending_deltas_.load(std::memory_order_relaxed);
-  s.fold_batches = fold_batches_;
-  s.folded_records = folded_records_;
-  s.commit_lock_ns = commit_lock_ns_;
-  s.read_pdt_entries = table_->pdt()->EntryCount();
-  s.write_pdt_entries = write_->EntryCount();
-  s.merge_pending_entries =
-      merge_pending_ != nullptr ? merge_pending_->EntryCount() : 0;
-  s.merge_inflight = merge_inflight_;
-  s.background_merges = background_merges_;
-  s.last_merge_error = merge_error_;
-  if (wal_ != nullptr) s.wal_records = wal_->RecordCount();
-  if (writer_ != nullptr) s.wal_syncs = writer_->sync_count();
+  s.committed = m.committed;
+  s.aborted = m.aborted;
+  s.active = m.active;
+  s.pending_deltas = m.pending_deltas;
+  s.fold_batches = m.fold_batches;
+  s.folded_records = m.folded_records;
+  s.commit_lock_ns = m.commit_lock_ns;
+  s.read_pdt_entries = t.read_pdt_entries;
+  s.write_pdt_entries = t.write_pdt_entries;
+  s.merge_pending_entries = t.merge_pending_entries;
+  s.merge_inflight = t.merge_inflight;
+  s.background_merges = t.background_merges;
+  s.last_merge_error = m.last_merge_error;
+  s.wal_syncs = m.wal_syncs;
+  s.wal_records = m.wal_records;
   return s;
-}
-
-Status TxnManager::PropagateAndMaybeCheckpoint() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Drain the in-flight background merge: it owns a clone mid-fold, and
-  // the inline paths below mutate the very layers it reads.
-  merge_cv_.wait(lock, [this] { return !merge_inflight_; });
-  if (active_ > 0) {
-    // Published-but-unfolded commits still count as active, so a
-    // pending delta chain also lands here.
-    return Status::InvalidArgument(
-        "cannot propagate/checkpoint with active transactions");
-  }
-  if (merge_pending_ != nullptr) {
-    // A background merge was abandoned mid-way; fold its claimed layer
-    // inline (before the Write-PDT, whose SID domain stacks on it).
-    PDT_RETURN_NOT_OK(table_->pdt()->Propagate(*merge_pending_));
-    merge_pending_.reset();
-    merge_error_ = Status::OK();
-  }
-  if (!write_->Empty()) {
-    PDT_RETURN_NOT_OK(table_->pdt()->Propagate(*write_));
-    write_->Clear();
-    write_snapshot_.reset();
-    write_snapshot_time_ = 0;
-  }
-  // With a durable WAL attached, in-place checkpointing here would
-  // rewrite the stable image without the manifest commit protocol —
-  // replaying the (still durable) log over the new image would then
-  // apply every absorbed update twice. Durable checkpointing is
-  // Database::Save's job; this fast path is for in-memory managers.
-  if (writer_ == nullptr &&
-      table_->pdt()->EntryCount() > opts_.read_pdt_max_entries) {
-    PDT_RETURN_NOT_OK(table_->Checkpoint());
-    if (wal_ != nullptr) {
-      wal_->LogCheckpoint(table_->name());
-      wal_->Truncate();
-    }
-  }
-  return Status::OK();
-}
-
-Status TxnManager::Recover(const Wal& wal) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (&wal == wal_) {
-      // Replaying a WAL through a manager that appends to that same WAL
-      // would grow the log under the replay cursor.
-      return Status::InvalidArgument(
-          "cannot recover from the manager's own WAL");
-    }
-    // Recovery only makes sense into a pristine manager: a second run,
-    // or a run after transaction activity, would apply updates twice.
-    if (recovered_) {
-      return Status::InvalidArgument("Recover already ran on this manager");
-    }
-    if (committed_count_ + aborted_count_ > 0 || active_ > 0 ||
-        !write_->Empty() || !table_->pdt()->Empty()) {
-      return Status::InvalidArgument(
-          "Recover requires a pristine transaction manager");
-    }
-    recovered_ = true;
-  }
-  // Group records per transaction; apply committed ones in commit order.
-  std::map<uint64_t, std::vector<WalRecord>> pending;
-  Status apply_status = Status::OK();
-  const std::string& my_table = table_->name();
-  Status st = wal.Replay([&](const WalRecord& r) -> Status {
-    switch (r.type) {
-      case WalRecordType::kBegin:
-        pending[r.txn_id] = {};
-        break;
-      case WalRecordType::kInsert:
-      case WalRecordType::kDelete:
-      case WalRecordType::kModify:
-        // Several tables can share one log; each manager replays only
-        // the records addressed to its table.
-        if (r.table == my_table) pending[r.txn_id].push_back(r);
-        break;
-      case WalRecordType::kAbort:
-        pending.erase(r.txn_id);
-        break;
-      case WalRecordType::kCommit: {
-        auto it = pending.find(r.txn_id);
-        if (it == pending.end()) break;
-        if (it->second.empty()) {
-          // The transaction touched only other tables.
-          pending.erase(it);
-          break;
-        }
-        auto txn = Begin();
-        for (const WalRecord& op : it->second) {
-          Status op_st;
-          switch (op.type) {
-            case WalRecordType::kInsert:
-              op_st = txn->Insert(op.tuple);
-              break;
-            case WalRecordType::kDelete:
-              op_st = txn->DeleteByKey(op.key);
-              break;
-            case WalRecordType::kModify:
-              op_st = txn->ModifyByKey(op.key, op.column, op.value);
-              break;
-            default:
-              break;
-          }
-          if (!op_st.ok()) return op_st;
-        }
-        PDT_RETURN_NOT_OK(txn->Commit());
-        pending.erase(it);
-        break;
-      }
-      case WalRecordType::kCheckpoint:
-        break;
-    }
-    return Status::OK();
-  });
-  PDT_RETURN_NOT_OK(st);
-  return apply_status;
 }
 
 }  // namespace pdtstore

@@ -1,202 +1,86 @@
-// Three-layer PDT transaction management (Sec. 3.3, Fig. 14/15):
-//
-//   Trans-PDT  — private to a transaction, holds its uncommitted updates
-//   Write-PDT  — small master PDT receiving committed updates; copied
-//                (or shared, when no commit intervened) into each new
-//                transaction's snapshot
-//   Read-PDT   — large RAM-resident layer (here: the Table's PDT) that
-//                Write-PDT contents are periodically propagated into
-//
-// Reads are lock-free: a query merges   stable ▷ Read ▷ Write-copy ▷ Trans
-// entirely from snapshot-owned structures. Commits run Algorithm 9:
-// serialize the Trans-PDT against every overlapping committed
-// transaction's serialized Trans-PDT (conflict => abort), then propagate
-// into the master Write-PDT; serialized PDTs are kept alive by reference
-// counts while overlapping transactions still run.
-//
-// Concurrent write path (see DESIGN.md "Concurrent write path"): the
-// build phase of a commit — positioning updates, building the Trans-PDT,
-// encoding WAL payloads — runs entirely outside the manager lock. A
-// committing transaction publishes a *delta record* onto a lock-free
-// chain (atomic prepend); whichever committer takes the manager lock
-// first folds the whole chain in publication order under one short
-// critical section, then every member of the batch rides the WAL's
-// group-commit fsync. Write→Read propagation under load runs as an
-// incremental background task on the shared worker pool, with scans
-// pinning the pre-merge Read-PDT via shared snapshots.
+// Single-table transactions: TxnManager is the one-table case of the
+// commit engine in txn/multi_txn.h. Same three PDT layers (Sec. 3.3,
+// Fig. 14/15), same Algorithm 9, same delta chain, fold leader,
+// background merge and install-only Write→Read propagation — these
+// classes only drop the table-name argument from every call.
 #ifndef PDTSTORE_TXN_TXN_MANAGER_H_
 #define PDTSTORE_TXN_TXN_MANAGER_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
-#include "db/table.h"
-#include "txn/wal.h"
+#include "txn/multi_txn.h"
 
 namespace pdtstore {
 
 class TxnManager;
 
-namespace internal {
-struct DeltaRecord;
-}  // namespace internal
-
-/// A snapshot-isolated transaction over one table. Not thread-safe
-/// itself; distinct transactions may run on distinct threads.
+/// A snapshot-isolated transaction over one table; see MultiTransaction
+/// for the contract of each call. Not thread-safe itself; distinct
+/// transactions may run on distinct threads.
 class Transaction {
  public:
-  ~Transaction();
-
-  /// Transaction-local updates (buffered in the Trans-PDT).
-  Status Insert(const Tuple& tuple);
-  Status DeleteByKey(const std::vector<Value>& key);
+  /// Transaction-local updates (buffered in the Trans-PDT, or in the
+  /// Query-PDT while one is active).
+  Status Insert(const Tuple& tuple) { return txn_->Insert(table_, tuple); }
+  Status DeleteByKey(const std::vector<Value>& key) {
+    return txn_->DeleteByKey(table_, key);
+  }
   Status ModifyByKey(const std::vector<Value>& key, ColumnId col,
-                     const Value& v);
+                     const Value& v) {
+    return txn_->ModifyByKey(table_, key, col, v);
+  }
 
-  /// Snapshot reads, including own uncommitted updates. `scan_opts`
-  /// enables the morsel-driven parallel scan over the snapshot's layer
-  /// stack: the Read/Write snapshots are immutable, so workers share
-  /// them lock-free. A parallel scan also reads the Trans-PDT from
-  /// worker threads, so the transaction must not apply updates while one
-  /// is being consumed (route updates through the Query-PDT, which the
-  /// scan stack deliberately excludes, or drain the scan first).
-  /// After Publish() the snapshot is sealed: the returned source (never
-  /// null) fails with InvalidArgument on its first Next().
+  /// Snapshot reads, including own uncommitted updates (the Query-PDT
+  /// excepted). After Publish() the returned source (never null) fails
+  /// with InvalidArgument on its first Next().
   std::unique_ptr<BatchSource> Scan(std::vector<ColumnId> projection,
                                     const KeyBounds* bounds = nullptr,
-                                    const ScanOptions& scan_opts = {}) const;
-  /// The same snapshot scan as a morsel plan, feeding the parallel
-  /// pipelines (exec/pipeline.h) — operator fragments then run inside
-  /// the scan workers over the immutable layer stack. The update
-  /// caveats of Scan() apply (after Publish(), the plan's serial source
-  /// fails with InvalidArgument).
+                                    const ScanOptions& scan_opts = {}) const {
+    return txn_->Scan(table_, std::move(projection), bounds, scan_opts);
+  }
   MorselPlan PlanMorsels(std::vector<ColumnId> projection,
                          const KeyBounds* bounds = nullptr,
-                         const ScanOptions& scan_opts = {}) const;
-  StatusOr<Tuple> GetByKey(const std::vector<Value>& key) const;
-  /// Visible row count; after Publish() it reports the snapshot's count
-  /// as of sealing.
-  uint64_t RowCount() const;
+                         const ScanOptions& scan_opts = {}) const {
+    return txn_->PlanMorsels(table_, std::move(projection), bounds,
+                             scan_opts);
+  }
+  StatusOr<Tuple> GetByKey(const std::vector<Value>& key) const {
+    return txn_->GetByKey(table_, key);
+  }
+  /// Visible row count; after Publish() the count as of sealing.
+  uint64_t RowCount() const { return *txn_->RowCount(table_); }
 
-  /// Algorithm 9; equivalent to Publish() + AwaitCommit(). On conflict
-  /// returns Status::Conflict and the transaction is aborted. The
-  /// transaction is finished either way.
-  Status Commit();
+  /// Two-phase commit (Publish + AwaitCommit), or both at once.
+  Status Commit() { return txn_->Commit(); }
+  Status Publish() { return txn_->Publish(); }
+  Status AwaitCommit() { return txn_->AwaitCommit(); }
+  void Abort() { txn_->Abort(); }
 
-  /// First half of a two-phase commit: seals the transaction's updates
-  /// into a delta record and publishes it onto the manager's lock-free
-  /// commit chain — no lock is taken and no verdict is produced yet.
-  /// After Publish() the transaction accepts no further updates or
-  /// reads; the only legal follow-ups are AwaitCommit() and Abort()
-  /// (which unlinks the record if no fold claimed it yet).
-  Status Publish();
+  /// Query-PDT (paper footnote 5): shields a running query from its own
+  /// updates until EndQueryPdt() folds them into the Trans-PDT.
+  Status BeginQueryPdt() { return txn_->BeginQueryPdt(table_); }
+  Status EndQueryPdt() { return txn_->EndQueryPdt(table_); }
+  bool query_pdt_active() const { return txn_->query_pdt_active(table_); }
 
-  /// Second half: drives or awaits the fold that decides this record,
-  /// then waits for WAL durability (group commit). Returns the commit
-  /// verdict exactly as Commit() would.
-  Status AwaitCommit();
-
-  /// Discards all buffered updates. After Publish(), unlinks the
-  /// published record if it has not been folded; if a fold already
-  /// committed it, the commit stands and Abort is a no-op.
-  void Abort();
-
-  // ------------------------------------------------------------------
-  // Query-PDT (paper footnote 5): a fourth PDT layer that shields a
-  // running query from its own updates (Halloween protection). While
-  // active, updates land in the Query-PDT but Scan/GetByKey still see
-  // only stable ▷ Read ▷ Write ▷ Trans; EndQueryPdt() propagates the
-  // buffered updates into the Trans-PDT.
-  // ------------------------------------------------------------------
-
-  /// Starts routing updates into a fresh Query-PDT.
-  Status BeginQueryPdt();
-  /// Folds the Query-PDT into the Trans-PDT and removes it.
-  Status EndQueryPdt();
-  bool query_pdt_active() const { return query_ != nullptr; }
-
-  uint64_t id() const { return id_; }
-  bool finished() const { return finished_; }
+  uint64_t id() const { return txn_->id(); }
+  bool finished() const { return txn_->finished(); }
   /// True between Publish() and the verdict (or unlink).
-  bool published() const { return rec_ != nullptr && !finished_; }
-  const Pdt& trans_pdt() const { return *trans_; }
+  bool published() const { return txn_->published(); }
 
  private:
   friend class TxnManager;
-  Transaction(TxnManager* mgr, uint64_t id, uint64_t start_time,
-              std::shared_ptr<const Pdt> read_snapshot,
-              std::shared_ptr<const Pdt> pending_snapshot,
-              std::shared_ptr<const Pdt> write_snapshot);
+  Transaction(std::unique_ptr<MultiTransaction> txn, const std::string& table)
+      : txn_(std::move(txn)), table_(table) {}
 
-  // Layer stacks: scans see [read, pending?, write, trans] — the
-  // optional pending layer is a claimed Write-PDT an in-flight
-  // background merge is folding into the Read-PDT; until the merged
-  // Read-PDT is installed, snapshots keep seeing those updates through
-  // this extra immutable layer. Update positioning additionally sees
-  // the Query-PDT when one is active.
-  std::vector<const Pdt*> Layers() const;
-  std::vector<const Pdt*> UpdateLayers() const;
-  // The PDT that receives updates (Query-PDT when active, else Trans).
-  Pdt* UpdateTarget() const;
-  StatusOr<std::vector<Value>> MergedSortKey(Rid rid) const;
-  StatusOr<Rid> UpperBoundRid(const std::vector<Value>& key) const;
-  StatusOr<Rid> FindRidByKey(const std::vector<Value>& key) const;
-  uint64_t UpdateDomainRowCount() const;
-
-  TxnManager* mgr_;
-  uint64_t id_;
-  uint64_t start_time_;
-  std::shared_ptr<const Pdt> read_;     // shared Read-PDT snapshot
-  std::shared_ptr<const Pdt> pending_;  // in-flight merge layer (or null)
-  std::shared_ptr<const Pdt> write_;    // Write-PDT snapshot (copy/shared)
-  std::unique_ptr<Pdt> trans_;          // private Trans-PDT (until Publish)
-  std::unique_ptr<Pdt> query_;          // optional Query-PDT (footnote 5)
-  // Logical redo records for the WAL, in op order (until Publish).
-  std::vector<WalRecord> redo_;
-  // The published delta record; owned here, linked into the manager's
-  // chain until a fold (or an abort-unlink) takes it out.
-  std::unique_ptr<internal::DeltaRecord> rec_;
-  // RowCount() as of Publish() — the sealed Trans-PDT itself may be
-  // concurrently serialized by a fold, so it is off-limits afterwards.
-  uint64_t sealed_row_count_ = 0;
-  bool finished_ = false;
+  std::unique_ptr<MultiTransaction> txn_;  // aborts on destruction
+  // The Table's own name; the table outlives its manager's transactions.
+  const std::string& table_;
 };
 
-/// Tuning knobs of the transaction manager.
-struct TxnManagerOptions {
-  /// Propagate Write-PDT into the Read-PDT when it exceeds this many
-  /// entries (the paper keeps the Write-PDT smaller than the CPU cache).
-  size_t write_pdt_max_entries = 4096;
-  /// Checkpoint the table when the Read-PDT exceeds this many entries.
-  size_t read_pdt_max_entries = 1 << 20;
-  /// Group commit (only meaningful with a WalWriter attached): commits
-  /// publish their redo frames under the commit lock, then wait for
-  /// durability together — one leader flushes and fsyncs the batch on
-  /// behalf of every waiter. When false, each commit flushes and fsyncs
-  /// its own frames before returning (the ablation baseline).
-  bool group_commit = true;
-  /// Single-lock ablation baseline: every commit takes the manager lock
-  /// itself and runs the full Algorithm 9 — conflict check, WAL record
-  /// encoding + append, Write-PDT fold — under it, exactly the
-  /// pre-delta-chain write path. Off by default: commits publish to the
-  /// lock-free delta chain and are folded in batches.
-  bool serial_commit = false;
-  /// Entries a background Write→Read merge folds per worker-pool task
-  /// before yielding the worker (so foreground scan morsels interleave).
-  size_t merge_chunk_entries = 2048;
-  /// When several per-table managers share one WAL, they must also share
-  /// a transaction-id source — concurrent transactions with colliding
-  /// ids would be merged by replay. Database wires all its managers to
-  /// one counter; a standalone manager can leave this null and allocate
-  /// ids locally.
-  std::atomic<uint64_t>* txn_id_counter = nullptr;
-};
-
-/// Observability counters for the write path (see shell `.stats`).
+/// Observability counters for one table's write path (see shell
+/// `.stats`): MultiTxnStats with its one table's layer counters inlined.
 struct TxnManagerStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
@@ -210,163 +94,45 @@ struct TxnManagerStats {
   size_t merge_pending_entries = 0;  ///< claimed layer a bg merge is folding
   bool merge_inflight = false;
   uint64_t background_merges = 0;  ///< completed background propagations
-  /// Why the last background merge was abandoned (OK if none was): its
-  /// claimed layer stays parked in merge_pending until a quiet-point
-  /// inline fold absorbs it, so operators can see merge_pending grow.
+  /// Why a background merge was abandoned (OK if none is parked).
   Status last_merge_error = Status::OK();
   uint64_t wal_syncs = 0;          ///< fsyncs through the attached writer
   uint64_t wal_records = 0;
 };
 
-/// Manages transactions over one PDT-backed Table.
-///
-/// Exclusive driver rule: a table is driven by exactly one manager at a
-/// time (a TxnManager or a MultiTxnManager). The constructor claims the
-/// table's driver slot (Table::AcquireTxnDriver, asserting on a double
-/// claim) and the destructor releases it — every PDT layer mutation and
-/// every ReplacePdt install then happens under this manager's mu_.
-class TxnManager {
+/// Manages transactions over one PDT-backed Table: a MultiTxnManager over
+/// `{table}`, with the same exclusive-driver claim, WAL, recovery and
+/// propagation contracts.
+class TxnManager : private MultiTxnManager {
  public:
   /// `wal` is optional; when given, commits append logical redo records.
-  TxnManager(Table* table, Wal* wal = nullptr, TxnManagerOptions opts = {});
-  /// Drains the in-flight background merge, if any (its worker-pool task
-  /// holds a pointer to this manager).
-  ~TxnManager();
+  TxnManager(Table* table, Wal* wal = nullptr, TxnManagerOptions opts = {})
+      : MultiTxnManager({table}, wal, opts), table_(table) {}
 
   /// Starts a snapshot-isolated transaction.
-  std::unique_ptr<Transaction> Begin();
+  std::unique_ptr<Transaction> Begin() {
+    return std::unique_ptr<Transaction>(
+        new Transaction(MultiTxnManager::Begin(), table_->name()));
+  }
 
-  /// Attaches the durable sink that commits must reach before returning
-  /// OK. The writer must outlive the manager (or be detached with
-  /// nullptr). The WAL's durability watermark is not touched — load or
-  /// truncate the Wal first so it knows which bytes are already on
-  /// disk. A later flush or fsync failure is sticky (Wal::health()):
-  /// the manager refuses every subsequent commit with that status,
-  /// because it can no longer promise durability.
-  void SetWalWriter(WalWriter* writer);
-
-  /// The sticky WAL health status: OK until a flush or fsync failed.
-  Status wal_status() const;
-
-  /// Replays a WAL into the table (recovery): applies all updates of
-  /// committed transactions, in commit order, skipping aborted ones.
-  /// Data records addressed to other tables are ignored (several tables
-  /// may share one log); begin/commit/abort markers are global. Runs at
-  /// most once, and only on a pristine manager — a second call, or a
-  /// call after any transaction activity, returns InvalidArgument
-  /// instead of double-applying updates.
-  Status Recover(const Wal& wal);
-
-  /// Propagates Write-PDT -> Read-PDT and, if the Read-PDT is large,
-  /// checkpoints the table. Requires no active transactions (returns
-  /// InvalidArgument otherwise; a published-but-unfolded commit still
-  /// counts as active). Drains any in-flight background merge first.
-  Status PropagateAndMaybeCheckpoint();
+  using MultiTxnManager::SetWalWriter;
+  using MultiTxnManager::wal_status;
+  using MultiTxnManager::Recover;
+  using MultiTxnManager::PropagateAndMaybeCheckpoint;
+  using MultiTxnManager::active_transactions;
+  using MultiTxnManager::committed_count;
+  using MultiTxnManager::aborted_count;
 
   Table* table() const { return table_; }
-  const Pdt& write_pdt() const { return *write_; }
-  size_t active_transactions() const;
-  uint64_t committed_count() const { return committed_count_; }
-  uint64_t aborted_count() const { return aborted_count_; }
+  const Pdt& write_pdt() const {
+    return MultiTxnManager::write_pdt(table_->name());
+  }
 
   /// Snapshot of the write-path counters (consistent under the lock).
   TxnManagerStats GetStats() const;
 
  private:
-  friend class Transaction;
-  struct MergeJob;
-
-  // --- delta-chain commit path ---
-  // Lock-free: prepends the record to the commit chain (release CAS).
-  void PublishRecord(internal::DeltaRecord* rec);
-  // Blocks until `rec` has a verdict: takes the lock and, if the record
-  // is still undecided, folds the whole published chain (this committer
-  // is the fold leader; everyone folded rides the same fsync). In
-  // serial_commit mode folds just this record — the single-lock
-  // baseline. Returns the verdict; `*durable_upto` is the WAL offset to
-  // sync outside the lock (0 = nothing to wait for).
-  Status AwaitVerdict(internal::DeltaRecord* rec, uint64_t* durable_upto);
-  // Claims the chain (atomic exchange) and commits every record in
-  // publication order. Caller holds mu_.
-  void FoldChainLocked();
-  // Algorithm 9 for one record: conflict check against TZ, WAL append,
-  // fold into the Write-PDT, TZ bookkeeping. Verdict lands in the
-  // record. Caller holds mu_.
-  void CommitRecordLocked(internal::DeltaRecord* rec);
-  // Abort of a published transaction: unlink from the chain if still
-  // there, else honor the fold's verdict. Caller is the owning thread.
-  void AbortPublished(Transaction* txn);
-  // Removes `rec` from the chain, preserving the others' order (they are
-  // spliced back; concurrent lock-free publishes keep their records).
-  // Caller holds mu_. Returns false if a fold already claimed it.
-  bool UnlinkLocked(internal::DeltaRecord* rec);
-
-  // Blocks until the WAL is durable through `upto` (group-commit wait:
-  // the first waiter becomes the flush leader).
-  Status SyncWal(uint64_t upto);
-  // TZ refcount release + active_ decrement for a finishing txn.
-  void FinishActiveLocked(uint64_t start_time);
-  void FinishLocked(Transaction* txn);
-
-  // --- background Write→Read merge ---
-  // Called after a commit folded: inline quiet-point propagate (the
-  // deterministic serial behavior) or kick off a background merge when
-  // readers are pinning snapshots. Caller holds mu_.
-  Status MaybePropagateWriteLocked();
-  // Claims write_ as the immutable pending layer and schedules the
-  // incremental fold on the global worker pool. Caller holds mu_.
-  void StartBackgroundMergeLocked();
-  // One incremental merge step; re-submits itself until done, then
-  // installs the merged Read-PDT. Runs on a pool worker.
-  void MergeStep(std::shared_ptr<MergeJob> job);
-
-  // An entry of TZ: a committed, serialized Trans-PDT kept while
-  // overlapping transactions still run.
-  struct CommittedTxn {
-    std::shared_ptr<Pdt> pdt;
-    uint64_t commit_time;
-    int refcnt;
-  };
-
   Table* table_;
-  Wal* wal_;
-  TxnManagerOptions opts_;
-  // Whether this manager holds the table's exclusive driver claim
-  // (Table::AcquireTxnDriver; released by the destructor).
-  bool driver_claimed_ = false;
-  // Durable sink; the group-commit state itself lives in the (possibly
-  // shared) Wal, so managers logging to one file agree on durability.
-  WalWriter* writer_ = nullptr;
-  bool recovered_ = false;
-
-  // The lock-free commit chain: newest record first; only PublishRecord
-  // runs without mu_ (claims and splices happen under it).
-  std::atomic<internal::DeltaRecord*> delta_head_{nullptr};
-  std::atomic<size_t> pending_deltas_{0};
-
-  mutable std::mutex mu_;
-  std::unique_ptr<Pdt> write_;           // master Write-PDT
-  std::shared_ptr<const Pdt> write_snapshot_;  // cache: copy of write_
-  uint64_t write_snapshot_time_ = 0;     // logical time of that copy
-  uint64_t clock_ = 1;                   // logical commit clock
-  uint64_t next_txn_id_ = 1;
-  size_t active_ = 0;
-  uint64_t committed_count_ = 0;
-  uint64_t aborted_count_ = 0;
-  std::deque<CommittedTxn> tz_;          // commit-ordered
-
-  // Background merge state (under mu_; the pending layer itself is
-  // immutable and shared with snapshots).
-  std::shared_ptr<const Pdt> merge_pending_;  // claimed Write-PDT
-  bool merge_inflight_ = false;
-  Status merge_error_ = Status::OK();  // abandoned merge (folded inline later)
-  std::condition_variable merge_cv_;   // signals merge completion
-  uint64_t background_merges_ = 0;
-
-  // Write-path counters (under mu_).
-  uint64_t fold_batches_ = 0;
-  uint64_t folded_records_ = 0;
-  uint64_t commit_lock_ns_ = 0;
 };
 
 }  // namespace pdtstore

@@ -156,6 +156,67 @@ TEST_F(MultiTxnTest, RecoveryReplaysMultiTableCommits) {
   EXPECT_FALSE(check->GetByKey("orders", {Value(5)}).ok());  // aborted
 }
 
+TEST_F(MultiTxnTest, RecoverRunsOnceIntoAPristineManager) {
+  {
+    auto t = mgr_->Begin();
+    ASSERT_TRUE(t->Insert("orders", {4, 40}).ok());
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  Table orders2("orders", OrdersMiniSchema(), TableOptions{});
+  Table lines2("lines", LinesMiniSchema(), TableOptions{});
+  ASSERT_TRUE(orders2.Load({{1, 10}, {2, 20}, {3, 30}}).ok());
+  ASSERT_TRUE(lines2.Load({{1, 1, 5}}).ok());
+  MultiTxnManager mgr2({&orders2, &lines2}, nullptr);
+  ASSERT_TRUE(mgr2.Recover(wal_).ok());
+  // A second run would apply every committed update twice.
+  Status again = mgr2.Recover(wal_);
+  EXPECT_EQ(again.code(), StatusCode::kInvalidArgument) << again.ToString();
+  auto check = mgr2.Begin();
+  EXPECT_EQ(Rows(*check, "orders"), 4u);  // applied exactly once
+  // A manager with history is not pristine; its own WAL is never a
+  // recovery source.
+  Wal other;
+  EXPECT_EQ(mgr_->Recover(other).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mgr_->Recover(wal_).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(MultiTxnTest, RecoverAppliesOnlyManagedTables) {
+  // A two-table log replayed into a manager of one of the tables: only
+  // that table's records apply, and a transaction that touched only the
+  // other table is skipped.
+  {
+    auto both = mgr_->Begin();
+    ASSERT_TRUE(both->Insert("orders", {4, 40}).ok());
+    ASSERT_TRUE(both->Insert("lines", {4, 1, 40}).ok());
+    ASSERT_TRUE(both->Commit().ok());
+    auto lines_only = mgr_->Begin();
+    ASSERT_TRUE(lines_only->DeleteByKey("lines", {Value(1), Value(1)}).ok());
+    ASSERT_TRUE(lines_only->Commit().ok());
+  }
+  Table orders2("orders", OrdersMiniSchema(), TableOptions{});
+  ASSERT_TRUE(orders2.Load({{1, 10}, {2, 20}, {3, 30}}).ok());
+  MultiTxnManager mgr2({&orders2}, nullptr);
+  ASSERT_TRUE(mgr2.Recover(wal_).ok());
+  EXPECT_EQ(mgr2.committed_count(), 1u);
+  auto check = mgr2.Begin();
+  EXPECT_EQ(Rows(*check, "orders"), 4u);
+  EXPECT_TRUE(check->GetByKey("orders", {Value(4)}).ok());
+}
+
+TEST_F(MultiTxnTest, ScanOfUnmanagedTableFailsLoudly) {
+  auto txn = mgr_->Begin();
+  auto src = txn->Scan("nope", {0});
+  ASSERT_NE(src, nullptr);
+  Batch batch;
+  auto next = src->Next(&batch, 1024);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
+  // The managed tables still scan.
+  auto rows = CollectRows(txn->Scan("orders", {0, 1}).get());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 3u);
+}
+
 TEST_F(MultiTxnTest, WritePdtMigrationAtQuietPoints) {
   mgr_.reset();  // a table has exactly one driver at a time
   TxnManagerOptions opts;

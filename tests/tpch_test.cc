@@ -131,6 +131,29 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::Range(1, 23));
 
+TEST(TpchDeterminismTest, Q11SerialAndParallelAgreeExactly) {
+  // Q11 keeps the top 50 of many tied values (retail prices repeat every
+  // 1000 parts, so SF 0.01's 2000 parts tie pairwise). Parallel
+  // aggregation delivers the groups in arbitrary order; the result must
+  // still be exactly the serial one, run after run.
+  GenOptions gen = SmallGen();
+  gen.scale_factor = 0.01;
+  Database db;
+  auto tables = GenerateInto(&db, gen, TableOptions{});
+  ASSERT_TRUE(tables.ok());
+  auto serial = RunTpchQuery(11, *tables);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial->rows, 50u);
+  QueryOptions par;
+  par.num_threads = 4;
+  for (int run = 0; run < 30; ++run) {
+    auto r = RunTpchQuery(11, *tables, par);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows, serial->rows) << "run " << run;
+    EXPECT_EQ(r->checksum, serial->checksum) << "run " << run;
+  }
+}
+
 TEST(TpchQueryMetaTest, UpdatedTableFootprint) {
   EXPECT_FALSE(QueryTouchesUpdatedTables(2));
   EXPECT_FALSE(QueryTouchesUpdatedTables(11));

@@ -577,5 +577,74 @@ TEST_F(TxnTest, RecoveryReplaysInterleavedGroupCommitBatches) {
   EXPECT_EQ(TxnScan(*replayed, *schema_), TxnScan(*original, *schema_));
 }
 
+TEST_F(TxnTest, QuietPointFoldDoesNotRaceDriverlessScans) {
+  // A single writer keeps every commit at a quiet point, so each
+  // oversized Write-PDT folds inline — while a driverless Table::Scan
+  // has the Read-PDT pinned on another thread. The fold must install a
+  // merged clone instead of mutating the pinned layer (TSan checks the
+  // absence of the race; the row counts check each scan saw one image).
+  mgr_.reset();  // a table has exactly one driver at a time
+  TxnManagerOptions opts;
+  opts.write_pdt_max_entries = 2;
+  TxnManager mgr(table_.get(), nullptr, opts);
+  constexpr int kCommits = 40;
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_scans{0};
+  std::thread scanner([&] {
+    const std::vector<ColumnId> all = {0, 1, 2, 3};
+    while (!done.load()) {
+      auto rows = CollectRows(table_->Scan(all).get());
+      if (!rows.ok() || rows->size() < 5 || rows->size() > 5 + kCommits) {
+        bad_scans.fetch_add(1);
+      }
+    }
+  });
+  for (int i = 0; i < kCommits; ++i) {
+    auto txn = mgr.Begin();
+    ASSERT_TRUE(txn->Insert({"Q" + std::to_string(100 + i), "p", "Y", i}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  done.store(true);
+  scanner.join();
+  EXPECT_EQ(bad_scans.load(), 0);
+  // Every insert but the at most two still in the Write-PDT reached the
+  // installed Read-PDT.
+  EXPECT_GE(table_->RowCount(), static_cast<uint64_t>(5 + kCommits - 2));
+  auto check = mgr.Begin();
+  EXPECT_EQ(TxnScan(*check, *schema_).size(), 5u + kCommits);
+}
+
+TEST_F(TxnTest, CheckpointKeepsSharedWalForOtherTables) {
+  // Two managers log to one WAL (as Database's per-table managers do).
+  // One checkpoints its table; the log must keep the other table's
+  // committed redo, which recovery then replays.
+  mgr_.reset();
+  Wal shared;
+  std::atomic<uint64_t> ids{0};
+  Table stock("stock", schema_, TableOptions{});
+  ASSERT_TRUE(stock.Load(InventoryRows()).ok());
+  TxnManagerOptions checkpointing;
+  checkpointing.read_pdt_max_entries = 0;  // always checkpoint
+  checkpointing.txn_id_counter = &ids;
+  TxnManagerOptions plain;
+  plain.txn_id_counter = &ids;
+  TxnManager inventory_mgr(table_.get(), &shared, checkpointing);
+  TxnManager stock_mgr(&stock, &shared, plain);
+  for (TxnManager* m : {&stock_mgr, &inventory_mgr}) {
+    auto txn = m->Begin();
+    ASSERT_TRUE(txn->Insert({"Berlin", "cloth", "Y", 5}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(inventory_mgr.PropagateAndMaybeCheckpoint().ok());
+  EXPECT_EQ(table_->store().num_rows(), 6u);  // checkpointed
+  Table fresh("stock", schema_, TableOptions{});
+  ASSERT_TRUE(fresh.Load(InventoryRows()).ok());
+  TxnManager fresh_mgr(&fresh, nullptr);
+  ASSERT_TRUE(fresh_mgr.Recover(shared).ok());
+  auto check = fresh_mgr.Begin();
+  EXPECT_EQ(TxnScan(*check, *schema_).size(), 6u);
+  EXPECT_TRUE(check->GetByKey({Value("Berlin"), Value("cloth")}).ok());
+}
+
 }  // namespace
 }  // namespace pdtstore
