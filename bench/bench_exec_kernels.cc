@@ -1,9 +1,9 @@
 // Microbenchmarks for the selection-vector execution kernels: filter
-// survivor compaction, selection gather, and hash aggregation, each
-// measured against the row-at-a-time baseline the engine used before the
-// typed-kernel refactor (per-value TypeId dispatch via Batch::AppendRow,
-// string-encoded group keys via std::unordered_map). Emits
-// BENCH_exec.json for machine consumption.
+// survivor compaction, selection gather, hash aggregation and hash join,
+// each measured against the baseline the engine used before (per-value
+// TypeId dispatch via Batch::AppendRow, string-encoded group keys via
+// std::unordered_map, a node-based join table). Emits BENCH_exec.json
+// for machine consumption.
 //
 // Usage: bench_exec_kernels [--rows=1000000] [--reps=5]
 //                           [--json=BENCH_exec.json]
@@ -21,6 +21,7 @@
 #include "columnstore/sel_vector.h"
 #include "exec/filter.h"
 #include "exec/hash_agg.h"
+#include "exec/hash_join.h"
 #include "exec/operator.h"
 
 namespace pdtstore {
@@ -286,6 +287,94 @@ double AggKernelMs(const void* p) {
 }
 
 // ------------------------------------------------------------------
+// Hash join: build a distinct-key side (150k rows at --rows=1M, like
+// Q12's orders), probe `rows` rows in engine-sized slices (~25% hit),
+// then free the table. The baseline replicates the engine's node-based
+// JoinTable — an unordered_map from combined key hash to a heap vector
+// of build rows — with the same bulk hash pass, key verify and
+// selection gathers; the kernel is JoinTable::Build + ProbeJoinBatch.
+// ------------------------------------------------------------------
+
+struct JoinArgs {
+  const Batch* build;
+  const std::vector<Batch>* probe_slices;
+};
+
+double JoinBaselineMs(const void* p) {
+  const auto* a = static_cast<const JoinArgs*>(p);
+  Batch build = *a->build;  // copy not timed for either path
+  Stopwatch sw;
+  size_t out_rows = 0;
+  {
+    const size_t n = build.num_rows();
+    std::vector<uint64_t> hashes(n, kHashSeed);
+    build.column(0).HashColumn(hashes.data());
+    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+    buckets.reserve(n);
+    for (size_t row = 0; row < n; ++row) {
+      buckets[hashes[row]].push_back(static_cast<uint32_t>(row));
+    }
+    Batch proto = EmptyLike(a->probe_slices->front());
+    for (size_t c = 0; c < build.num_columns(); ++c) {
+      proto.columns().emplace_back(build.column(c).type());
+    }
+    std::vector<uint64_t> probe_hashes;
+    SelVector probe_sel;
+    SelVector build_sel;
+    Batch out;
+    for (const Batch& in : *a->probe_slices) {
+      out.ResetLike(proto);
+      probe_hashes.assign(in.num_rows(), kHashSeed);
+      in.column(0).HashColumn(probe_hashes.data());
+      probe_sel.clear();
+      build_sel.clear();
+      for (size_t row = 0; row < in.num_rows(); ++row) {
+        auto it = buckets.find(probe_hashes[row]);
+        if (it == buckets.end()) continue;
+        for (uint32_t b : it->second) {
+          if (build.column(0).CompareAt(b, in.column(0), row) == 0) {
+            probe_sel.push_back(static_cast<uint32_t>(row));
+            build_sel.push_back(b);
+          }
+        }
+      }
+      for (size_t c = 0; c < in.num_columns(); ++c) {
+        out.column(c).AppendGather(in.column(c), probe_sel);
+      }
+      for (size_t c = 0; c < build.num_columns(); ++c) {
+        out.column(in.num_columns() + c)
+            .AppendGather(build.column(c), build_sel);
+      }
+      out_rows += out.num_rows();
+    }
+  }  // the table is freed inside the timed region, as in a query
+  double ms = sw.ElapsedMillis();
+  if (out_rows == 0) std::abort();
+  return ms;
+}
+
+double JoinKernelMs(const void* p) {
+  const auto* a = static_cast<const JoinArgs*>(p);
+  Batch build = *a->build;  // copy not timed for either path
+  const std::vector<size_t> keys{0};
+  Stopwatch sw;
+  size_t out_rows = 0;
+  {
+    PartitionedJoinTable table;
+    table.parts.push_back(JoinTable::Build(std::move(build), keys));
+    JoinProbeScratch scratch;
+    Batch out;
+    for (const Batch& in : *a->probe_slices) {
+      ProbeJoinBatch(table, keys, JoinKind::kInner, in, &out, &scratch);
+      out_rows += out.num_rows();
+    }
+  }
+  double ms = sw.ElapsedMillis();
+  if (out_rows == 0) std::abort();
+  return ms;
+}
+
+// ------------------------------------------------------------------
 // Compressed-execution ablations: the same data flowing through the
 // same operators, stored once with encoded execution on (dictionary
 // codes, RLE sidecars, zero-copy borrows) and once decoded to plain
@@ -534,6 +623,48 @@ int main(int argc, char** argv) {
     (void)AggKernelMs(&args);
     Report(&json, "hash_agg", rows, BestOf(reps, AggBaselineMs, &args),
            BestOf(reps, AggKernelMs, &args));
+  }
+
+  {
+    // Join shape (see the section comment above): distinct build keys
+    // k * 4 in shuffled order with an int64 payload; probe keys uniform
+    // over [0, 4 * build_rows) with a double payload.
+    Random rng(19);
+    const size_t build_rows = std::max<size_t>(rows * 15 / 100, 1);
+    std::vector<int64_t> build_keys(build_rows);
+    for (size_t i = 0; i < build_rows; ++i) {
+      build_keys[i] = static_cast<int64_t>(i) * 4;
+    }
+    for (size_t i = build_rows; i > 1; --i) {
+      std::swap(build_keys[i - 1], build_keys[rng.Uniform(i)]);
+    }
+    Batch build;
+    build.columns().emplace_back(TypeId::kInt64);
+    build.columns().emplace_back(TypeId::kInt64);
+    build.column(0).ints() = std::move(build_keys);
+    for (size_t i = 0; i < build_rows; ++i) {
+      build.column(1).ints().push_back(static_cast<int64_t>(i));
+    }
+    build.set_column_ids({0, 1});
+    std::vector<Batch> probe_slices;
+    for (size_t off = 0; off < rows; off += kDefaultBatchSize) {
+      const size_t end = std::min(rows, off + kDefaultBatchSize);
+      Batch slice;
+      slice.columns().emplace_back(TypeId::kInt64);
+      slice.columns().emplace_back(TypeId::kDouble);
+      for (size_t i = off; i < end; ++i) {
+        slice.column(0).ints().push_back(
+            static_cast<int64_t>(rng.Uniform(4 * build_rows)));
+        slice.column(1).doubles().push_back(rng.NextDouble());
+      }
+      slice.set_column_ids({0, 1});
+      probe_slices.push_back(std::move(slice));
+    }
+    JoinArgs args{&build, &probe_slices};
+    (void)JoinBaselineMs(&args);  // warm
+    (void)JoinKernelMs(&args);
+    Report(&json, "hash_join", rows, BestOf(reps, JoinBaselineMs, &args),
+           BestOf(reps, JoinKernelMs, &args));
   }
 
   {

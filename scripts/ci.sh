@@ -207,7 +207,7 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan build + durability/crash-recovery tests =="
+  echo "== asan build + durability/crash-recovery/join tests =="
   # AddressSanitizer over the durability path: the WAL frame codec and
   # recovery scanner parse attacker-shaped (torn / bit-flipped) bytes,
   # and the crash fuzzer tears writes at arbitrary offsets — exactly
@@ -223,12 +223,16 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # memory_budget_test runs here too: budget-triggered teardown paths
   # (aborted sorts, failed join builds, spill restore) free buffers on
   # error edges that the happy path never takes — use-after-free bait.
+  # exec_test and parallel_sort_join_test cover the join table's row+1
+  # chain links and the partitioned build's per-partition row indices:
+  # index arithmetic where an off-by-one reads past a vector.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
-      compressed_exec_test memory_budget_test
+      compressed_exec_test memory_budget_test exec_test \
+      parallel_sort_join_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

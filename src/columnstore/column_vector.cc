@@ -197,7 +197,6 @@ void ColumnVector::AppendRange(const ColumnVector& other, size_t begin,
       } else {
         EnsureOwnedPlain();
         if (other.is_dict()) {
-          strings_.reserve(strings_.size() + (end - begin));
           for (size_t i = begin; i < end; ++i) {
             strings_.push_back(other.StringAt(i));
           }

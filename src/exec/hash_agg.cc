@@ -108,9 +108,12 @@ Status AggregationState::Absorb(const Batch& in) {
   }
   gids_.resize(n);
 
-  // Pre-size from the carried estimate (see header) with 25% headroom,
-  // capped at the worst case of n all-new groups, so doubling/rehash
-  // churn moves out of the per-row path on high-cardinality inputs.
+  // Pre-size the slot table from the carried estimate (see header) with
+  // 25% headroom, capped at the worst case of n all-new groups, so
+  // doubling/rehash churn moves out of the per-row path on
+  // high-cardinality inputs. The per-group arrays are left to push_back's
+  // geometric growth: an exact reserve here would reallocate them on
+  // every batch.
   size_t est_new =
       prev_batch_new_groups_ == static_cast<size_t>(-1)
           ? n
@@ -118,9 +121,6 @@ Status AggregationState::Absorb(const Batch& in) {
   est_new = std::min(est_new, n);
   const size_t groups_before = group_hashes_.size();
   GrowTable(groups_before + est_new);
-  group_hashes_.reserve(groups_before + est_new);
-  counts_.reserve(groups_before + est_new);
-  for (auto& a : acc_) a.reserve(groups_before + est_new);
 
   AssignGroups(in, hashes_.data(), gids_.data());
   prev_batch_new_groups_ = group_hashes_.size() - groups_before;

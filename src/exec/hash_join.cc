@@ -25,11 +25,20 @@ JoinTable JoinTable::BuildWithHashes(Batch build_rows,
   JoinTable t;
   t.rows = std::move(build_rows);
   t.key_cols = std::move(keys);
+  t.hashes = std::move(hashes);
   const size_t n = t.rows.num_rows();
   if (n > 0) {
-    t.buckets.reserve(n);
-    for (size_t row = 0; row < n; ++row) {
-      t.buckets[hashes[row]].push_back(static_cast<uint32_t>(row));
+    size_t num_buckets = 1;
+    while (num_buckets < n) num_buckets *= 2;
+    const uint64_t mask = num_buckets - 1;
+    t.heads.assign(num_buckets, 0);
+    t.next.resize(n);
+    // Prepend in reverse row order, so every chain lists its rows in
+    // build order.
+    for (size_t row = n; row-- > 0;) {
+      uint32_t& head = t.heads[t.hashes[row] & mask];
+      t.next[row] = head;
+      head = static_cast<uint32_t>(row + 1);
     }
   }
   return t;
@@ -87,8 +96,8 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
   }
   out->ResetLike(scratch->out_proto);
 
-  // One bulk hash pass per key column, then per-row bucket probes
-  // against the row's hash partition.
+  // One bulk hash pass per key column, then per-row chain walks in the
+  // row's hash partition.
   scratch->hashes.assign(n, kHashSeed);
   for (size_t k : probe_keys) {
     in.column(k).HashColumn(scratch->hashes.data());
@@ -102,14 +111,13 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       scratch->probe_sel.clear();
       scratch->build_sel.clear();
       for (size_t row = 0; row < n; ++row) {
-        auto it = part.buckets.find(scratch->hashes[row]);
-        if (it == part.buckets.end()) continue;
-        for (uint32_t b : it->second) {
-          if (part.KeysEqual(probe_keys, in, row, b)) {
-            scratch->probe_sel.push_back(static_cast<uint32_t>(row));
-            scratch->build_sel.push_back(b);
-          }
-        }
+        part.ForEachMatch(scratch->hashes[row], probe_keys, in, row,
+                          [&](uint32_t b) {
+                            scratch->probe_sel.push_back(
+                                static_cast<uint32_t>(row));
+                            scratch->build_sel.push_back(b);
+                            return true;
+                          });
       }
       for (size_t c = 0; c < in.num_columns(); ++c) {
         out->column(c).AppendGather(in.column(c), scratch->probe_sel);
@@ -132,18 +140,16 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       scratch->probe_sel.clear();
       for (size_t p = 0; p < table.parts.size(); ++p) {
         const JoinTable& part = table.parts[p];
-        if (part.buckets.empty()) continue;
+        if (part.heads.empty()) continue;
         scratch->build_sel.clear();
         const size_t probe_base = scratch->probe_sel.size();
         for (uint32_t row : scratch->part_rows[p].indices()) {
-          auto it = part.buckets.find(scratch->hashes[row]);
-          if (it == part.buckets.end()) continue;
-          for (uint32_t b : it->second) {
-            if (part.KeysEqual(probe_keys, in, row, b)) {
-              scratch->probe_sel.push_back(row);
-              scratch->build_sel.push_back(b);
-            }
-          }
+          part.ForEachMatch(scratch->hashes[row], probe_keys, in, row,
+                            [&](uint32_t b) {
+                              scratch->probe_sel.push_back(row);
+                              scratch->build_sel.push_back(b);
+                              return true;
+                            });
         }
         if (scratch->probe_sel.size() == probe_base) continue;
         for (size_t c = 0; c < part.rows.num_columns(); ++c) {
@@ -165,15 +171,10 @@ void ProbeJoinBatch(const PartitionedJoinTable& table,
       const uint64_t h = scratch->hashes[row];
       const JoinTable& part = table.parts[table.PartitionOf(h)];
       bool matched = false;
-      auto it = part.buckets.find(h);
-      if (it != part.buckets.end()) {
-        for (uint32_t b : it->second) {
-          if (part.KeysEqual(probe_keys, in, row, b)) {
-            matched = true;
-            break;
-          }
-        }
-      }
+      part.ForEachMatch(h, probe_keys, in, row, [&](uint32_t) {
+        matched = true;
+        return false;
+      });
       scratch->keep.SetTo(row, matched == want);
     }
     out->AppendFiltered(in, scratch->keep);

@@ -1,8 +1,12 @@
 // HashJoinNode: in-memory equi-join. The build side is fully materialized
-// into a hash table keyed by a combined 64-bit key hash (verify-on-
-// collision against the materialized build columns); probe batches are
-// hashed with one bulk HashColumn pass per key column and matches are
-// compacted with selection-vector gathers. Inner or left-semi/anti.
+// and indexed by a flat bucket-chained table (MonetDB/X100 layout): a
+// power-of-two array of chain heads addressed by the low bits of the
+// combined 64-bit key hash, one `next` link and one full hash per build
+// row. A probe walks its bucket's chain, compares the full hash, then
+// verifies the typed keys against the materialized build columns. Probe
+// batches are hashed with one bulk HashColumn pass per key column and
+// matches are compacted with selection-vector gathers. Inner or
+// left-semi/anti.
 //
 // The build side is factored into an immutable PartitionedJoinTable —
 // P >= 1 independent JoinTable partitions addressed by a hash-derived
@@ -15,9 +19,9 @@
 #ifndef PDTSTORE_EXEC_HASH_JOIN_H_
 #define PDTSTORE_EXEC_HASH_JOIN_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "columnstore/batch.h"
@@ -28,14 +32,19 @@ namespace pdtstore {
 /// Join flavor.
 enum class JoinKind { kInner, kLeftSemi, kLeftAnti };
 
-/// One partition of the materialized build side: build rows plus a
-/// bucket table keyed by the combined key hash. Immutable once built, so
-/// probe workers share it without locks.
+/// One partition of the materialized build side: build rows plus a flat
+/// bucket-chained index over their combined key hashes. Immutable once
+/// built, so probe workers share it without locks. Chains hold row+1 so
+/// 0 can mean "end of chain"; each chain lists its rows in build order.
 struct JoinTable {
   Batch rows;
   std::vector<size_t> key_cols;
-  /// Combined key hash -> build rows with that hash, in build order.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+  /// Chain head per bucket (row+1, 0 = empty); a power of two >= rows.
+  std::vector<uint32_t> heads;
+  /// Next row+1 in the same bucket, per build row (0 = end of chain).
+  std::vector<uint32_t> next;
+  /// Combined key hash per build row, checked before KeysEqual.
+  std::vector<uint64_t> hashes;
 
   static JoinTable Build(Batch build_rows, std::vector<size_t> keys);
   /// Build with the combined key hashes already computed (hashes[i] for
@@ -49,18 +58,35 @@ struct JoinTable {
   /// verify-on-collision step).
   bool KeysEqual(const std::vector<size_t>& probe_keys, const Batch& probe,
                  size_t probe_row, size_t build_row) const;
+
+  /// Calls fn(build_row) for every build row whose key equals probe row
+  /// `probe_row` (whose combined key hash is `hash`), in build order;
+  /// stops early once fn returns false.
+  template <typename Fn>
+  void ForEachMatch(uint64_t hash, const std::vector<size_t>& probe_keys,
+                    const Batch& probe, size_t probe_row, Fn&& fn) const {
+    if (heads.empty()) return;
+    for (uint32_t e = heads[hash & (heads.size() - 1)]; e != 0;
+         e = next[e - 1]) {
+      const uint32_t b = e - 1;
+      if (hashes[b] == hash && KeysEqual(probe_keys, probe, probe_row, b) &&
+          !fn(b)) {
+        return;
+      }
+    }
+  }
 };
 
 /// The partition function both the build collect and the probe use.
-/// High hash bits, so the choice is independent of the low bits the
-/// per-partition bucket maps key on; P == 1 short-circuits.
+/// High hash bits, so the choice is independent of the low bits that
+/// address each partition's bucket heads; P == 1 short-circuits.
 inline size_t JoinPartitionOf(uint64_t hash, size_t num_partitions) {
   return num_partitions == 1 ? 0 : (hash >> 32) % num_partitions;
 }
 
 /// The published build side: P >= 1 hash partitions. Build and probe
 /// agree on PartitionOf, so a probe row only ever touches one
-/// partition's buckets. P == 1 (every serial join) behaves exactly like
+/// partition's chains. P == 1 (every serial join) behaves exactly like
 /// the single-table join.
 struct PartitionedJoinTable {
   std::vector<JoinTable> parts;

@@ -49,9 +49,6 @@ std::vector<SidRange> SplitIntoMorsels(const std::vector<SidRange>& ranges,
   std::vector<SidRange> morsels;
   for (size_t i = 0; i < ranges.size(); ++i) {
     assert(i == 0 || ranges[i - 1].end <= ranges[i].begin);
-    morsels.reserve(morsels.size() +
-                    static_cast<size_t>(ranges[i].end - ranges[i].begin) /
-                        morsel_rows + 1);
     for (Sid b = ranges[i].begin; b < ranges[i].end; b += morsel_rows) {
       morsels.push_back(SidRange{b, std::min<Sid>(b + morsel_rows,
                                                   ranges[i].end)});

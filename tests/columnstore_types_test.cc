@@ -125,6 +125,47 @@ TEST(ColumnVectorTest, AppendRun) {
   EXPECT_EQ(col.GetValue(4), Value(7));
 }
 
+TEST(ColumnVectorTest, DictAppendsIntoPlainColumnGrowGeometrically) {
+  // A build side crossing chunk boundaries appends batches from
+  // alternating dictionaries into one column: after the first foreign
+  // dictionary the column is plain, and every later append must ride
+  // vector growth instead of reallocating to the exact new size.
+  auto make_dict = [](std::vector<std::string> values) {
+    auto dict = std::make_shared<StringDict>();
+    for (const std::string& v : values) {
+      dict->hashes.push_back(HashBytes(v.data(), v.size()));
+    }
+    dict->values = std::move(values);
+    return std::shared_ptr<const StringDict>(std::move(dict));
+  };
+  constexpr size_t kBatches = 256;
+  constexpr size_t kRows = 1024;
+  std::vector<ColumnVector> sources;
+  for (auto dict : {make_dict({"a", "b", "c"}), make_dict({"c", "d"})}) {
+    ColumnVector src(TypeId::kString);
+    src.AdoptDict(dict);
+    for (size_t i = 0; i < kRows; ++i) {
+      src.codes().push_back(static_cast<uint32_t>(i % dict->values.size()));
+    }
+    sources.push_back(std::move(src));
+  }
+  ColumnVector col(TypeId::kString);
+  const std::string* last = nullptr;
+  size_t reallocations = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    col.AppendRange(sources[b % 2], 0, kRows);
+    if (col.is_dict()) continue;
+    const std::string* data =
+        static_cast<const ColumnVector&>(col).strings().data();
+    reallocations += data != last;
+    last = data;
+  }
+  ASSERT_EQ(col.size(), kBatches * kRows);
+  EXPECT_EQ(col.StringAt(kRows), "c");  // second batch: dictionary 2
+  const size_t log2_rows = 18;  // 256 * 1024 == 1 << 18
+  EXPECT_LE(reallocations, 2 * log2_rows);
+}
+
 TEST(BatchTest, ForSchemaAndRowAccess) {
   auto s = Schema::Make(
       {{"a", TypeId::kInt64}, {"b", TypeId::kString}}, {0});

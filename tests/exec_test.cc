@@ -1,6 +1,9 @@
 // Executor operator tests: filter, project, hash aggregation, hash join
-// (inner/semi/anti), sort/top-k, and pipeline composition.
+// (inner/semi/anti, plus the bucket-chained JoinTable against a
+// nested-loop reference), sort/top-k, and pipeline composition.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "exec/filter.h"
 #include "exec/hash_agg.h"
@@ -12,31 +15,34 @@
 namespace pdtstore {
 namespace {
 
-Batch MakeBatch(std::vector<std::vector<int64_t>> int_cols,
-                std::vector<std::vector<double>> dbl_cols = {},
-                std::vector<std::vector<std::string>> str_cols = {}) {
+Batch WithColumns(std::vector<ColumnVector> cols) {
   Batch b;
   std::vector<ColumnId> ids;
-  for (auto& c : int_cols) {
-    ColumnVector col(TypeId::kInt64);
-    col.ints() = std::move(c);
+  for (auto& c : cols) {
     ids.push_back(static_cast<ColumnId>(b.columns().size()));
-    b.columns().push_back(std::move(col));
-  }
-  for (auto& c : dbl_cols) {
-    ColumnVector col(TypeId::kDouble);
-    col.doubles() = std::move(c);
-    ids.push_back(static_cast<ColumnId>(b.columns().size()));
-    b.columns().push_back(std::move(col));
-  }
-  for (auto& c : str_cols) {
-    ColumnVector col(TypeId::kString);
-    col.strings() = std::move(c);
-    ids.push_back(static_cast<ColumnId>(b.columns().size()));
-    b.columns().push_back(std::move(col));
+    b.columns().push_back(std::move(c));
   }
   b.set_column_ids(std::move(ids));
   return b;
+}
+
+Batch MakeBatch(std::vector<std::vector<int64_t>> int_cols,
+                std::vector<std::vector<double>> dbl_cols = {},
+                std::vector<std::vector<std::string>> str_cols = {}) {
+  std::vector<ColumnVector> cols;
+  for (auto& c : int_cols) {
+    cols.emplace_back(TypeId::kInt64);
+    cols.back().ints() = std::move(c);
+  }
+  for (auto& c : dbl_cols) {
+    cols.emplace_back(TypeId::kDouble);
+    cols.back().doubles() = std::move(c);
+  }
+  for (auto& c : str_cols) {
+    cols.emplace_back(TypeId::kString);
+    cols.back().strings() = std::move(c);
+  }
+  return WithColumns(std::move(cols));
 }
 
 std::vector<Tuple> Drain(BatchSource* src, size_t batch = 3) {
@@ -157,6 +163,278 @@ TEST(HashJoinTest, SemiAndAnti) {
   ASSERT_EQ(anti_rows.size(), 2u);  // 1 and 3
   EXPECT_EQ(anti_rows[0][0], Value(1));
   EXPECT_EQ(anti_rows[1][0], Value(3));
+}
+
+// ---------------------------------------------------------------------
+// JoinTable + ProbeJoinBatch against a nested-loop reference.
+// ---------------------------------------------------------------------
+
+std::shared_ptr<const StringDict> MakeDict(std::vector<std::string> values) {
+  auto dict = std::make_shared<StringDict>();
+  for (const std::string& v : values) {
+    dict->hashes.push_back(HashBytes(v.data(), v.size()));
+  }
+  dict->values = std::move(values);
+  return dict;
+}
+
+ColumnVector DictColumn(std::shared_ptr<const StringDict> dict,
+                        std::vector<uint32_t> codes) {
+  ColumnVector col(TypeId::kString);
+  col.AdoptDict(std::move(dict));
+  col.codes() = std::move(codes);
+  return col;
+}
+
+// Inner: one row per (probe row, matching build row), probe order first,
+// then build order. Semi/anti: each surviving probe row once.
+std::vector<Tuple> NestedLoopJoin(const Batch& probe,
+                                  const std::vector<size_t>& probe_keys,
+                                  const Batch& build,
+                                  const std::vector<size_t>& build_keys,
+                                  JoinKind kind) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < probe.num_rows(); ++i) {
+    bool matched = false;
+    for (size_t j = 0; j < build.num_rows(); ++j) {
+      bool equal = true;
+      for (size_t k = 0; k < probe_keys.size(); ++k) {
+        equal = equal && probe.column(probe_keys[k])
+                                 .CompareAt(i, build.column(build_keys[k]),
+                                            j) == 0;
+      }
+      if (!equal) continue;
+      matched = true;
+      if (kind == JoinKind::kInner) {
+        Tuple row = probe.RowAsTuple(i);
+        Tuple b = build.RowAsTuple(j);
+        row.insert(row.end(), b.begin(), b.end());
+        rows.push_back(std::move(row));
+      }
+    }
+    if (kind != JoinKind::kInner &&
+        matched == (kind == JoinKind::kLeftSemi)) {
+      rows.push_back(probe.RowAsTuple(i));
+    }
+  }
+  return rows;
+}
+
+// P == 1 is the serial JoinTable::Build; P > 1 routes build rows by
+// JoinPartitionOf and builds each partition from the routed hashes, as
+// the parallel pipeline's Finalize does.
+PartitionedJoinTable BuildTable(const Batch& build,
+                                const std::vector<size_t>& keys,
+                                size_t num_partitions = 1) {
+  PartitionedJoinTable t;
+  if (num_partitions == 1) {
+    t.parts.push_back(JoinTable::Build(build, keys));
+    return t;
+  }
+  std::vector<uint64_t> hashes(build.num_rows(), kHashSeed);
+  for (size_t k : keys) build.column(k).HashColumn(hashes.data());
+  std::vector<SelVector> sel(num_partitions);
+  std::vector<std::vector<uint64_t>> part_hashes(num_partitions);
+  for (size_t row = 0; row < build.num_rows(); ++row) {
+    const size_t p = JoinPartitionOf(hashes[row], num_partitions);
+    sel[p].push_back(static_cast<uint32_t>(row));
+    part_hashes[p].push_back(hashes[row]);
+  }
+  for (size_t p = 0; p < num_partitions; ++p) {
+    Batch part;
+    part.ResetLike(build);
+    part.AppendGather(build, sel[p]);
+    t.parts.push_back(
+        JoinTable::BuildWithHashes(std::move(part), keys,
+                                   std::move(part_hashes[p])));
+  }
+  return t;
+}
+
+// Probes `probe` in slices of `slice` rows through one reused scratch.
+std::vector<Tuple> ProbeAll(const PartitionedJoinTable& table,
+                            const Batch& probe,
+                            const std::vector<size_t>& probe_keys,
+                            JoinKind kind, size_t slice = 7) {
+  VectorSource src(probe);
+  JoinProbeScratch scratch;
+  Batch in;
+  Batch out;
+  std::vector<Tuple> rows;
+  while (true) {
+    auto more = src.Next(&in, slice);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    ProbeJoinBatch(table, probe_keys, kind, in, &out, &scratch);
+    for (size_t i = 0; i < out.num_rows(); ++i) {
+      rows.push_back(out.RowAsTuple(i));
+    }
+  }
+  return rows;
+}
+
+TEST(JoinTableTest, DuplicateBuildKeysMatchInProbeThenBuildOrder) {
+  // 300 build rows over 10 keys (30 duplicates each), payload = row.
+  std::vector<int64_t> build_keys, payload;
+  for (int64_t r = 0; r < 300; ++r) {
+    build_keys.push_back((r * 7) % 10);
+    payload.push_back(r);
+  }
+  Batch build = MakeBatch({build_keys, payload});
+  std::vector<int64_t> probe_keys;
+  for (int64_t r = 0; r < 50; ++r) probe_keys.push_back((r * 3) % 15);
+  Batch probe = MakeBatch({probe_keys});
+
+  PartitionedJoinTable table = BuildTable(build, {0});
+  auto got = ProbeAll(table, probe, {0}, JoinKind::kInner);
+  auto want = NestedLoopJoin(probe, {0}, build, {0}, JoinKind::kInner);
+  ASSERT_EQ(got.size(), 40u * 30);  // 40 probe rows hit, 30 dups each
+  EXPECT_EQ(got, want);
+}
+
+TEST(JoinTableTest, MultiColumnKeysAcrossTwoDictionaries) {
+  // Two dictionaries with the same strings under different codes (plus
+  // one string only B has): equality must be by value, never by code.
+  auto dict_a = MakeDict({"x", "y", "z"});
+  auto dict_b = MakeDict({"z", "w", "x", "y"});
+  // Build side: dict-A rows then dict-B rows appended into one column —
+  // MaterializeAll's shape for a build side crossing a chunk boundary.
+  ColumnVector build_str(TypeId::kString);
+  ColumnVector from_a = DictColumn(dict_a, {0, 1, 2, 0, 1});
+  ColumnVector from_b = DictColumn(dict_b, {1, 2, 0, 3, 2});
+  build_str.AppendRange(from_a, 0, from_a.size());
+  build_str.AppendRange(from_b, 0, from_b.size());
+  ColumnVector build_int(TypeId::kInt64);
+  build_int.ints() = {1, 1, 2, 2, 1, 1, 1, 2, 1, 2};
+  ColumnVector build_pay(TypeId::kDouble);
+  build_pay.doubles() = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  Batch build = WithColumns(
+      {std::move(build_int), std::move(build_str), std::move(build_pay)});
+
+  // Probe side: one dict-B batch and one dict-A batch; keys are
+  // (string, int) in the opposite column order of the build side.
+  for (auto& [dict, codes] :
+       std::vector<std::pair<std::shared_ptr<const StringDict>,
+                             std::vector<uint32_t>>>{
+           {dict_b, {0, 1, 2, 3, 2, 0, 3}}, {dict_a, {2, 1, 0, 0, 1}}}) {
+    ColumnVector probe_int(TypeId::kInt64);
+    for (size_t i = 0; i < codes.size(); ++i) {
+      probe_int.ints().push_back(1 + static_cast<int64_t>(i % 2));
+    }
+    Batch probe =
+        WithColumns({DictColumn(dict, codes), std::move(probe_int)});
+    for (size_t p : {size_t{1}, size_t{4}}) {
+      PartitionedJoinTable table = BuildTable(build, {0, 1}, p);
+      for (JoinKind kind :
+           {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+        auto got = ProbeAll(table, probe, {1, 0}, kind, 3);
+        auto want = NestedLoopJoin(probe, {1, 0}, build, {0, 1}, kind);
+        if (p > 1) {
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+        }
+        EXPECT_EQ(got, want) << "partitions " << p << " kind "
+                             << static_cast<int>(kind);
+      }
+    }
+  }
+}
+
+TEST(JoinTableTest, DistinctKeysSharingABucketStayApart) {
+  // Eight keys whose hashes agree in the low 3 bits (the bucket index of
+  // an 8-row build) but differ in the full hash: one chain holds them
+  // all, and each probe key must still match only its own row.
+  constexpr size_t kRows = 8;
+  std::vector<int64_t> keys, misses;
+  for (int64_t v = 0; keys.size() < kRows || misses.size() < kRows; ++v) {
+    uint64_t h = kHashSeed;
+    ColumnVector one(TypeId::kInt64);
+    one.ints() = {v};
+    one.HashColumn(&h);
+    if ((h & (kRows - 1)) != 0) continue;
+    (keys.size() < kRows ? keys : misses).push_back(v);
+  }
+  std::vector<int64_t> payload(kRows);
+  for (size_t i = 0; i < kRows; ++i) payload[i] = static_cast<int64_t>(i);
+  Batch build = MakeBatch({keys, payload});
+  PartitionedJoinTable table = BuildTable(build, {0});
+  const JoinTable& part = table.parts[0];
+  ASSERT_EQ(part.heads.size(), kRows);
+  EXPECT_EQ(std::count(part.heads.begin(), part.heads.end(), 0u),
+            static_cast<long>(kRows - 1));
+  std::vector<uint64_t> sorted_hashes = part.hashes;
+  std::sort(sorted_hashes.begin(), sorted_hashes.end());
+  EXPECT_EQ(std::adjacent_find(sorted_hashes.begin(), sorted_hashes.end()),
+            sorted_hashes.end());
+
+  std::vector<int64_t> probe_keys = misses;
+  probe_keys.insert(probe_keys.end(), keys.rbegin(), keys.rend());
+  Batch probe = MakeBatch({probe_keys});
+  for (JoinKind kind :
+       {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+    auto got = ProbeAll(table, probe, {0}, kind);
+    EXPECT_EQ(got, NestedLoopJoin(probe, {0}, build, {0}, kind));
+    EXPECT_EQ(got.size(), kRows);
+  }
+}
+
+TEST(JoinTableTest, EmptyBuildSide) {
+  Batch probe = MakeBatch({{1, 2, 3}});
+  // Column-less (an exhausted build source) and zero-row-with-columns.
+  for (Batch build : {Batch{}, MakeBatch({{}, {}})}) {
+    for (size_t p : {size_t{1}, size_t{4}}) {
+      if (build.num_columns() == 0 && p > 1) continue;
+      PartitionedJoinTable table = BuildTable(build, {0}, p);
+      EXPECT_EQ(table.TotalRows(), 0u);
+      EXPECT_TRUE(ProbeAll(table, probe, {0}, JoinKind::kInner).empty());
+      EXPECT_TRUE(ProbeAll(table, probe, {0}, JoinKind::kLeftSemi).empty());
+      EXPECT_EQ(ProbeAll(table, probe, {0}, JoinKind::kLeftAnti).size(), 3u);
+    }
+  }
+}
+
+TEST(JoinTableTest, SemiAndAntiEmitEachProbeRowAtMostOnce) {
+  std::vector<int64_t> build_keys;
+  for (int64_t r = 0; r < 200; ++r) build_keys.push_back(r % 5 * 2);
+  Batch build = MakeBatch({build_keys});
+  std::vector<int64_t> probe_keys;
+  for (int64_t r = 0; r < 40; ++r) probe_keys.push_back(r % 12);
+  Batch probe = MakeBatch({probe_keys});
+  for (size_t p : {size_t{1}, size_t{4}}) {
+    PartitionedJoinTable table = BuildTable(build, {0}, p);
+    auto semi = ProbeAll(table, probe, {0}, JoinKind::kLeftSemi);
+    auto anti = ProbeAll(table, probe, {0}, JoinKind::kLeftAnti);
+    // Semi/anti keep probe order at any partition count.
+    EXPECT_EQ(semi,
+              NestedLoopJoin(probe, {0}, build, {0}, JoinKind::kLeftSemi));
+    EXPECT_EQ(anti,
+              NestedLoopJoin(probe, {0}, build, {0}, JoinKind::kLeftAnti));
+    EXPECT_EQ(semi.size() + anti.size(), probe.num_rows());
+  }
+}
+
+TEST(JoinTableTest, FourPartitionsMatchOnePartitionAsMultiset) {
+  std::vector<int64_t> build_keys, payload;
+  for (int64_t r = 0; r < 1000; ++r) {
+    build_keys.push_back((r * 37) % 400);
+    payload.push_back(r);
+  }
+  Batch build = MakeBatch({build_keys, payload});
+  std::vector<int64_t> probe_keys;
+  for (int64_t r = 0; r < 600; ++r) probe_keys.push_back((r * 11) % 500);
+  Batch probe = MakeBatch({probe_keys});
+
+  auto serial = ProbeAll(BuildTable(build, {0}, 1), probe, {0},
+                         JoinKind::kInner, 64);
+  EXPECT_EQ(serial, NestedLoopJoin(probe, {0}, build, {0}, JoinKind::kInner));
+  PartitionedJoinTable four = BuildTable(build, {0}, 4);
+  size_t nonempty = 0;
+  for (const JoinTable& part : four.parts) nonempty += part.rows.num_rows() > 0;
+  EXPECT_GT(nonempty, 1u);
+  auto partitioned = ProbeAll(four, probe, {0}, JoinKind::kInner, 64);
+  std::sort(serial.begin(), serial.end());
+  std::sort(partitioned.begin(), partitioned.end());
+  EXPECT_EQ(partitioned, serial);
 }
 
 TEST(SortTest, MultiKeyAndLimit) {
