@@ -27,18 +27,6 @@ namespace pdtstore {
 namespace bench {
 namespace {
 
-std::vector<double> ParseList(const std::string& s) {
-  std::vector<double> out;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtod(s.substr(pos, comma - pos).c_str(), nullptr));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 void RunSize(uint64_t rows, bool string_keys,
              const std::vector<double>& rates, JsonResultWriter* json) {
   std::printf("# %zu tuples, %s key\n", static_cast<size_t>(rows),
@@ -112,7 +100,7 @@ void RunSize(uint64_t rows, bool string_keys,
 // 1 update per 100 tuples (the paper's mid rate), scanned with 1..N
 // worker threads. Records per-thread-count Mrows/s and the 4-thread
 // scalability ratio under `parallel_merge_scan`.
-void RunParallelSweep(uint64_t rows, const std::vector<double>& threads,
+void RunParallelSweep(uint64_t rows, const std::vector<int>& threads,
                       JsonResultWriter* json) {
   std::printf("# parallel MergeScan sweep, %zu tuples, int key, "
               "1 update/100 tuples\n",
@@ -145,9 +133,9 @@ void RunParallelSweep(uint64_t rows, const std::vector<double>& threads,
   };
 
   double pdt_base = 0.0, pdt_at4 = 0.0;
-  for (double t : threads) {
+  for (int t : threads) {
     ScanOptions opts;
-    opts.num_threads = static_cast<int>(t);
+    opts.num_threads = t;
     opts.ordered = true;
     double pdt_ord = timed(*pdt_table, opts);
     double vdt_ord = timed(*vdt_table, opts);
@@ -189,11 +177,10 @@ void RunParallelSweep(uint64_t rows, const std::vector<double>& threads,
 
 int main(int argc, char** argv) {
   using namespace pdtstore::bench;
-  auto sizes = ParseList(
-      FlagValue(argc, argv, "sizes", "1000000,4000000,16000000"));
-  auto rates =
-      ParseList(FlagValue(argc, argv, "rates", "0,0.5,1,1.5,2,2.5"));
-  auto threads = ParseList(FlagValue(argc, argv, "threads", "1,2,4,8"));
+  auto sizes =
+      FlagList<double>(argc, argv, "sizes", "1000000,4000000,16000000");
+  auto rates = FlagList<double>(argc, argv, "rates", "0,0.5,1,1.5,2,2.5");
+  auto threads = FlagList<int>(argc, argv, "threads", "1,2,4,8");
   const std::string json_path =
       FlagValue(argc, argv, "json", "BENCH_fig17.json");
   std::printf(

@@ -18,18 +18,6 @@ namespace pdtstore {
 namespace bench {
 namespace {
 
-std::vector<double> ParseList(const std::string& s) {
-  std::vector<double> out;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtod(s.substr(pos, comma - pos).c_str(), nullptr));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 void Run(bool string_keys, uint64_t rows, const std::vector<double>& rates) {
   constexpr int kTotalCols = 6;
   std::printf("# 1M tuples, 6 columns, %s keys\n",
@@ -91,8 +79,7 @@ int main(int argc, char** argv) {
   using namespace pdtstore::bench;
   uint64_t rows = std::strtoull(
       FlagValue(argc, argv, "rows", "1000000").c_str(), nullptr, 10);
-  auto rates =
-      ParseList(FlagValue(argc, argv, "rates", "0,0.5,1,1.5,2,2.5"));
+  auto rates = FlagList<double>(argc, argv, "rates", "0,0.5,1,1.5,2,2.5");
   std::printf(
       "=== Figure 18: MergeScan with single- vs multi-column keys ===\n\n");
   Run(/*string_keys=*/false, rows, rates);

@@ -176,18 +176,6 @@ void RunConfig(const char* label, bool compression, const GenOptions& gen,
   }
 }
 
-std::vector<int> ParseIntList(const std::string& s) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::atoi(s.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 // Parallel-pipeline sweep: all 22 queries, hot, on the updated PDT
 // scenario, at each worker-thread count. Results are checked against the
 // single-thread run (relative 1e-6: parallel partial-agg merges change
@@ -403,7 +391,7 @@ int main(int argc, char** argv) {
   double bandwidth = std::strtod(
       FlagValue(argc, argv, "bandwidth-mb", "150").c_str(), nullptr);
   std::string config = FlagValue(argc, argv, "config", "both");
-  auto threads = ParseIntList(FlagValue(argc, argv, "threads", "1,2,4,8"));
+  auto threads = FlagList<int>(argc, argv, "threads", "1,2,4,8");
   const std::string json_path =
       FlagValue(argc, argv, "json", "BENCH_fig19.json");
   std::printf(

@@ -4,9 +4,13 @@
 #ifndef PDTSTORE_BENCH_BENCH_UTIL_H_
 #define PDTSTORE_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "db/table.h"
@@ -258,6 +262,42 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name,
     if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
   }
   return def;
+}
+
+/// Comma-separated list flag: --name=1,2,4. Every item must parse whole
+/// as a T (an in-range integer when T is integral); an empty or
+/// malformed item prints a usage message and fails the run (exit 1).
+template <typename T>
+std::vector<T> FlagList(int argc, char** argv, const std::string& name,
+                        const std::string& def) {
+  const std::string csv = FlagValue(argc, argv, name, def);
+  std::vector<T> out;
+  for (size_t pos = 0;;) {
+    size_t comma = csv.find(',', pos);
+    if (comma == std::string::npos) comma = csv.size();
+    const std::string item = csv.substr(pos, comma - pos);
+    errno = 0;
+    char* end = nullptr;
+    bool in_range = true;
+    if constexpr (std::is_integral_v<T>) {
+      const long long v = std::strtoll(item.c_str(), &end, 10);
+      in_range = v >= static_cast<long long>(std::numeric_limits<T>::min()) &&
+                 v <= static_cast<long long>(std::numeric_limits<T>::max());
+      out.push_back(static_cast<T>(v));
+    } else {
+      out.push_back(static_cast<T>(std::strtod(item.c_str(), &end)));
+    }
+    if (item.empty() || errno != 0 || *end != '\0' || !in_range) {
+      std::fprintf(stderr,
+                   "usage: --%s=<comma-separated %s>: bad item '%s'\n",
+                   name.c_str(),
+                   std::is_integral_v<T> ? "integers" : "numbers",
+                   item.c_str());
+      std::exit(1);
+    }
+    if (comma == csv.size()) return out;
+    pos = comma + 1;
+  }
 }
 
 }  // namespace bench

@@ -91,16 +91,9 @@ RunResult RunWorkload(bool group_commit, int threads, int total_txns,
 
 int Main(int argc, char** argv) {
   const int total_txns = std::stoi(FlagValue(argc, argv, "txns", "2000"));
-  const std::string threads_flag = FlagValue(argc, argv, "threads", "1,4,8");
+  const std::vector<int> thread_counts =
+      FlagList<int>(argc, argv, "threads", "1,4,8");
   const std::string json_path = FlagValue(argc, argv, "json", "");
-
-  std::vector<int> thread_counts;
-  for (size_t pos = 0; pos < threads_flag.size();) {
-    size_t comma = threads_flag.find(',', pos);
-    if (comma == std::string::npos) comma = threads_flag.size();
-    thread_counts.push_back(std::stoi(threads_flag.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pdt_bench_wal").string();

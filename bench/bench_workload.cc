@@ -2,19 +2,14 @@
 // scan-heavy queries through one WorkloadManager (bounded FIFO admission
 // in front of the shared worker pool) and reports sustained qps plus
 // p50/p99 end-to-end latency — queueing time included, since that is
-// what admission control trades against memory safety. Each concurrency
-// level runs twice, with cooperative shared scans off and on, so the
-// artifact records how much a co-scheduled fleet saves by riding one
-// merge stream per table snapshot (the `ride_alongs` metric counts how
-// often that actually happened).
+// what admission control trades against memory safety. One cell per
+// client fleet size: workload_c<N>.
 //
 //   bench_workload [--queries=N] [--clients=1,8,64,256] [--rows=R]
 //                  [--json=PATH]
 //
 // On a single core the client fleet is time-sliced, so latency numbers
-// are upper bounds and the shared-scan gap narrows (there is no
-// parallel scan work to coalesce) — the ride-along counts still show
-// the sharing machinery engaging.
+// are upper bounds.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -25,25 +20,12 @@
 
 #include "bench_util.h"
 #include "exec/pipeline.h"
-#include "exec/shared_scan.h"
 #include "exec/workload.h"
 #include "util/stopwatch.h"
 
 namespace pdtstore {
 namespace bench {
 namespace {
-
-std::vector<int> ParseIntList(const std::string& csv) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::atoi(csv.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-  return out;
-}
 
 double Percentile(std::vector<double>* sorted, double q) {
   if (sorted->empty()) return 0;
@@ -59,21 +41,17 @@ struct RunResult {
   double p99_ms = 0;
   uint64_t queries = 0;
   uint64_t rejected = 0;
-  uint64_t streams = 0;      // shared-scan merge streams started
-  uint64_t ride_alongs = 0;  // queries that joined a live stream
 };
 
 // `clients` threads drain a shared counter of `total` queries, each one
 // admitted through `mgr` and scanning the whole table (project k0 + v0,
 // unordered 4-way morsel plan, drain through an exchange). The query is
-// deliberately scan-dominated: that is the work shared scans can
-// coalesce across the fleet.
+// deliberately scan-dominated.
 RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
-                   uint64_t total, bool shared) {
+                   uint64_t total) {
   std::atomic<uint64_t> next{0};
   std::atomic<uint64_t> rejected{0};
   std::vector<std::vector<double>> lat(clients);
-  SharedScanHubStats hub0 = SharedScanHub::Global().GetStats();
 
   Stopwatch wall;
   std::vector<std::thread> fleet;
@@ -92,11 +70,8 @@ RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
         ScanOptions so;
         so.num_threads = 4;
         so.ordered = false;
-        so.shared_scan = shared;
-        // Fine morsels keep the stream joinable for most of its life
-        // (a stream stops accepting riders once all morsels are
-        // claimed); auto-tuning would pick whole chunks, which a 4-way
-        // fleet claims in the first scheduling beat.
+        // Fixed fine morsels, not auto-tuned whole chunks, so the
+        // recorded cells stay comparable across runs and revisions.
         so.morsel_rows = 4096;
         Pipeline pipe(table.PlanMorsels({0, 1}, nullptr, so));
         auto out = std::move(pipe).Exchange();
@@ -123,9 +98,6 @@ RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
   r.qps = r.wall_s > 0 ? r.queries / r.wall_s : 0;
   r.p50_ms = Percentile(&all, 0.50);
   r.p99_ms = Percentile(&all, 0.99);
-  SharedScanHubStats hub1 = SharedScanHub::Global().GetStats();
-  r.streams = hub1.streams_created - hub0.streams_created;
-  r.ride_alongs = hub1.ride_alongs - hub0.ride_alongs;
   return r;
 }
 
@@ -136,8 +108,8 @@ int Main(int argc, char** argv) {
   const uint64_t rows =
       std::strtoull(FlagValue(argc, argv, "rows", "800000").c_str(),
                     nullptr, 10);
-  std::vector<int> client_counts =
-      ParseIntList(FlagValue(argc, argv, "clients", "1,8,64,256"));
+  const std::vector<int> client_counts =
+      FlagList<int>(argc, argv, "clients", "1,8,64,256");
   const std::string json_path = FlagValue(argc, argv, "json", "");
 
   SyntheticSpec spec;
@@ -147,38 +119,29 @@ int Main(int argc, char** argv) {
   auto table = BuildSynthetic(spec);
 
   JsonResultWriter json;
-  std::printf("%-24s %10s %10s %10s %8s %8s\n", "bench", "qps", "p50_ms",
-              "p99_ms", "streams", "rides");
+  std::printf("%-24s %10s %10s %10s\n", "bench", "qps", "p50_ms", "p99_ms");
   for (int clients : client_counts) {
-    for (bool shared : {false, true}) {
-      // Fresh manager per cell: stats and FIFO state start clean. The
-      // wait queue is sized for the whole fleet so qps is not skewed by
-      // rejections (admission keeps only 8 queries running at once).
-      WorkloadOptions opts;
-      opts.max_concurrent = 8;
-      opts.max_queued = 4096;
-      WorkloadManager mgr(opts);
-      RunResult r = RunFleet(*table, &mgr, clients, queries, shared);
-      std::string name = "workload_c" + std::to_string(clients) +
-                         (shared ? "_shared_on" : "_shared_off");
-      std::printf("%-24s %10.1f %10.3f %10.3f %8llu %8llu\n", name.c_str(),
-                  r.qps, r.p50_ms, r.p99_ms,
-                  static_cast<unsigned long long>(r.streams),
-                  static_cast<unsigned long long>(r.ride_alongs));
-      json.Metric(name, "qps", r.qps);
-      json.Metric(name, "p50_ms", r.p50_ms);
-      json.Metric(name, "p99_ms", r.p99_ms);
-      json.Metric(name, "queries", static_cast<double>(r.queries));
-      json.Metric(name, "rejected", static_cast<double>(r.rejected));
-      json.Metric(name, "shared_streams", static_cast<double>(r.streams));
-      json.Metric(name, "ride_alongs", static_cast<double>(r.ride_alongs));
-      if (r.queries != queries) {
-        std::fprintf(stderr, "%s: expected %llu queries, ran %llu\n",
-                     name.c_str(),
-                     static_cast<unsigned long long>(queries),
-                     static_cast<unsigned long long>(r.queries));
-        return 1;
-      }
+    // Fresh manager per cell: stats and FIFO state start clean. The
+    // wait queue is sized for the whole fleet so qps is not skewed by
+    // rejections (admission keeps only 8 queries running at once).
+    WorkloadOptions opts;
+    opts.max_concurrent = 8;
+    opts.max_queued = 4096;
+    WorkloadManager mgr(opts);
+    RunResult r = RunFleet(*table, &mgr, clients, queries);
+    std::string name = "workload_c" + std::to_string(clients);
+    std::printf("%-24s %10.1f %10.3f %10.3f\n", name.c_str(), r.qps,
+                r.p50_ms, r.p99_ms);
+    json.Metric(name, "qps", r.qps);
+    json.Metric(name, "p50_ms", r.p50_ms);
+    json.Metric(name, "p99_ms", r.p99_ms);
+    json.Metric(name, "queries", static_cast<double>(r.queries));
+    json.Metric(name, "rejected", static_cast<double>(r.rejected));
+    if (r.queries != queries) {
+      std::fprintf(stderr, "%s: expected %llu queries, ran %llu\n",
+                   name.c_str(), static_cast<unsigned long long>(queries),
+                   static_cast<unsigned long long>(r.queries));
+      return 1;
     }
   }
   if (!json_path.empty() && !json.WriteFile(json_path)) {

@@ -141,18 +141,9 @@ RunResult RunWorkload(bool serial_commit, int writers, int total_txns,
 int Main(int argc, char** argv) {
   const int total_txns = std::stoi(FlagValue(argc, argv, "txns", "2000"));
   const int ops_per_txn = std::stoi(FlagValue(argc, argv, "ops", "4"));
-  const std::string writers_flag =
-      FlagValue(argc, argv, "writers", "1,2,4,8");
+  const std::vector<int> writer_counts =
+      FlagList<int>(argc, argv, "writers", "1,2,4,8");
   const std::string json_path = FlagValue(argc, argv, "json", "");
-
-  std::vector<int> writer_counts;
-  for (size_t pos = 0; pos < writers_flag.size();) {
-    size_t comma = writers_flag.find(',', pos);
-    if (comma == std::string::npos) comma = writers_flag.size();
-    writer_counts.push_back(
-        std::stoi(writers_flag.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pdt_bench_write").string();

@@ -11,15 +11,19 @@
 //   pdt> help
 //
 // Commands read whitespace-separated tokens; string values are bare
-// words, integer columns parse as int64.
+// words, integer columns parse as int64 and dbl columns as double. A
+// malformed or out-of-range number is an error, never a silent 0.
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
-#include "exec/shared_scan.h"
 #include "exec/workload.h"
 #include "tpch/htap_driver.h"  // LatencyPercentile
 #include "util/stopwatch.h"
@@ -36,20 +40,40 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
+// Parses all of `text` as a base-10 integer in [lo, hi]; false on an
+// empty string, trailing junk, overflow or a value out of range.
+bool ParseInt(const std::string& text, long long lo, long long hi,
+              long long* out) {
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0' || v < lo ||
+      v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 StatusOr<Value> ParseValue(const Schema& schema, ColumnId col,
                            const std::string& text) {
   switch (schema.column(col).type) {
     case TypeId::kInt64: {
-      errno = 0;
-      char* end = nullptr;
-      long long v = std::strtoll(text.c_str(), &end, 10);
-      if (errno != 0 || end == text.c_str() || *end != '\0') {
+      long long v = 0;
+      if (!ParseInt(text, LLONG_MIN, LLONG_MAX, &v)) {
         return Status::InvalidArgument("not an integer: " + text);
       }
       return Value(static_cast<int64_t>(v));
     }
-    case TypeId::kDouble:
-      return Value(std::strtod(text.c_str(), nullptr));
+    case TypeId::kDouble: {
+      errno = 0;
+      char* end = nullptr;
+      double v = std::strtod(text.c_str(), &end);
+      if (errno != 0 || end == text.c_str() || *end != '\0') {
+        return Status::InvalidArgument("not a number: " + text);
+      }
+      return Value(v);
+    }
     case TypeId::kString:
       return Value(text);
   }
@@ -98,8 +122,8 @@ void PrintHelp() {
       "  .stats                    write-path statistics: per-table PDT layer\n"
       "                            sizes, pending deltas, WAL syncs/txn,\n"
       "                            buffer-pool I/O counters, workload manager\n"
-      "                            and shared-scan hub counters, and this\n"
-      "                            shell's reader/writer latency\n"
+      "                            counters, and this shell's reader/writer\n"
+      "                            latency\n"
       "  help | quit\n");
 }
 
@@ -144,11 +168,8 @@ class Shell {
                     ThreadPool::DefaultThreads());
         return Status::OK();
       }
-      errno = 0;
-      char* end = nullptr;
-      long v = std::strtol(t[1].c_str(), &end, 10);
-      if (errno != 0 || end == t[1].c_str() || *end != '\0' || v < 1 ||
-          v > 256) {
+      long long v = 0;
+      if (!ParseInt(t[1], 1, 256, &v)) {
         return Status::InvalidArgument("usage: .threads <1..256>");
       }
       threads_ = static_cast<int>(v);
@@ -166,19 +187,17 @@ class Shell {
                     o.max_concurrent, o.per_query_memory_cap >> 20);
         return Status::OK();
       }
-      errno = 0;
-      char* end = nullptr;
-      long c = std::strtol(t[1].c_str(), &end, 10);
-      if (errno != 0 || end == t[1].c_str() || *end != '\0' || c < 0) {
+      // C must fit an int and MB << 20 must fit a size_t.
+      long long c = 0;
+      long long mb = 0;
+      if (!ParseInt(t[1], 0, INT_MAX, &c) ||
+          (t.size() > 2 &&
+           !ParseInt(t[2], 0, static_cast<long long>(SIZE_MAX >> 20), &mb))) {
         return Status::InvalidArgument("usage: .workload [C [MB]]");
       }
       WorkloadOptions o = wm.options();
       o.max_concurrent = static_cast<int>(c);
-      if (t.size() > 2) {
-        long mb = std::strtol(t[2].c_str(), nullptr, 10);
-        if (mb < 0) return Status::InvalidArgument("usage: .workload [C [MB]]");
-        o.per_query_memory_cap = static_cast<size_t>(mb) << 20;
-      }
+      if (t.size() > 2) o.per_query_memory_cap = static_cast<size_t>(mb) << 20;
       wm.Configure(o);
       std::printf("  workload reconfigured\n");
       return Status::OK();
@@ -266,12 +285,6 @@ class Shell {
                   ws.memory_used, ws.memory_peak,
                   ws.memory_cap > 0 ? std::to_string(ws.memory_cap).c_str()
                                     : "unlimited");
-      SharedScanHubStats ss = SharedScanHub::Global().GetStats();
-      std::printf("  shared scans: streams=%llu attaches=%llu "
-                  "ride_alongs=%llu\n",
-                  static_cast<unsigned long long>(ss.streams_created),
-                  static_cast<unsigned long long>(ss.attaches),
-                  static_cast<unsigned long long>(ss.ride_alongs));
       PrintLatency("reads (select/count)", read_lat_ms_);
       PrintLatency("writes (commits)", write_lat_ms_);
       return Status::OK();

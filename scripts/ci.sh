@@ -78,6 +78,30 @@ echo "== bench smoke (tiny sizes) =="
 "$BUILD_DIR/bench_workload" --queries=64 --clients=1,8,64,256 \
     --rows=50000 --json="$BUILD_DIR/BENCH_workload_smoke.json"
 
+echo "== value gate: PDT merge scan >= 3x VDT =="
+# The paper's claim at smoke scale: at every nonzero update rate the PDT
+# merge scan is at least 3x faster than the value-based VDT merge
+# (ratio = vdt_ms / pdt_ms). Rate-0 entries are excluded: with no
+# updates there is nothing to merge, and their ratio only measures the
+# VDT's extra key-column read. Three smoke runs on a 4-vCPU VM gave
+# 14x-23x at rate 1, so the gate has wide headroom against noise.
+python3 - "$BUILD_DIR/BENCH_fig17_smoke.json" <<'PY'
+import json, re, sys
+gated, failed = 0, []
+for b in json.load(open(sys.argv[1]))["benches"]:
+    m = re.fullmatch(r"mergescan_.*_rate([0-9.]+)", b["name"])
+    if m is None or float(m.group(1)) == 0:
+        continue
+    gated += 1
+    if b["metrics"]["ratio"] < 3:
+        failed.append("%s ratio %.2f" % (b["name"], b["metrics"]["ratio"]))
+if gated == 0:
+    sys.exit("value gate FAILED: no nonzero-rate mergescan entries")
+if failed:
+    sys.exit("value gate FAILED: PDT < 3x VDT: " + "; ".join(failed))
+print("value gate OK (%d entries, PDT >= 3x VDT)" % gated)
+PY
+
 echo "== pdtbench smoke =="
 # The end-to-end benchmark (BENCHMARK.json): every workload at SF 0.01
 # for 2 s, untraced and traced. Fails on any correctness check and on a
@@ -130,9 +154,8 @@ while IFS= read -r name; do
   fi
 done <<<"$(grep -o '"name": "[^"]*"' BENCH_htap.json \
              | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-# And for the committed workload artifact: every recorded
-# (client-count, shared-scan) cell must still be produced by
-# bench_workload's smoke run.
+# And for the committed workload artifact: every recorded client-count
+# cell must still be produced by bench_workload's smoke run.
 produced_workload="$(grep -o '"name": "[^"]*"' \
                        "$BUILD_DIR/BENCH_workload_smoke.json" \
                        | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
@@ -199,10 +222,9 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
       PDT_FUZZ_SEED="$FUZZ_SEED" PDT_FUZZ_ITERS="$FUZZ_ITERS" \
           ./differential_fuzz_test)
   # The workload stress batch belongs under TSan: 16 driver threads
-  # through the admission gate, shared scans merging across queries, and
-  # budget charges racing on the shared pool. A smaller batch than the
-  # default — TSan's interleaving checks, not query volume, are the
-  # point here.
+  # through the admission gate and budget charges racing on the shared
+  # pool. A smaller batch than the default — TSan's interleaving checks,
+  # not query volume, are the point here.
   (cd "$TSAN_DIR" && PDT_WORKLOAD_QUERIES=150 ./workload_stress_test)
 fi
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/shared_scan.h"
 #include "txn/layered.h"  // internal::LayeredMorselPlan
 #include "util/string_util.h"
 
@@ -310,31 +309,9 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
   if (pdt) {
     // Serial or morsel-parallel over the single-layer stack — the same
     // shared planning step the transaction scan paths use.
-    std::vector<ColumnId> projection_key = projection;  // for the hub key
-    MorselPlan plan = internal::LayeredMorselPlan(*store_, {pdt.get()},
-                                                  std::move(projection),
-                                                  std::move(ranges),
-                                                  scan_opts, {pdt});
-    // Cooperative shared scan: only the plain full-snapshot shape is
-    // shareable — no key bounds and no zone filters (both change which
-    // morsels exist / which rows a morsel yields), and a morsel plan
-    // actually materialized (not the serial fallback). The key's
-    // snapshot component is the pinned PDT layer by pointer: a merge
-    // installing a new Read-PDT changes it, so post-merge queries never
-    // ride a stale stream. The factory's captured pin (`pins` above)
-    // keeps this snapshot alive for every rider.
-    if (scan_opts.shared_scan && plan.serial == nullptr &&
-        bounds == nullptr && scan_opts.zone_filters.empty()) {
-      SharedScanKey key;
-      key.table = this;
-      key.snapshot = pdt.get();
-      key.projection = std::move(projection_key);
-      key.morsel_rows = plan.options.morsel_rows;
-      key.batch_rows = plan.options.batch_rows;
-      plan.shared = SharedScanHub::Global().AttachOrCreate(
-          key, plan.morsels, plan.factory, plan.options);
-    }
-    return plan;
+    return internal::LayeredMorselPlan(*store_, {pdt.get()},
+                                       std::move(projection),
+                                       std::move(ranges), scan_opts, {pdt});
   }
   // Parallel VDT path (ResolveMorselPlan: an empty range list means "no
   // pruning" — both the unbounded scan and the conservative LookupRange

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "exec/pipeline.h"
-#include "exec/shared_scan.h"
 #include "util/mem_budget.h"
 
 namespace pdtstore {
@@ -65,11 +64,7 @@ bool ResolveMorselPlan(std::vector<SidRange>* ranges, uint64_t table_rows,
   }
   if (plan->options.num_threads <= 1) {
     plan->options.num_threads = 1;
-    // A serial query opting into shared scans still takes the morsel
-    // path: the morsel geometry is what makes its scan attachable to
-    // (or shareable with) concurrent queries. The serial-identity
-    // promise only applies when shared_scan is unset.
-    if (!plan->options.shared_scan) return false;
+    return false;
   }
   if (ranges->empty()) ranges->push_back(SidRange{0, table_rows});
   if (plan->options.morsel_rows == 0) {
@@ -338,11 +333,6 @@ StatusOr<bool> ParallelScanSource::Next(Batch* out, size_t max_rows) {
 
 std::unique_ptr<BatchSource> MakeScanSource(MorselPlan plan) {
   if (plan.serial != nullptr) return std::move(plan.serial);
-  if (plan.shared != nullptr && !plan.options.ordered) {
-    // Ride the shared merge stream. Ordered consumers never share: the
-    // stream delivers morsels in a per-consumer rotated order.
-    return MakeSharedScanSource(std::move(plan.shared));
-  }
   return std::make_unique<ParallelScanSource>(
       std::move(plan.morsels), std::move(plan.factory), plan.options,
       plan.renumber_rids);

@@ -43,7 +43,6 @@ namespace pdtstore {
 
 class PipelineOp;
 class PipelineOpState;
-class SharedScanConsumer;
 
 /// Default morsel granularity: ~64K SIDs amortize per-morsel setup
 /// (cursor seek, source construction) to noise while leaving plenty of
@@ -80,14 +79,6 @@ struct ScanOptions {
   size_t batch_rows = kDefaultBatchSize;
   /// Zone-map pruning hints (see ZoneFilter). Empty = no pruning.
   std::vector<ZoneFilter> zone_filters;
-  /// Opt into cooperative shared scans (exec/shared_scan.h): eligible
-  /// full-snapshot scans attach to the process-wide SharedScanHub so
-  /// concurrent queries over the same table snapshot ride one merge
-  /// stream. Only unordered consumers actually share (attachment rotates
-  /// per-consumer morsel order); ordered delivery keeps a private
-  /// exchange. Setting this also forces the morsel path at
-  /// num_threads == 1 so a serial query can still ride along.
-  bool shared_scan = false;
 };
 
 /// Derives a morsel granularity from the storage chunk size, the scanned
@@ -142,12 +133,6 @@ struct MorselPlan {
   ScanOptions options;
   /// Set => the scan runs serially through this source.
   std::unique_ptr<BatchSource> serial;
-  /// Set => this plan is attached to a shared merge stream
-  /// (exec/shared_scan.h); unordered consumers pull from it instead of
-  /// running a private exchange. `morsels` + `factory` stay valid as the
-  /// fallback (ordered consumers, backlog re-runs use the factory via
-  /// the stream).
-  std::shared_ptr<SharedScanConsumer> shared;
 };
 
 /// The exchange: N workers claim morsels from a shared queue, run the

@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "exec/operator.h"
-#include "exec/shared_scan.h"
 #include "storage/encoding.h"
 #include "util/file.h"
 #include "util/mem_budget.h"
@@ -236,37 +235,6 @@ Status RunPipeline(MorselPlan* plan,
       // The whole serial stream counts as morsel 0: it already is the
       // serial sequence.
       PDT_RETURN_NOT_OK(sink->Sink(&local, sink_state.get(), 0));
-    }
-    PDT_RETURN_NOT_OK(sink->Finish(sink_state.get()));
-    return sink->Combine(sink_state.get());
-  }
-
-  if (plan->shared != nullptr) {
-    // Shared-scan ride: this thread alone pulls completed morsels from
-    // the shared merge stream (the stream's workers and co-riding
-    // consumers provide the scan parallelism) and runs the per-query
-    // fragment ops + sink privately. Units carry the true morsel index,
-    // so a sort breaker's sequence tags — and therefore its output —
-    // are byte-identical to the isolated run despite the rotated
-    // delivery order.
-    std::vector<std::unique_ptr<PipelineOpState>> op_states;
-    op_states.reserve(ops.size());
-    for (const auto& op : ops) op_states.push_back(op->MakeState());
-    std::unique_ptr<PipelineOpState> sink_state = sink->MakeState();
-    SharedMorselUnit unit;
-    while (true) {
-      PDT_ASSIGN_OR_RETURN(bool more, plan->shared->NextUnit(&unit));
-      if (!more) break;
-      for (const std::shared_ptr<const Batch>& shared_b : unit.batches) {
-        Batch local = *shared_b;  // private copy: ops mutate in place
-        Status st = Status::OK();
-        for (size_t i = 0; i < ops.size() && st.ok(); ++i) {
-          st = ops[i]->Execute(&local, op_states[i].get());
-        }
-        PDT_RETURN_NOT_OK(st);
-        if (local.num_rows() == 0) continue;
-        PDT_RETURN_NOT_OK(sink->Sink(&local, sink_state.get(), unit.morsel));
-      }
     }
     PDT_RETURN_NOT_OK(sink->Finish(sink_state.get()));
     return sink->Combine(sink_state.get());
@@ -945,11 +913,6 @@ std::unique_ptr<BatchSource> Pipeline::Exchange() && {
   if (plan_.serial != nullptr) {
     return std::make_unique<OpChainSource>(std::move(plan_.serial),
                                            std::move(ops_));
-  }
-  if (plan_.shared != nullptr && !plan_.options.ordered) {
-    // Ride the shared merge stream; the fragment ops run on the pulling
-    // thread over private copies of the shared batches.
-    return MakeSharedScanSource(std::move(plan_.shared), std::move(ops_));
   }
   return std::make_unique<ParallelScanSource>(
       std::move(plan_.morsels), std::move(plan_.factory), plan_.options,

@@ -62,9 +62,8 @@ struct WorkloadStats {
 };
 
 /// One admitted query's run permit. Returned by WorkloadManager::Admit
-/// as a shared_ptr so long-lived helpers (queued pool tasks, shared-scan
-/// subscriptions) can keep it alive; the slot is released when the last
-/// reference drops.
+/// as a shared_ptr so long-lived helpers (queued pool tasks) can keep it
+/// alive; the slot is released when the last reference drops.
 class QueryTicket {
  public:
   ~QueryTicket();

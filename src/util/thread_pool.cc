@@ -100,6 +100,10 @@ void ThreadPool::WorkerLoop() {
       ++running_;
     }
     task();
+    // Destroy the task's captures before it stops counting as running:
+    // WaitIdle callers rely on everything a finished task owned (exchange
+    // state, join builds, budget leases) already being released.
+    task = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;

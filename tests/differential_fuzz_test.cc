@@ -457,110 +457,6 @@ void RunMultiTableWriteIteration(uint64_t seed) {
   }
 }
 
-// ---------------------------------------------------------------------
-// Shared-scan mode: two queries with identical scan geometry (the
-// sharing key: table, snapshot, projection, morsel/batch rows) but
-// private seeded predicates and sort keys run co-scheduled with
-// shared_scan on — riding one merge stream, with late attachment,
-// straggler shedding and consumer helping all in play — and each result
-// must be byte-identical to the same plan run isolated (shared off).
-// Sort-terminal plans make "byte-identical" meaningful: the sort's
-// sequence tags carry true morsel indices, so the rotated order shared
-// delivery produces cannot perturb the output. Thread counts cycle
-// through 1/2/4/8 across iterations (1 still takes the morsel path:
-// shared_scan opts out of the serial-identity fallback).
-
-struct SharedPlanSpec {
-  ScanOptions geometry;  // identical across the pair (the hub key)
-  uint64_t plan_seed;    // private predicate / sort decisions
-};
-
-std::vector<Tuple> RunSharedScanPlan(Table* table,
-                                     const SharedPlanSpec& spec,
-                                     bool shared, Status* status) {
-  using testutil::fuzz_internal::RandomPredicate;
-  Random rng(spec.plan_seed);
-  ScanOptions so = spec.geometry;
-  so.shared_scan = shared;
-  Pipeline pipe(table->PlanMorsels({0, 1, 2, 3}, nullptr, so));
-  const uint64_t nfilters = rng.Uniform(3);  // 0..2 private predicates
-  for (uint64_t f = 0; f < nfilters; ++f) {
-    pipe.Filter(RandomPredicate(&rng));
-  }
-  std::vector<SortKey> keys{{rng.Uniform(2) == 0 ? 1u : 0u,
-                             rng.Bernoulli(0.5)}};
-  if (rng.Bernoulli(0.4)) keys.push_back({2, rng.Bernoulli(0.5)});
-  const size_t limit = rng.Bernoulli(0.3) ? 1 + rng.Uniform(40) : 0;
-  auto out = std::move(pipe).IntoSortBuild(keys, limit);
-  auto rows = CollectRows(out.get());
-  if (!rows.ok()) {
-    *status = rows.status();
-    return {};
-  }
-  *status = Status::OK();
-  return std::move(*rows);
-}
-
-void RunSharedScanIteration(uint64_t seed, int threads) {
-  Random rng(seed);
-  std::unique_ptr<Table> table =
-      MakeFuzzTable(&rng, DeltaBackend::kPdt, 300, 900);
-  ASSERT_NE(table, nullptr);
-
-  ScanOptions geometry;
-  geometry.num_threads = threads;
-  const size_t morsel_choices[] = {0, 48, 64, 100, 256};
-  geometry.morsel_rows = morsel_choices[rng.Uniform(5)];
-  geometry.ordered = false;  // ordered consumers never share
-
-  SharedPlanSpec a{geometry, seed ^ 0x9E3779B97F4A7C15ULL};
-  SharedPlanSpec b{geometry, seed ^ 0xC2B2AE3D27D4EB4FULL};
-
-  // Isolated references: same plans, sharing off.
-  Status st;
-  std::vector<Tuple> ref_a = RunSharedScanPlan(table.get(), a, false, &st);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  std::vector<Tuple> ref_b = RunSharedScanPlan(table.get(), b, false, &st);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-
-  // Co-scheduled pair: both attach through the hub. Depending on
-  // timing the second query rides the first's stream mid-flight, or
-  // starts a fresh one — every interleaving must be exact.
-  Status st_a, st_b;
-  std::vector<Tuple> got_a, got_b;
-  std::thread rider([&] {
-    got_b = RunSharedScanPlan(table.get(), b, true, &st_b);
-  });
-  got_a = RunSharedScanPlan(table.get(), a, true, &st_a);
-  rider.join();
-  ASSERT_TRUE(st_a.ok()) << st_a.ToString();
-  ASSERT_TRUE(st_b.ok()) << st_b.ToString();
-  EXPECT_EQ(got_a, ref_a)
-      << "shared-scan rider A diverged from its isolated run at "
-      << threads << " threads";
-  EXPECT_EQ(got_b, ref_b)
-      << "shared-scan rider B diverged from its isolated run at "
-      << threads << " threads";
-}
-
-TEST(DifferentialFuzz, SharedScansMatchIsolatedRuns) {
-  const uint64_t base = EnvOr("PDT_FUZZ_SEED", 20260731);
-  const uint64_t iters = EnvOr("PDT_FUZZ_ITERS", 40);
-  const int thread_cycle[] = {1, 2, 4, 8};
-  for (uint64_t i = 0; i < iters; ++i) {
-    const uint64_t seed = base + i;
-    const int threads = thread_cycle[i % 4];
-    SCOPED_TRACE("repro: PDT_FUZZ_SEED=" + std::to_string(seed) +
-                 " PDT_FUZZ_ITERS=1 ./differential_fuzz_test"
-                 " --gtest_filter='*SharedScans*'");
-    RunSharedScanIteration(seed, threads);
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "shared-scan fuzz failed at seed " << seed << " ("
-             << threads << " threads)";
-    }
-  }
-}
-
 TEST(DifferentialFuzz, MultiTableWritersMatchSerialReplay) {
   const uint64_t base = EnvOr("PDT_FUZZ_SEED", 20260731);
   const uint64_t iters = EnvOr("PDT_FUZZ_ITERS", 40);

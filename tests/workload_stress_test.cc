@@ -1,6 +1,6 @@
 // Concurrent-workload stress: many shell-level queries (admitted
 // through a WorkloadManager, scanning/aggregating/sorting one table,
-// some riding shared scans, some deliberately over their memory budget)
+// some deliberately over their memory budget)
 // degrade gracefully — every query either completes, fails fast with
 // ResourceExhausted, or is rejected at the bounded admission queue, and
 // the accounting returns to zero afterwards. Plus targeted regressions:
@@ -28,7 +28,6 @@
 
 #include "db/table.h"
 #include "exec/pipeline.h"
-#include "exec/shared_scan.h"
 #include "exec/workload.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -163,9 +162,8 @@ TEST(WorkloadFairness, TokenBacklogCannotStarveOtherQueries) {
 // driver threads through one WorkloadManager (4 run slots, bounded
 // queue, tight per-query memory caps). Every 7th query is a memory hog
 // whose sort materialization exceeds its budget — it must fail fast
-// with ResourceExhausted while everything else completes. Half the
-// scans opt into shared-scan mode, so concurrent riders merge streams
-// under stress. Afterwards: all accounting back to zero.
+// with ResourceExhausted while everything else completes. Afterwards:
+// all accounting back to zero.
 // ---------------------------------------------------------------------
 
 TEST(WorkloadStress, ConcurrentQueriesDegradeGracefully) {
@@ -202,7 +200,6 @@ TEST(WorkloadStress, ConcurrentQueriesDegradeGracefully) {
     ScanOptions so;
     so.num_threads = 1 + static_cast<int>(rng.Uniform(4));
     so.ordered = false;
-    so.shared_scan = rng.Bernoulli(0.5);
 
     Status st;
     if (qid % 7 == 0) {
