@@ -109,65 +109,38 @@ echo "== pdtbench smoke =="
 bash benchmark/run.sh --smoke
 
 echo "== bench key check =="
-# The committed BENCH_exec.json is the record of what the exec benches
+# The committed BENCH_*.json artifacts are the record of what the benches
 # report; a code change must not silently drop an entry (e.g. deleting
 # an ablation while its recorded numbers still look current). Every
-# bench name in the committed artifact must be produced by the current
-# binaries (bench_exec_kernels, plus bench_fig17's parallel_merge_scan
-# entry that gets merged in).
-produced="$( { grep -o '"name": "[^"]*"' "$BUILD_DIR/BENCH_exec_smoke.json" || true;
-               grep -o '"name": "[^"]*"' "$BUILD_DIR/BENCH_fig17_smoke.json" || true; } \
-             | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
+# bench name in a committed artifact must be produced by the current
+# binaries' smoke runs: bench_exec_kernels plus bench_fig17's
+# parallel_merge_scan entry for BENCH_exec.json, and the (mode,
+# writer-count), (writers, readers) and client-count cells of the write,
+# HTAP and workload benches. A missing or empty smoke file produces no
+# names, so it fails the check too.
+bench_names() {
+  grep -o '"name": "[^"]*"' "$1" | sed -E 's/"name": "([^"]*)"/\1/' | sort -u
+}
+check_keys() {
+  local committed="$1" producer="$2" produced name
+  shift 2
+  produced="$( { for f in "$@"; do bench_names "$f" || true; done; } | sort -u)"
+  while IFS= read -r name; do
+    [[ -z "$name" ]] && continue
+    if ! grep -qxF "$name" <<<"$produced"; then
+      echo "bench key check FAILED: committed $committed entry '$name'" \
+           "is no longer produced by $producer"
+      keys_ok=0
+    fi
+  done <<<"$(bench_names "$committed")"
+}
 keys_ok=1
-while IFS= read -r name; do
-  [[ -z "$name" ]] && continue
-  if ! grep -qxF "$name" <<<"$produced"; then
-    echo "bench key check FAILED: committed BENCH_exec.json entry '$name'" \
-         "is no longer produced by the benches"
-    keys_ok=0
-  fi
-done <<<"$(grep -o '"name": "[^"]*"' BENCH_exec.json \
-             | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-# Same contract for the committed write-path artifact: every recorded
-# (mode, writer-count) cell must still be produced by bench_write_path.
-produced_write="$(grep -o '"name": "[^"]*"' "$BUILD_DIR/BENCH_write_smoke.json" \
-                    | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-while IFS= read -r name; do
-  [[ -z "$name" ]] && continue
-  if ! grep -qxF "$name" <<<"$produced_write"; then
-    echo "bench key check FAILED: committed BENCH_write.json entry '$name'" \
-         "is no longer produced by bench_write_path"
-    keys_ok=0
-  fi
-done <<<"$(grep -o '"name": "[^"]*"' BENCH_write.json \
-             | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-# And for the committed HTAP artifact: every recorded (writers, readers)
-# configuration must still be produced by bench_htap's smoke run.
-produced_htap="$(grep -o '"name": "[^"]*"' "$BUILD_DIR/BENCH_htap_smoke.json" \
-                   | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-while IFS= read -r name; do
-  [[ -z "$name" ]] && continue
-  if ! grep -qxF "$name" <<<"$produced_htap"; then
-    echo "bench key check FAILED: committed BENCH_htap.json entry '$name'" \
-         "is no longer produced by bench_htap"
-    keys_ok=0
-  fi
-done <<<"$(grep -o '"name": "[^"]*"' BENCH_htap.json \
-             | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-# And for the committed workload artifact: every recorded client-count
-# cell must still be produced by bench_workload's smoke run.
-produced_workload="$(grep -o '"name": "[^"]*"' \
-                       "$BUILD_DIR/BENCH_workload_smoke.json" \
-                       | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
-while IFS= read -r name; do
-  [[ -z "$name" ]] && continue
-  if ! grep -qxF "$name" <<<"$produced_workload"; then
-    echo "bench key check FAILED: committed BENCH_workload.json entry '$name'" \
-         "is no longer produced by bench_workload"
-    keys_ok=0
-  fi
-done <<<"$(grep -o '"name": "[^"]*"' BENCH_workload.json \
-             | sed -E 's/"name": "([^"]*)"/\1/' | sort -u)"
+check_keys BENCH_exec.json "the benches" \
+    "$BUILD_DIR/BENCH_exec_smoke.json" "$BUILD_DIR/BENCH_fig17_smoke.json"
+check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
+check_keys BENCH_htap.json bench_htap "$BUILD_DIR/BENCH_htap_smoke.json"
+check_keys BENCH_workload.json bench_workload \
+    "$BUILD_DIR/BENCH_workload_smoke.json"
 [[ "$keys_ok" == 1 ]] || exit 1
 echo "bench keys OK"
 

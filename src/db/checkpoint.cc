@@ -7,36 +7,8 @@
 
 namespace pdtstore {
 
-bool ShouldCheckpoint(const Table& table, const CheckpointPolicy& policy) {
-  size_t updates = 0;
-  if (auto pdt = table.SharedPdt()) {  // pinned vs a racing ReplacePdt
-    updates = pdt->EntryCount();
-  } else if (const Vdt* vdt = table.vdt()) {
-    updates = vdt->InsertCount() + vdt->DeleteCount();
-  }
-  if (policy.max_delta_updates > 0 && updates > policy.max_delta_updates) {
-    return true;
-  }
-  if (policy.max_delta_bytes > 0 &&
-      table.DeltaMemoryBytes() > policy.max_delta_bytes) {
-    return true;
-  }
-  if (policy.max_delta_fraction > 0.0 && table.store().num_rows() > 0) {
-    double frac = static_cast<double>(updates) /
-                  static_cast<double>(table.store().num_rows());
-    if (frac > policy.max_delta_fraction) return true;
-  }
-  return false;
-}
-
-StatusOr<bool> MaybeCheckpoint(Table* table, const CheckpointPolicy& policy) {
-  if (!ShouldCheckpoint(*table, policy)) return false;
-  PDT_RETURN_NOT_OK(table->Checkpoint());
-  return true;
-}
-
 // ---------------------------------------------------------------------
-// Durable checkpoint artifacts. Both file kinds share one shape:
+// The manifest and the table images share one file shape:
 //
 //   [8-byte magic][u32 payload_len][u32 crc32c(payload)][payload]
 //

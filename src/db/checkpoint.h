@@ -1,9 +1,7 @@
-// Checkpoint policy (Sec. 2, "Checkpointing"): detect when the delta
-// exceeds a threshold and rebuild the stable image. The policy is
-// deliberately the paper's "simplest one"; the mechanism lives in
-// Table::Checkpoint().
-//
-// This header also defines the durable checkpoint artifacts:
+// Durable checkpoint artifacts (Sec. 2, "Checkpointing"). The
+// mechanism that rebuilds a stable image from the merged state is
+// Table::Checkpoint(); this header defines the files that make such an
+// image durable:
 //
 //   MANIFEST     — the database's root pointer: one checksummed file
 //                  naming the current epoch, the live WAL segment and
@@ -26,27 +24,6 @@
 #include "util/file.h"
 
 namespace pdtstore {
-
-/// Threshold-based checkpoint trigger.
-struct CheckpointPolicy {
-  /// Checkpoint when the delta's heap footprint exceeds this (0 = never).
-  size_t max_delta_bytes = 64 << 20;
-  /// ...or when it buffers this many updates (0 = never).
-  size_t max_delta_updates = 1 << 20;
-  /// ...or when the delta exceeds this fraction of the stable row count
-  /// (0 = disabled).
-  double max_delta_fraction = 0.0;
-};
-
-/// True if `table`'s delta has outgrown the policy.
-bool ShouldCheckpoint(const Table& table, const CheckpointPolicy& policy);
-
-/// Checkpoints if the policy says so; returns whether it did.
-StatusOr<bool> MaybeCheckpoint(Table* table, const CheckpointPolicy& policy);
-
-// ---------------------------------------------------------------------
-// Durable checkpoint artifacts.
-// ---------------------------------------------------------------------
 
 /// One table's entry in the manifest: enough to recreate the Table
 /// object and find its stable image.

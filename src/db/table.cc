@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "txn/layered.h"  // internal::LayeredMorselPlan
+#include "txn/layered.h"
 #include "util/string_util.h"
 
 namespace pdtstore {
@@ -45,150 +45,10 @@ uint64_t Table::RowCount() const {
 }
 
 // ---------------------------------------------------------------------
-// Merged-image access (PDT). The public entry points pin the Read-PDT
-// once and run every probe against that snapshot (see PinPdt()).
-// ---------------------------------------------------------------------
-
-uint64_t Table::RowCountIn(const Pdt& pdt) const {
-  return static_cast<uint64_t>(static_cast<int64_t>(store_->num_rows()) +
-                               pdt.TotalDelta());
-}
-
-StatusOr<Tuple> Table::GetMergedTupleIn(const Pdt& pdt, Rid rid) const {
-  if (rid >= RowCountIn(pdt)) return Status::OutOfRange("rid out of range");
-  Pdt::RidLookup lookup = pdt.LookupRid(rid);
-  if (lookup.is_insert) {
-    return pdt.value_space().GetInsertTuple(lookup.insert_offset);
-  }
-  PDT_ASSIGN_OR_RETURN(Tuple t, store_->GetTuple(lookup.sid));
-  for (auto [col, off] : lookup.mods) {
-    t[col] = pdt.value_space().GetModifyValue(col, off);
-  }
-  return t;
-}
-
-StatusOr<Tuple> Table::GetMergedTuple(Rid rid) const {
-  auto pdt = PinPdt();
-  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
-  return GetMergedTupleIn(*pdt, rid);
-}
-
-StatusOr<std::vector<Value>> Table::MergedSortKeyIn(const Pdt& pdt,
-                                                    Rid rid) const {
-  Pdt::RidLookup lookup = pdt.LookupRid(rid);
-  if (lookup.is_insert) {
-    return pdt.value_space().GetInsertSortKey(lookup.insert_offset);
-  }
-  // SK columns are never modified in place (SK modifies are delete +
-  // insert), so the stable key is authoritative.
-  return store_->GetSortKey(lookup.sid);
-}
-
-StatusOr<std::vector<Value>> Table::MergedSortKey(Rid rid) const {
-  auto pdt = PinPdt();
-  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
-  return MergedSortKeyIn(*pdt, rid);
-}
-
-StatusOr<Rid> Table::UpperBoundRidIn(const Pdt& pdt,
-                                     const std::vector<Value>& key) const {
-  Rid lo = 0, hi = RowCountIn(pdt);
-  while (lo < hi) {
-    Rid mid = lo + (hi - lo) / 2;
-    PDT_ASSIGN_OR_RETURN(auto mid_key, MergedSortKeyIn(pdt, mid));
-    // Compare on the shorter prefix; ties resolve upward (upper bound).
-    int cmp = 0;
-    for (size_t i = 0; i < mid_key.size() && i < key.size(); ++i) {
-      cmp = mid_key[i].Compare(key[i]);
-      if (cmp != 0) break;
-    }
-    if (cmp <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-StatusOr<Rid> Table::UpperBoundRid(const std::vector<Value>& key) const {
-  auto pdt = PinPdt();
-  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
-  return UpperBoundRidIn(*pdt, key);
-}
-
-StatusOr<Rid> Table::FindRidByKeyIn(const Pdt& pdt,
-                                    const std::vector<Value>& key) const {
-  PDT_ASSIGN_OR_RETURN(Rid ub, UpperBoundRidIn(pdt, key));
-  if (ub == 0) return Status::NotFound("key not found");
-  PDT_ASSIGN_OR_RETURN(auto prev_key, MergedSortKeyIn(pdt, ub - 1));
-  if (CompareTuples(prev_key, key) != 0) {
-    return Status::NotFound("key not found");
-  }
-  return ub - 1;
-}
-
-StatusOr<Rid> Table::FindRidByKey(const std::vector<Value>& key) const {
-  auto pdt = PinPdt();
-  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
-  return FindRidByKeyIn(*pdt, key);
-}
-
-StatusOr<bool> Table::ContainsKey(const std::vector<Value>& key) const {
-  if (auto pdt = PinPdt()) {
-    auto rid = FindRidByKeyIn(*pdt, key);
-    if (rid.ok()) return true;
-    if (rid.status().code() == StatusCode::kNotFound) return false;
-    return rid.status();
-  }
-  if (vdt_->FindInsert(key) != nullptr) return true;
-  if (vdt_->IsDeleted(key)) return false;
-  return StableHasKey(key);
-}
-
-// ---------------------------------------------------------------------
-// Stable-image search helpers.
-// ---------------------------------------------------------------------
-
-StatusOr<Sid> Table::StableLowerBound(const std::vector<Value>& key) const {
-  Sid lo = 0, hi = store_->num_rows();
-  while (lo < hi) {
-    Sid mid = lo + (hi - lo) / 2;
-    PDT_ASSIGN_OR_RETURN(auto mid_key, store_->GetSortKey(mid));
-    if (CompareTuples(mid_key, key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-StatusOr<bool> Table::StableHasKey(const std::vector<Value>& key) const {
-  PDT_ASSIGN_OR_RETURN(Sid lb, StableLowerBound(key));
-  if (lb >= store_->num_rows()) return false;
-  PDT_ASSIGN_OR_RETURN(auto lb_key, store_->GetSortKey(lb));
-  return CompareTuples(lb_key, key) == 0;
-}
-
-StatusOr<Tuple> Table::GetTupleByKey(const std::vector<Value>& key) const {
-  if (auto pdt = PinPdt()) {
-    PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKeyIn(*pdt, key));
-    return GetMergedTupleIn(*pdt, rid);
-  }
-  if (const Tuple* t = vdt_->FindInsert(key)) return *t;
-  if (vdt_->IsDeleted(key)) return Status::NotFound("key deleted");
-  PDT_ASSIGN_OR_RETURN(Sid lb, StableLowerBound(key));
-  if (lb >= store_->num_rows()) return Status::NotFound("key not found");
-  PDT_ASSIGN_OR_RETURN(auto lb_key, store_->GetSortKey(lb));
-  if (CompareTuples(lb_key, key) != 0) {
-    return Status::NotFound("key not found");
-  }
-  return store_->GetTuple(lb);
-}
-
-// ---------------------------------------------------------------------
-// Updates.
+// Merged-image access and updates. The PDT branch pins the Read-PDT
+// once per operation and runs the shared positional helpers
+// (txn/layered.h) over that one-layer stack; the VDT branch probes the
+// stable image as the empty stack {}.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -198,28 +58,43 @@ Status ReadOnlyError(const std::string& name) {
 }
 }  // namespace
 
+StatusOr<Tuple> Table::GetMergedTuple(Rid rid) const {
+  auto pdt = PinPdt();
+  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
+  const Pdt* stack[] = {pdt.get()};
+  if (rid >= internal::LayeredRowCount(store_->num_rows(), stack)) {
+    return Status::OutOfRange("rid out of range");
+  }
+  return internal::LayeredTuple(*store_, stack, rid);
+}
+
+StatusOr<Rid> Table::FindRidByKey(const std::vector<Value>& key) const {
+  auto pdt = PinPdt();
+  if (!pdt) return Status::InvalidArgument("positional access needs PDT");
+  const Pdt* stack[] = {pdt.get()};
+  return internal::LayeredFindRid(*store_, stack, key);
+}
+
+StatusOr<bool> Table::ContainsKey(const std::vector<Value>& key) const {
+  if (auto pdt = PinPdt()) {
+    const Pdt* stack[] = {pdt.get()};
+    return internal::LayeredHasKey(*store_, stack, key);
+  }
+  if (vdt_->FindInsert(key) != nullptr) return true;
+  if (vdt_->IsDeleted(key)) return false;
+  return internal::LayeredHasKey(*store_, {}, key);
+}
+
 Status Table::Insert(const Tuple& tuple) {
   if (read_only_) return ReadOnlyError(name_);
-  PDT_RETURN_NOT_OK(schema_->ValidateTuple(tuple));
-  std::vector<Value> key = schema_->ExtractSortKey(tuple);
   if (auto pdt = PinPdt()) {
-    auto existing = FindRidByKeyIn(*pdt, key);
-    if (existing.ok()) {
-      return Status::AlreadyExists("duplicate sort key on insert");
-    }
-    if (existing.status().code() != StatusCode::kNotFound) {
-      return existing.status();
-    }
-    // The paper's positioning query: min RID whose tuple has a larger SK,
-    // then Algorithm 6 to respect ghost order.
-    PDT_ASSIGN_OR_RETURN(Rid rid, UpperBoundRidIn(*pdt, key));
-    Sid sid = pdt->SKRidToSid(key, rid);
-    return pdt->AddInsert(sid, rid, tuple);
+    const Pdt* stack[] = {pdt.get()};
+    return internal::LayeredInsert(*store_, stack, pdt.get(), tuple);
   }
-  PDT_ASSIGN_OR_RETURN(bool exists, ContainsKey(key));
-  if (exists) {
-    return Status::AlreadyExists("duplicate sort key on insert");
-  }
+  PDT_RETURN_NOT_OK(schema_->ValidateTuple(tuple));
+  PDT_ASSIGN_OR_RETURN(bool exists,
+                       ContainsKey(schema_->ExtractSortKey(tuple)));
+  if (exists) return Status::AlreadyExists("duplicate sort key");
   return vdt_->AddInsert(tuple);
 }
 
@@ -227,8 +102,12 @@ Status Table::DeleteAt(Rid rid) {
   if (read_only_) return ReadOnlyError(name_);
   auto pdt = PinPdt();
   if (!pdt) return Status::InvalidArgument("positional delete needs PDT");
-  if (rid >= RowCountIn(*pdt)) return Status::OutOfRange("rid out of range");
-  PDT_ASSIGN_OR_RETURN(auto key, MergedSortKeyIn(*pdt, rid));
+  const Pdt* stack[] = {pdt.get()};
+  if (rid >= internal::LayeredRowCount(store_->num_rows(), stack)) {
+    return Status::OutOfRange("rid out of range");
+  }
+  PDT_ASSIGN_OR_RETURN(auto key,
+                       internal::LayeredSortKey(*store_, stack, rid));
   return pdt->AddDelete(rid, key);
 }
 
@@ -236,26 +115,23 @@ Status Table::ModifyAt(Rid rid, ColumnId col, const Value& v) {
   if (read_only_) return ReadOnlyError(name_);
   auto pdt = PinPdt();
   if (!pdt) return Status::InvalidArgument("positional modify needs PDT");
-  if (rid >= RowCountIn(*pdt)) return Status::OutOfRange("rid out of range");
-  if (schema_->IsSortKeyColumn(col)) {
-    // SK modify = delete + insert (Sec. 2.1).
-    PDT_ASSIGN_OR_RETURN(Tuple t, GetMergedTupleIn(*pdt, rid));
-    PDT_RETURN_NOT_OK(DeleteAt(rid));
-    t[col] = v;
-    return Insert(t);
+  const Pdt* stack[] = {pdt.get()};
+  if (rid >= internal::LayeredRowCount(store_->num_rows(), stack)) {
+    return Status::OutOfRange("rid out of range");
   }
-  return pdt->AddModify(rid, col, v);
+  return internal::LayeredModifyAt(*store_, stack, pdt.get(), rid, col, v);
 }
 
 Status Table::DeleteByKey(const std::vector<Value>& key) {
   if (read_only_) return ReadOnlyError(name_);
   if (auto pdt = PinPdt()) {
-    PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKeyIn(*pdt, key));
-    return pdt->AddDelete(rid, key);
+    const Pdt* stack[] = {pdt.get()};
+    return internal::LayeredDelete(*store_, stack, pdt.get(), key);
   }
-  PDT_ASSIGN_OR_RETURN(bool exists, ContainsKey(key));
-  if (!exists) return Status::NotFound("key not found");
-  PDT_ASSIGN_OR_RETURN(bool stable, StableHasKey(key));
+  PDT_ASSIGN_OR_RETURN(bool stable, internal::LayeredHasKey(*store_, {}, key));
+  if (vdt_->FindInsert(key) == nullptr && (!stable || vdt_->IsDeleted(key))) {
+    return Status::NotFound("key not found");
+  }
   return vdt_->AddDelete(key, stable);
 }
 
@@ -263,18 +139,37 @@ Status Table::ModifyByKey(const std::vector<Value>& key, ColumnId col,
                           const Value& v) {
   if (read_only_) return ReadOnlyError(name_);
   if (auto pdt = PinPdt()) {
-    PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKeyIn(*pdt, key));
-    return ModifyAt(rid, col, v);
+    const Pdt* stack[] = {pdt.get()};
+    return internal::LayeredModify(*store_, stack, pdt.get(), key, col, v);
   }
-  PDT_ASSIGN_OR_RETURN(Tuple t, GetTupleByKey(key));
-  PDT_ASSIGN_OR_RETURN(bool stable, StableHasKey(key));
-  if (schema_->IsSortKeyColumn(col)) {
-    PDT_RETURN_NOT_OK(vdt_->AddDelete(key, stable));
-    t[col] = v;
-    return vdt_->AddInsert(t);
+  if (col >= schema_->num_columns()) {
+    return Status::InvalidArgument("modify: column out of range");
+  }
+  // VDT: the current tuple is the insert-table copy, else the stable row
+  // (unless deleted).
+  PDT_ASSIGN_OR_RETURN(Rid ub, internal::LayeredUpperBound(*store_, {}, key));
+  PDT_ASSIGN_OR_RETURN(bool stable,
+                       internal::LayeredKeyBelow(*store_, {}, ub, key));
+  Tuple t;
+  if (const Tuple* ins = vdt_->FindInsert(key)) {
+    t = *ins;
+  } else if (stable && !vdt_->IsDeleted(key)) {
+    PDT_ASSIGN_OR_RETURN(t, store_->GetTuple(ub - 1));
+  } else {
+    return Status::NotFound("key not found");
   }
   t[col] = v;
-  return vdt_->AddModify(t, stable);
+  PDT_RETURN_NOT_OK(schema_->ValidateTuple(t));
+  if (!schema_->IsSortKeyColumn(col)) return vdt_->AddModify(t, stable);
+  // SK modify = delete + insert, checked first like LayeredModifyAt: a
+  // key held by another row fails before anything changes.
+  std::vector<Value> new_key = schema_->ExtractSortKey(t);
+  if (CompareTuples(new_key, key) != 0) {
+    PDT_ASSIGN_OR_RETURN(bool taken, ContainsKey(new_key));
+    if (taken) return Status::AlreadyExists("duplicate sort key");
+  }
+  PDT_RETURN_NOT_OK(vdt_->AddDelete(key, stable));
+  return vdt_->AddInsert(t);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Updatable ordered table: immutable stable ColumnStore + sparse index +
 // a differential structure (PDT or VDT, selectable per table so the two
-// schemes can be compared head-to-head), plus the SK-addressed update
-// logic the paper describes around Algorithms 3-6 (insert positioning via
-// merged binary search + SKRidToSid; SK-column modifies as delete+insert)
-// and checkpointing (Sec. 2, "Checkpointing").
+// schemes can be compared head-to-head), SK-addressed updates and
+// checkpointing (Sec. 2, "Checkpointing"). The PDT backend's updates run
+// the shared positional helpers of txn/layered.h (Algorithms 3-6) over
+// the one-layer stack {Read-PDT}.
 #ifndef PDTSTORE_DB_TABLE_H_
 #define PDTSTORE_DB_TABLE_H_
 
@@ -104,7 +104,9 @@ class Table {
   /// Deletes the tuple with the given SK.
   Status DeleteByKey(const std::vector<Value>& key);
   /// Sets one column of the tuple with the given SK. Modifying an SK
-  /// column is executed as delete + insert (Sec. 2.1).
+  /// column is executed as delete + insert (Sec. 2.1); if another row
+  /// already holds the new key it fails with AlreadyExists and changes
+  /// nothing.
   Status ModifyByKey(const std::vector<Value>& key, ColumnId col,
                      const Value& v);
 
@@ -122,10 +124,6 @@ class Table {
 
   /// Full merged tuple at `rid`.
   StatusOr<Tuple> GetMergedTuple(Rid rid) const;
-  /// SK of the merged tuple at `rid`.
-  StatusOr<std::vector<Value>> MergedSortKey(Rid rid) const;
-  /// First RID whose SK is > `key` (row count if none).
-  StatusOr<Rid> UpperBoundRid(const std::vector<Value>& key) const;
   /// Locates an exact SK. Returns NotFound if absent.
   StatusOr<Rid> FindRidByKey(const std::vector<Value>& key) const;
   /// True if the key is visible in the merged image (both backends).
@@ -192,25 +190,6 @@ class Table {
     std::lock_guard<std::mutex> lock(pdt_mu_);
     return pdt_;
   }
-
-  // Per-operation variants working on one pinned PDT snapshot (so a
-  // multi-probe binary search resolves every probe against the same
-  // layer, and pins once instead of per probe).
-  StatusOr<Tuple> GetMergedTupleIn(const Pdt& pdt, Rid rid) const;
-  StatusOr<std::vector<Value>> MergedSortKeyIn(const Pdt& pdt,
-                                               Rid rid) const;
-  StatusOr<Rid> UpperBoundRidIn(const Pdt& pdt,
-                                const std::vector<Value>& key) const;
-  StatusOr<Rid> FindRidByKeyIn(const Pdt& pdt,
-                               const std::vector<Value>& key) const;
-  uint64_t RowCountIn(const Pdt& pdt) const;
-
-  // First stable SID with SK >= key (binary search over stable storage).
-  StatusOr<Sid> StableLowerBound(const std::vector<Value>& key) const;
-  // True if the *stable* image contains this exact key.
-  StatusOr<bool> StableHasKey(const std::vector<Value>& key) const;
-  // Current full tuple by key (either backend).
-  StatusOr<Tuple> GetTupleByKey(const std::vector<Value>& key) const;
 
   std::string name_;
   std::shared_ptr<const Schema> schema_;

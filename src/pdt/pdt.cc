@@ -615,25 +615,6 @@ Pdt::RidLookup Pdt::LookupRid(Rid rid) const {
   return out;
 }
 
-Pdt::SidLookup Pdt::SidToRid(Sid sid) const {
-  SidLookup out;
-  Cursor c = SeekSid(sid);
-  // delta_before covers all entries with entry.sid < sid; inserts at this
-  // SID also precede the stable tuple, modifies/the tuple's own delete do
-  // not shift it.
-  int64_t delta = c.delta_before();
-  while (c.Valid() && c.sid() == sid) {
-    if (c.type() == kTypeIns) {
-      delta += 1;
-    } else if (c.type() == kTypeDel) {
-      out.deleted = true;
-    }
-    c.Next();
-  }
-  out.rid = static_cast<Rid>(static_cast<int64_t>(sid) + delta);
-  return out;
-}
-
 // ---------------------------------------------------------------------
 // Flatten / bulk build.
 // ---------------------------------------------------------------------

@@ -111,17 +111,6 @@ class Pdt {
   };
   RidLookup LookupRid(Rid rid) const;
 
-  /// Where stable tuple `sid` sits in the merged image (the inverse of
-  /// LookupRid's stable branch). `deleted` marks ghosts, whose `rid` is
-  /// that of the following visible tuple. This is the ∆ mapping applied
-  /// in the SID→RID direction, the primitive join-index maintenance
-  /// builds on (Sec. 6 future work).
-  struct SidLookup {
-    Rid rid = 0;
-    bool deleted = false;
-  };
-  SidLookup SidToRid(Sid sid) const;
-
   /// Net RID shift of all updates (#inserts - #deletes).
   int64_t TotalDelta() const {
     return static_cast<int64_t>(insert_count_) -

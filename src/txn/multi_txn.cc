@@ -146,57 +146,14 @@ std::vector<const Pdt*> MultiTransaction::UpdateLayers(const TableView& v) {
   return layers;
 }
 
-StatusOr<Rid> MultiTransaction::UpperBoundRid(
-    const TableView& v, const std::vector<Value>& key) const {
-  const std::vector<const Pdt*> layers = UpdateLayers(v);
-  Rid lo = 0;
-  Rid hi = internal::LayeredRowCount(v.table->store().num_rows(), layers);
-  while (lo < hi) {
-    Rid mid = lo + (hi - lo) / 2;
-    PDT_ASSIGN_OR_RETURN(
-        auto mid_key, internal::LayeredSortKey(v.table->store(), layers, mid));
-    int cmp = 0;
-    for (size_t i = 0; i < mid_key.size() && i < key.size(); ++i) {
-      cmp = mid_key[i].Compare(key[i]);
-      if (cmp != 0) break;
-    }
-    if (cmp <= 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-StatusOr<Rid> MultiTransaction::FindRidByKey(
-    const TableView& v, const std::vector<Value>& key) const {
-  PDT_ASSIGN_OR_RETURN(Rid ub, UpperBoundRid(v, key));
-  if (ub == 0) return Status::NotFound("key not found");
-  PDT_ASSIGN_OR_RETURN(
-      auto prev_key,
-      internal::LayeredSortKey(v.table->store(), UpdateLayers(v), ub - 1));
-  if (CompareTuples(prev_key, key) != 0) {
-    return Status::NotFound("key not found");
-  }
-  return ub - 1;
-}
+// The positional work of every update lives in txn/layered.h; these
+// wrappers only pick the update stack and record the logical redo.
 
 Status MultiTransaction::Insert(const std::string& table,
                                 const Tuple& tuple) {
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
-  const Schema& schema = v->table->schema();
-  PDT_RETURN_NOT_OK(schema.ValidateTuple(tuple));
-  std::vector<Value> key = schema.ExtractSortKey(tuple);
-  auto existing = FindRidByKey(*v, key);
-  if (existing.ok()) return Status::AlreadyExists("duplicate sort key");
-  if (existing.status().code() != StatusCode::kNotFound) {
-    return existing.status();
-  }
-  PDT_ASSIGN_OR_RETURN(Rid rid, UpperBoundRid(*v, key));
-  Pdt* target = UpdateTarget(*v);
-  Sid sid = target->SKRidToSid(key, rid);
-  PDT_RETURN_NOT_OK(target->AddInsert(sid, rid, tuple));
+  PDT_RETURN_NOT_OK(internal::LayeredInsert(
+      v->table->store(), UpdateLayers(*v), UpdateTarget(*v), tuple));
   WalRecord r;
   r.type = WalRecordType::kInsert;
   r.table = table;
@@ -208,8 +165,8 @@ Status MultiTransaction::Insert(const std::string& table,
 Status MultiTransaction::DeleteByKey(const std::string& table,
                                      const std::vector<Value>& key) {
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  PDT_RETURN_NOT_OK(UpdateTarget(*v)->AddDelete(rid, key));
+  PDT_RETURN_NOT_OK(internal::LayeredDelete(
+      v->table->store(), UpdateLayers(*v), UpdateTarget(*v), key));
   WalRecord r;
   r.type = WalRecordType::kDelete;
   r.table = table;
@@ -222,17 +179,12 @@ Status MultiTransaction::ModifyByKey(const std::string& table,
                                      const std::vector<Value>& key,
                                      ColumnId col, const Value& value) {
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  if (v->table->schema().IsSortKeyColumn(col)) {
-    // SK-column modifies run as delete + insert (Sec. 2.1).
-    PDT_ASSIGN_OR_RETURN(Tuple t, internal::LayeredTuple(v->table->store(),
-                                                         UpdateLayers(*v),
-                                                         rid));
-    PDT_RETURN_NOT_OK(DeleteByKey(table, key));
-    t[col] = value;
-    return Insert(table, t);
-  }
-  PDT_RETURN_NOT_OK(UpdateTarget(*v)->AddModify(rid, col, value));
+  PDT_RETURN_NOT_OK(internal::LayeredModify(v->table->store(),
+                                            UpdateLayers(*v),
+                                            UpdateTarget(*v), key, col,
+                                            value));
+  // One record even for an SK column: replay re-runs ModifyByKey, which
+  // repeats the delete + insert.
   WalRecord r;
   r.type = WalRecordType::kModify;
   r.table = table;
@@ -246,8 +198,10 @@ Status MultiTransaction::ModifyByKey(const std::string& table,
 StatusOr<Tuple> MultiTransaction::GetByKey(
     const std::string& table, const std::vector<Value>& key) const {
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
-  PDT_ASSIGN_OR_RETURN(Rid rid, FindRidByKey(*v, key));
-  return internal::LayeredTuple(v->table->store(), UpdateLayers(*v), rid);
+  const std::vector<const Pdt*> layers = UpdateLayers(*v);
+  PDT_ASSIGN_OR_RETURN(
+      Rid rid, internal::LayeredFindRid(v->table->store(), layers, key));
+  return internal::LayeredTuple(v->table->store(), layers, rid);
 }
 
 std::unique_ptr<BatchSource> MultiTransaction::Scan(

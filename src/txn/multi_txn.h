@@ -227,10 +227,6 @@ class MultiTransaction {
   static Pdt* UpdateTarget(const TableView& v) {
     return v.query != nullptr ? v.query.get() : v.trans.get();
   }
-  StatusOr<Rid> UpperBoundRid(const TableView& v,
-                              const std::vector<Value>& key) const;
-  StatusOr<Rid> FindRidByKey(const TableView& v,
-                             const std::vector<Value>& key) const;
 
   MultiTxnManager* mgr_;
   uint64_t id_;

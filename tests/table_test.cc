@@ -1,13 +1,14 @@
 // Tests of the updatable-table facade: SK-addressed updates, positional
 // updates, range scans through the sparse index, checkpointing, and a
-// randomized equivalence property between the PDT and VDT backends (same
-// logical updates => identical merged images).
+// randomized equivalence property between the PDT and VDT backends and
+// the transactional update path (same logical updates => identical
+// merged images).
 #include "db/table.h"
 
 #include <gtest/gtest.h>
 
-#include "db/checkpoint.h"
 #include "test_util.h"
+#include "txn/txn_manager.h"
 #include "util/random.h"
 
 namespace pdtstore {
@@ -67,6 +68,13 @@ TEST_P(TableBackendTest, DeleteNonexistentKeyFails) {
             StatusCode::kNotFound);
 }
 
+TEST_P(TableBackendTest, ModifyOfMissingColumnFails) {
+  EXPECT_EQ(table_->ModifyByKey({Value("Paris"), Value("rug")}, 99, Value(1))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ScanAll(*table_), InventoryRows());
+}
+
 TEST_P(TableBackendTest, SortKeyModifyMovesTuple) {
   // Changing a key column is delete + insert: the tuple moves.
   ASSERT_TRUE(
@@ -76,6 +84,25 @@ TEST_P(TableBackendTest, SortKeyModifyMovesTuple) {
   EXPECT_EQ(rows.front()[0], Value("Aix"));
   EXPECT_EQ(rows.front()[1], Value("rug"));
   EXPECT_EQ(table_->RowCount(), 5u);
+}
+
+TEST_P(TableBackendTest, SortKeyModifyOntoTakenKeyChangesNothing) {
+  // (London, chair) -> (London, stool) collides with a stable row, and
+  // (London, chair) -> (Berlin, ...) with an inserted one: both fail
+  // before the delete half of the delete + insert runs.
+  ASSERT_TRUE(table_->Insert({"Berlin", "chair", "Y", 1}).ok());
+  auto before = ScanAll(*table_);
+  std::vector<Value> chair = {Value("London"), Value("chair")};
+  EXPECT_EQ(table_->ModifyByKey(chair, 1, Value("stool")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(table_->ModifyByKey(chair, 0, Value("Berlin")).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(table_->RowCount(), 6u);
+  EXPECT_EQ(ScanAll(*table_), before);
+  // Re-setting a key column to its own value is legal and a no-op.
+  ASSERT_TRUE(table_->ModifyByKey(chair, 1, Value("chair")).ok());
+  EXPECT_EQ(table_->RowCount(), 6u);
+  EXPECT_EQ(ScanAll(*table_), before);
 }
 
 TEST_P(TableBackendTest, RangeScanThroughSparseIndex) {
@@ -180,11 +207,20 @@ TEST(TableMergedAccessTest, GetMergedTupleAndFind) {
       StatusCode::kNotFound);
 }
 
-// The central cross-check: both backends must produce identical merged
-// images under any stream of logical updates.
+// The central cross-check: both backends, and the transactional update
+// path, must produce identical merged images and identical statuses
+// under any stream of logical updates — SK-column modifies (which run as
+// delete + insert, and may collide) included.
 class BackendEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BackendEquivalenceTest, PdtAndVdtAgree) {
+std::vector<Tuple> TxnScanAll(TxnManager* mgr, const Schema& schema) {
+  auto txn = mgr->Begin();
+  auto rows = CollectRows(txn->Scan(AllColumns(schema)).get());
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return rows.ok() ? *rows : std::vector<Tuple>{};
+}
+
+TEST_P(BackendEquivalenceTest, AllUpdatePathsAgree) {
   auto schema = InventorySchema();
   Random rng(GetParam());
   std::vector<Tuple> base;
@@ -205,72 +241,91 @@ TEST_P(BackendEquivalenceTest, PdtAndVdtAgree) {
   vdt_opts.store.chunk_rows = 128;
   Table pdt_table("t", schema, pdt_opts);
   Table vdt_table("t", schema, vdt_opts);
+  Table txn_table("t", schema, pdt_opts);
   ASSERT_TRUE(pdt_table.Load(base).ok());
   ASSERT_TRUE(vdt_table.Load(base).ok());
+  ASSERT_TRUE(txn_table.Load(base).ok());
+  TxnManager mgr(&txn_table);
 
-  // Track live keys for update targeting.
+  // Runs one op on all three paths — the transactional one as its own
+  // autocommit, committed even when the op failed (a failed statement
+  // must leave nothing behind) — and returns the common status code.
+  auto apply = [&](const auto& op) {
+    Status s1 = op(&pdt_table);
+    Status s2 = op(&vdt_table);
+    auto txn = mgr.Begin();
+    Status s3 = op(txn.get());
+    EXPECT_TRUE(txn->Commit().ok());
+    EXPECT_EQ(s1.code(), s2.code()) << s1.ToString() << " / " << s2.ToString();
+    EXPECT_EQ(s1.code(), s3.code()) << s1.ToString() << " / " << s3.ToString();
+    return s1.code();
+  };
+
+  // Track live keys for update targeting. Half the inserts reuse a live
+  // col-0 value with a col-1 value from a small domain, so live keys
+  // often share one key column.
   std::vector<std::vector<Value>> keys;
   for (const auto& t : base) keys.push_back(schema->ExtractSortKey(t));
+  auto small_name = [&] { return Value("q" + std::to_string(rng.Uniform(8))); };
 
   for (int op = 0; op < 400; ++op) {
     double dice = rng.NextDouble();
     if (dice < 0.35 || keys.empty()) {
-      Tuple t = {"S" + std::to_string(rng.UniformRange(0, 2999)),
-                 "q" + std::to_string(op), "Y", rng.UniformRange(0, 999)};
-      Status s1 = pdt_table.Insert(t);
-      Status s2 = vdt_table.Insert(t);
-      EXPECT_EQ(s1.code(), s2.code());
-      if (s1.ok()) keys.push_back(schema->ExtractSortKey(t));
-    } else if (dice < 0.6) {
+      Value city = keys.empty() || rng.Bernoulli(0.5)
+                       ? Value("S" + std::to_string(rng.UniformRange(0, 2999)))
+                       : keys[rng.Uniform(keys.size())][0];
+      Tuple t = {city, small_name(), "Y", rng.UniformRange(0, 999)};
+      StatusCode c = apply([&](auto* target) { return target->Insert(t); });
+      if (c == StatusCode::kOk) keys.push_back(schema->ExtractSortKey(t));
+    } else if (dice < 0.55) {
       size_t k = rng.Uniform(keys.size());
-      Status s1 = pdt_table.DeleteByKey(keys[k]);
-      Status s2 = vdt_table.DeleteByKey(keys[k]);
-      EXPECT_EQ(s1.code(), s2.code());
+      apply([&](auto* target) { return target->DeleteByKey(keys[k]); });
       keys.erase(keys.begin() + k);
     } else {
       size_t k = rng.Uniform(keys.size());
-      ColumnId col = rng.Bernoulli(0.3) ? 2 : 3;
-      Value v = (col == 2) ? Value(rng.NextString(1))
-                           : Value(rng.UniformRange(0, 999));
-      Status s1 = pdt_table.ModifyByKey(keys[k], col, v);
-      Status s2 = vdt_table.ModifyByKey(keys[k], col, v);
-      EXPECT_EQ(s1.code(), s2.code());
+      ColumnId col = static_cast<ColumnId>(rng.Uniform(4));
+      Value v;
+      if (col < 2 && rng.Bernoulli(0.5)) {
+        // Copy the column from a live key sharing the other key column:
+        // a collision, or a same-value modify when that key is keys[k].
+        std::vector<size_t> peers;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          if (keys[i][1 - col] == keys[k][1 - col]) peers.push_back(i);
+        }
+        v = keys[peers[rng.Uniform(peers.size())]][col];
+      } else {
+        v = col == 0   ? Value("S" + std::to_string(rng.UniformRange(0, 2999)))
+            : col == 1 ? small_name()
+            : col == 2 ? Value(rng.NextString(1))
+                       : Value(rng.UniformRange(0, 999));
+      }
+      StatusCode c = apply([&](auto* target) {
+        return target->ModifyByKey(keys[k], col, v);
+      });
+      if (c == StatusCode::kOk && col < 2) keys[k][col] = v;
     }
     if (op % 100 == 99) {
       ASSERT_EQ(ScanAll(pdt_table), ScanAll(vdt_table)) << "op " << op;
+      ASSERT_EQ(ScanAll(pdt_table), TxnScanAll(&mgr, *schema)) << "op " << op;
     }
   }
   EXPECT_EQ(ScanAll(pdt_table), ScanAll(vdt_table));
+  EXPECT_EQ(ScanAll(pdt_table), TxnScanAll(&mgr, *schema));
   EXPECT_EQ(pdt_table.RowCount(), vdt_table.RowCount());
+  EXPECT_EQ(pdt_table.RowCount(), mgr.Begin()->RowCount());
+  EXPECT_EQ(pdt_table.RowCount(), ScanAll(pdt_table).size());
+  EXPECT_EQ(vdt_table.RowCount(), ScanAll(vdt_table).size());
   // Projections without key columns agree too.
   EXPECT_EQ(ScanAll(pdt_table, {2, 3}), ScanAll(vdt_table, {2, 3}));
   // And both survive a checkpoint.
   ASSERT_TRUE(pdt_table.Checkpoint().ok());
   ASSERT_TRUE(vdt_table.Checkpoint().ok());
   EXPECT_EQ(ScanAll(pdt_table), ScanAll(vdt_table));
+  EXPECT_EQ(ScanAll(pdt_table), TxnScanAll(&mgr, *schema));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalenceTest,
                          ::testing::Values(31, 32, 33, 34));
-
-TEST(CheckpointPolicyTest, TriggersOnThresholds) {
-  auto schema = InventorySchema();
-  Table table("inv", schema, {});
-  ASSERT_TRUE(table.Load(InventoryRows()).ok());
-  CheckpointPolicy policy;
-  policy.max_delta_updates = 2;
-  policy.max_delta_bytes = 0;
-  EXPECT_FALSE(ShouldCheckpoint(table, policy));
-  ASSERT_TRUE(table.Insert({"A", "a", "Y", 1}).ok());
-  ASSERT_TRUE(table.Insert({"B", "b", "Y", 2}).ok());
-  ASSERT_TRUE(table.Insert({"C", "c", "Y", 3}).ok());
-  EXPECT_TRUE(ShouldCheckpoint(table, policy));
-  auto did = MaybeCheckpoint(&table, policy);
-  ASSERT_TRUE(did.ok());
-  EXPECT_TRUE(*did);
-  EXPECT_FALSE(ShouldCheckpoint(table, policy));
-  EXPECT_EQ(table.RowCount(), 8u);
-}
 
 }  // namespace
 }  // namespace pdtstore

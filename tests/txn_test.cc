@@ -211,6 +211,33 @@ TEST_F(TxnTest, WalRecoveryReproducesCommittedState) {
   EXPECT_EQ(TxnScan(*check, *schema_), expected);
 }
 
+TEST_F(TxnTest, SortKeyModifyOntoTakenKeyChangesNothing) {
+  std::vector<Value> chair = {Value("London"), Value("chair")};
+  {
+    auto txn = mgr_->Begin();
+    auto before = TxnScan(*txn, *schema_);
+    EXPECT_EQ(txn->ModifyByKey(chair, 1, Value("stool")).code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_EQ(txn->RowCount(), 5u);
+    EXPECT_EQ(TxnScan(*txn, *schema_), before);
+    // A legal SK modify moves the row; it is logged as one record that
+    // replay re-runs as delete + insert.
+    ASSERT_TRUE(txn->ModifyByKey(chair, 0, Value("Aix")).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  auto check = mgr_->Begin();
+  auto expected = TxnScan(*check, *schema_);
+  ASSERT_EQ(expected.size(), 5u);
+  EXPECT_EQ(expected.front(), (Tuple{"Aix", "chair", "N", 30}));
+
+  Table fresh("inventory", schema_, TableOptions{});
+  ASSERT_TRUE(fresh.Load(InventoryRows()).ok());
+  TxnManager fresh_mgr(&fresh, nullptr);
+  ASSERT_TRUE(fresh_mgr.Recover(wal_).ok());
+  auto replayed = fresh_mgr.Begin();
+  EXPECT_EQ(TxnScan(*replayed, *schema_), expected);
+}
+
 TEST_F(TxnTest, RecoverIsIdempotent) {
   // Regression: a second Recover on the same manager must refuse rather
   // than double-apply every committed update.
