@@ -512,6 +512,73 @@ double ScanZeroCopyMs(const void* p) {
   return sw.ElapsedMillis();
 }
 
+// ------------------------------------------------------------------
+// Sparse PDT merge scan: a table carrying a 0.1% refresh (scattered
+// INS/DEL entries in its PDT) against its checkpointed twin, both
+// drained over every column through Table::Scan. Long stable runs pass
+// through the merge as borrowed slices, so the ratio measures what the
+// delta still costs a scan.
+// ------------------------------------------------------------------
+
+// Even keys 0, 2, 4, ... so refresh inserts (odd keys) land between
+// stable rows.
+std::unique_ptr<Table> BuildRefreshTwin(size_t rows, uint64_t seed,
+                                        bool checkpoint) {
+  auto s = Schema::Make({{"k", TypeId::kInt64},
+                         {"g", TypeId::kString},
+                         {"v", TypeId::kDouble}},
+                        {0});
+  auto t = std::make_unique<Table>(
+      "refresh", std::make_shared<const Schema>(std::move(*s)),
+      TableOptions{});
+  std::vector<ColumnVector> data;
+  data.emplace_back(TypeId::kInt64);
+  data.emplace_back(TypeId::kString);
+  data.emplace_back(TypeId::kDouble);
+  for (size_t i = 0; i < rows; ++i) {
+    data[0].ints().push_back(static_cast<int64_t>(2 * i));
+    data[1].strings().push_back("g" + std::to_string(i % 97));
+    data[2].doubles().push_back(static_cast<double>(i % 1000));
+  }
+  if (!t->LoadColumns(std::move(data)).ok()) std::abort();
+  // One entry per 1000 rows, half inserts and half deletes.
+  Random rng(seed);
+  const size_t entries = std::max<size_t>(rows / 1000, 2);
+  for (size_t e = 0; e < entries; ++e) {
+    const int64_t pos = static_cast<int64_t>(rng.Uniform(rows));
+    // A repeated position just fails (duplicate key / missing key).
+    if (e % 2 == 0) {
+      (void)t->Insert({2 * pos + 1, std::string("ins"), 0.5});
+    } else {
+      (void)t->DeleteByKey({Value(2 * pos)});
+    }
+  }
+  if (checkpoint && !t->Checkpoint().ok()) std::abort();
+  return t;
+}
+
+double DrainAllColumnsMs(const void* p) {
+  const auto* a = static_cast<const TableArgs*>(p);
+  Stopwatch sw;
+  Batch b;
+  auto scan = a->table->Scan({0, 1, 2});
+  uint64_t sum = 0;
+  while (true) {
+    auto more = scan->Next(&b, kDefaultBatchSize);
+    if (!more.ok()) std::abort();
+    if (!*more) break;
+    const int64_t* k = b.column(0).ints_data();
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      sum += static_cast<uint64_t>(k[i]);
+    }
+    sum += b.column(1).StringAt(0).size() +
+           static_cast<uint64_t>(b.column(2).GetValue(0).AsDouble());
+  }
+  double ms = sw.ElapsedMillis();
+  if (sum == 0) std::abort();
+  return ms;
+}
+
 void Report(JsonResultWriter* json, const char* name, size_t rows,
             double base_ms, double kern_ms) {
   double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
@@ -732,6 +799,26 @@ int main(int argc, char** argv) {
                 static_cast<double>(s.bytes_skipped));
     json.Metric("zone_prune_cold_scan", "chunks_skipped",
                 static_cast<double>(s.chunks_skipped));
+  }
+
+  {
+    // Sparse PDT merge scan vs the checkpointed twin (see above).
+    auto pdt_table = BuildRefreshTwin(rows, 29, /*checkpoint=*/false);
+    auto clean_table = BuildRefreshTwin(rows, 29, /*checkpoint=*/true);
+    TableArgs pdt_args{pdt_table.get()};
+    TableArgs clean_args{clean_table.get()};
+    (void)DrainAllColumnsMs(&pdt_args);  // warm
+    (void)DrainAllColumnsMs(&clean_args);
+    const double pdt_ms = BestOf(reps, DrainAllColumnsMs, &pdt_args);
+    const double clean_ms = BestOf(reps, DrainAllColumnsMs, &clean_args);
+    std::printf("%-24s %10.2f ms (pdt) vs %8.2f ms (clean)   %5.2fx\n",
+                "merge_scan_sparse", pdt_ms, clean_ms, pdt_ms / clean_ms);
+    json.Metric("merge_scan_sparse", "rows", static_cast<double>(rows));
+    json.Metric("merge_scan_sparse", "pdt_entries",
+                static_cast<double>(pdt_table->pdt()->EntryCount()));
+    json.Metric("merge_scan_sparse", "pdt_ms", pdt_ms);
+    json.Metric("merge_scan_sparse", "clean_ms", clean_ms);
+    json.Metric("merge_scan_sparse", "pdt_over_clean", pdt_ms / clean_ms);
   }
 
   if (json.WriteFile(json_path)) {

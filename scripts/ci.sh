@@ -135,6 +135,12 @@ check_keys() {
   done <<<"$(bench_names "$committed")"
 }
 keys_ok=1
+# merge_scan_sparse records the zero-copy merge gain (PDT scan vs its
+# checkpointed twin); it must stay in the committed artifact.
+if ! bench_names BENCH_exec.json | grep -qxF merge_scan_sparse; then
+  echo "bench key check FAILED: BENCH_exec.json lacks merge_scan_sparse"
+  keys_ok=0
+fi
 check_keys BENCH_exec.json "the benches" \
     "$BUILD_DIR/BENCH_exec_smoke.json" "$BUILD_DIR/BENCH_fig17_smoke.json"
 check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
@@ -202,15 +208,19 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan build + durability/crash-recovery/join tests =="
+  echo "== asan build (assertions on) + durability/crash-recovery/join/merge tests =="
   # AddressSanitizer over the durability path: the WAL frame codec and
   # recovery scanner parse attacker-shaped (torn / bit-flipped) bytes,
   # and the crash fuzzer tears writes at arbitrary offsets — exactly
   # where an out-of-bounds read would hide. CRASH_ITERS seeded
   # iterations of the fuzzer run under ASan.
+  # This is the one assert-enabled build in CI: RelWithDebInfo flags
+  # without -DNDEBUG, so contracts such as "the const typed accessors
+  # see owned-plain storage" are checked, not silently skipped.
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address" \
+      -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
       -DPDTSTORE_BUILD_BENCHES=OFF -DPDTSTORE_BUILD_EXAMPLES=OFF
   # The compressed-execution suite also runs here: borrowed spans over
   # pool-owned chunk memory and dictionary-code reads are exactly the
@@ -221,13 +231,15 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # exec_test and parallel_sort_join_test cover the join table's row+1
   # chain links and the partitioned build's per-partition row indices:
   # index arithmetic where an off-by-one reads past a vector.
+  # merge_scan_test and pipeline_test run here because merged scan
+  # output borrows slices of pool-owned chunks through every PDT layer.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
       compressed_exec_test memory_budget_test exec_test \
-      parallel_sort_join_test
+      parallel_sort_join_test merge_scan_test pipeline_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

@@ -51,6 +51,16 @@ void ColumnVector::BorrowFrom(std::shared_ptr<const ColumnVector> src,
   view_len_ = len;
 }
 
+void ColumnVector::SliceFrom(const ColumnVector& src, size_t off,
+                             size_t len) {
+  if (src.owner_) {
+    BorrowFrom(src.owner_, src.view_off_ + off, len);
+    return;
+  }
+  Clear();
+  AppendRange(src, off, off + len);
+}
+
 void ColumnVector::AdoptDict(std::shared_ptr<const StringDict> dict) {
   assert(type_ == TypeId::kString && empty() && !owner_ && !dict_);
   assert(dict && dict->hashes.size() == dict->values.size());

@@ -123,6 +123,10 @@ class ColumnVector {
   /// so borrow chains are always depth 1.
   void BorrowFrom(std::shared_ptr<const ColumnVector> src, size_t off,
                   size_t len);
+  /// Replaces this column with rows [off, off+len) of `src`. A borrowed
+  /// `src` is re-borrowed from its owner (zero-copy, so borrows pass up
+  /// stacked merge layers unchanged); an owned `src` is copied.
+  void SliceFrom(const ColumnVector& src, size_t off, size_t len);
   bool is_borrowed() const { return owner_ != nullptr; }
 
   // --- dictionary representation (string columns) ---

@@ -5,6 +5,16 @@
 
 namespace pdtstore {
 
+namespace {
+// Stable runs at least this long pass through PdtMergeSource as borrowed
+// slices of the input batch instead of being copied. Each borrowed run
+// ends an output batch, and an extra batch costs about as much as
+// copying a few hundred values, so shorter runs are copied. At 256, dense
+// deltas on a narrow projection scan no slower than copying every run;
+// at 128 they were 5-10% slower (DESIGN.md, "Selection-vector kernels").
+constexpr size_t kMinBorrowRows = 256;
+}  // namespace
+
 // ---------------------------------------------------------------------
 // StableScanSource.
 // ---------------------------------------------------------------------
@@ -156,11 +166,9 @@ StatusOr<bool> PdtMergeSource::Next(Batch* out, size_t max_rows) {
       }
       // Bulk path: pass a whole run of stable rows through column-wise
       // (`skip` in the paper's Algorithm 2). The run may span modify
-      // entries — the copied columns are patched in place afterwards
-      // (typed SetFrom), so modified rows no longer break the bulk copy;
-      // only INS/DEL entries truncate it.
-      size_t run = std::min(buf_.num_rows() - buf_off_,
-                            max_rows - out->num_rows());
+      // entries — they are patched into the output afterwards (typed
+      // SetFrom) — so only INS/DEL entries truncate it.
+      size_t run = buf_.num_rows() - buf_off_;
       Pdt::Cursor scout = cursor_;
       while (scout.Valid() && scout.sid() < in_pos_ + run) {
         if (!IsModifyType(scout.type())) {
@@ -170,12 +178,27 @@ StatusOr<bool> PdtMergeSource::Next(Batch* out, size_t max_rows) {
         scout.Next();
       }
       assert(run > 0);
+      // A long run (or one covering the whole input batch) is emitted as
+      // a borrowed slice of the input: no row is copied, and borrows pass
+      // up stacked layers unchanged. It ends the output batch, so rows
+      // already gathered flush first. Shorter runs are copied, so dense
+      // deltas do not cut batches into slivers.
+      const bool borrow = run >= kMinBorrowRows ||
+                          (buf_off_ == 0 && run == buf_.num_rows());
+      if (borrow && out->num_rows() > 0) break;
+      run = std::min(run, max_rows - out->num_rows());
       set_start();
       const size_t base = out->num_rows();
       for (size_t i = 0; i < out->num_columns(); ++i) {
-        out->column(i).AppendRange(buf_.column(i), buf_off_,
-                                   buf_off_ + run);
+        if (borrow) {
+          out->column(i).SliceFrom(buf_.column(i), buf_off_, run);
+        } else {
+          out->column(i).AppendRange(buf_.column(i), buf_off_,
+                                     buf_off_ + run);
+        }
       }
+      // Modifies inside the run: SetFrom detaches (copy-on-write) only
+      // the modified column of a borrowed slice.
       const ValueSpace& vs = pdt_->value_space();
       while (cursor_.Valid() && cursor_.sid() < in_pos_ + run) {
         const ColumnId col = static_cast<ColumnId>(cursor_.type());
@@ -188,6 +211,7 @@ StatusOr<bool> PdtMergeSource::Next(Batch* out, size_t max_rows) {
       }
       buf_off_ += run;
       in_pos_ += run;
+      if (borrow) break;
       continue;
     }
 

@@ -44,6 +44,14 @@ class StableScanSource : public BatchSource {
 /// rows through by counting down to the next update position ("skip"),
 /// never comparing values.
 ///
+/// Zero-copy runs: a stable run that covers the whole input batch or is
+/// at least 256 rows long is emitted as a borrowed slice of the input
+/// (ColumnVector::SliceFrom), so no row is copied and borrows over
+/// buffer-pool chunks pass up stacked layers unchanged. Such a run ends
+/// the output batch; rows already gathered are flushed first. A modify
+/// inside it detaches only the modified column (copy-on-write SetFrom).
+/// Shorter runs, inserts and owned inputs are copied into an owned batch.
+///
 /// Range-scan semantics: on a gap in the input positions the entry cursor
 /// re-seeks; trailing inserts (entries at the end-of-input position) are
 /// emitted when the input is exhausted, which for restricted scans yields

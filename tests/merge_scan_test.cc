@@ -1,9 +1,12 @@
 // MergeScan operator tests: stable scan ranges, positional merging edge
 // cases (batch-size sweeps, range gaps with re-seek, trailing inserts,
-// ghost runs), stacked layers, and RID continuity of emitted batches.
+// ghost runs), stacked layers, RID continuity of emitted batches, and
+// zero-copy stable runs (borrowed slices of the input batch).
 #include "pdt/merge_scan.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "test_util.h"
 #include "util/random.h"
@@ -243,6 +246,247 @@ INSTANTIATE_TEST_SUITE_P(
     Stacks, StackedLayersRandomTest,
     ::testing::Combine(::testing::Values(2, 3, 4, 5),
                        ::testing::Values(301, 302, 303)));
+
+// ---------------------------------------------------------------------
+// Zero-copy stable runs: long runs pass through as borrowed slices.
+// ---------------------------------------------------------------------
+
+// One output batch of a drained source: where it starts, how many rows it
+// holds, and which of its columns are borrowed views.
+struct DrainedBatch {
+  Rid start = 0;
+  size_t rows = 0;
+  std::vector<bool> borrowed;
+  bool AllBorrowed() const {
+    return std::all_of(borrowed.begin(), borrowed.end(),
+                       [](bool b) { return b; });
+  }
+  bool NoneBorrowed() const {
+    return std::none_of(borrowed.begin(), borrowed.end(),
+                        [](bool b) { return b; });
+  }
+};
+
+// Drains `source` into rows, recording every batch's shape.
+std::vector<Tuple> Drain(BatchSource* source, size_t max_rows,
+                         std::vector<DrainedBatch>* batches) {
+  std::vector<Tuple> rows;
+  Batch batch;
+  while (true) {
+    auto more = source->Next(&batch, max_rows);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    DrainedBatch d{batch.start_rid(), batch.num_rows(), {}};
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      d.borrowed.push_back(batch.column(c).is_borrowed());
+    }
+    batches->push_back(std::move(d));
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      rows.push_back(batch.RowAsTuple(i));
+    }
+  }
+  return rows;
+}
+
+// Output RIDs are contiguous across the whole drained stream.
+void ExpectContiguous(const std::vector<DrainedBatch>& batches) {
+  Rid next = batches.empty() ? 0 : batches[0].start;
+  for (const DrainedBatch& b : batches) {
+    EXPECT_EQ(b.start, next);
+    next = b.start + b.rows;
+  }
+}
+
+TEST(ZeroCopyMergeTest, SparsePdtYieldsBorrowedBatches) {
+  auto schema = IntSchema();
+  auto base = IntRows(4096);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable model(schema, base);
+  // Entries far from every batch edge; rids shift as the model changes,
+  // so apply them back to front.
+  ASSERT_TRUE(model.DeleteAt(3500).ok());
+  ASSERT_TRUE(model.DeleteAt(2600).ok());
+  ASSERT_TRUE(model.DeleteAt(1500).ok());
+  ASSERT_TRUE(model.DeleteAt(400).ok());
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  std::vector<DrainedBatch> batches;
+  EXPECT_EQ(Drain(scan.get(), 1024, &batches), model.rows());
+  ExpectContiguous(batches);
+  for (const DrainedBatch& b : batches) EXPECT_TRUE(b.AllBorrowed());
+  // Each delete splits its chunk's batch into two borrowed runs.
+  EXPECT_EQ(batches.size(), 8u);
+
+  // Inserts with long runs on both sides: only the inserted rows are
+  // copied, in batches of their own; every stable row stays borrowed.
+  ASSERT_TRUE(model.Insert({23205, -1}).ok());  // after sid 2320
+  ASSERT_TRUE(model.Insert({38005, -2}).ok());  // after sid 3800
+  scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  batches.clear();
+  EXPECT_EQ(Drain(scan.get(), 1024, &batches), model.rows());
+  ExpectContiguous(batches);
+  size_t borrowed_rows = 0, copied_rows = 0;
+  for (const DrainedBatch& b : batches) {
+    EXPECT_TRUE(b.AllBorrowed() || b.NoneBorrowed());
+    (b.AllBorrowed() ? borrowed_rows : copied_rows) += b.rows;
+  }
+  EXPECT_EQ(borrowed_rows, 4096u - 4);
+  EXPECT_EQ(copied_rows, 2u);
+}
+
+TEST(ZeroCopyMergeTest, RunsEndingAtBatchAndChunkEdges) {
+  auto schema = IntSchema();
+  auto base = IntRows(2048);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable model(schema, base);
+  // With 512-row batches the stable input splits at sids 512, 1024, ...
+  // A delete at sid 512 ends a run exactly at an input-batch edge; an
+  // insert before sid 1024 ends the next run exactly at the chunk edge.
+  ASSERT_TRUE(model.Insert({10235, -1}).ok());  // between sids 1023, 1024
+  ASSERT_TRUE(model.DeleteAt(512).ok());
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  std::vector<DrainedBatch> batches;
+  EXPECT_EQ(Drain(scan.get(), 512, &batches), model.rows());
+  ExpectContiguous(batches);
+  ASSERT_GE(batches.size(), 4u);
+  // [0, 512): the whole first input batch.
+  EXPECT_EQ(batches[0].rows, 512u);
+  EXPECT_TRUE(batches[0].AllBorrowed());
+  // The ghost row is skipped; sids [513, 1024) run up to the chunk edge.
+  EXPECT_EQ(batches[1].start, 512u);
+  EXPECT_EQ(batches[1].rows, 511u);
+  EXPECT_TRUE(batches[1].AllBorrowed());
+  // The insert sits at merged rid 1023, in a copied batch of its own.
+  EXPECT_EQ(batches[2].start, 1023u);
+  EXPECT_EQ(batches[2].rows, 1u);
+  EXPECT_TRUE(batches[2].NoneBorrowed());
+  EXPECT_EQ(model.rows()[1023][1], Value(-1));
+  EXPECT_TRUE(batches[3].AllBorrowed());
+}
+
+TEST(ZeroCopyMergeTest, ModifyInsideBorrowedRunDetachesOnlyThatColumn) {
+  auto schema = IntSchema();
+  auto base = IntRows(1024);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable model(schema, base);
+  ASSERT_TRUE(model.ModifyAt(500, 1, Value(int64_t{-500})).ok());
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  Batch batch;
+  auto more = scan->Next(&batch, 1024);
+  ASSERT_TRUE(more.ok() && *more);
+  ASSERT_EQ(batch.num_rows(), 1024u);
+  EXPECT_TRUE(batch.column(0).is_borrowed());
+  EXPECT_FALSE(batch.column(1).is_borrowed());
+  EXPECT_EQ(batch.column(1).GetValue(500), Value(int64_t{-500}));
+  EXPECT_EQ(batch.column(1).GetValue(499), Value(int64_t{499}));
+  // The copy-on-write detach never wrote through to the pool's chunk.
+  StableScanSource stable(store.get(), {0, 1});
+  Batch clean;
+  more = stable.Next(&clean, 1024);
+  ASSERT_TRUE(more.ok() && *more);
+  EXPECT_EQ(clean.column(1).GetValue(500), Value(int64_t{500}));
+}
+
+TEST(ZeroCopyMergeTest, ThreeLayerStackBorrowsThroughAllLayers) {
+  auto schema = IntSchema();
+  auto base = IntRows(3072);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable l1(schema, base);
+  ASSERT_TRUE(l1.DeleteAt(300).ok());
+  ModelTable l2(schema, l1.rows());
+  ASSERT_TRUE(l2.DeleteAt(1500).ok());
+  ASSERT_TRUE(l2.ModifyAt(1800, 1, Value(int64_t{-1})).ok());
+  ModelTable l3(schema, l2.rows());
+  ASSERT_TRUE(l3.DeleteAt(2500).ok());
+  auto scan = MakeMergeScan(*store, {l1.pdt(), l2.pdt(), l3.pdt()}, {0, 1});
+  std::vector<DrainedBatch> batches;
+  EXPECT_EQ(Drain(scan.get(), 1024, &batches), l3.rows());
+  ExpectContiguous(batches);
+  for (const DrainedBatch& b : batches) {
+    // Only the batch holding the modified row owns its payload column.
+    EXPECT_TRUE(b.borrowed[0]);
+    const bool holds_modify = b.start <= 1800 && 1800 < b.start + b.rows;
+    EXPECT_EQ(b.borrowed[1], !holds_modify) << b.start;
+  }
+}
+
+TEST(ZeroCopyMergeTest, MorselStartingMidChunkBorrows) {
+  auto schema = IntSchema();
+  auto base = IntRows(3000);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable model(schema, base);
+  ASSERT_TRUE(model.DeleteAt(2000).ok());
+  ASSERT_TRUE(model.Insert({7005, -1}).ok());  // after sid 700
+  std::vector<Tuple> rows;
+  std::vector<DrainedBatch> batches;
+  const std::vector<SidRange> morsels = {{0, 300}, {300, 1500}, {1500, 3000}};
+  for (size_t m = 0; m < morsels.size(); ++m) {
+    auto scan = MakeMorselMergeScan(*store, {model.pdt()}, {0, 1},
+                                    morsels[m], m + 1 == morsels.size());
+    std::vector<DrainedBatch> mb;
+    auto part = Drain(scan.get(), 1024, &mb);
+    rows.insert(rows.end(), part.begin(), part.end());
+    if (m == 1) {
+      // Starts at sid 300, mid-chunk: the run up to the insert borrows.
+      ASSERT_FALSE(mb.empty());
+      EXPECT_EQ(mb[0].start, 300u);
+      EXPECT_EQ(mb[0].rows, 401u);
+      EXPECT_TRUE(mb[0].AllBorrowed());
+    }
+    batches.insert(batches.end(), mb.begin(), mb.end());
+  }
+  EXPECT_EQ(rows, model.rows());
+  ExpectContiguous(batches);
+}
+
+TEST(ZeroCopyMergeTest, ZonePrunedRangeJumpBorrows) {
+  auto schema = IntSchema();
+  auto base = IntRows(2048);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  ModelTable model(schema, base);
+  ASSERT_TRUE(model.DeleteAt(1500).ok());
+  ASSERT_TRUE(model.DeleteAt(400).ok());
+  auto scan =
+      MakeMergeScan(*store, {model.pdt()}, {0, 1}, {{0, 800}, {1000, 1800}});
+  std::vector<DrainedBatch> batches;
+  auto rows = Drain(scan.get(), 1024, &batches);
+  std::vector<Tuple> expected;
+  for (const auto& t : model.rows()) {
+    int64_t k = t[0].AsInt64();
+    if (k < 8000 || (k >= 10000 && k < 18000)) expected.push_back(t);
+  }
+  EXPECT_EQ(rows, expected);
+  for (const DrainedBatch& b : batches) EXPECT_TRUE(b.AllBorrowed());
+  // No batch spans the pruned gap: the first post-gap batch starts at the
+  // merged position of stable sid 1000 (one row deleted before it).
+  bool saw_jump = false;
+  for (const DrainedBatch& b : batches) {
+    EXPECT_FALSE(b.start < 799 && b.start + b.rows > 799);
+    if (b.start == 999) saw_jump = true;
+  }
+  EXPECT_TRUE(saw_jump);
+}
+
+TEST(ZeroCopyMergeTest, OwnedLowerLayerInputIsCopied) {
+  auto schema = IntSchema();
+  auto base = IntRows(1024);
+  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
+  // Lower layer: a delete every 50 rows, so every run is short and its
+  // output batches are owned copies.
+  ModelTable dense(schema, base);
+  for (Rid r = 1000; r >= 50; r -= 50) ASSERT_TRUE(dense.DeleteAt(r).ok());
+  ModelTable sparse(schema, dense.rows());
+  ASSERT_TRUE(sparse.DeleteAt(10).ok());
+  std::vector<DrainedBatch> lower;
+  auto lower_scan = MakeMergeScan(*store, {dense.pdt()}, {0, 1});
+  EXPECT_EQ(Drain(lower_scan.get(), 1024, &lower), dense.rows());
+  for (const DrainedBatch& b : lower) EXPECT_TRUE(b.NoneBorrowed());
+  // The upper layer's long run over owned input falls back to a copy.
+  auto scan = MakeMergeScan(*store, {dense.pdt(), sparse.pdt()}, {0, 1});
+  std::vector<DrainedBatch> batches;
+  EXPECT_EQ(Drain(scan.get(), 1024, &batches), sparse.rows());
+  ExpectContiguous(batches);
+  for (const DrainedBatch& b : batches) EXPECT_TRUE(b.NoneBorrowed());
+}
 
 }  // namespace
 }  // namespace pdtstore

@@ -88,9 +88,9 @@ ScanOptions PipeOpts(int threads, size_t morsel_rows = 64) {
 std::vector<ColumnExpr> ModExprs(int64_t m) {
   return {ColumnRef(0), [m](const Batch& b) {
             ColumnVector out(TypeId::kInt64);
-            const auto& v = b.column(1).ints();
-            out.ints().resize(v.size());
-            for (size_t i = 0; i < v.size(); ++i) out.ints()[i] = v[i] % m;
+            const int64_t* v = b.column(1).ints_data();
+            out.ints().resize(b.num_rows());
+            for (size_t i = 0; i < b.num_rows(); ++i) out.ints()[i] = v[i] % m;
             return out;
           }};
 }
@@ -190,7 +190,7 @@ TEST(ParallelSortTest, DescendingMultiKeyAndFilteredInput) {
   auto table = BuildUpdatedTable(DeltaBackend::kPdt, 1500, 700, 23);
   auto cols = AllColumns(table->schema());
   auto even = [](const Batch& b, KeepBitmap* keep) {
-    const auto& v = b.column(1).ints();
+    const int64_t* v = b.column(1).ints_data();
     keep->FillFrom([&](size_t i) { return v[i] % 2 == 0; });
   };
   auto serial = Collect(std::make_unique<SortNode>(
@@ -391,9 +391,9 @@ TEST(PartitionedJoinTest, AllKeysCollideInOnePartition) {
   auto probe_exprs = [] {
     return std::vector<ColumnExpr>{[](const Batch& b) {
                                      ColumnVector out(TypeId::kInt64);
-                                     const auto& v = b.column(1).ints();
-                                     out.ints().resize(v.size());
-                                     for (size_t i = 0; i < v.size(); ++i) {
+                                     const int64_t* v = b.column(1).ints_data();
+                                     out.ints().resize(b.num_rows());
+                                     for (size_t i = 0; i < b.num_rows(); ++i) {
                                        out.ints()[i] = v[i] % 6;
                                      }
                                      return out;

@@ -91,7 +91,7 @@ ScanOptions PipeOpts(int threads, size_t morsel_rows = 64) {
 // Keeps every row whose payload (column 1) is even.
 VecPredicate EvenPayload() {
   return [](const Batch& b, KeepBitmap* keep) {
-    const auto& v = b.column(1).ints();
+    const int64_t* v = b.column(1).ints_data();
     keep->FillFrom([&](size_t i) { return v[i] % 2 == 0; });
   };
 }
@@ -100,9 +100,9 @@ VecPredicate EvenPayload() {
 std::vector<ColumnExpr> GroupExprs() {
   return {[](const Batch& b) {
             ColumnVector out(TypeId::kInt64);
-            const auto& k = b.column(0).ints();
-            out.ints().resize(k.size());
-            for (size_t i = 0; i < k.size(); ++i) {
+            const int64_t* k = b.column(0).ints_data();
+            out.ints().resize(b.num_rows());
+            for (size_t i = 0; i < b.num_rows(); ++i) {
               out.ints()[i] = k[i] % 7;
             }
             return out;
@@ -227,9 +227,9 @@ TEST(PipelineTest, BuildProbeJoinMatchesSerialAllKinds) {
   auto mod_exprs = [] {
     return std::vector<ColumnExpr>{[](const Batch& b) {
                                      ColumnVector out(TypeId::kInt64);
-                                     const auto& v = b.column(1).ints();
-                                     out.ints().resize(v.size());
-                                     for (size_t i = 0; i < v.size(); ++i) {
+                                     const int64_t* v = b.column(1).ints_data();
+                                     out.ints().resize(b.num_rows());
+                                     for (size_t i = 0; i < b.num_rows(); ++i) {
                                        out.ints()[i] = v[i] % 97;
                                      }
                                      return out;
