@@ -601,18 +601,12 @@ void Report(JsonResultWriter* json, const char* name, size_t rows,
 int main(int argc, char** argv) {
   using namespace pdtstore;
   using namespace pdtstore::bench;
+  // The anti-elision sanity guards assume at least a few survivors.
   const size_t rows = static_cast<size_t>(
-      std::strtoull(FlagValue(argc, argv, "rows", "1000000").c_str(),
-                    nullptr, 10));
-  const int reps =
-      std::atoi(FlagValue(argc, argv, "reps", "5").c_str());
+      FlagNumber<int64_t>(argc, argv, "rows", "1000000", 64));
+  const int reps = FlagNumber<int>(argc, argv, "reps", "5", 1);
   const std::string json_path =
       FlagValue(argc, argv, "json", "BENCH_exec.json");
-  if (rows < 64) {
-    // The anti-elision sanity guards assume at least a few survivors.
-    std::fprintf(stderr, "error: --rows must be >= 64 (got %zu)\n", rows);
-    return 1;
-  }
 
   std::printf(
       "=== Selection-vector execution kernels vs row-at-a-time baseline "

@@ -73,10 +73,10 @@ void RunSeries(const char* label, uint64_t base_rows, uint64_t ops,
 
 int main(int argc, char** argv) {
   using namespace pdtstore::bench;
-  uint64_t ops = std::strtoull(
-      FlagValue(argc, argv, "ops", "1000000").c_str(), nullptr, 10);
-  uint64_t base = std::strtoull(
-      FlagValue(argc, argv, "base-rows", "1000000").c_str(), nullptr, 10);
+  const uint64_t ops = static_cast<uint64_t>(
+      FlagNumber<int64_t>(argc, argv, "ops", "1000000", 1));
+  const uint64_t base = static_cast<uint64_t>(
+      FlagNumber<int64_t>(argc, argv, "base-rows", "1000000", 1));
   std::printf(
       "=== Figure 16: PDT update performance over time "
       "(base=%zu rows, %zu ops per series) ===\n\n",

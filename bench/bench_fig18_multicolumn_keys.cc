@@ -77,8 +77,8 @@ void Run(bool string_keys, uint64_t rows, const std::vector<double>& rates) {
 
 int main(int argc, char** argv) {
   using namespace pdtstore::bench;
-  uint64_t rows = std::strtoull(
-      FlagValue(argc, argv, "rows", "1000000").c_str(), nullptr, 10);
+  const uint64_t rows = static_cast<uint64_t>(
+      FlagNumber<int64_t>(argc, argv, "rows", "1000000", 1));
   auto rates = FlagList<double>(argc, argv, "rates", "0,0.5,1,1.5,2,2.5");
   std::printf(
       "=== Figure 18: MergeScan with single- vs multi-column keys ===\n\n");

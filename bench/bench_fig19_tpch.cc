@@ -384,12 +384,11 @@ void RunSortJoinSweep(const GenOptions& gen, double fraction,
 int main(int argc, char** argv) {
   using namespace pdtstore::bench;
   pdtstore::tpch::GenOptions gen;
-  gen.scale_factor =
-      std::strtod(FlagValue(argc, argv, "sf", "0.05").c_str(), nullptr);
-  double fraction = std::strtod(
-      FlagValue(argc, argv, "fraction", "0.001").c_str(), nullptr);
-  double bandwidth = std::strtod(
-      FlagValue(argc, argv, "bandwidth-mb", "150").c_str(), nullptr);
+  gen.scale_factor = FlagNumber<double>(argc, argv, "sf", "0.05");
+  const double fraction =
+      FlagNumber<double>(argc, argv, "fraction", "0.001");
+  const double bandwidth =
+      FlagNumber<double>(argc, argv, "bandwidth-mb", "150");
   std::string config = FlagValue(argc, argv, "config", "both");
   auto threads = FlagList<int>(argc, argv, "threads", "1,2,4,8");
   const std::string json_path =

@@ -55,15 +55,14 @@ std::vector<Config> ParseConfigs(const std::string& s) {
 }
 
 int Run(int argc, char** argv) {
-  const double sf = std::atof(
-      FlagValue(argc, argv, "sf", "0.05").c_str());
+  const double sf = FlagNumber<double>(argc, argv, "sf", "0.05");
   std::vector<Config> configs = ParseConfigs(
       FlagValue(argc, argv, "configs", "1x2,2x2,4x4"));
   const std::string json_path = FlagValue(argc, argv, "json", "");
-  const int streams_per_writer = std::atoi(
-      FlagValue(argc, argv, "streams", "3").c_str());
-  const double fraction = std::atof(
-      FlagValue(argc, argv, "fraction", "0.003").c_str());
+  const int streams_per_writer =
+      FlagNumber<int>(argc, argv, "streams", "3");
+  const double fraction =
+      FlagNumber<double>(argc, argv, "fraction", "0.003");
   if (configs.empty() || sf <= 0 || streams_per_writer <= 0 ||
       fraction <= 0) {
     std::fprintf(stderr, "bad --configs / --sf / --streams / --fraction\n");

@@ -5,6 +5,7 @@
 #define PDTSTORE_BENCH_BENCH_UTIL_H_
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -239,7 +240,19 @@ class JsonResultWriter {
     return out;
   }
 
+  /// Fails (naming the metric on stderr) if any value is not finite —
+  /// a NaN or infinity is a broken run, not a result — or if the file
+  /// cannot be written.
   bool WriteFile(const std::string& path) const {
+    for (const auto& [bench, metrics] : benches_) {
+      for (const auto& [key, value] : metrics) {
+        if (!std::isfinite(value)) {
+          std::fprintf(stderr, "non-finite metric %s.%s\n", bench.c_str(),
+                       key.c_str());
+          return false;
+        }
+      }
+    }
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;
     std::string json = ToJson();
@@ -264,37 +277,63 @@ inline std::string FlagValue(int argc, char** argv, const std::string& name,
   return def;
 }
 
-/// Comma-separated list flag: --name=1,2,4. Every item must parse whole
-/// as a T (an in-range integer when T is integral); an empty or
-/// malformed item prints a usage message and fails the run (exit 1).
+/// Parses one value of flag --name: `item` must parse whole as a T (an
+/// in-range integer when T is integral, a finite number otherwise) and
+/// be at least `min`. Anything else prints a usage line naming `what`
+/// and fails the run (exit 1).
+template <typename T>
+T ParseFlagItem(const std::string& name, const std::string& item, T min,
+                const char* what) {
+  static_assert(std::is_signed_v<T>, "flags parse as signed numbers");
+  errno = 0;
+  char* end = nullptr;
+  bool ok = !item.empty();
+  T v;
+  if constexpr (std::is_integral_v<T>) {
+    const long long x = std::strtoll(item.c_str(), &end, 10);
+    ok = ok && x >= static_cast<long long>(std::numeric_limits<T>::min()) &&
+         x <= static_cast<long long>(std::numeric_limits<T>::max());
+    v = static_cast<T>(x);
+  } else {
+    v = static_cast<T>(std::strtod(item.c_str(), &end));
+    ok = ok && std::isfinite(v);
+  }
+  if (!ok || errno != 0 || *end != '\0' || v < min) {
+    const std::string bound =
+        min > std::numeric_limits<T>::lowest()
+            ? " >= " + std::to_string(min)
+            : std::string();
+    std::fprintf(stderr, "usage: --%s=<%s%s>: bad value '%s'\n",
+                 name.c_str(), what, bound.c_str(), item.c_str());
+    std::exit(1);
+  }
+  return v;
+}
+
+/// Numeric flag: --name=value, validated by ParseFlagItem.
+template <typename T>
+T FlagNumber(int argc, char** argv, const std::string& name,
+             const std::string& def,
+             T min = std::numeric_limits<T>::lowest()) {
+  return ParseFlagItem<T>(name, FlagValue(argc, argv, name, def), min,
+                          std::is_integral_v<T> ? "integer" : "number");
+}
+
+/// Comma-separated list flag: --name=1,2,4. Every item is validated by
+/// ParseFlagItem (an empty item fails too).
 template <typename T>
 std::vector<T> FlagList(int argc, char** argv, const std::string& name,
-                        const std::string& def) {
+                        const std::string& def,
+                        T min = std::numeric_limits<T>::lowest()) {
   const std::string csv = FlagValue(argc, argv, name, def);
+  const char* what = std::is_integral_v<T> ? "comma-separated integers"
+                                           : "comma-separated numbers";
   std::vector<T> out;
   for (size_t pos = 0;;) {
     size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    const std::string item = csv.substr(pos, comma - pos);
-    errno = 0;
-    char* end = nullptr;
-    bool in_range = true;
-    if constexpr (std::is_integral_v<T>) {
-      const long long v = std::strtoll(item.c_str(), &end, 10);
-      in_range = v >= static_cast<long long>(std::numeric_limits<T>::min()) &&
-                 v <= static_cast<long long>(std::numeric_limits<T>::max());
-      out.push_back(static_cast<T>(v));
-    } else {
-      out.push_back(static_cast<T>(std::strtod(item.c_str(), &end)));
-    }
-    if (item.empty() || errno != 0 || *end != '\0' || !in_range) {
-      std::fprintf(stderr,
-                   "usage: --%s=<comma-separated %s>: bad item '%s'\n",
-                   name.c_str(),
-                   std::is_integral_v<T> ? "integers" : "numbers",
-                   item.c_str());
-      std::exit(1);
-    }
+    out.push_back(
+        ParseFlagItem<T>(name, csv.substr(pos, comma - pos), min, what));
     if (comma == csv.size()) return out;
     pos = comma + 1;
   }

@@ -102,14 +102,12 @@ RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
 }
 
 int Main(int argc, char** argv) {
-  const uint64_t queries =
-      std::strtoull(FlagValue(argc, argv, "queries", "512").c_str(),
-                    nullptr, 10);
-  const uint64_t rows =
-      std::strtoull(FlagValue(argc, argv, "rows", "800000").c_str(),
-                    nullptr, 10);
+  const uint64_t queries = static_cast<uint64_t>(
+      FlagNumber<int64_t>(argc, argv, "queries", "512", 1));
+  const uint64_t rows = static_cast<uint64_t>(
+      FlagNumber<int64_t>(argc, argv, "rows", "800000", 1));
   const std::vector<int> client_counts =
-      FlagList<int>(argc, argv, "clients", "1,8,64,256");
+      FlagList<int>(argc, argv, "clients", "1,8,64,256", 1);
   const std::string json_path = FlagValue(argc, argv, "json", "");
 
   SyntheticSpec spec;

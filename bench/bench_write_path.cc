@@ -1,17 +1,15 @@
-// Concurrent write path: the same multi-writer commit workload against
-// the single-lock baseline (every committer runs the full Algorithm 9 —
-// conflict check, WAL encode + append, Write-PDT fold — under the
-// manager lock) and the delta-chain path (writers pre-encode WAL frames
-// and publish lock-free; one fold leader commits the batch under a short
-// critical section). Reports commits/sec, p99 commit latency, and the
-// time commit work actually held the lock:
+// Concurrent write path: N writer threads commit insert-only
+// transactions through one TxnManager with a durable WAL. Writers encode
+// their WAL frames outside the manager lock and queue a sealed record;
+// the first committer to take the lock decides every queued record in
+// order, and the fsync waits run outside the lock so concurrent commits
+// share one group-commit fsync. Reports commits/sec, p99 commit latency,
+// the time commit work held the lock, and fsyncs per transaction:
 //
 //   bench_write_path [--txns=N] [--ops=K] [--writers=1,2,4,8] [--json=PATH]
 //
-// On a single core the throughput gap narrows (there is no parallelism
-// to reclaim), but lock_us_per_commit still falls: the per-commit WAL
-// encoding has moved outside the critical section, which is the quantity
-// the delta chain exists to shrink.
+// Each writer count is one cell, commit_w<N>. After every run the bench
+// re-counts the table and aborts if a committed insert went missing.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -47,14 +45,11 @@ struct RunResult {
 // Runs `total_txns` transactions of `ops_per_txn` inserts each across
 // `writers` threads against a fresh table + WAL segment, then verifies
 // no committed key was lost.
-RunResult RunWorkload(bool serial_commit, int writers, int total_txns,
-                      int ops_per_txn, const std::string& wal_path) {
+RunResult RunWorkload(int writers, int total_txns, int ops_per_txn,
+                      const std::string& wal_path) {
   Table table("bench", BenchSchema(), TableOptions{});
   Wal wal;
-  TxnManagerOptions opts;
-  opts.group_commit = true;
-  opts.serial_commit = serial_commit;
-  TxnManager mgr(&table, &wal, opts);
+  TxnManager mgr(&table, &wal);
   auto writer = WalWriter::Open(FileSystem::Default(), wal_path,
                                 /*truncate=*/true);
   if (!writer.ok()) {
@@ -139,40 +134,46 @@ RunResult RunWorkload(bool serial_commit, int writers, int total_txns,
 }
 
 int Main(int argc, char** argv) {
-  const int total_txns = std::stoi(FlagValue(argc, argv, "txns", "2000"));
-  const int ops_per_txn = std::stoi(FlagValue(argc, argv, "ops", "4"));
+  const int total_txns = FlagNumber<int>(argc, argv, "txns", "2000", 1);
+  const int ops_per_txn = FlagNumber<int>(argc, argv, "ops", "4", 1);
   const std::vector<int> writer_counts =
-      FlagList<int>(argc, argv, "writers", "1,2,4,8");
+      FlagList<int>(argc, argv, "writers", "1,2,4,8", 1);
   const std::string json_path = FlagValue(argc, argv, "json", "");
+  const int max_writers =
+      *std::max_element(writer_counts.begin(), writer_counts.end());
+  if (total_txns < max_writers) {
+    // Fewer transactions than writers would leave a writer idle and
+    // divide by zero committed transactions.
+    std::fprintf(stderr,
+                 "usage: --txns=<integer >= the largest --writers (%d)>: "
+                 "bad value '%d'\n",
+                 max_writers, total_txns);
+    return 1;
+  }
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pdt_bench_write").string();
   std::filesystem::create_directories(dir);
+  const std::string wal_path = dir + "/commit.wal";
 
   JsonResultWriter json;
-  std::printf("%-24s %8s %12s %10s %14s %10s\n", "mode", "writers",
+  std::printf("%-12s %8s %12s %10s %14s %10s\n", "cell", "writers",
               "commits/sec", "p99 ms", "lock us/commit", "syncs/txn");
   for (int writers : writer_counts) {
-    for (bool serial : {true, false}) {
-      const std::string mode = serial ? "commit_single_lock"
-                                      : "commit_delta_chain";
-      const std::string wal_path = dir + "/" + mode + ".wal";
-      // Warm-up run settles file creation + allocator noise, then the
-      // measured run.
-      (void)RunWorkload(serial, writers, total_txns / 4 + writers,
-                        ops_per_txn, wal_path);
-      RunResult r = RunWorkload(serial, writers, total_txns, ops_per_txn,
-                                wal_path);
-      std::printf("%-24s %8d %12.0f %10.3f %14.2f %10.3f\n", mode.c_str(),
-                  writers, r.commits_per_sec, r.p99_commit_ms,
-                  r.lock_us_per_commit, r.syncs_per_txn);
-      const std::string bench = mode + "_w" + std::to_string(writers);
-      json.Metric(bench, "commits_per_sec", r.commits_per_sec);
-      json.Metric(bench, "p99_commit_ms", r.p99_commit_ms);
-      json.Metric(bench, "lock_us_per_commit", r.lock_us_per_commit);
-      json.Metric(bench, "syncs_per_txn", r.syncs_per_txn);
-      json.Metric(bench, "wall_ms", r.wall_ms);
-    }
+    // Warm-up run settles file creation + allocator noise, then the
+    // measured run.
+    (void)RunWorkload(writers, total_txns / 4 + writers, ops_per_txn,
+                      wal_path);
+    RunResult r = RunWorkload(writers, total_txns, ops_per_txn, wal_path);
+    const std::string bench = "commit_w" + std::to_string(writers);
+    std::printf("%-12s %8d %12.0f %10.3f %14.2f %10.3f\n", bench.c_str(),
+                writers, r.commits_per_sec, r.p99_commit_ms,
+                r.lock_us_per_commit, r.syncs_per_txn);
+    json.Metric(bench, "commits_per_sec", r.commits_per_sec);
+    json.Metric(bench, "p99_commit_ms", r.p99_commit_ms);
+    json.Metric(bench, "lock_us_per_commit", r.lock_us_per_commit);
+    json.Metric(bench, "syncs_per_txn", r.syncs_per_txn);
+    json.Metric(bench, "wall_ms", r.wall_ms);
   }
   std::filesystem::remove_all(dir);
 

@@ -41,7 +41,7 @@ struct DatabaseOptions {
   /// Defaults applied to tables created without explicit options.
   TableOptions table_defaults;
   /// Defaults for the per-table transaction managers handed out by
-  /// Txn() (group_commit toggles the WAL flush strategy).
+  /// Txn(). Commits to a persistent database always use group commit.
   TxnManagerOptions txn_defaults;
   /// File system for persistence; null = the real POSIX one. Tests pass
   /// a FaultInjectingFs here.

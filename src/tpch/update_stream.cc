@@ -149,14 +149,14 @@ Status ApplyUpdateStreamTxn(const UpdateStream& stream, TxnManager* orders,
         }
       }
     }
-    // Publish both lock-free, then await BOTH verdicts before
-    // propagating any failure: returning on the first error would
-    // abandon the other published record on the delta chain with no
-    // waiter (its transaction would only be aborted by its destructor,
-    // mis-ordering the resolution and the error report).
+    // Publish both, then await BOTH verdicts before propagating any
+    // failure: returning on the first error would abandon the other
+    // published record in its manager's commit FIFO with no waiter (its
+    // transaction would only be aborted by its destructor, mis-ordering
+    // the resolution and the error report).
     if (Status st = otxn->Publish(); !st.ok()) return fail(st);
     if (Status st = ltxn->Publish(); !st.ok()) {
-      otxn->Abort();  // unlinks the published record
+      otxn->Abort();  // withdraws the published record
       ltxn->Abort();
       return st;
     }

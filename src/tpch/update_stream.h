@@ -38,8 +38,8 @@ Status ApplyUpdateStream(const UpdateStream& stream, TpchTables* tables);
 
 /// Applies one stream through the transactional write path, grouping
 /// `orders_per_txn` refresh orders per commit on each table's manager.
-/// Several streams on distinct threads then exercise the lock-free delta
-/// publication + batched fold path concurrently (the paper's Fig. 19
+/// Several streams on distinct threads then exercise the two-phase
+/// publish + FIFO commit path concurrently (the paper's Fig. 19
 /// update load as an HTAP writer). Atomicity is per table: the orders
 /// and lineitem updates of a group commit as two transactions (for the
 /// cross-table refresh the paper's RF1/RF2 demand, use

@@ -11,10 +11,10 @@ namespace pdtstore {
 
 namespace internal {
 
-// A sealed transaction on the lock-free commit chain. The owner thread
-// fills every field before the release-CAS in PublishRecord; afterwards
-// all fields except `next` are touched only under the manager lock (the
-// fold leader that claims the chain, or the owner's abort-unlink).
+// A sealed transaction waiting in the manager's commit FIFO. The owner
+// thread fills every field before Publish() appends it under the
+// manager lock; afterwards all fields are touched only under that lock
+// (the committer that decides the FIFO, or the owner's abort).
 struct MultiDeltaRecord {
   enum State { kPublished, kCommitted, kAborted };
 
@@ -24,16 +24,9 @@ struct MultiDeltaRecord {
   // of them together: a conflict on any table aborts every table.
   std::map<std::string, std::unique_ptr<Pdt>> trans;
 
-  // Chain mode pre-encodes the WAL frames (begin, ops, commit) outside
-  // every lock; the fold appends the finished bytes in one batch. The
-  // serial_commit baseline keeps the logical records instead and
-  // encodes them under the lock — the same bytes, encoded later.
+  // The WAL frames (begin, ops, commit), encoded by Publish() outside
+  // every lock; the commit appends the finished bytes under it.
   std::vector<std::string> payloads;
-  std::vector<WalRecord> redo;
-  bool preencoded = false;
-
-  std::atomic<MultiDeltaRecord*> next{nullptr};
-  bool enqueued = false;  ///< still linked into the chain
 
   State state = kPublished;
   Status result = Status::OK();
@@ -49,7 +42,7 @@ namespace {
 // A source whose first Next() fails with a fixed status. Scan() returns
 // it instead of null — callers do not check — for a published (sealed)
 // transaction, whose Trans-PDTs have moved into the delta record where a
-// concurrent fold may be serializing them, and for an unmanaged table.
+// concurrent commit may be serializing them, and for an unmanaged table.
 class ErrorSource : public BatchSource {
  public:
   explicit ErrorSource(Status status) : status_(std::move(status)) {}
@@ -236,7 +229,7 @@ StatusOr<uint64_t> MultiTransaction::RowCount(
     const std::string& table) const {
   if (rec_ != nullptr) {
     // Sealed by Publish(): report the count as of sealing (the
-    // Trans-PDTs are off-limits — a fold may be serializing them).
+    // Trans-PDTs are off-limits — a commit may be serializing them).
     auto it = sealed_counts_.find(table);
     if (it == sealed_counts_.end()) {
       return Status::NotFound("table not managed: " + table);
@@ -287,15 +280,15 @@ Status MultiTransaction::Publish() {
   rec_->txn_id = id_;
   rec_->start_time = start_time_;
   // Seal: record per-table row counts, then move every table's
-  // Trans-PDT into the record (a fold may serialize them concurrently).
+  // Trans-PDT into the record (a commit may serialize them concurrently).
   for (auto& [name, v] : views_) {
     sealed_counts_[name] = internal::LayeredRowCount(
         v.table->store().num_rows(), Layers(v));
     rec_->trans.emplace(name, std::move(v.trans));
   }
-  if (!mgr_->opts_.serial_commit && mgr_->wal_ != nullptr) {
-    // Encode the commit's WAL frames here, outside every lock; the fold
-    // leader appends the finished bytes in one batch under the lock.
+  if (mgr_->wal_ != nullptr) {
+    // Encode the commit's WAL frames here, outside every lock; the
+    // commit appends the finished bytes under the lock.
     rec_->payloads.reserve(redo_.size() + 2);
     WalRecord b;
     b.type = WalRecordType::kBegin;
@@ -309,14 +302,10 @@ Status MultiTransaction::Publish() {
     c.type = WalRecordType::kCommit;
     c.txn_id = id_;
     rec_->payloads.push_back(Wal::EncodeRecordPayload(c));
-    rec_->preencoded = true;
-    redo_.clear();
-  } else {
-    rec_->redo = std::move(redo_);
   }
-  // The serial_commit baseline skips the chain: the committer folds its
-  // own record under the lock in AwaitCommit.
-  if (!mgr_->opts_.serial_commit) mgr_->PublishRecord(rec_.get());
+  redo_.clear();
+  std::lock_guard<std::mutex> lock(mgr_->mu_);
+  mgr_->sealed_.push_back(rec_.get());
   return Status::OK();
 }
 
@@ -440,31 +429,21 @@ void MultiTxnManager::FinishActiveLocked(uint64_t start_time) {
   --active_;
 }
 
-void MultiTxnManager::PublishRecord(MultiDeltaRecord* rec) {
-  rec->enqueued = true;
-  MultiDeltaRecord* cur = delta_head_.load(std::memory_order_relaxed);
-  do {
-    rec->next.store(cur, std::memory_order_relaxed);
-  } while (!delta_head_.compare_exchange_weak(cur, rec,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed));
-  pending_deltas_.fetch_add(1, std::memory_order_relaxed);
-}
-
 Status MultiTxnManager::AwaitVerdict(MultiDeltaRecord* rec,
                                      uint64_t* durable_upto) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (rec->state == MultiDeltaRecord::kPublished) {
-    // Undecided under the lock means the record is still on the chain
-    // (folds run entirely under mu_): this committer is the fold leader
-    // and decides the whole published batch. Committers that queued on
-    // mu_ behind the leader find their verdict already in the record.
+    // Undecided under the lock means the record is still in the FIFO:
+    // decide every sealed record ahead of it, and any behind it, in
+    // publication order. Committers that queued on mu_ behind this one
+    // find their verdict already in the record.
     const auto t0 = std::chrono::steady_clock::now();
-    if (opts_.serial_commit) {
-      CommitRecordLocked(rec);
-    } else {
-      FoldChainLocked();
+    ++fold_batches_;
+    for (MultiDeltaRecord* r : sealed_) {
+      CommitRecordLocked(r);
+      ++folded_records_;
     }
+    sealed_.clear();
     commit_lock_ns_ += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -472,30 +451,6 @@ Status MultiTxnManager::AwaitVerdict(MultiDeltaRecord* rec,
   }
   *durable_upto = rec->durable_upto;
   return rec->result;
-}
-
-void MultiTxnManager::FoldChainLocked() {
-  MultiDeltaRecord* head =
-      delta_head_.exchange(nullptr, std::memory_order_acquire);
-  if (head == nullptr) return;
-  // The chain is newest-first; reverse it so records fold in
-  // publication order (their WAL frames then appear in verdict order).
-  MultiDeltaRecord* chain = nullptr;
-  while (head != nullptr) {
-    MultiDeltaRecord* next = head->next.load(std::memory_order_relaxed);
-    head->next.store(chain, std::memory_order_relaxed);
-    chain = head;
-    head = next;
-  }
-  ++fold_batches_;
-  while (chain != nullptr) {
-    MultiDeltaRecord* next = chain->next.load(std::memory_order_relaxed);
-    chain->enqueued = false;
-    CommitRecordLocked(chain);
-    ++folded_records_;
-    pending_deltas_.fetch_sub(1, std::memory_order_relaxed);
-    chain = next;
-  }
 }
 
 void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
@@ -538,32 +493,11 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   // One begin / ops / commit frame sequence covers every table of the
   // record, so replay reapplies it atomically too.
   if (wal_ != nullptr) {
-    if (rec->preencoded) {
-      wal_->AppendEncoded(rec->payloads);
-      rec->payloads.clear();
-    } else {
-      wal_->LogBegin(rec->txn_id);
-      for (WalRecord& r : rec->redo) {
-        r.txn_id = rec->txn_id;
-        wal_->Append(r);
-      }
-      wal_->LogCommit(rec->txn_id);
-    }
-    if (writer_ != nullptr) {
-      if (opts_.group_commit) {
-        // Publish the frames now; the owner waits for durability up to
-        // this offset outside the commit lock.
-        rec->durable_upto = wal_->SizeBytes();
-      } else {
-        // Per-commit durability: flush and fsync this commit's frames
-        // before acknowledging, still under the commit lock — every
-        // commit pays its own fsync (the ablation baseline). On failure
-        // the commit is not applied in memory (the WAL health is
-        // already poisoned).
-        Status st = wal_->SyncTo(wal_->SizeBytes());
-        if (!st.ok()) return abort(st, true);
-      }
-    }
+    const uint64_t end = wal_->AppendEncoded(rec->payloads);
+    rec->payloads.clear();
+    // The owner waits for durability up to this offset outside the
+    // commit lock (group commit).
+    if (writer_ != nullptr) rec->durable_upto = end;
   }
   // Atomic visibility: fold every touched table's Trans-PDT into that
   // table's master Write-PDT under this one lock (Alg. 9 line 12).
@@ -580,7 +514,7 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   FinishActiveLocked(rec->start_time);
   // Keep the serialized Trans-PDTs alive for the transactions that are
   // still running (they overlap this commit) — including the later
-  // members of this fold batch, which are still counted active.
+  // records of this FIFO drain, which are still counted active.
   if (active_ > 0) {
     CommittedTxn entry;
     entry.commit_time = clock_;
@@ -598,59 +532,21 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
   rec->state = MultiDeltaRecord::kCommitted;
 }
 
-bool MultiTxnManager::UnlinkLocked(MultiDeltaRecord* rec) {
-  if (!rec->enqueued) return false;
-  // Folds run under mu_ and we hold it, so the record is still on the
-  // chain. Claim the chain, drop the record, splice the rest back in
-  // their original relative order. Publishes that raced the splice end
-  // up behind records that were older — both orders are valid
-  // serializations of transactions that raced each other.
-  MultiDeltaRecord* head =
-      delta_head_.exchange(nullptr, std::memory_order_acquire);
-  MultiDeltaRecord* keep_head = nullptr;
-  MultiDeltaRecord* keep_tail = nullptr;
-  while (head != nullptr) {
-    MultiDeltaRecord* next = head->next.load(std::memory_order_relaxed);
-    if (head == rec) {
-      rec->enqueued = false;
-    } else {
-      head->next.store(nullptr, std::memory_order_relaxed);
-      if (keep_tail == nullptr) {
-        keep_head = head;
-      } else {
-        keep_tail->next.store(head, std::memory_order_relaxed);
-      }
-      keep_tail = head;
-    }
-    head = next;
-  }
-  assert(!rec->enqueued && "published record missing from the chain");
-  if (keep_head != nullptr) {
-    MultiDeltaRecord* cur = delta_head_.load(std::memory_order_relaxed);
-    do {
-      keep_tail->next.store(cur, std::memory_order_relaxed);
-    } while (!delta_head_.compare_exchange_weak(cur, keep_head,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed));
-  }
-  return true;
-}
-
 void MultiTxnManager::AbortPublished(MultiTransaction* txn) {
   MultiDeltaRecord* rec = txn->rec_.get();
   std::lock_guard<std::mutex> lock(mu_);
   if (rec->state == MultiDeltaRecord::kPublished) {
-    // No fold claimed it: withdraw the record and abort normally.
-    if (UnlinkLocked(rec)) {
-      pending_deltas_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    // Still undecided, so still in the FIFO: withdraw it and abort.
+    auto it = std::find(sealed_.begin(), sealed_.end(), rec);
+    assert(it != sealed_.end() && "undecided record missing from the FIFO");
+    sealed_.erase(it);
     FinishActiveLocked(rec->start_time);
     aborted_count_.fetch_add(1, std::memory_order_relaxed);
     if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
     rec->result = Status::InvalidArgument("transaction aborted");
     rec->state = MultiDeltaRecord::kAborted;
   }
-  // Otherwise a fold already decided it; the verdict stands (a commit
+  // Otherwise a commit already decided it; the verdict stands (a commit
   // is a commit — Abort after the fact is a no-op).
   txn->finished_ = true;
 }
@@ -759,7 +655,7 @@ MultiTxnStats MultiTxnManager::GetStats() const {
   s.committed = committed_count_.load(std::memory_order_relaxed);
   s.aborted = aborted_count_.load(std::memory_order_relaxed);
   s.active = active_;
-  s.pending_deltas = pending_deltas_.load(std::memory_order_relaxed);
+  s.pending_deltas = sealed_.size();
   s.fold_batches = fold_batches_;
   s.folded_records = folded_records_;
   s.commit_lock_ns = commit_lock_ns_;
@@ -786,8 +682,8 @@ Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
   // the folds below replace the very layers they read.
   merge_cv_.wait(lock, [this] { return merges_inflight_ == 0; });
   if (active_ > 0) {
-    // Published-but-unfolded commits still count as active, so a
-    // pending delta chain also lands here.
+    // Published-but-undecided commits still count as active, so a
+    // non-empty commit FIFO also lands here.
     return Status::InvalidArgument(
         "cannot propagate/checkpoint with active transactions");
   }

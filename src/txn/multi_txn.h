@@ -24,10 +24,11 @@
 // Concurrent write path (see DESIGN.md "Concurrent write path"): commits
 // are two-phase. The build phase (positioning updates, encoding WAL
 // frames) runs outside the manager lock; Publish() seals the
-// transaction's Trans-PDTs into a delta record on a lock-free chain, and
-// the first AwaitCommit() to take the lock folds the whole chain in
-// publication order — one short critical section per batch, with every
-// member riding the WAL's group-commit fsync.
+// transaction's Trans-PDTs into a delta record and appends it to the
+// manager's commit FIFO, and the first AwaitCommit() to find its record
+// undecided runs Algorithm 9 for every sealed record in publication
+// order. The fsync waits happen outside the lock, so concurrent commits
+// share one group-commit fsync.
 //
 // Install-only propagation: an installed Read-PDT is never mutated.
 // Every Write→Read fold — inline at quiet points, incrementally on the
@@ -65,19 +66,6 @@ struct TxnManagerOptions {
   size_t write_pdt_max_entries = 4096;
   /// Checkpoint a table when its Read-PDT exceeds this many entries.
   size_t read_pdt_max_entries = 1 << 20;
-  /// Group commit (only meaningful with a WalWriter attached): commits
-  /// publish their redo frames under the commit lock, then wait for
-  /// durability together — one leader flushes and fsyncs the batch on
-  /// behalf of every waiter. When false, each commit flushes and fsyncs
-  /// its own frames before returning (the ablation baseline
-  /// bench_wal_group_commit measures).
-  bool group_commit = true;
-  /// Single-lock ablation baseline (measured by bench_write_path): every
-  /// commit takes the manager lock itself and runs the full Algorithm 9
-  /// — conflict check, WAL record encoding + append, Write-PDT fold —
-  /// under it. Off by default: commits publish to the lock-free delta
-  /// chain and are folded in batches.
-  bool serial_commit = false;
   /// Entries a background Write→Read merge folds per worker-pool task
   /// before yielding the worker (so foreground scan morsels interleave).
   size_t merge_chunk_entries = 2048;
@@ -104,9 +92,9 @@ struct MultiTxnStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   size_t active = 0;
-  size_t pending_deltas = 0;    ///< published, not yet folded
-  uint64_t fold_batches = 0;    ///< chain claims that found records
-  uint64_t folded_records = 0;  ///< records decided through folds
+  size_t pending_deltas = 0;    ///< commit FIFO depth: sealed, undecided
+  uint64_t fold_batches = 0;    ///< AwaitCommit calls that drained the FIFO
+  uint64_t folded_records = 0;  ///< records decided by those drains
   uint64_t commit_lock_ns = 0;  ///< total ns commit work held the lock
   uint64_t wal_syncs = 0;       ///< fsyncs through the attached writer
   uint64_t wal_records = 0;
@@ -162,21 +150,22 @@ class MultiTransaction {
   Status Commit();
 
   /// First half of the two-phase commit: seals every table's Trans-PDT
-  /// into one delta record and publishes it onto the manager's lock-free
-  /// commit chain — no lock is taken and no verdict is produced yet.
-  /// After Publish() the transaction accepts no further updates or
+  /// into one delta record, encodes its WAL frames outside the lock, and
+  /// appends it to the manager's commit FIFO — no verdict is produced
+  /// yet. After Publish() the transaction accepts no further updates or
   /// reads; the only legal follow-ups are AwaitCommit() and Abort()
-  /// (which unlinks the record if no fold claimed it yet).
+  /// (which withdraws the record if it is still undecided).
   Status Publish();
 
-  /// Second half: drives or awaits the fold that decides this record
-  /// (all tables together — the verdict is all-or-nothing), then waits
-  /// for WAL durability (group commit).
+  /// Second half: if the record is still undecided, decides every sealed
+  /// record in FIFO order (all tables of a record together — the verdict
+  /// is all-or-nothing), then waits for WAL durability outside the lock
+  /// (group commit).
   Status AwaitCommit();
 
-  /// Discards all buffered updates. After Publish(), unlinks the
-  /// published record if it has not been folded; if a fold already
-  /// committed it, the commit stands and Abort is a no-op.
+  /// Discards all buffered updates. After Publish(), withdraws the
+  /// record from the FIFO if it is undecided; if a commit already
+  /// decided it, the verdict stands and Abort is a no-op.
   void Abort();
 
   // ------------------------------------------------------------------
@@ -194,8 +183,6 @@ class MultiTransaction {
 
   uint64_t id() const { return id_; }
   bool finished() const { return finished_; }
-  /// True between Publish() and the verdict (or unlink).
-  bool published() const { return rec_ != nullptr && !finished_; }
 
  private:
   friend class MultiTxnManager;
@@ -238,11 +225,12 @@ class MultiTransaction {
   mutable std::map<std::string, TableView> views_;
   // Logical redo records for the WAL, in op order (until Publish).
   std::vector<WalRecord> redo_;
-  // The published delta record; owned here, linked into the manager's
-  // chain until a fold (or an abort-unlink) takes it out.
+  // The published delta record; owned here, queued in the manager's
+  // commit FIFO until a commit decides it (or an abort withdraws it).
   std::unique_ptr<internal::MultiDeltaRecord> rec_;
   // RowCount() per table as of Publish() — the sealed Trans-PDTs may be
-  // concurrently serialized by a fold, so they are off-limits.
+  // concurrently serialized by another thread's AwaitCommit, so they are
+  // off-limits.
   std::map<std::string, uint64_t> sealed_counts_;
   bool finished_ = false;
 };
@@ -342,32 +330,22 @@ class MultiTxnManager {
   // Caller holds mu_.
   MultiTransaction::TableView MakeViewLocked(TableState* st);
 
-  // --- delta-chain commit path ---
-  // Lock-free: prepends the record to the commit chain (release CAS).
-  void PublishRecord(internal::MultiDeltaRecord* rec);
+  // --- commit path ---
   // Blocks until `rec` has a verdict: takes the lock and, if the record
-  // is still undecided, folds the whole published chain (this committer
-  // is the fold leader; everyone folded rides the same fsync). In
-  // serial_commit mode folds just this record — the single-lock
-  // baseline. Returns the verdict; `*durable_upto` is the WAL offset to
+  // is still undecided, decides every record in the FIFO in publication
+  // order. Returns the verdict; `*durable_upto` is the WAL offset to
   // sync outside the lock (0 = nothing to wait for).
   Status AwaitVerdict(internal::MultiDeltaRecord* rec,
                       uint64_t* durable_upto);
-  // Claims the chain (atomic exchange) and commits every record in
-  // publication order. Caller holds mu_.
-  void FoldChainLocked();
   // Algorithm 9 for one record, across all its tables: per-table
   // conflict check against TZ, WAL append, fold into each table's
   // Write-PDT — all-or-nothing. Verdict lands in the record. Caller
   // holds mu_.
   void CommitRecordLocked(internal::MultiDeltaRecord* rec);
-  // Abort of a published transaction: unlink from the chain if still
-  // there, else honor the fold's verdict. Caller is the owning thread.
+  // Abort of a published transaction: withdraw the record from the FIFO
+  // if still undecided, else honor the verdict. Caller is the owning
+  // thread.
   void AbortPublished(MultiTransaction* txn);
-  // Removes `rec` from the chain, preserving the others' order (they are
-  // spliced back; concurrent lock-free publishes keep their records).
-  // Caller holds mu_. Returns false if a fold already claimed it.
-  bool UnlinkLocked(internal::MultiDeltaRecord* rec);
   // TZ refcount release + active_ decrement for a finishing txn.
   void FinishActiveLocked(uint64_t start_time);
 
@@ -397,10 +375,8 @@ class MultiTxnManager {
   std::vector<Table*> claimed_;
   std::map<std::string, TableState> state_;
 
-  // The lock-free commit chain: newest record first; only PublishRecord
-  // runs without mu_ (claims and splices happen under it).
-  std::atomic<internal::MultiDeltaRecord*> delta_head_{nullptr};
-  std::atomic<size_t> pending_deltas_{0};
+  // Sealed, undecided records in publication order (under mu_).
+  std::deque<internal::MultiDeltaRecord*> sealed_;
 
   uint64_t clock_ = 1;  // logical commit clock
   uint64_t next_txn_id_ = 1;

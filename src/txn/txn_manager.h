@@ -1,6 +1,6 @@
 // Single-table transactions: TxnManager is the one-table case of the
 // commit engine in txn/multi_txn.h. Same three PDT layers (Sec. 3.3,
-// Fig. 14/15), same Algorithm 9, same delta chain, fold leader,
+// Fig. 14/15), same Algorithm 9, same commit FIFO, group commit,
 // background merge and install-only Write→Read propagation — these
 // classes only drop the table-name argument from every call.
 #ifndef PDTSTORE_TXN_TXN_MANAGER_H_
@@ -66,8 +66,6 @@ class Transaction {
 
   uint64_t id() const { return txn_->id(); }
   bool finished() const { return txn_->finished(); }
-  /// True between Publish() and the verdict (or unlink).
-  bool published() const { return txn_->published(); }
 
  private:
   friend class TxnManager;
@@ -85,9 +83,9 @@ struct TxnManagerStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;
   size_t active = 0;
-  size_t pending_deltas = 0;      ///< published, not yet folded
-  uint64_t fold_batches = 0;      ///< chain claims that found records
-  uint64_t folded_records = 0;    ///< records decided through folds
+  size_t pending_deltas = 0;      ///< commit FIFO depth: sealed, undecided
+  uint64_t fold_batches = 0;      ///< AwaitCommit calls that drained the FIFO
+  uint64_t folded_records = 0;    ///< records decided by those drains
   uint64_t commit_lock_ns = 0;    ///< total ns commit work held the lock
   size_t read_pdt_entries = 0;
   size_t write_pdt_entries = 0;

@@ -61,7 +61,7 @@ struct WalRecord {
 
 /// Append-only sink for framed WAL bytes: a WritableFile opened in
 /// append mode plus an explicit Sync() — the durability point commits
-/// wait on. Counts fsyncs so the group-commit ablation can report
+/// wait on. Counts fsyncs so the write-path bench can report
 /// syncs-per-transaction honestly.
 class WalWriter {
  public:

@@ -155,7 +155,6 @@ void RunIteration(uint64_t seed) {
   {
     DatabaseOptions opts;
     opts.fs = &fs;
-    opts.txn_defaults.group_commit = rng.Bernoulli(0.5);
     auto db = Database::Open(dir, opts);
     if (db.ok() && !(*db)->read_only()) {
       auto mgr = (*db)->Txn("fuzz");

@@ -132,10 +132,11 @@ TEST(DifferentialFuzz, SerialAndParallelPlansAgree) {
 
 // ---------------------------------------------------------------------
 // Concurrent write path: N writer threads publish seeded update batches
-// lock-free while reader threads scan pinned snapshots. The WAL is the
-// committed sequence in fold order, so replaying it serially into a
-// fresh table must reproduce the concurrent final state exactly — any
-// lost delta record, mis-ordered fold, or torn snapshot diverges.
+// into the commit FIFO while reader threads scan pinned snapshots. The
+// WAL is the committed sequence in decision order, so replaying it
+// serially into a fresh table must reproduce the concurrent final state
+// exactly — any lost delta record, mis-ordered commit, or torn snapshot
+// diverges.
 
 std::shared_ptr<const Schema> WriteFuzzSchema() {
   auto s = Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}}, {0});
@@ -163,7 +164,6 @@ void RunConcurrentWriteIteration(uint64_t seed) {
   for (int64_t i = 0; i < init_rows; ++i) init.push_back({i * 2, i});
 
   TxnManagerOptions opts;
-  opts.group_commit = true;
   // Small Write-PDT cap + tiny merge chunks: background merges fire
   // mid-workload, so readers cross the four-layer snapshot stack.
   opts.write_pdt_max_entries = 4 + rng.Uniform(28);
@@ -212,9 +212,9 @@ void RunConcurrentWriteIteration(uint64_t seed) {
             txn->Abort();
             break;
           case 1:
-            // Abort after lock-free publication: the record must be
-            // unlinked from the chain (or already folded; either way
-            // the WAL stays the ground truth).
+            // Abort after publication: the record must be withdrawn
+            // from the FIFO (or already decided; either way the WAL
+            // stays the ground truth).
             (void)txn->Publish();
             txn->Abort();
             break;
@@ -336,7 +336,6 @@ void RunMultiTableWriteIteration(uint64_t seed) {
   }
 
   TxnManagerOptions opts;
-  opts.group_commit = true;
   opts.write_pdt_max_entries = 4 + rng.Uniform(28);
   opts.merge_chunk_entries = 1 + rng.Uniform(8);
 
@@ -386,7 +385,7 @@ void RunMultiTableWriteIteration(uint64_t seed) {
             txn->Abort();
             break;
           case 1:
-            (void)txn->Publish();  // then withdraw from the chain
+            (void)txn->Publish();  // then withdraw from the FIFO
             txn->Abort();
             break;
           default: {

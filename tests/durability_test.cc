@@ -601,7 +601,8 @@ TEST(DatabaseDurabilityTest, FsyncFailurePoisonsLaterCommits) {
   FaultInjectingFs fs(FileSystem::Default());
   DatabaseOptions opts;
   opts.fs = &fs;
-  opts.txn_defaults.group_commit = false;  // deterministic: sync in commit
+  // One committer, so its own AwaitCommit leads the fsync that fails:
+  // the failure reaches this commit deterministically.
   auto db = Database::Open(dir, opts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->CreateTable("inventory", InventorySchema()).ok());
@@ -626,9 +627,7 @@ TEST(DatabaseDurabilityTest, GroupCommitAcknowledgedCommitsSurviveReopen) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 25;
   {
-    DatabaseOptions opts;
-    opts.txn_defaults.group_commit = true;
-    auto db = Database::Open(dir, opts);
+    auto db = Database::Open(dir);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->CreateTable("inventory", InventorySchema()).ok());
     auto mgr = (*db)->Txn("inventory");
@@ -694,7 +693,6 @@ TEST(DatabaseDurabilityTest, SaveAfterFsyncFailureRestoresDurability) {
   FaultInjectingFs fs(FileSystem::Default());
   DatabaseOptions opts;
   opts.fs = &fs;
-  opts.txn_defaults.group_commit = true;
   {
     auto db = Database::Open(dir, opts);
     ASSERT_TRUE(db.ok()) << db.status().ToString();

@@ -92,8 +92,8 @@ TEST(HtapScenarioTest, DeterministicSmallScaleRunReplaysFromWal) {
 }
 
 // The acceptance property, forced deterministically: two refresh-group
-// transactions collide on orders only. Both publish onto the commit
-// chain; the first AwaitCommit folds the whole chain in publication
+// transactions collide on orders only. Both publish into the commit
+// FIFO; the first AwaitCommit decides the whole FIFO in publication
 // order, so A commits and B loses the write-write race on orders — and
 // B's lineitem rows, which conflicted with nothing, must vanish with
 // it (orders committed <=> lineitem committed, never half a group).
@@ -129,13 +129,13 @@ TEST(HtapScenarioTest, CrossTableRefreshGroupAtomicUnderForcedConflict) {
   ASSERT_TRUE(a->Publish().ok());
   ASSERT_TRUE(b->Publish().ok());
   EXPECT_EQ(mgr.GetStats().pending_deltas, 2u);
-  // A's await claims the chain and folds both records in publication
-  // order: A commits, then B fails serialization against A on orders.
+  // A's await decides both records in publication order: A commits,
+  // then B fails serialization against A on orders.
   ASSERT_TRUE(a->AwaitCommit().ok());
   Status st = b->AwaitCommit();
   EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
 
-  // No record may be left behind on the chain, decided or not.
+  // No record may be left behind in the FIFO, decided or not.
   MultiTxnStats stats = mgr.GetStats();
   EXPECT_EQ(stats.pending_deltas, 0u);
   EXPECT_EQ(mgr.committed_count(), 1u);
@@ -181,8 +181,8 @@ TEST(HtapScenarioTest, RefreshGroupRetriesAfterPublishedConflict) {
   const uint64_t orders_before = tables->orders->RowCount();
 
   // Publish (but leave undecided) a transaction that beats the group to
-  // its first delete key; the group folds it first and loses the
-  // write-write race on that orders position.
+  // its first delete key; the group's AwaitCommit decides it first, and
+  // the group loses the write-write race on that orders position.
   const tpch::GeneratedOrder& contested = deletes[0];
   auto spoiler = mgr.Begin();
   ASSERT_TRUE(spoiler

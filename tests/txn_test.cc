@@ -403,13 +403,13 @@ TEST_F(TxnTest, QueryPdtUpdatesCompose) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent write path: delta publication, batched fold, background
-// Write->Read propagation.
+// Concurrent write path: the commit FIFO, decisions in publication
+// order, background Write->Read propagation.
 // ---------------------------------------------------------------------
 
 TEST_F(TxnTest, PublishedBatchFoldsUnderOneLeader) {
-  // Two transactions publish lock-free; the first AwaitCommit becomes
-  // the fold leader and decides BOTH records in one batch.
+  // Two transactions publish into the commit FIFO; the first
+  // AwaitCommit decides BOTH records in one drain.
   auto a = mgr_->Begin();
   auto b = mgr_->Begin();
   ASSERT_TRUE(a->Insert({"Berlin", "table", "Y", 10}).ok());
@@ -433,7 +433,7 @@ TEST_F(TxnTest, PublishedBatchFoldsUnderOneLeader) {
   EXPECT_EQ(s.fold_batches, 1u);
   EXPECT_EQ(s.folded_records, 2u);
   EXPECT_TRUE(s.last_merge_error.ok()) << s.last_merge_error.ToString();
-  // b's verdict was decided by a's fold; AwaitCommit just reads it.
+  // b's verdict was decided by a's drain; AwaitCommit just reads it.
   ASSERT_TRUE(b->AwaitCommit().ok());
   EXPECT_EQ(mgr_->committed_count(), 2u);
   auto check = mgr_->Begin();
@@ -441,9 +441,9 @@ TEST_F(TxnTest, PublishedBatchFoldsUnderOneLeader) {
 }
 
 TEST_F(TxnTest, ConflictDecidedAcrossFoldBoundary) {
-  // Both sides of a write-write conflict publish before either folds:
-  // the leader commits the first record and aborts the second, in
-  // publication order.
+  // Both sides of a write-write conflict publish before either is
+  // decided: the first AwaitCommit commits the first record and aborts
+  // the second, in publication order.
   auto a = mgr_->Begin();
   auto b = mgr_->Begin();
   ASSERT_TRUE(
@@ -462,8 +462,8 @@ TEST_F(TxnTest, ConflictDecidedAcrossFoldBoundary) {
 }
 
 TEST_F(TxnTest, AbortUnlinksPublishedRecordBeforeFold) {
-  // A published-but-unfolded record withdraws cleanly: the neighbours
-  // it was chained with still commit.
+  // A published-but-undecided record withdraws cleanly: its neighbours
+  // in the commit FIFO still commit.
   auto a = mgr_->Begin();
   auto b = mgr_->Begin();
   auto c = mgr_->Begin();
@@ -473,7 +473,7 @@ TEST_F(TxnTest, AbortUnlinksPublishedRecordBeforeFold) {
   ASSERT_TRUE(a->Publish().ok());
   ASSERT_TRUE(b->Publish().ok());
   ASSERT_TRUE(c->Publish().ok());
-  b->Abort();  // unlink from the middle of the chain
+  b->Abort();  // withdraw from the middle of the FIFO
   EXPECT_TRUE(b->finished());
   EXPECT_EQ(mgr_->GetStats().pending_deltas, 2u);
   ASSERT_TRUE(a->AwaitCommit().ok());
@@ -487,15 +487,16 @@ TEST_F(TxnTest, AbortUnlinksPublishedRecordBeforeFold) {
 }
 
 TEST_F(TxnTest, AbortAfterFoldIsANoOp) {
-  // If a fold already committed the record, the commit stands: Abort
-  // afterwards must not undo it or double-release TZ references.
+  // If another AwaitCommit already committed the record, the commit
+  // stands: Abort afterwards must not undo it or double-release TZ
+  // references.
   auto a = mgr_->Begin();
   auto b = mgr_->Begin();
   ASSERT_TRUE(a->Insert({"A2", "p", "Y", 1}).ok());
   ASSERT_TRUE(b->Insert({"B2", "p", "Y", 2}).ok());
   ASSERT_TRUE(a->Publish().ok());
   ASSERT_TRUE(b->Publish().ok());
-  ASSERT_TRUE(a->AwaitCommit().ok());  // folds b's record too
+  ASSERT_TRUE(a->AwaitCommit().ok());  // decides b's record too
   b->Abort();                          // verdict already committed
   EXPECT_TRUE(b->finished());
   EXPECT_EQ(mgr_->committed_count(), 2u);
@@ -504,29 +505,37 @@ TEST_F(TxnTest, AbortAfterFoldIsANoOp) {
   EXPECT_TRUE(check->GetByKey({Value("B2"), Value("p")}).ok());
 }
 
-TEST_F(TxnTest, SerialCommitModeMatchesDeltaChain) {
-  // The single-lock ablation baseline produces the same state and WAL
-  // byte sequence as the delta chain for a serial workload.
-  Wal serial_wal;
-  Table serial_table("inventory", schema_, TableOptions{});
-  ASSERT_TRUE(serial_table.Load(InventoryRows()).ok());
-  TxnManagerOptions opts;
-  opts.serial_commit = true;
-  TxnManager serial_mgr(&serial_table, &serial_wal, opts);
-  for (int i = 0; i < 4; ++i) {
-    auto chain_txn = mgr_->Begin();
-    auto serial_txn = serial_mgr.Begin();
-    Tuple row = {"S" + std::to_string(i), "p", "Y", i};
-    ASSERT_TRUE(chain_txn->Insert(row).ok());
-    ASSERT_TRUE(serial_txn->Insert(row).ok());
-    ASSERT_TRUE(chain_txn->Commit().ok());
-    ASSERT_TRUE(serial_txn->Commit().ok());
-  }
+TEST_F(TxnTest, AwaitOnLaterRecordDecidesEarlierFirst) {
+  // Awaiting the newest record decides every record published before
+  // it, in publication order: the WAL's commit markers read a, b, c.
   auto a = mgr_->Begin();
-  auto b = serial_mgr.Begin();
-  EXPECT_EQ(TxnScan(*a, *schema_), TxnScan(*b, *schema_));
-  EXPECT_EQ(wal_.RecordCount(), serial_wal.RecordCount());
-  EXPECT_EQ(wal_.SizeBytes(), serial_wal.SizeBytes());
+  auto b = mgr_->Begin();
+  auto c = mgr_->Begin();
+  ASSERT_TRUE(a->Insert({"A3", "p", "Y", 1}).ok());
+  ASSERT_TRUE(b->Insert({"B3", "p", "Y", 2}).ok());
+  ASSERT_TRUE(c->Insert({"C3", "p", "Y", 3}).ok());
+  ASSERT_TRUE(a->Publish().ok());
+  ASSERT_TRUE(b->Publish().ok());
+  ASSERT_TRUE(c->Publish().ok());
+  ASSERT_TRUE(c->AwaitCommit().ok());
+  // a and b were decided by c's call, before their own AwaitCommit.
+  EXPECT_EQ(mgr_->committed_count(), 3u);
+  TxnManagerStats s = mgr_->GetStats();
+  EXPECT_EQ(s.pending_deltas, 0u);
+  EXPECT_EQ(s.fold_batches, 1u);
+  EXPECT_EQ(s.folded_records, 3u);
+  std::vector<uint64_t> commits;
+  ASSERT_TRUE(wal_.Replay([&](const WalRecord& r) -> Status {
+                    if (r.type == WalRecordType::kCommit) {
+                      commits.push_back(r.txn_id);
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(commits, (std::vector<uint64_t>{a->id(), b->id(), c->id()}));
+  ASSERT_TRUE(a->AwaitCommit().ok());
+  ASSERT_TRUE(b->AwaitCommit().ok());
+  EXPECT_EQ(mgr_->committed_count(), 3u);
 }
 
 TEST_F(TxnTest, BackgroundMergeKeepsReaderSnapshotStable) {

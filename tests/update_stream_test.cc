@@ -3,7 +3,7 @@
 // delete keys by clamping), NotFound-delete idempotence through the
 // multi-table refresh API, and the two-table ApplyUpdateStreamTxn
 // failure path — a commit failing on one table of the pair must leave
-// no abandoned published record on either manager's chain.
+// no abandoned published record in either manager's commit FIFO.
 #include "tpch/update_stream.h"
 
 #include <gtest/gtest.h>
@@ -126,9 +126,9 @@ TEST(UpdateStreamMultiTxnTest, DeletesAreIdempotentAcrossReapplies) {
 
 // Regression for the abandoned-transaction bug: ApplyUpdateStreamTxn
 // used to return as soon as the orders-side AwaitCommit failed, leaving
-// the already-published lineitem transaction dangling on its manager's
-// delta chain. A poisoned WAL fails BOTH commits of the pair; the
-// helper must resolve both before reporting, so neither chain retains
+// the already-published lineitem transaction dangling in its manager's
+// commit FIFO. A poisoned WAL fails BOTH commits of the pair; the
+// helper must resolve both before reporting, so neither FIFO retains
 // a published record.
 TEST(UpdateStreamTxnTest, WalFailureResolvesBothTablesOfThePair) {
   Database db;
@@ -144,10 +144,8 @@ TEST(UpdateStreamTxnTest, WalFailureResolvesBothTablesOfThePair) {
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
 
   Wal wal;
-  TxnManagerOptions topts;
-  topts.group_commit = true;
-  TxnManager orders_mgr(tables->orders, &wal, topts);
-  TxnManager lineitem_mgr(tables->lineitem, &wal, topts);
+  TxnManager orders_mgr(tables->orders, &wal);
+  TxnManager lineitem_mgr(tables->lineitem, &wal);
   orders_mgr.SetWalWriter(writer->get());
   lineitem_mgr.SetWalWriter(writer->get());
 
@@ -159,7 +157,8 @@ TEST(UpdateStreamTxnTest, WalFailureResolvesBothTablesOfThePair) {
   EXPECT_FALSE(orders_mgr.wal_status().ok());
 
   // The heart of the regression: no published record may be left
-  // undecided on either chain, and no transaction may still be active.
+  // undecided in either commit FIFO, and no transaction may still be
+  // active.
   TxnManagerStats os = orders_mgr.GetStats();
   TxnManagerStats ls = lineitem_mgr.GetStats();
   EXPECT_EQ(os.pending_deltas, 0u);
