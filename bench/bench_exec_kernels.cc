@@ -2,14 +2,16 @@
 // survivor compaction, selection gather, hash aggregation and hash join,
 // each measured against the baseline the engine used before (per-value
 // TypeId dispatch via Batch::AppendRow, string-encoded group keys via
-// std::unordered_map, a node-based join table). Emits BENCH_exec.json
-// for machine consumption.
+// std::unordered_map, a node-based join table), plus stable-chunk decode
+// throughput per encoding. Emits BENCH_exec.json for machine consumption.
 //
 // Usage: bench_exec_kernels [--rows=1000000] [--reps=5]
 //                           [--json=BENCH_exec.json]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -23,6 +25,7 @@
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "storage/chunk.h"
 
 namespace pdtstore {
 namespace bench {
@@ -579,6 +582,138 @@ double DrainAllColumnsMs(const void* p) {
   return ms;
 }
 
+// ------------------------------------------------------------------
+// Chunk decode: every stable chunk of a table with one column per
+// encoding, decoded through DecodeChunk with keep_encoded as a buffer
+// pool miss does. Reported per encoding in M values/s, and as a ratio
+// to a memcpy of the same decoded bytes in the same run.
+// ------------------------------------------------------------------
+
+struct DecodeColumnSpec {
+  const char* name;
+  TypeId type;
+  Encoding encoding;
+};
+
+// Column order of BuildDecodeTable's schema.
+constexpr DecodeColumnSpec kDecodeColumns[] = {
+    {"plain_double", TypeId::kDouble, Encoding::kPlain},
+    {"for", TypeId::kInt64, Encoding::kForBitPack},
+    {"delta", TypeId::kInt64, Encoding::kDeltaVarint},
+    {"dict", TypeId::kString, Encoding::kDict},
+    {"rle", TypeId::kInt64, Encoding::kRle},
+};
+
+std::unique_ptr<Table> BuildDecodeTable(size_t rows) {
+  std::vector<ColumnDef> defs;
+  TableOptions opts;
+  for (const auto& c : kDecodeColumns) {
+    defs.push_back({c.name, c.type});
+    opts.store.forced_encodings.push_back(c.encoding);
+  }
+  // The delta column is the sort key: ascending with gaps of 1..1000.
+  auto s = Schema::Make(std::move(defs), {2});
+  auto t = std::make_unique<Table>(
+      "decode", std::make_shared<const Schema>(std::move(*s)), opts);
+  std::vector<std::string> names;
+  for (int g = 0; g < 100; ++g) {
+    names.push_back("SHIPMODE_" + std::to_string(g));
+  }
+  Random rng(31);
+  std::vector<ColumnVector> data;
+  for (const auto& c : kDecodeColumns) data.emplace_back(c.type);
+  auto& d = data[0].doubles();
+  auto& f = data[1].ints();
+  auto& k = data[2].ints();
+  auto& g = data[3].strings();
+  auto& r = data[4].ints();
+  int64_t key = 0;
+  int64_t run_value = 0;
+  size_t run_left = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    d.push_back(rng.NextDouble() * 1e5);
+    f.push_back(static_cast<int64_t>(rng.Uniform(50000)));
+    key += 1 + static_cast<int64_t>(rng.Uniform(1000));
+    k.push_back(key);
+    g.push_back(names[rng.Uniform(names.size())]);
+    if (run_left == 0) {
+      run_left = 8 + rng.Uniform(57);  // runs of 8..64 rows
+      run_value = static_cast<int64_t>(rng.Uniform(1000));
+    }
+    r.push_back(run_value);
+    --run_left;
+  }
+  if (!t->LoadColumns(std::move(data)).ok()) std::abort();
+  for (ColumnId c = 0; c < std::size(kDecodeColumns); ++c) {
+    if (t->store().chunk_meta(c, 0).encoding != kDecodeColumns[c].encoding) {
+      std::abort();  // a forced encoding fell back to plain
+    }
+  }
+  return t;
+}
+
+// Decodes every chunk of column `col` once; returns the elapsed ms.
+double DecodeColumnChunksMs(const ColumnStore& store, ColumnId col) {
+  Stopwatch sw;
+  ColumnVector out;
+  size_t rows = 0;
+  for (size_t ci = 0; ci < store.num_chunks(); ++ci) {
+    if (!DecodeChunk(store.chunk_meta(col, ci), &out, true).ok()) {
+      std::abort();
+    }
+    rows += out.size();
+  }
+  double ms = sw.ElapsedMillis();
+  if (rows == 0) std::abort();
+  return ms;
+}
+
+void RunChunkDecode(JsonResultWriter* json, size_t rows, int reps) {
+  auto table = BuildDecodeTable(rows);
+  const ColumnStore& store = table->store();
+  const size_t ncols = std::size(kDecodeColumns);
+  size_t decoded_bytes = 0;
+  for (ColumnId c = 0; c < ncols; ++c) {
+    for (size_t ci = 0; ci < store.num_chunks(); ++ci) {
+      ColumnVector out;
+      if (!DecodeChunk(store.chunk_meta(c, ci), &out, true).ok()) {
+        std::abort();
+      }
+      decoded_bytes += out.ByteSize();
+    }
+  }
+  std::vector<double> best(ncols, std::numeric_limits<double>::infinity());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (ColumnId c = 0; c < ncols; ++c) {
+      best[c] = std::min(best[c], DecodeColumnChunksMs(store, c));
+    }
+  }
+  std::vector<char> src(decoded_bytes, 1), dst(decoded_bytes);
+  double copy_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch sw;
+    std::memcpy(dst.data(), src.data(), decoded_bytes);
+    copy_ms = std::min(copy_ms, sw.ElapsedMillis());
+    if (dst[decoded_bytes / 2] != 1) std::abort();
+  }
+  double decode_ms = 0;
+  for (double ms : best) decode_ms += ms;
+  std::printf("%-24s %10.2f ms decode vs %8.2f ms memcpy of %.1f MB   "
+              "%5.1fx\n",
+              "chunk_decode", decode_ms, copy_ms, decoded_bytes / 1e6,
+              decode_ms / copy_ms);
+  json->Metric("chunk_decode", "rows", static_cast<double>(rows));
+  json->Metric("chunk_decode", "decode_ms", decode_ms);
+  for (ColumnId c = 0; c < ncols; ++c) {
+    const double mvals = static_cast<double>(rows) / best[c] / 1e3;
+    std::printf("  %-22s %10.1f M values/s\n", kDecodeColumns[c].name, mvals);
+    json->Metric("chunk_decode",
+                 std::string(kDecodeColumns[c].name) + "_mvals_per_s", mvals);
+  }
+  json->Metric("chunk_decode", "copy_ms", copy_ms);
+  json->Metric("chunk_decode", "decode_over_copy", decode_ms / copy_ms);
+}
+
 void Report(JsonResultWriter* json, const char* name, size_t rows,
             double base_ms, double kern_ms) {
   double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
@@ -814,6 +949,8 @@ int main(int argc, char** argv) {
     json.Metric("merge_scan_sparse", "clean_ms", clean_ms);
     json.Metric("merge_scan_sparse", "pdt_over_clean", pdt_ms / clean_ms);
   }
+
+  RunChunkDecode(&json, rows, reps);
 
   if (json.WriteFile(json_path)) {
     std::printf("\nwrote %s\n", json_path.c_str());

@@ -268,10 +268,11 @@ class Shell {
       }
       const IoStats& io = db_->io_stats();
       std::printf("  buffer pool: bytes_read=%llu chunks_read=%llu "
-                  "hits=%llu\n",
+                  "hits=%llu decode_ns=%llu\n",
                   static_cast<unsigned long long>(io.bytes_read),
                   static_cast<unsigned long long>(io.chunks_read),
-                  static_cast<unsigned long long>(io.hits));
+                  static_cast<unsigned long long>(io.hits),
+                  static_cast<unsigned long long>(io.decode_ns));
       WorkloadStats ws = WorkloadManager::Global().GetStats();
       std::printf("  workload: admitted=%llu completed=%llu rejected=%llu "
                   "active=%llu queued=%llu (peak %llu)\n"
@@ -291,10 +292,12 @@ class Shell {
     }
     if (cmd == "io") {
       const IoStats& io = db_->io_stats();
-      std::printf("  bytes_read=%llu chunks_read=%llu hits=%llu\n",
+      std::printf("  bytes_read=%llu chunks_read=%llu hits=%llu "
+                  "decode_ns=%llu\n",
                   static_cast<unsigned long long>(io.bytes_read),
                   static_cast<unsigned long long>(io.chunks_read),
-                  static_cast<unsigned long long>(io.hits));
+                  static_cast<unsigned long long>(io.hits),
+                  static_cast<unsigned long long>(io.decode_ns));
       return Status::OK();
     }
     if (t.size() < 2) return Status::InvalidArgument("missing table name");

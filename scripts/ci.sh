@@ -150,11 +150,14 @@ check_keys() {
 }
 keys_ok=1
 # merge_scan_sparse records the zero-copy merge gain (PDT scan vs its
-# checkpointed twin); it must stay in the committed artifact.
-if ! bench_names BENCH_exec.json | grep -qxF merge_scan_sparse; then
-  echo "bench key check FAILED: BENCH_exec.json lacks merge_scan_sparse"
-  keys_ok=0
-fi
+# checkpointed twin) and chunk_decode the decode kernels' throughput per
+# encoding; both must stay in the committed artifact.
+for required in merge_scan_sparse chunk_decode; do
+  if ! bench_names BENCH_exec.json | grep -qxF "$required"; then
+    echo "bench key check FAILED: BENCH_exec.json lacks $required"
+    keys_ok=0
+  fi
+done
 check_keys BENCH_exec.json "the benches" \
     "$BUILD_DIR/BENCH_exec_smoke.json" "$BUILD_DIR/BENCH_fig17_smoke.json"
 check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
@@ -224,7 +227,7 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan build (assertions on) + durability/crash-recovery/join/merge tests =="
+  echo "== asan build (assertions on) + durability/crash-recovery/join/merge/decode tests =="
   # AddressSanitizer over the durability path: the WAL frame codec and
   # recovery scanner parse attacker-shaped (torn / bit-flipped) bytes,
   # and the crash fuzzer tears writes at arbitrary offsets — exactly
@@ -249,13 +252,18 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # index arithmetic where an off-by-one reads past a vector.
   # merge_scan_test and pipeline_test run here because merged scan
   # output borrows slices of pool-owned chunks through every PDT layer.
+  # encoding_test and storage_test run here because the chunk decode
+  # kernels write through raw pointers into sized vectors and load 8-byte
+  # words near the payload's end; the suites feed them truncated and
+  # hostile payloads, where an out-of-bounds read or write would hide.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
       compressed_exec_test memory_budget_test exec_test \
-      parallel_sort_join_test merge_scan_test pipeline_test
+      parallel_sort_join_test merge_scan_test pipeline_test \
+      encoding_test storage_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test|encoding_test|storage_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

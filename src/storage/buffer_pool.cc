@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <chrono>
+
 namespace pdtstore {
 
 StatusOr<std::shared_ptr<const ColumnVector>> BufferPool::Fetch(
@@ -20,7 +22,12 @@ StatusOr<std::shared_ptr<const ColumnVector>> BufferPool::Fetch(
   // chunks in parallel; a racing decode of the same chunk is resolved
   // below (first insert wins, the loser's copy is dropped).
   auto decoded = std::make_shared<ColumnVector>();
+  const auto t0 = std::chrono::steady_clock::now();
   PDT_RETURN_NOT_OK(DecodeChunk(chunk, decoded.get(), keep_encoded));
+  const std::chrono::nanoseconds decode_time =
+      std::chrono::steady_clock::now() - t0;
+  decode_ns_.fetch_add(static_cast<uint64_t>(decode_time.count()),
+                       std::memory_order_relaxed);
   size_t bytes = decoded->ByteSize();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);

@@ -24,6 +24,7 @@ struct IoStats {
   uint64_t hits = 0;            ///< pool hits (no I/O)
   uint64_t chunks_skipped = 0;  ///< chunks zone-map-pruned, never fetched
   uint64_t bytes_skipped = 0;   ///< encoded bytes of pruned chunks
+  uint64_t decode_ns = 0;       ///< time spent decoding missed chunks
 
   void Reset() { *this = IoStats{}; }
 };
@@ -45,7 +46,8 @@ class BufferPool {
       : capacity_bytes_(capacity_bytes) {}
 
   /// Returns the decoded values of `chunk`, from cache or by "reading"
-  /// (miss: counts chunk.DiskBytes() into the I/O stats and decodes).
+  /// (miss: counts chunk.DiskBytes() into the I/O stats and decodes,
+  /// adding the decode's wall time to IoStats::decode_ns).
   /// With `keep_encoded`, a miss decodes to the compressed-execution
   /// representation (dictionary codes / RLE sidecar) instead of plain
   /// values; the flag must be stable per pool key (it is: it comes from
@@ -71,6 +73,7 @@ class BufferPool {
     s.hits = hits_.load(std::memory_order_relaxed);
     s.chunks_skipped = chunks_skipped_.load(std::memory_order_relaxed);
     s.bytes_skipped = bytes_skipped_.load(std::memory_order_relaxed);
+    s.decode_ns = decode_ns_.load(std::memory_order_relaxed);
     return s;
   }
   void ResetStats() {
@@ -79,6 +82,7 @@ class BufferPool {
     hits_.store(0, std::memory_order_relaxed);
     chunks_skipped_.store(0, std::memory_order_relaxed);
     bytes_skipped_.store(0, std::memory_order_relaxed);
+    decode_ns_.store(0, std::memory_order_relaxed);
   }
 
   size_t cached_bytes() const {
@@ -109,6 +113,7 @@ class BufferPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> chunks_skipped_{0};
   std::atomic<uint64_t> bytes_skipped_{0};
+  std::atomic<uint64_t> decode_ns_{0};
 };
 
 }  // namespace pdtstore

@@ -48,26 +48,9 @@ Status GetVarint64(const std::string& in, size_t* pos, uint64_t* v) {
 
 namespace {
 
-Status GetFixed64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return Status::Corruption("truncated fixed64");
-  *v = DecodeFixed64(in.data() + *pos);
-  *pos += 8;
-  return Status::OK();
-}
-
 void PutLengthPrefixed(std::string* out, const std::string& s) {
   PutVarint64(out, s.size());
   out->append(s);
-}
-
-Status GetLengthPrefixed(const std::string& in, size_t* pos,
-                         std::string* s) {
-  uint64_t len;
-  PDT_RETURN_NOT_OK(GetVarint64(in, pos, &len));
-  if (*pos + len > in.size()) return Status::Corruption("truncated string");
-  s->assign(in.data() + *pos, len);
-  *pos += len;
-  return Status::OK();
 }
 
 // Appends one value of `col[i]` in plain form. Reads through the
@@ -89,32 +72,6 @@ void PutOnePlain(std::string* out, const ColumnVector& col, size_t i) {
       PutLengthPrefixed(out, col.StringAt(i));
       break;
   }
-}
-
-Status GetOnePlain(const std::string& in, size_t* pos, ColumnVector* out) {
-  switch (out->type()) {
-    case TypeId::kInt64: {
-      uint64_t v;
-      PDT_RETURN_NOT_OK(GetFixed64(in, pos, &v));
-      out->ints().push_back(static_cast<int64_t>(v));
-      return Status::OK();
-    }
-    case TypeId::kDouble: {
-      uint64_t bits;
-      PDT_RETURN_NOT_OK(GetFixed64(in, pos, &bits));
-      double d;
-      std::memcpy(&d, &bits, 8);
-      out->doubles().push_back(d);
-      return Status::OK();
-    }
-    case TypeId::kString: {
-      std::string s;
-      PDT_RETURN_NOT_OK(GetLengthPrefixed(in, pos, &s));
-      out->strings().push_back(std::move(s));
-      return Status::OK();
-    }
-  }
-  return Status::Internal("bad type");
 }
 
 bool ValuesEqualAt(const ColumnVector& col, size_t i, size_t j) {
@@ -214,63 +171,245 @@ Status EncodeForBitPack(const ColumnVector& col, std::string* out) {
   return Status::OK();
 }
 
+// --- decode kernels ---
+// Each kernel takes the typed output vector once, proves from the payload
+// size that it can hold `count` values before sizing the output (`count`
+// comes from chunk and image headers, so it is not trusted), and then
+// writes through a raw pointer. Fixed-width payloads are bounds-checked
+// once per chunk; variable-width ones once per value, inside the varint
+// reader.
+
+constexpr size_t kMaxVarintBytes = 10;
+
+// Sequential varint reader over a payload. While kMaxVarintBytes remain, a
+// varint decodes without per-byte bounds checks; near the end it falls
+// back to GetVarint64. Accepts and rejects exactly what GetVarint64 does.
+class VarintReader {
+ public:
+  explicit VarintReader(const std::string& in)
+      : in_(in), data_(in.data()), size_(in.size()) {}
+
+  const char* cursor() const { return data_ + pos_; }
+  size_t remaining() const { return size_ - pos_; }
+  void Skip(size_t n) { pos_ += n; }
+
+  /// False on a truncated or overlong varint.
+  bool Read(uint64_t* v) {
+    if (size_ - pos_ < kMaxVarintBytes) {
+      return GetVarint64(in_, &pos_, v).ok();
+    }
+    // One- and two-byte varints (small deltas, dictionary codes, run
+    // lengths) decode from one 8-byte load.
+    const uint64_t word = DecodeFixed64(data_ + pos_);
+    if ((word & 0x80) == 0) {
+      pos_ += 1;
+      *v = word & 0x7f;
+      return true;
+    }
+    if ((word & 0x8000) == 0) {
+      pos_ += 2;
+      *v = (word & 0x7f) | ((word >> 1) & 0x3f80);
+      return true;
+    }
+    const auto* p = reinterpret_cast<const uint8_t*>(data_ + pos_);
+    uint64_t result = (word & 0x7f) | ((word >> 1) & 0x3f80);
+    for (size_t i = 2; i < kMaxVarintBytes; ++i) {
+      const uint64_t byte = p[i];
+      result |= (byte & 0x7f) << (7 * i);
+      if (byte < 0x80) {
+        pos_ += i + 1;
+        *v = result;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Reads a length-prefixed string's bytes; false on truncation.
+  bool ReadString(const char** data, size_t* len) {
+    uint64_t n;
+    if (!Read(&n) || n > remaining()) return false;
+    *data = cursor();
+    *len = static_cast<size_t>(n);
+    pos_ += *len;
+    return true;
+  }
+
+ private:
+  // The payload's pointer and size are copied so that stores through the
+  // output pointer do not force the compiler to reload them.
+  const std::string& in_;
+  const char* data_;
+  size_t size_;
+  size_t pos_ = 0;
+};
+
+Status TruncatedVarint() { return Status::Corruption("truncated varint"); }
+
+Status TruncatedString() { return Status::Corruption("truncated string"); }
+
 Status DecodeForBitPack(const std::string& in, size_t count,
                         ColumnVector* out) {
   size_t pos = 0;
   uint64_t zz;
   PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &zz));
-  int64_t min_v = ZigZagDecode(zz);
+  const uint64_t min_v = static_cast<uint64_t>(ZigZagDecode(zz));
   if (pos >= in.size()) return Status::Corruption("truncated FOR header");
-  int width = static_cast<uint8_t>(in[pos]);
+  const int width = static_cast<uint8_t>(in[pos]);
   ++pos;
   if (width <= 0 || width > 56) {
     return Status::Corruption("bad FOR bit width");
   }
-  uint64_t acc = 0;
-  int acc_bits = 0;
-  const uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
-  for (size_t i = 0; i < count; ++i) {
-    while (acc_bits < width) {
-      if (pos >= in.size()) return Status::Corruption("truncated FOR data");
-      acc |= static_cast<uint64_t>(static_cast<uint8_t>(in[pos])) << acc_bits;
-      ++pos;
-      acc_bits += 8;
+  // The packed bits must hold `count` values: ceil(count * width / 8) <=
+  // avail, i.e. count <= avail * 8 / width. count * width could overflow;
+  // avail * 8 cannot, as the payload is in memory.
+  const char* base = in.data() + pos;
+  const uint64_t avail = in.size() - pos;
+  if (count > avail * 8 / width) {
+    return Status::Corruption("truncated FOR data");
+  }
+  std::vector<int64_t>& vals = out->ints();
+  vals.resize(count);
+  int64_t* dst = vals.data();
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  // Value i starts at bit i * width. While the 8-byte word holding its
+  // first byte lies inside the payload, one load covers the value: a
+  // shift of at most 7 plus a width of at most 56 bits fits in 64. The
+  // last values are assembled byte by byte.
+  const uint64_t word_bits = avail >= 8 ? (avail - 7) * 8 : 0;
+  const size_t fast = static_cast<size_t>(
+      std::min<uint64_t>(count, (word_bits + width - 1) / width));
+  for (size_t i = 0; i < fast; ++i) {
+    const uint64_t bit = static_cast<uint64_t>(i) * width;
+    const uint64_t word = DecodeFixed64(base + (bit >> 3));
+    dst[i] = static_cast<int64_t>(min_v + ((word >> (bit & 7)) & mask));
+  }
+  for (size_t i = fast; i < count; ++i) {
+    const uint64_t bit = static_cast<uint64_t>(i) * width;
+    const uint64_t first = bit >> 3;
+    const uint64_t last = (bit + width - 1) >> 3;
+    uint64_t word = 0;
+    for (uint64_t b = first; b <= last; ++b) {
+      word |= static_cast<uint64_t>(static_cast<uint8_t>(base[b]))
+              << (8 * (b - first));
     }
-    uint64_t off = acc & mask;
-    acc >>= width;
-    acc_bits -= width;
-    out->ints().push_back(
-        static_cast<int64_t>(static_cast<uint64_t>(min_v) + off));
+    dst[i] = static_cast<int64_t>(min_v + ((word >> (bit & 7)) & mask));
+  }
+  return Status::OK();
+}
+
+// Reads `count` length-prefixed strings into `dst`.
+Status DecodeStrings(VarintReader* r, size_t count,
+                     std::vector<std::string>* dst) {
+  // Every string needs at least its one-byte length.
+  if (count > r->remaining()) return TruncatedString();
+  dst->reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    const char* data;
+    size_t len;
+    if (!r->ReadString(&data, &len)) return TruncatedString();
+    dst->emplace_back(data, len);
+  }
+  return Status::OK();
+}
+
+// Plain int64 and double: 8 little-endian bytes per value.
+template <typename T>
+Status DecodeFixed(const std::string& in, size_t count, std::vector<T>* dst) {
+  if (count > in.size() / 8) return Status::Corruption("truncated fixed64");
+  dst->resize(count);
+  T* out = dst->data();
+  const char* src = in.data();
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t bits = DecodeFixed64(src + 8 * i);
+    std::memcpy(&out[i], &bits, 8);
   }
   return Status::OK();
 }
 
 Status DecodePlain(const std::string& in, size_t count, ColumnVector* out) {
-  size_t pos = 0;
-  for (size_t i = 0; i < count; ++i) {
-    PDT_RETURN_NOT_OK(GetOnePlain(in, &pos, out));
+  switch (out->type()) {
+    case TypeId::kInt64:
+      return DecodeFixed(in, count, &out->ints());
+    case TypeId::kDouble:
+      return DecodeFixed(in, count, &out->doubles());
+    case TypeId::kString: {
+      VarintReader r(in);
+      return DecodeStrings(&r, count, &out->strings());
+    }
+  }
+  return Status::Internal("bad type");
+}
+
+// Reads one plain value of an RLE run: 8 bytes for int64 and double.
+template <typename T>
+Status ReadRunValue(VarintReader* r, T* v) {
+  if (r->remaining() < 8) return Status::Corruption("truncated fixed64");
+  const uint64_t bits = DecodeFixed64(r->cursor());
+  std::memcpy(v, &bits, 8);
+  r->Skip(8);
+  return Status::OK();
+}
+Status ReadRunValue(VarintReader* r, std::string* v) {
+  const char* data;
+  size_t len;
+  if (!r->ReadString(&data, &len)) return TruncatedString();
+  v->assign(data, len);
+  return Status::OK();
+}
+
+// Expands (run_len varint, plain value) pairs into `dst` until `count`
+// rows are produced. One run header can stand for any number of rows, so
+// the payload cannot prove `count` up front: every run is read and
+// checked against the rows still missing first (runs and values are
+// bounded by the payload's size), then the output is sized once and
+// filled run by run. With `ends`, records each run's end row.
+template <typename T>
+Status DecodeRuns(const std::string& in, size_t count, std::vector<T>* dst,
+                  std::vector<uint32_t>* ends) {
+  VarintReader r(in);
+  std::vector<size_t> runs;
+  std::vector<T> values;
+  size_t produced = 0;
+  while (produced < count) {
+    uint64_t run;
+    if (!r.Read(&run)) return TruncatedVarint();
+    T value{};
+    PDT_RETURN_NOT_OK(ReadRunValue(&r, &value));
+    if (run > count - produced) return Status::Corruption("RLE overrun");
+    produced += run;
+    runs.push_back(static_cast<size_t>(run));
+    values.push_back(std::move(value));
+  }
+  dst->resize(count);
+  T* out = dst->data();
+  if (ends != nullptr) ends->reserve(runs.size());
+  for (size_t k = 0; k < runs.size(); ++k) {
+    out = std::fill_n(out, runs[k], values[k]);
+    if (ends != nullptr) {
+      ends->push_back(static_cast<uint32_t>(out - dst->data()));
+    }
   }
   return Status::OK();
 }
 
 Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
                  bool keep_encoded) {
-  size_t pos = 0;
-  size_t produced = 0;
-  ColumnVector one(out->type());
   // Values always materialize plain; with keep_encoded the run layout is
   // additionally recorded as an RleRuns sidecar so predicate kernels can
   // evaluate one compare per run.
   std::vector<uint32_t> ends;
-  while (produced < count) {
-    uint64_t run;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &run));
-    one.Clear();
-    PDT_RETURN_NOT_OK(GetOnePlain(in, &pos, &one));
-    if (produced + run > count) return Status::Corruption("RLE overrun");
-    for (uint64_t k = 0; k < run; ++k) out->AppendFrom(one, 0);
-    produced += run;
-    if (keep_encoded) ends.push_back(static_cast<uint32_t>(produced));
+  std::vector<uint32_t>* ends_out = keep_encoded ? &ends : nullptr;
+  switch (out->type()) {
+    case TypeId::kInt64:
+      PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->ints(), ends_out));
+      break;
+    case TypeId::kDouble:
+      PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->doubles(), ends_out));
+      break;
+    case TypeId::kString:
+      PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->strings(), ends_out));
+      break;
   }
   if (keep_encoded && count > 0 && count <= UINT32_MAX) {
     auto runs = std::make_shared<RleRuns>();
@@ -282,55 +421,64 @@ Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
 
 Status DecodeDeltaVarint(const std::string& in, size_t count,
                          ColumnVector* out) {
-  size_t pos = 0;
-  int64_t prev = 0;
+  // Every delta needs at least one byte.
+  if (count > in.size()) return TruncatedVarint();
+  std::vector<int64_t>& vals = out->ints();
+  vals.resize(count);
+  int64_t* dst = vals.data();
+  VarintReader r(in);
+  // Unsigned accumulation: wraps exactly like the encoder's subtraction.
+  uint64_t prev = 0;
   for (size_t i = 0; i < count; ++i) {
     uint64_t zz;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &zz));
-    prev += ZigZagDecode(zz);
-    out->ints().push_back(prev);
+    if (!r.Read(&zz)) return TruncatedVarint();
+    prev += static_cast<uint64_t>(ZigZagDecode(zz));
+    dst[i] = static_cast<int64_t>(prev);
   }
   return Status::OK();
 }
 
 Status DecodeDict(const std::string& in, size_t count, ColumnVector* out,
                   bool keep_encoded) {
-  size_t pos = 0;
+  VarintReader r(in);
   uint64_t dict_size;
-  PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &dict_size));
+  if (!r.Read(&dict_size)) return TruncatedVarint();
   if (dict_size > in.size()) return Status::Corruption("dict size overflow");
-  std::vector<std::string> dict(dict_size);
-  for (auto& s : dict) {
-    PDT_RETURN_NOT_OK(GetLengthPrefixed(in, &pos, &s));
-  }
+  std::vector<std::string> dict;
+  PDT_RETURN_NOT_OK(DecodeStrings(&r, dict_size, &dict));
+  // Every code needs at least one byte.
+  if (count > r.remaining()) return TruncatedVarint();
+  const size_t nvals = dict.size();
   if (keep_encoded) {
     // Keep the dictionary live: the column becomes a uint32 code vector
     // plus a shared StringDict with per-entry hashes precomputed once
     // here, so every downstream group-by/join over this chunk hashes by
     // array lookup.
     auto shared = std::make_shared<StringDict>();
-    shared->hashes.reserve(dict.size());
+    shared->hashes.reserve(nvals);
     for (const auto& s : dict) {
       shared->hashes.push_back(HashBytes(s.data(), s.size()));
     }
     shared->values = std::move(dict);
-    const size_t nvals = shared->values.size();
     out->AdoptDict(std::move(shared));
-    auto& codes = out->codes();
-    codes.reserve(count);
+    std::vector<uint32_t>& codes = out->codes();
+    codes.resize(count);
+    uint32_t* dst = codes.data();
     for (size_t i = 0; i < count; ++i) {
       uint64_t code;
-      PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &code));
+      if (!r.Read(&code)) return TruncatedVarint();
       if (code >= nvals) return Status::Corruption("dict code overflow");
-      codes.push_back(static_cast<uint32_t>(code));
+      dst[i] = static_cast<uint32_t>(code);
     }
     return Status::OK();
   }
+  std::vector<std::string>& vals = out->strings();
+  vals.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     uint64_t code;
-    PDT_RETURN_NOT_OK(GetVarint64(in, &pos, &code));
-    if (code >= dict.size()) return Status::Corruption("dict code overflow");
-    out->strings().push_back(dict[code]);
+    if (!r.Read(&code)) return TruncatedVarint();
+    if (code >= nvals) return Status::Corruption("dict code overflow");
+    vals.push_back(dict[code]);
   }
   return Status::OK();
 }
@@ -358,7 +506,6 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
 Status DecodeColumn(const std::string& bytes, TypeId type, Encoding encoding,
                     size_t count, ColumnVector* out, bool keep_encoded) {
   *out = ColumnVector(type);
-  out->Reserve(count);
   switch (encoding) {
     case Encoding::kPlain:
       return DecodePlain(bytes, count, out);

@@ -33,7 +33,9 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
 /// With `keep_encoded`, dictionary chunks decode to live code vectors
 /// (shared StringDict + precomputed hashes) and RLE chunks carry an
 /// RleRuns sidecar — the compressed-execution representations; values are
-/// identical either way.
+/// identical either way. `count` comes from chunk and image headers and is
+/// not trusted: a payload that cannot hold `count` values is Corruption,
+/// found before `out` is sized.
 Status DecodeColumn(const std::string& bytes, TypeId type, Encoding encoding,
                     size_t count, ColumnVector* out,
                     bool keep_encoded = false);

@@ -354,6 +354,35 @@ TEST(ManifestTest, TableImageRoundtripsAndDetectsCorruption) {
             StatusCode::kCorruption);
 }
 
+TEST(ManifestTest, TableImageRowCountBeyondItsPayloadIsCorruption) {
+  // A well-framed image (valid CRC) whose header claims 2^40 rows over
+  // 16-byte column payloads: the decoder must prove the count from the
+  // payload before it sizes anything.
+  std::string dir = FreshDir("image_rows");
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDir(dir).ok());
+  std::string p;
+  PutVarint64(&p, uint64_t{1} << 40);
+  PutVarint64(&p, 4);
+  for (int c = 0; c < 4; ++c) {
+    p.push_back(static_cast<char>(Encoding::kPlain));
+    PutVarint64(&p, 16);
+    PutFixed64(&p, 1);
+    PutFixed64(&p, 2);
+  }
+  std::string image("PDTIMG01", 8);
+  PutFixed32(&image, static_cast<uint32_t>(p.size()));
+  PutFixed32(&image, Crc32c(p.data(), p.size()));
+  image.append(p);
+  std::string path = dir + "/inventory.img";
+  auto f = fs->NewWritableFile(path, true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(image).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+  Table table("inventory", InventorySchema(), TableOptions{});
+  EXPECT_EQ(LoadTableImage(fs, path, &table).code(), StatusCode::kCorruption);
+}
+
 // ---------------------------------------------------------------------
 // Database open / save / recover.
 // ---------------------------------------------------------------------

@@ -1,9 +1,15 @@
 // Encoding tests: roundtrips for every (encoding x type) combination,
 // heuristic encoding choice, varint/zigzag edges, and corruption
-// detection on truncated payloads.
+// detection on truncated payloads. The decode-kernel tests cover the
+// bulk paths' edges: FOR word loads vs the byte tail, varints inside and
+// outside the reader's fast window, compressed-execution sidecars at the
+// store's chunk size, and headers whose row count the payload cannot
+// hold.
 #include "storage/encoding.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "util/random.h"
 
@@ -220,6 +226,260 @@ TEST(ForBitPackTest, TruncationDetected) {
   EXPECT_FALSE(
       DecodeColumn(bytes, TypeId::kInt64, Encoding::kForBitPack, 8, &out)
           .ok());
+}
+
+// --- decode kernels ---
+
+// The store's chunk size (ColumnStoreOptions::chunk_rows).
+constexpr size_t kChunkRows = 16384;
+
+// Every encoding with every type it supports.
+constexpr std::pair<Encoding, TypeId> kEncodingTypes[] = {
+    {Encoding::kPlain, TypeId::kInt64},
+    {Encoding::kPlain, TypeId::kDouble},
+    {Encoding::kPlain, TypeId::kString},
+    {Encoding::kRle, TypeId::kInt64},
+    {Encoding::kRle, TypeId::kDouble},
+    {Encoding::kRle, TypeId::kString},
+    {Encoding::kDeltaVarint, TypeId::kInt64},
+    {Encoding::kDict, TypeId::kString},
+    {Encoding::kForBitPack, TypeId::kInt64},
+};
+
+TEST(ForBitPackTest, EveryWidthAndCountRoundtrips) {
+  Random rng(41);
+  for (int width = 1; width <= 56; ++width) {
+    const int64_t min_v = -(int64_t{1} << 20) - width;
+    const uint64_t span = (1ULL << width) - 1;
+    for (size_t count : {1, 7, 8, 9, 63, 64, 65, 16384}) {
+      std::vector<int64_t> vals;
+      for (size_t i = 0; i < count; ++i) {
+        vals.push_back(min_v + static_cast<int64_t>(rng.Next() & span));
+      }
+      // Both ends of the range: the width is exactly `width` bits.
+      vals.front() = min_v + static_cast<int64_t>(span);
+      if (count > 1) vals.back() = min_v;
+      ColumnVector col = Ints(vals);
+      std::string bytes;
+      ASSERT_TRUE(EncodeColumn(col, Encoding::kForBitPack, &bytes).ok());
+      if (count > 1) {
+        std::string header;
+        PutVarint64(&header, ZigZagEncode(min_v));
+        ASSERT_EQ(static_cast<int>(bytes[header.size()]), width);
+      }
+      ColumnVector out;
+      ASSERT_TRUE(DecodeColumn(bytes, TypeId::kInt64, Encoding::kForBitPack,
+                               count, &out)
+                      .ok())
+          << "width " << width << " count " << count;
+      ASSERT_EQ(out.ints(), vals) << "width " << width << " count " << count;
+    }
+  }
+}
+
+// One column of `n` rows in runs of 1..9 equal values, with a small
+// value domain so that dictionaries repeat entries.
+ColumnVector RunColumn(TypeId type, size_t n, uint64_t seed) {
+  Random rng(seed);
+  ColumnVector col(type);
+  while (col.size() < n) {
+    const size_t run = std::min<size_t>(1 + rng.Uniform(9), n - col.size());
+    const int64_t v = static_cast<int64_t>(rng.Uniform(50));
+    for (size_t i = 0; i < run; ++i) {
+      switch (type) {
+        case TypeId::kInt64:
+          col.ints().push_back(v * 1000003);
+          break;
+        case TypeId::kDouble:
+          col.doubles().push_back(static_cast<double>(v) / 3.0);
+          break;
+        case TypeId::kString:
+          col.strings().push_back("value_" + std::to_string(v));
+          break;
+      }
+    }
+  }
+  return col;
+}
+
+TEST(DecodeKernelTest, EveryEncodingAndTypeAtChunkSize) {
+  for (const auto& [enc, type] : kEncodingTypes) {
+    const ColumnVector col = RunColumn(type, kChunkRows, 43);
+    // What the input implies: the end row of each run, and dictionary
+    // codes numbered in order of first appearance.
+    std::vector<uint32_t> run_ends;
+    for (size_t i = 1; i <= col.size(); ++i) {
+      if (i == col.size() || col.CompareAt(i, col, i - 1) != 0) {
+        run_ends.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    std::vector<uint32_t> codes;
+    if (type == TypeId::kString) {
+      std::unordered_map<std::string, uint32_t> first_seen;
+      for (size_t i = 0; i < col.size(); ++i) {
+        auto it = first_seen
+                      .emplace(col.StringAt(i),
+                               static_cast<uint32_t>(first_seen.size()))
+                      .first;
+        codes.push_back(it->second);
+      }
+    }
+    std::string bytes;
+    ASSERT_TRUE(EncodeColumn(col, enc, &bytes).ok());
+    for (bool keep_encoded : {false, true}) {
+      SCOPED_TRACE(std::string(EncodingToString(enc)) + " " +
+                   TypeIdToString(type) +
+                   (keep_encoded ? " keep_encoded" : " plain"));
+      ColumnVector out;
+      ASSERT_TRUE(
+          DecodeColumn(bytes, type, enc, kChunkRows, &out, keep_encoded)
+              .ok());
+      ASSERT_EQ(out.size(), kChunkRows);
+      for (size_t i = 0; i < kChunkRows; ++i) {
+        ASSERT_EQ(out.CompareAt(i, col, i), 0) << "row " << i;
+      }
+      const bool dict = keep_encoded && enc == Encoding::kDict;
+      const bool runs = keep_encoded && enc == Encoding::kRle;
+      ASSERT_EQ(out.is_dict(), dict);
+      ASSERT_EQ(out.rle_runs() != nullptr, runs);
+      if (dict) {
+        EXPECT_EQ(std::vector<uint32_t>(out.codes_data(),
+                                        out.codes_data() + out.size()),
+                  codes);
+        const StringDict& d = *out.dict();
+        ASSERT_EQ(d.hashes.size(), d.values.size());
+        for (size_t c = 0; c < d.values.size(); ++c) {
+          EXPECT_EQ(d.hashes[c],
+                    HashBytes(d.values[c].data(), d.values[c].size()));
+        }
+      }
+      if (runs) {
+        EXPECT_EQ(out.rle_runs()->ends, run_ends);
+      }
+    }
+  }
+}
+
+// Decodes `payload` as a delta column of `count` rows.
+Status DecodeDelta(const std::string& payload, size_t count,
+                   ColumnVector* out) {
+  return DecodeColumn(payload, TypeId::kInt64, Encoding::kDeltaVarint, count,
+                      out);
+}
+
+TEST(DecodeKernelTest, VarintsOfEveryLengthInsideAndOutsideTheTail) {
+  for (int len = 1; len <= 10; ++len) {
+    // The smallest and largest values that take exactly `len` bytes.
+    const uint64_t lo = len == 1 ? 0 : 1ULL << (7 * (len - 1));
+    const uint64_t hi = len == 10 ? ~0ULL : (1ULL << (7 * len)) - 1;
+    for (uint64_t v : {lo, hi}) {
+      std::string varint;
+      PutVarint64(&varint, v);
+      ASSERT_EQ(varint.size(), static_cast<size_t>(len));
+      const int64_t want = ZigZagDecode(v);
+      // Outside the last 10 bytes: ten one-byte zero deltas follow.
+      std::string head = varint + std::string(10, '\0');
+      ColumnVector out;
+      ASSERT_TRUE(DecodeDelta(head, 11, &out).ok()) << len;
+      EXPECT_EQ(out.ints(), std::vector<int64_t>(11, want)) << len;
+      // Inside the last 10 bytes: the varint ends the payload.
+      std::string tail = std::string(1, '\0') + varint;
+      ASSERT_TRUE(DecodeDelta(tail, 2, &out).ok()) << len;
+      EXPECT_EQ(out.ints(), (std::vector<int64_t>{0, want})) << len;
+      // A varint one byte short is truncated in either position.
+      std::string cut = varint.substr(0, varint.size() - 1);
+      if (!cut.empty()) {
+        EXPECT_EQ(DecodeDelta(cut, 1, &out).code(), StatusCode::kCorruption);
+      }
+    }
+  }
+  // Eleven continuation bytes are overlong, in the fast window and in
+  // the tail.
+  ColumnVector out;
+  EXPECT_EQ(DecodeDelta(std::string(11, '\xff') + std::string(10, '\0'), 2,
+                        &out)
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeDelta(std::string(9, '\xff'), 1, &out).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(DecodeKernelTest, EveryPrefixTruncationIsCorruption) {
+  for (const auto& [enc, type] : kEncodingTypes) {
+    const ColumnVector col = RunColumn(type, 40, 47);
+    std::string bytes;
+    ASSERT_TRUE(EncodeColumn(col, enc, &bytes).ok());
+    for (bool keep_encoded : {false, true}) {
+      for (size_t len = 0; len < bytes.size(); ++len) {
+        ColumnVector out;
+        EXPECT_EQ(DecodeColumn(bytes.substr(0, len), type, enc, col.size(),
+                               &out, keep_encoded)
+                      .code(),
+                  StatusCode::kCorruption)
+            << EncodingToString(enc) << " " << TypeIdToString(type)
+            << " prefix " << len << " of " << bytes.size();
+      }
+    }
+  }
+}
+
+TEST(DecodeKernelTest, RleRunLengthCannotWrapPastTheRowCount) {
+  // Run 1 of 42, then a run of 2^64 - 1 sevens, decoded as 2 rows:
+  // produced + run wraps to 0, so only `run > count - produced` sees the
+  // overrun.
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutFixed64(&payload, 42);
+  PutVarint64(&payload, ~0ULL);
+  PutFixed64(&payload, 7);
+  for (bool keep_encoded : {false, true}) {
+    ColumnVector out;
+    EXPECT_EQ(DecodeColumn(payload, TypeId::kInt64, Encoding::kRle, 2, &out,
+                           keep_encoded)
+                  .code(),
+              StatusCode::kCorruption);
+  }
+}
+
+// Allocated rows of a column's plain storage.
+size_t PlainCapacity(ColumnVector* col) {
+  switch (col->type()) {
+    case TypeId::kInt64:
+      return col->ints().capacity();
+    case TypeId::kDouble:
+      return col->doubles().capacity();
+    case TypeId::kString:
+      return col->strings().capacity();
+  }
+  return 0;
+}
+
+TEST(DecodeKernelTest, HugeRowCountIsCorruptionWithoutAllocating) {
+  const size_t huge = size_t{1} << 40;
+  std::string ints;
+  PutFixed64(&ints, 1);
+  PutFixed64(&ints, 2);
+  ASSERT_EQ(ints.size(), 16u);
+  ColumnVector out;
+  EXPECT_EQ(DecodeColumn(ints, TypeId::kInt64, Encoding::kPlain, huge, &out)
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(PlainCapacity(&out), 0u);
+  // Every kernel proves the count before sizing.
+  for (const auto& [enc, type] : kEncodingTypes) {
+    const ColumnVector col = RunColumn(type, 16, 53);
+    std::string bytes;
+    ASSERT_TRUE(EncodeColumn(col, enc, &bytes).ok());
+    for (bool keep_encoded : {false, true}) {
+      ColumnVector big;
+      EXPECT_EQ(
+          DecodeColumn(bytes, type, enc, huge, &big, keep_encoded).code(),
+          StatusCode::kCorruption)
+          << EncodingToString(enc) << " " << TypeIdToString(type);
+      ASSERT_FALSE(big.is_dict());
+      EXPECT_EQ(PlainCapacity(&big), 0u);
+    }
+  }
 }
 
 class EncodingRandomTest

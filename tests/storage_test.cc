@@ -75,6 +75,42 @@ TEST(BufferPoolTest, LruEvictionUnderCapacity) {
   EXPECT_EQ(pool.stats().chunks_read, reads_before);
 }
 
+TEST(BufferPoolTest, DecodeTimeCountsMissesOnly) {
+  auto schema_or = Schema::Make(
+      {{"k", TypeId::kInt64}, {"v", TypeId::kString}}, {0});
+  auto schema = std::make_shared<const Schema>(std::move(*schema_or));
+  auto pool = std::make_shared<BufferPool>();
+  ColumnStoreOptions opts;
+  opts.compression = true;
+  ColumnStore store(*schema, opts, pool);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 40000; ++i) {
+    rows.push_back({int64_t{i}, "v" + std::to_string(i % 7)});
+  }
+  ASSERT_TRUE(store.BulkLoad(rows).ok());
+  ASSERT_GT(store.num_chunks(), 1u);
+  auto scan_all = [&] {
+    for (ColumnId c = 0; c < 2; ++c) {
+      for (size_t ci = 0; ci < store.num_chunks(); ++ci) {
+        ASSERT_TRUE(store.FetchChunk(c, ci).ok());
+      }
+    }
+  };
+  pool->EvictAll();
+  pool->ResetStats();
+  EXPECT_EQ(pool->stats().decode_ns, 0u);
+  scan_all();  // cold: every chunk misses and decodes
+  const IoStats cold = pool->stats();
+  EXPECT_EQ(cold.chunks_read, 2 * store.num_chunks());
+  EXPECT_GT(cold.decode_ns, 0u);
+  scan_all();  // hot: every chunk hits, nothing decodes
+  const IoStats hot = pool->stats();
+  EXPECT_EQ(hot.hits, 2 * store.num_chunks());
+  EXPECT_EQ(hot.decode_ns, cold.decode_ns);
+  pool->ResetStats();
+  EXPECT_EQ(pool->stats().decode_ns, 0u);
+}
+
 TEST(ColumnStoreTest, BulkLoadValidation) {
   auto schema = InventorySchema();
   ColumnStore store(*schema, {}, nullptr);
