@@ -1,7 +1,9 @@
 // Microbenchmarks for the selection-vector execution kernels: filter
-// survivor compaction, selection gather, hash aggregation and hash join,
-// each measured against the baseline the engine used before (per-value
-// TypeId dispatch via Batch::AppendRow, string-encoded group keys via
+// survivor compaction, selection gather, predicate evaluation,
+// projection, hash aggregation and hash join, each measured against the
+// baseline the engine used before (per-value TypeId dispatch via
+// Batch::AppendRow, a shift-or keep fill with short-circuit predicate
+// bodies, a copying projection, string-encoded group keys via
 // std::unordered_map, a node-based join table), plus stable-chunk decode
 // throughput per encoding. Emits BENCH_exec.json for machine consumption.
 //
@@ -25,6 +27,7 @@
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "exec/project.h"
 #include "storage/chunk.h"
 
 namespace pdtstore {
@@ -72,6 +75,21 @@ double BestOf(int reps, double (*fn)(const void*), const void* arg) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) best = std::min(best, fn(arg));
   return best;
+}
+
+void Report(JsonResultWriter* json, const char* name, size_t rows,
+            double base_ms, double kern_ms) {
+  double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
+  double kern_mrps = static_cast<double>(rows) / kern_ms / 1e3;
+  std::printf("%-24s %10.2f ms -> %8.2f ms   %7.1f -> %7.1f Mrows/s   %5.2fx\n",
+              name, base_ms, kern_ms, base_mrps, kern_mrps,
+              base_ms / kern_ms);
+  json->Metric(name, "rows", static_cast<double>(rows));
+  json->Metric(name, "baseline_ms", base_ms);
+  json->Metric(name, "kernel_ms", kern_ms);
+  json->Metric(name, "baseline_mrps", base_mrps);
+  json->Metric(name, "kernel_mrps", kern_mrps);
+  json->Metric(name, "speedup", base_ms / kern_ms);
 }
 
 // ------------------------------------------------------------------
@@ -176,6 +194,331 @@ double KeepBitmapMs(const void* p) {
   double ms = sw.ElapsedMillis();
   if (total == 0) std::abort();
   return ms;
+}
+
+// ------------------------------------------------------------------
+// Predicate evaluation: the engine's typed predicates (FillFrom packing
+// verdict bytes, bodies joined with `&`) vs a bench-local copy of the
+// shift-or fill with `&&` bodies they replaced, over kDefaultBatchSize
+// slices. Four shapes: an int64 range (Q6's shipdate year), a double
+// range (Q6's discount), dictionary string equality (Q12's shipmode)
+// and Q12's four-term date conjunction.
+// ------------------------------------------------------------------
+
+// The fill loop FillFrom used before verdict bytes: one shift-or per row
+// into the word under construction.
+template <typename RowPred>
+void ShiftOrFill(KeepBitmap* keep, RowPred pred) {
+  const size_t n = keep->size();
+  uint64_t* words = keep->words();
+  for (size_t base = 0; base < n; base += 64) {
+    uint64_t word = 0;
+    for (size_t b = 0; b < 64 && base + b < n; ++b) {
+      word |= static_cast<uint64_t>(pred(base + b)) << b;
+    }
+    words[base >> 6] = word;
+  }
+}
+
+// Column order of the predicate slices.
+enum PredColumn : size_t { kShip, kDisc, kMode, kCommit, kReceipt };
+
+constexpr int64_t kYearLo = 8401, kYearHi = 8765;  // a 365-day window
+const char* const kShipModes[] = {"REG AIR", "AIR", "RAIL", "SHIP",
+                                  "TRUCK",   "MAIL", "FOB"};
+
+std::vector<Batch> MakePredicateSlices(size_t rows) {
+  auto dict = std::make_shared<StringDict>();
+  for (const char* m : kShipModes) {
+    dict->values.emplace_back(m);
+    dict->hashes.push_back(HashBytes(m, std::strlen(m)));
+  }
+  Random rng(23);
+  std::vector<Batch> slices;
+  for (size_t off = 0; off < rows; off += kDefaultBatchSize) {
+    const size_t end = std::min(rows, off + kDefaultBatchSize);
+    Batch b;
+    b.columns().emplace_back(TypeId::kInt64);
+    b.columns().emplace_back(TypeId::kDouble);
+    b.columns().emplace_back(TypeId::kString);
+    b.columns().emplace_back(TypeId::kInt64);
+    b.columns().emplace_back(TypeId::kInt64);
+    b.column(kMode).AdoptDict(dict);
+    for (size_t i = off; i < end; ++i) {
+      // TPC-H lineitem dates: order date over ~6.5 years, ship 1..121
+      // days later, commit 30..90 days after the order, receipt 1..30
+      // days after shipping. Row 0 satisfies every shape.
+      const int64_t order = 8035 + static_cast<int64_t>(rng.Uniform(2400));
+      int64_t ship = order + 1 + static_cast<int64_t>(rng.Uniform(121));
+      int64_t commit = order + 30 + static_cast<int64_t>(rng.Uniform(61));
+      int64_t receipt = ship + 1 + static_cast<int64_t>(rng.Uniform(30));
+      double disc = static_cast<double>(rng.Uniform(11)) / 100.0;
+      uint32_t mode = static_cast<uint32_t>(rng.Uniform(7));
+      if (i == 0) {
+        ship = kYearLo;
+        commit = kYearLo + 1;
+        receipt = kYearLo + 2;
+        disc = 0.06;
+        mode = 5;  // MAIL
+      }
+      b.column(kShip).ints().push_back(ship);
+      b.column(kDisc).doubles().push_back(disc);
+      b.column(kMode).codes().push_back(mode);
+      b.column(kCommit).ints().push_back(commit);
+      b.column(kReceipt).ints().push_back(receipt);
+    }
+    b.set_column_ids({0, 1, 2, 3, 4});
+    slices.push_back(std::move(b));
+  }
+  return slices;
+}
+
+struct PredicateShape {
+  const char* name;
+  VecPredicate baseline;
+  VecPredicate kernel;
+};
+
+std::vector<PredicateShape> PredicateShapes() {
+  const int64_t lo = kYearLo, hi = kYearHi;
+  std::vector<PredicateShape> shapes;
+  shapes.push_back(
+      {"int64_range",
+       [lo, hi](const Batch& b, KeepBitmap* keep) {
+         const int64_t* v = b.column(kShip).ints_data();
+         ShiftOrFill(keep, [&](size_t i) { return v[i] >= lo && v[i] <= hi; });
+       },
+       Int64Between(kShip, lo, hi)});
+  shapes.push_back(
+      {"double_range",
+       [](const Batch& b, KeepBitmap* keep) {
+         const double* v = b.column(kDisc).doubles_data();
+         ShiftOrFill(keep,
+                     [&](size_t i) { return v[i] >= 0.05 && v[i] < 0.0701; });
+       },
+       DoubleInRange(kDisc, 0.05, 0.0701)});
+  shapes.push_back(
+      {"dict_string_eq",
+       [](const Batch& b, KeepBitmap* keep) {
+         const ColumnVector& col = b.column(kMode);
+         const auto& values = col.dict()->values;
+         const uint32_t target = static_cast<uint32_t>(
+             std::find(values.begin(), values.end(), "MAIL") -
+             values.begin());
+         const uint32_t* codes = col.codes_data();
+         ShiftOrFill(keep, [&](size_t i) { return codes[i] == target; });
+       },
+       StringEquals(kMode, "MAIL")});
+  shapes.push_back(
+      {"q12_conjunction",
+       [lo, hi](const Batch& b, KeepBitmap* keep) {
+         const int64_t* commit = b.column(kCommit).ints_data();
+         const int64_t* receipt = b.column(kReceipt).ints_data();
+         const int64_t* ship = b.column(kShip).ints_data();
+         ShiftOrFill(keep, [&](size_t i) {
+           return commit[i] < receipt[i] && ship[i] < commit[i] &&
+                  receipt[i] >= lo && receipt[i] <= hi;
+         });
+       },
+       // Q12's lambda (tpch/queries.cc).
+       [lo, hi](const Batch& b, KeepBitmap* keep) {
+         const int64_t* commit = b.column(kCommit).ints_data();
+         const int64_t* receipt = b.column(kReceipt).ints_data();
+         const int64_t* ship = b.column(kShip).ints_data();
+         keep->FillFrom([&](size_t i) {
+           return (commit[i] < receipt[i]) & (ship[i] < commit[i]) &
+                  (receipt[i] >= lo) & (receipt[i] <= hi);
+         });
+       }});
+  return shapes;
+}
+
+// Evaluates `pred` over every slice; returns the elapsed ms and adds the
+// survivors to *kept (the anti-elision checksum).
+double PredicateMs(const std::vector<Batch>& slices, const VecPredicate& pred,
+                   size_t* kept) {
+  Stopwatch sw;
+  KeepBitmap keep;
+  size_t total = 0;
+  for (const Batch& b : slices) {
+    keep.Reset(b.num_rows());
+    pred(b, &keep);
+    total += keep.CountSet();
+  }
+  const double ms = sw.ElapsedMillis();
+  *kept = total;
+  return ms;
+}
+
+void RunPredicateEval(JsonResultWriter* json, size_t rows, int reps) {
+  const std::vector<Batch> slices = MakePredicateSlices(rows);
+  std::printf("predicate_eval\n");
+  json->Metric("predicate_eval", "rows", static_cast<double>(rows));
+  for (const PredicateShape& shape : PredicateShapes()) {
+    double base_ms = std::numeric_limits<double>::infinity();
+    double kern_ms = base_ms;
+    size_t base_kept = 0, kern_kept = 0;
+    for (int rep = 0; rep <= reps; ++rep) {  // rep 0 warms
+      const double b = PredicateMs(slices, shape.baseline, &base_kept);
+      const double k = PredicateMs(slices, shape.kernel, &kern_kept);
+      if (rep == 0) continue;
+      base_ms = std::min(base_ms, b);
+      kern_ms = std::min(kern_ms, k);
+    }
+    // Row 0 passes every shape, and both paths must keep the same rows.
+    if (kern_kept == 0 || kern_kept != base_kept) std::abort();
+    const double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
+    const double kern_mrps = static_cast<double>(rows) / kern_ms / 1e3;
+    std::printf("  %-22s %10.2f ms -> %8.2f ms   %7.1f -> %7.1f Mrows/s   "
+                "%5.2fx  keeps %.1f%%\n",
+                shape.name, base_ms, kern_ms, base_mrps, kern_mrps,
+                base_ms / kern_ms, 100.0 * kern_kept / rows);
+    const std::string prefix(shape.name);
+    json->Metric("predicate_eval", prefix + "_baseline_mrps", base_mrps);
+    json->Metric("predicate_eval", prefix + "_kernel_mrps", kern_mrps);
+    json->Metric("predicate_eval", prefix + "_speedup", base_ms / kern_ms);
+  }
+}
+
+// ------------------------------------------------------------------
+// Projection over a filtered scan-shaped stream, as Q1 runs it: 7
+// columns arrive as borrowed windows (the zero-copy scan), a ~98%
+// selective date filter compacts them, and the projection passes 5
+// columns through and computes 2. Baseline = a bench-local copy of the
+// ProjectNode the engine used before move-through projection: a fresh
+// input batch per pull and a full copy of every referenced column.
+// ------------------------------------------------------------------
+
+// Emits kDefaultBatchSize borrowed windows over whole columns.
+class BorrowedSliceSource : public BatchSource {
+ public:
+  BorrowedSliceSource(const Batch* layout,
+                      const std::vector<std::shared_ptr<const ColumnVector>>*
+                          cols)
+      : layout_(layout), cols_(cols) {}
+
+  StatusOr<bool> Next(Batch* out, size_t max_rows) override {
+    const size_t rows = (*cols_)[0]->size();
+    if (pos_ >= rows) return false;
+    const size_t len = std::min(max_rows, rows - pos_);
+    out->ResetLike(*layout_);
+    for (size_t c = 0; c < cols_->size(); ++c) {
+      out->column(c).BorrowFrom((*cols_)[c], pos_, len);
+    }
+    out->set_start_rid(pos_);
+    pos_ += len;
+    return true;
+  }
+
+ private:
+  const Batch* layout_;
+  const std::vector<std::shared_ptr<const ColumnVector>>* cols_;
+  size_t pos_ = 0;
+};
+
+class CopyingProjectNode : public BatchSource {
+ public:
+  CopyingProjectNode(std::unique_ptr<BatchSource> input,
+                     std::vector<ColumnExpr> exprs)
+      : input_(std::move(input)), exprs_(std::move(exprs)) {}
+
+  StatusOr<bool> Next(Batch* out, size_t max_rows) override {
+    Batch in;
+    PDT_ASSIGN_OR_RETURN(bool more, input_->Next(&in, max_rows));
+    if (!more) return false;
+    *out = Batch();
+    out->set_start_rid(in.start_rid());
+    std::vector<ColumnId> ids(exprs_.size());
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      ids[i] = static_cast<ColumnId>(i);
+      const ColumnExpr& e = exprs_[i];
+      out->columns().push_back(e.ref == ColumnExpr::kComputed
+                                   ? e.fn(in)
+                                   : in.column(e.ref));
+    }
+    out->set_column_ids(std::move(ids));
+    return true;
+  }
+
+ private:
+  std::unique_ptr<BatchSource> input_;
+  std::vector<ColumnExpr> exprs_;
+};
+
+struct ProjectArgs {
+  const Batch* layout;
+  const std::vector<std::shared_ptr<const ColumnVector>>* cols;
+  int64_t cutoff;  // keep shipdate (column 6) <= cutoff
+};
+
+std::vector<ColumnExpr> Q1Exprs() {
+  return {ColumnRef(0), ColumnRef(1), ColumnRef(2), ColumnRef(3),
+          Revenue(3, 4), Charge(3, 4, 5), ColumnRef(4)};
+}
+
+double DrainProjectionMs(BatchSource* proj) {
+  Stopwatch sw;
+  Batch out;
+  double sum = 0;
+  size_t rows = 0;
+  while (true) {
+    auto more = proj->Next(&out, kDefaultBatchSize);
+    if (!more.ok()) std::abort();
+    if (!*more) break;
+    rows += out.num_rows();
+    sum += out.column(4).doubles_data()[0] + out.column(6).doubles_data()[0];
+  }
+  const double ms = sw.ElapsedMillis();
+  if (rows == 0 || sum < 0) std::abort();
+  return ms;
+}
+
+template <typename Project>
+double ProjectRefsMs(const void* p) {
+  const auto* a = static_cast<const ProjectArgs*>(p);
+  Project proj(std::make_unique<FilterNode>(
+                   std::make_unique<BorrowedSliceSource>(a->layout, a->cols),
+                   Int64Between(6, 0, a->cutoff)),
+               Q1Exprs());
+  return DrainProjectionMs(&proj);
+}
+
+void RunProjectRefs(JsonResultWriter* json, size_t rows, int reps) {
+  // Q1's lineitem columns: returnflag, linestatus, quantity,
+  // extendedprice, discount, tax, shipdate.
+  Random rng(37);
+  const char* flags[] = {"A", "N", "R"};
+  const char* status[] = {"F", "O"};
+  Batch layout;
+  for (TypeId t : {TypeId::kString, TypeId::kString, TypeId::kDouble,
+                   TypeId::kDouble, TypeId::kDouble, TypeId::kDouble,
+                   TypeId::kInt64}) {
+    layout.columns().emplace_back(t);
+  }
+  layout.set_column_ids({0, 1, 2, 3, 4, 5, 6});
+  std::vector<ColumnVector> data = layout.columns();
+  for (size_t i = 0; i < rows; ++i) {
+    data[0].strings().emplace_back(flags[rng.Uniform(3)]);
+    data[1].strings().emplace_back(status[rng.Uniform(2)]);
+    data[2].doubles().push_back(1.0 + static_cast<double>(rng.Uniform(50)));
+    data[3].doubles().push_back(900.0 + rng.NextDouble() * 1e5);
+    data[4].doubles().push_back(static_cast<double>(rng.Uniform(11)) / 100);
+    data[5].doubles().push_back(static_cast<double>(rng.Uniform(9)) / 100);
+    // Row 0 ships on day 0, so every --rows keeps a row.
+    data[6].ints().push_back(
+        i == 0 ? 0 : static_cast<int64_t>(rng.Uniform(2526)));
+  }
+  std::vector<std::shared_ptr<const ColumnVector>> cols;
+  for (ColumnVector& c : data) {
+    cols.push_back(std::make_shared<const ColumnVector>(std::move(c)));
+  }
+  // Q1's cutoff keeps all but the last ~1.5% of ship dates.
+  ProjectArgs args{&layout, &cols, 2487};
+  (void)ProjectRefsMs<CopyingProjectNode>(&args);  // warm
+  (void)ProjectRefsMs<ProjectNode>(&args);
+  Report(json, "project_refs", rows,
+         BestOf(reps, ProjectRefsMs<CopyingProjectNode>, &args),
+         BestOf(reps, ProjectRefsMs<ProjectNode>, &args));
 }
 
 // ------------------------------------------------------------------
@@ -714,21 +1057,6 @@ void RunChunkDecode(JsonResultWriter* json, size_t rows, int reps) {
   json->Metric("chunk_decode", "decode_over_copy", decode_ms / copy_ms);
 }
 
-void Report(JsonResultWriter* json, const char* name, size_t rows,
-            double base_ms, double kern_ms) {
-  double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
-  double kern_mrps = static_cast<double>(rows) / kern_ms / 1e3;
-  std::printf("%-24s %10.2f ms -> %8.2f ms   %7.1f -> %7.1f Mrows/s   %5.2fx\n",
-              name, base_ms, kern_ms, base_mrps, kern_mrps,
-              base_ms / kern_ms);
-  json->Metric(name, "rows", static_cast<double>(rows));
-  json->Metric(name, "baseline_ms", base_ms);
-  json->Metric(name, "kernel_ms", kern_ms);
-  json->Metric(name, "baseline_mrps", base_mrps);
-  json->Metric(name, "kernel_mrps", kern_mrps);
-  json->Metric(name, "speedup", base_ms / kern_ms);
-}
-
 }  // namespace
 }  // namespace bench
 }  // namespace pdtstore
@@ -788,24 +1116,30 @@ int main(int argc, char** argv) {
 
     // Keep-bitmap ablation: byte-per-row keep (baseline) vs 1-bit
     // KeepBitmap (kernel) over the same sliced predicate+compaction
-    // path, at 1% / 50% / 99% selectivity. Column 0 values are uniform
-    // in [0, 2^24), so a threshold at the selectivity quantile keeps
-    // roughly that fraction of rows.
+    // path, at 1% / 50% / 99% selectivity. The threshold is column 0's
+    // value at the selectivity quantile of the input itself, so it keeps
+    // that fraction of rows and never fewer than one, however small
+    // --rows is.
+    std::vector<int64_t> sorted(input.column(0).ints());
+    std::sort(sorted.begin(), sorted.end());
     struct { const char* name; double selectivity; } sweeps[] = {
         {"keep_bitmap_sel1", 0.01},
         {"keep_bitmap_sel50", 0.50},
         {"keep_bitmap_sel99", 0.99},
     };
     for (const auto& sweep : sweeps) {
-      KeepPathArgs kargs{
-          &slices,
-          static_cast<int64_t>(sweep.selectivity * double{1 << 24})};
+      const size_t q = static_cast<size_t>(
+          sweep.selectivity * static_cast<double>(rows - 1));
+      KeepPathArgs kargs{&slices, sorted[q]};
       (void)KeepByteMs(&kargs);  // warm
       (void)KeepBitmapMs(&kargs);
       Report(&json, sweep.name, rows, BestOf(reps, KeepByteMs, &kargs),
              BestOf(reps, KeepBitmapMs, &kargs));
     }
   }
+
+  RunPredicateEval(&json, rows, reps);
+  RunProjectRefs(&json, rows, reps);
 
   {
     // Rewrite column 0 to a bounded group domain (64k groups at 1M rows).

@@ -53,6 +53,10 @@ echo "== test =="
 echo "== bench smoke (tiny sizes) =="
 "$BUILD_DIR/bench_exec_kernels" --rows=20000 --reps=1 \
     --json="$BUILD_DIR/BENCH_exec_smoke.json"
+# The smallest input the bench accepts: every cell's anti-elision guard
+# must still find a surviving row.
+"$BUILD_DIR/bench_exec_kernels" --rows=64 --reps=1 \
+    --json="$BUILD_DIR/BENCH_exec_rows64.json"
 "$BUILD_DIR/bench_fig17_mergescan_scaling" --sizes=20000 --rates=0,1 \
     --threads=1,2,4 --json="$BUILD_DIR/BENCH_fig17_smoke.json"
 "$BUILD_DIR/bench_fig19_tpch" --sf=0.01 --config=uncompressed \
@@ -150,9 +154,11 @@ check_keys() {
 }
 keys_ok=1
 # merge_scan_sparse records the zero-copy merge gain (PDT scan vs its
-# checkpointed twin) and chunk_decode the decode kernels' throughput per
-# encoding; both must stay in the committed artifact.
-for required in merge_scan_sparse chunk_decode; do
+# checkpointed twin), chunk_decode the decode kernels' throughput per
+# encoding, predicate_eval the branch-free predicate kernels and
+# project_refs move-through projection; all must stay in the committed
+# artifact.
+for required in merge_scan_sparse chunk_decode predicate_eval project_refs; do
   if ! bench_names BENCH_exec.json | grep -qxF "$required"; then
     echo "bench key check FAILED: BENCH_exec.json lacks $required"
     keys_ok=0
@@ -227,7 +233,7 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan build (assertions on) + durability/crash-recovery/join/merge/decode tests =="
+  echo "== asan build (assertions on) + durability/crash-recovery/join/merge/decode/predicate/project tests =="
   # AddressSanitizer over the durability path: the WAL frame codec and
   # recovery scanner parse attacker-shaped (torn / bit-flipped) bytes,
   # and the crash fuzzer tears writes at arbitrary offsets — exactly
@@ -256,14 +262,19 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # kernels write through raw pointers into sized vectors and load 8-byte
   # words near the payload's end; the suites feed them truncated and
   # hostile payloads, where an out-of-bounds read or write would hide.
+  # keep_bitmap_test and exec_kernels_test run here because
+  # KeepBitmap::FillFrom packs verdicts with 8-byte loads from a stack
+  # buffer, and ProjectBatch moves columns out of an input batch that is
+  # then reused: use-after-move bait that exec_test and pipeline_test
+  # drive through ProjectNode and the pipeline's project op.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
       compressed_exec_test memory_budget_test exec_test \
       parallel_sort_join_test merge_scan_test pipeline_test \
-      encoding_test storage_test
+      encoding_test storage_test keep_bitmap_test exec_kernels_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test|encoding_test|storage_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test|encoding_test|storage_test|keep_bitmap_test|exec_kernels_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

@@ -41,6 +41,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace pdtstore {
@@ -84,20 +85,23 @@ class KeepBitmap {
     words_[i >> 6] |= static_cast<uint64_t>(v) << (i & 63);
   }
 
-  /// Evaluates `pred(i) -> bool` for every row, 64 verdicts per word
-  /// store, and masks the tail. The whole-word producer path for typed
-  /// predicate kernels; the inner loop carries no stores other than the
-  /// final word, so compilers unroll/vectorize the comparisons.
+  /// Evaluates `pred(i) -> bool` once per row, in ascending row order,
+  /// and masks the tail. The whole-word producer path for typed
+  /// predicate kernels: each full word's 64 verdicts land as bytes in a
+  /// stack buffer, then pack 8 bytes per multiply (PackVerdicts). With a
+  /// branch-free predicate body the verdict loop has no branch and no
+  /// dependency between rows, so the CPU overlaps rows freely; OR-ing
+  /// each verdict into the word would chain 64 dependent operations.
   template <typename RowPred>
   void FillFrom(RowPred pred) {
     const size_t full = bits_ >> 6;
+    alignas(8) uint8_t verdict[64];
     for (size_t w = 0; w < full; ++w) {
       const size_t base = w << 6;
-      uint64_t word = 0;
       for (size_t b = 0; b < 64; ++b) {
-        word |= static_cast<uint64_t>(pred(base + b)) << b;
+        verdict[b] = static_cast<uint8_t>(pred(base + b));
       }
-      words_[w] = word;
+      words_[w] = PackVerdicts(verdict);
     }
     if (bits_ & 63) {
       const size_t base = full << 6;
@@ -159,6 +163,28 @@ class KeepBitmap {
   }
 
  private:
+  /// Packs 64 verdict bytes, each 0 or 1, into one word (byte b -> bit
+  /// b). On little-endian hosts 8 bytes load as one word whose byte k
+  /// holds verdict k at bit 8k; multiplying by 0x0102040810204080 sums
+  /// shifted copies so that bit 56 + k of the product is verdict k, and
+  /// no two partial products share a bit, so nothing carries into the
+  /// top byte. That only holds because every byte is 0 or 1.
+  static uint64_t PackVerdicts(const uint8_t* verdict) {
+    uint64_t word = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      for (size_t g = 0; g < 8; ++g) {
+        uint64_t bytes = 0;
+        std::memcpy(&bytes, verdict + 8 * g, sizeof(bytes));
+        word |= ((bytes * 0x0102040810204080ULL) >> 56) << (8 * g);
+      }
+    } else {
+      for (size_t b = 0; b < 64; ++b) {
+        word |= static_cast<uint64_t>(verdict[b]) << b;
+      }
+    }
+    return word;
+  }
+
   static size_t NumWords(size_t n) { return (n + 63) >> 6; }
 
   size_t bits_ = 0;

@@ -77,7 +77,7 @@ VecPredicate Int64Between(size_t idx, int64_t lo, int64_t hi) {
                    [&](int64_t x) { return x >= lo && x <= hi; });
       return;
     }
-    keep->FillFrom([&](size_t i) { return v[i] >= lo && v[i] <= hi; });
+    keep->FillFrom([&](size_t i) { return (v[i] >= lo) & (v[i] <= hi); });
   };
 }
 
@@ -91,7 +91,7 @@ VecPredicate DoubleInRange(size_t idx, double lo, double hi) {
                    [&](double x) { return x >= lo && x < hi; });
       return;
     }
-    keep->FillFrom([&](size_t i) { return v[i] >= lo && v[i] < hi; });
+    keep->FillFrom([&](size_t i) { return (v[i] >= lo) & (v[i] < hi); });
   };
 }
 

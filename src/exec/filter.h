@@ -62,9 +62,12 @@ class FilterNode : public BatchSource {
 };
 
 // --- predicate helpers (composable building blocks for query kernels) ---
-// The typed helpers emit bitmap words directly: 64 comparison verdicts
-// are packed into one register and stored with a single write, so the
-// inner loops carry no per-row branches or byte stores.
+// The typed helpers emit bitmap words through KeepBitmap::FillFrom, one
+// word store per 64 rows. Their row bodies combine comparisons with `&`,
+// not `&&`: a short-circuit, and under GCC's default -ftrapping-math any
+// floating-point `&&`, compiles to a data-dependent branch per row that
+// mispredicts on unsorted data. Keep `&&` only where a skipped term saves
+// real work, such as a string compare.
 
 // On compressed-execution columns the helpers evaluate directly on the
 // encoded form: RLE-sidecar columns test one value per run and word-fill

@@ -65,20 +65,19 @@ class ProjectOp : public PipelineOp {
   explicit ProjectOp(std::vector<ColumnExpr> exprs)
       : exprs_(std::move(exprs)) {}
 
+  struct State : PipelineOpState {
+    Batch out;
+  };
+
   std::unique_ptr<PipelineOpState> MakeState() const override {
-    return nullptr;  // exprs allocate their outputs; no scratch needed
+    return std::make_unique<State>();
   }
 
-  Status Execute(Batch* batch, PipelineOpState*) const override {
-    Batch out;
-    out.set_start_rid(batch->start_rid());
-    std::vector<ColumnId> ids(exprs_.size());
-    for (size_t i = 0; i < exprs_.size(); ++i) {
-      ids[i] = static_cast<ColumnId>(i);
-      out.columns().push_back(exprs_[i](*batch));
-    }
-    out.set_column_ids(std::move(ids));
-    *batch = std::move(out);
+  Status Execute(Batch* batch, PipelineOpState* state) const override {
+    State* s = static_cast<State*>(state);
+    ProjectBatch(exprs_, batch, &s->out);
+    // The consumed input batch becomes next round's output scratch.
+    std::swap(*batch, s->out);
     return Status::OK();
   }
 

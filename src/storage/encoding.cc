@@ -102,9 +102,12 @@ Status EncodeDeltaVarint(const ColumnVector& col, std::string* out) {
   int64_t prev = 0;
   const int64_t* vals = col.ints_data();
   for (size_t i = 0; i < col.size(); ++i) {
-    int64_t v = vals[i];
-    PutVarint64(out, ZigZagEncode(v - prev));
-    prev = v;
+    // Wrapping subtraction: full-range inputs overflow int64_t, and the
+    // decoder's wrapping addition undoes exactly this delta.
+    const uint64_t delta =
+        static_cast<uint64_t>(vals[i]) - static_cast<uint64_t>(prev);
+    PutVarint64(out, ZigZagEncode(static_cast<int64_t>(delta)));
+    prev = vals[i];
   }
   return Status::OK();
 }

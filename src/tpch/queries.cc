@@ -460,8 +460,8 @@ StatusOr<QueryResult> Q12(const TpchTables& t, const QueryOptions& o) {
              const int64_t* receipt = b.column(3).ints_data();
              const int64_t* ship = b.column(4).ints_data();
              keep->FillFrom([&](size_t i) {
-               return commit[i] < receipt[i] && ship[i] < commit[i] &&
-                      receipt[i] >= lo && receipt[i] <= hi;
+               return (commit[i] < receipt[i]) & (ship[i] < commit[i]) &
+                      (receipt[i] >= lo) & (receipt[i] <= hi);
              });
            }}));
   Plan ord = Scan(o, t.orders, {kOOrderkey, kOOrderpriority});

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_map>
 
 #include "util/random.h"
@@ -107,6 +108,25 @@ TEST(DeltaEncodingTest, SortedKeysCompressWell) {
   ExpectRoundtrip(col, Encoding::kDeltaVarint);
   // Negative deltas (unsorted input) still roundtrip via zigzag.
   ExpectRoundtrip(Ints({100, 5, 700, -3}), Encoding::kDeltaVarint);
+}
+
+TEST(DeltaEncodingTest, FullRangeDeltasWrapAndRoundtrip) {
+  // Every delta between INT64_MIN and INT64_MAX overflows int64_t; the
+  // encoder must wrap it in unsigned arithmetic, not invoke UB.
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> vals;
+  for (int i = 0; i < 64; ++i) vals.push_back(i % 2 == 0 ? lo : hi);
+  vals.push_back(0);
+  vals.push_back(hi);
+  ExpectRoundtrip(Ints(vals), Encoding::kDeltaVarint);
+  // The wrapped deltas are +/-1 modulo 2^64: one byte each after the
+  // first value.
+  std::string bytes;
+  ASSERT_TRUE(EncodeColumn(Ints({lo, hi, lo}), Encoding::kDeltaVarint,
+                           &bytes)
+                  .ok());
+  EXPECT_EQ(bytes.size(), 10u + 1u + 1u);
 }
 
 TEST(DeltaEncodingTest, RejectsNonInt) {

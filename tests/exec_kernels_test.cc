@@ -3,12 +3,17 @@
 // GetValue-based references, plus equivalence tests asserting that the
 // kernelized FilterNode / HashJoinNode / HashAggNode produce row-for-row
 // the same results as straightforward row-at-a-time reference
-// implementations.
+// implementations, and the typed range predicates at their boundaries
+// (plain and RLE-sidecar paths must agree).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "columnstore/batch.h"
@@ -180,6 +185,117 @@ TEST(KernelTest, AppendRunMatchesRepeatedAppend) {
       ExpectColumnsEqual(fast, ref);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Typed range predicates at their boundaries, on the plain per-row path
+// and on the RLE-sidecar run path over the same rows.
+// ---------------------------------------------------------------------
+
+// Each value repeated kRun times: one RLE run per distinct value.
+constexpr size_t kRun = 3;
+
+template <typename T>
+ColumnVector RunColumn(TypeId type, const std::vector<T>& values,
+                       bool with_runs) {
+  ColumnVector col(type);
+  auto runs = std::make_shared<RleRuns>();
+  for (T v : values) {
+    for (size_t r = 0; r < kRun; ++r) {
+      if constexpr (std::is_same_v<T, double>) {
+        col.doubles().push_back(v);
+      } else {
+        col.ints().push_back(v);
+      }
+    }
+    runs->ends.push_back(static_cast<uint32_t>(col.size()));
+  }
+  if (with_runs) col.SetRleRuns(std::move(runs));
+  return col;
+}
+
+std::vector<bool> Verdicts(const VecPredicate& pred, ColumnVector col) {
+  Batch b;
+  b.columns().push_back(std::move(col));
+  b.set_column_ids({0});
+  KeepBitmap keep;
+  keep.Reset(b.num_rows());
+  pred(b, &keep);
+  std::vector<bool> out(b.num_rows());
+  for (size_t i = 0; i < out.size(); ++i) out[i] = keep.Test(i);
+  return out;
+}
+
+// Checks `pred` against `want` (one verdict per distinct value) on the
+// plain column, on the RLE-sidecar column, and on a borrowed window of
+// the sidecar column that starts and ends mid-run.
+template <typename T>
+void ExpectRangeVerdicts(TypeId type, const VecPredicate& pred,
+                         const std::vector<T>& values,
+                         const std::vector<bool>& want) {
+  ASSERT_EQ(values.size(), want.size());
+  std::vector<bool> want_rows;
+  for (bool w : want) want_rows.insert(want_rows.end(), kRun, w);
+  ColumnVector plain = RunColumn(type, values, /*with_runs=*/false);
+  ColumnVector runs = RunColumn(type, values, /*with_runs=*/true);
+  ASSERT_NE(runs.rle_runs(), nullptr);
+  EXPECT_EQ(Verdicts(pred, plain), want_rows) << "plain path";
+  EXPECT_EQ(Verdicts(pred, runs), want_rows) << "RLE run path";
+  if (want_rows.size() > 2) {
+    auto owner = std::make_shared<const ColumnVector>(std::move(runs));
+    ColumnVector view(type);
+    view.BorrowFrom(owner, 1, want_rows.size() - 2);
+    ASSERT_NE(view.rle_runs(), nullptr);
+    std::vector<bool> want_view(want_rows.begin() + 1, want_rows.end() - 1);
+    EXPECT_EQ(Verdicts(pred, std::move(view)), want_view)
+        << "borrowed RLE window";
+  }
+}
+
+TEST(PredicateBoundaryTest, DoubleInRangeKeepsLoDropsHiAndNan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // [0.0, 1.0): lo is kept, hi is dropped, -0.0 equals 0.0, NaN and the
+  // infinities fall outside.
+  ExpectRangeVerdicts<double>(
+      TypeId::kDouble, DoubleInRange(0, 0.0, 1.0),
+      {0.0, -0.0, 1.0, std::nextafter(1.0, 0.0), 0.5, nan, inf, -inf,
+       -std::numeric_limits<double>::denorm_min()},
+      {true, true, false, true, true, false, false, false, false});
+  // A -0.0 lower bound admits +0.0 too.
+  ExpectRangeVerdicts<double>(TypeId::kDouble, DoubleInRange(0, -0.0, 1.0),
+                              {0.0, -0.0}, {true, true});
+  // Infinite bounds: -inf is kept (lo inclusive), +inf dropped (hi
+  // exclusive), NaN still dropped.
+  ExpectRangeVerdicts<double>(
+      TypeId::kDouble, DoubleInRange(0, -inf, inf),
+      {-inf, inf, nan, 0.0, std::numeric_limits<double>::max()},
+      {true, false, false, true, true});
+}
+
+TEST(PredicateBoundaryTest, Int64BetweenAtTheTypeLimits) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> values{lo, lo + 1, -1, 0, 1, hi - 1, hi};
+  ExpectRangeVerdicts<int64_t>(TypeId::kInt64, Int64Between(0, lo, hi),
+                               values,
+                               {true, true, true, true, true, true, true});
+  ExpectRangeVerdicts<int64_t>(TypeId::kInt64, Int64Between(0, lo, lo),
+                               values,
+                               {true, false, false, false, false, false,
+                                false});
+  ExpectRangeVerdicts<int64_t>(TypeId::kInt64, Int64Between(0, hi, hi),
+                               values,
+                               {false, false, false, false, false, false,
+                                true});
+  ExpectRangeVerdicts<int64_t>(TypeId::kInt64, Int64Between(0, 0, hi),
+                               values,
+                               {false, false, false, true, true, true, true});
+  // An empty range (lo > hi) keeps nothing.
+  ExpectRangeVerdicts<int64_t>(TypeId::kInt64, Int64Between(0, hi, lo),
+                               values,
+                               {false, false, false, false, false, false,
+                                false});
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "exec/filter.h"
 #include "exec/hash_agg.h"
@@ -96,6 +97,56 @@ TEST(ProjectTest, RevenueExpression) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0][0].AsDouble(), 90.0);
   EXPECT_DOUBLE_EQ(rows[1][0].AsDouble(), 150.0);
+}
+
+TEST(ProjectTest, SameColumnReferencedTwice) {
+  // Moving a column out on its first reference would leave the second
+  // one empty; every batch (size 3 over 10 rows) must see both copies.
+  std::vector<int64_t> keys;
+  std::vector<std::string> names;
+  for (int64_t i = 0; i < 10; ++i) {
+    keys.push_back(i * 10);
+    names.push_back("s" + std::to_string(i));
+  }
+  auto src = std::make_unique<VectorSource>(MakeBatch({keys}, {}, {names}));
+  ProjectNode proj(std::move(src),
+                   {ColumnRef(1), ColumnRef(0), ColumnRef(1), ColumnRef(0)});
+  auto rows = Drain(&proj);
+  ASSERT_EQ(rows.size(), 10u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 4u);
+    EXPECT_EQ(rows[i][0], Value(names[i]));
+    EXPECT_EQ(rows[i][1], Value(keys[i]));
+    EXPECT_EQ(rows[i][2], Value(names[i]));
+    EXPECT_EQ(rows[i][3], Value(keys[i]));
+  }
+}
+
+TEST(ProjectTest, ComputedColumnAndRefReadTheSameInputColumn) {
+  // The refs come first in expression order, but the computed columns
+  // must still read the input columns before they are moved out.
+  auto src = std::make_unique<VectorSource>(MakeBatch(
+      {}, {{100.0, 200.0, 300.0, 400.0}, {0.1, 0.25, 0.5, 0.0}}));
+  ProjectNode proj(std::move(src),
+                   {ColumnRef(0), ColumnRef(1), Revenue(0, 1),
+                    [](const Batch& b) {
+                      ColumnVector out(TypeId::kDouble);
+                      const double* price = b.column(0).doubles_data();
+                      for (size_t i = 0; i < b.num_rows(); ++i) {
+                        out.doubles().push_back(price[i] * 2);
+                      }
+                      return out;
+                    }});
+  auto rows = Drain(&proj);
+  const double price[] = {100.0, 200.0, 300.0, 400.0};
+  const double disc[] = {0.1, 0.25, 0.5, 0.0};
+  ASSERT_EQ(rows.size(), 4u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rows[i][0].AsDouble(), price[i]);
+    EXPECT_DOUBLE_EQ(rows[i][1].AsDouble(), disc[i]);
+    EXPECT_DOUBLE_EQ(rows[i][2].AsDouble(), price[i] * (1 - disc[i]));
+    EXPECT_DOUBLE_EQ(rows[i][3].AsDouble(), price[i] * 2);
+  }
 }
 
 TEST(HashAggTest, GroupedSumCountMinMaxAvg) {

@@ -149,6 +149,41 @@ TEST(KeepBitmapTest, FillFromPacksWordsAndMasksTail) {
   }
 }
 
+TEST(KeepBitmapTest, FillFromMatchesPerBitReferenceOncePerRowInOrder) {
+  // Every n in 0..130 covers empty, sub-word, exact-word and two-word
+  // shapes with every tail length; 1024 is the engine's batch size.
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 130; ++n) sizes.push_back(n);
+  sizes.push_back(1024);
+  Random rng(103);
+  for (size_t n : sizes) {
+    std::vector<std::vector<uint8_t>> patterns;
+    patterns.emplace_back(n, 0);
+    patterns.emplace_back(n, 1);
+    std::vector<uint8_t> alternating(n);
+    for (size_t i = 0; i < n; ++i) alternating[i] = i % 2;
+    patterns.push_back(std::move(alternating));
+    patterns.push_back(RandomBytes(n, 0.5, &rng));
+    for (const auto& pattern : patterns) {
+      KeepBitmap bm;
+      bm.Reset(n);
+      std::vector<size_t> calls;
+      bm.FillFrom([&](size_t i) {
+        calls.push_back(i);
+        return pattern[i] != 0;
+      });
+      ASSERT_EQ(calls.size(), n) << "n=" << n;
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i], i) << "n=" << n;
+      // The reference: one SetTo per row into a zeroed bitmap.
+      KeepBitmap ref = FromBytes(pattern);
+      for (size_t w = 0; w < bm.num_words(); ++w) {
+        ASSERT_EQ(bm.words()[w], ref.words()[w]) << "n=" << n << " w=" << w;
+      }
+      ExpectMatchesBytes(bm, pattern);
+    }
+  }
+}
+
 // --- the predicate path on top of the bitmap ---
 
 Batch IntBatch(const std::vector<int64_t>& vals) {

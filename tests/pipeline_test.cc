@@ -158,6 +158,111 @@ TEST(PipelineTest, FilterProjectAggMatchesSerialAcrossThreadCounts) {
   }
 }
 
+// Emits stored batches unchanged, one per pull (copies keep borrows).
+class BatchListSource : public BatchSource {
+ public:
+  explicit BatchListSource(std::vector<Batch> batches)
+      : batches_(std::move(batches)) {}
+  StatusOr<bool> Next(Batch* out, size_t) override {
+    if (pos_ == batches_.size()) return false;
+    *out = batches_[pos_++];
+    return true;
+  }
+
+ private:
+  std::vector<Batch> batches_;
+  size_t pos_ = 0;
+};
+
+std::vector<Batch> ScanBatches(Table* table) {
+  std::vector<Batch> batches;
+  auto scan = table->Scan(AllColumns(table->schema()));
+  Batch b;
+  while (true) {
+    auto more = scan->Next(&b, kDefaultBatchSize);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    batches.push_back(b);
+  }
+  return batches;
+}
+
+// Two refs of column 1, one of column 0, and a computed column over
+// column 0 placed after the refs that move it.
+std::vector<ColumnExpr> RefHeavyExprs() {
+  return {ColumnRef(1), ColumnRef(0), GroupExprs()[0], ColumnRef(1)};
+}
+
+TEST(PipelineTest, ProjectRefKeepsBorrowedScanColumns) {
+  // A clean table scans as zero-copy borrows of the chunk storage; a
+  // projection that passes the column through must not copy it.
+  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 500, 0, 23);
+  std::vector<Batch> raw = ScanBatches(table.get());
+  ASSERT_FALSE(raw.empty());
+  ASSERT_TRUE(raw[0].column(0).is_borrowed());
+  ProjectNode proj(table->Scan(AllColumns(table->schema())),
+                   RefHeavyExprs());
+  Batch out;
+  size_t pulled = 0;
+  while (true) {
+    auto more = proj.Next(&out, kDefaultBatchSize);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    ASSERT_LT(pulled, raw.size());
+    const Batch& in = raw[pulled++];
+    ASSERT_EQ(out.num_rows(), in.num_rows());
+    // Column 1's last reference (output 3) moves the borrow through; its
+    // earlier one (output 0) copies the view, which still borrows.
+    EXPECT_TRUE(out.column(0).is_borrowed());
+    EXPECT_TRUE(out.column(1).is_borrowed());
+    EXPECT_TRUE(out.column(3).is_borrowed());
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      EXPECT_EQ(out.column(0).ints_data()[i], in.column(1).ints_data()[i]);
+      EXPECT_EQ(out.column(1).ints_data()[i], in.column(0).ints_data()[i]);
+      EXPECT_EQ(out.column(2).ints_data()[i],
+                in.column(0).ints_data()[i] % 7);
+      EXPECT_EQ(out.column(3).ints_data()[i], in.column(1).ints_data()[i]);
+    }
+  }
+  EXPECT_EQ(pulled, raw.size());
+}
+
+TEST(PipelineTest, ProjectNodeAndPipelineProjectGiveIdenticalBatches) {
+  // Updated tables scan as a mix of borrowed and owned columns. The
+  // serial node and the pipeline op share ProjectBatch; fed the same
+  // batches in the same order, they must emit the same batches: layout,
+  // ids, start rid, borrowedness and values.
+  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 300, 29);
+  std::vector<Batch> raw = ScanBatches(table.get());
+  ASSERT_GT(raw.size(), 1u);
+  ProjectNode node(std::make_unique<BatchListSource>(raw), RefHeavyExprs());
+  auto op = MakeProjectOp(RefHeavyExprs());
+  ASSERT_TRUE(op->Prepare().ok());
+  auto state = op->MakeState();
+  Batch serial;
+  for (size_t n = 0; n < raw.size(); ++n) {
+    auto more = node.Next(&serial, kDefaultBatchSize);
+    ASSERT_TRUE(more.ok() && *more);
+    Batch piped = raw[n];
+    ASSERT_TRUE(op->Execute(&piped, state.get()).ok());
+    ASSERT_EQ(piped.num_columns(), serial.num_columns());
+    ASSERT_EQ(piped.num_rows(), serial.num_rows());
+    EXPECT_EQ(piped.column_ids(), serial.column_ids());
+    EXPECT_EQ(piped.start_rid(), serial.start_rid());
+    for (size_t c = 0; c < piped.num_columns(); ++c) {
+      EXPECT_EQ(piped.column(c).type(), serial.column(c).type());
+      EXPECT_EQ(piped.column(c).is_borrowed(),
+                serial.column(c).is_borrowed());
+    }
+    for (size_t i = 0; i < piped.num_rows(); ++i) {
+      EXPECT_EQ(piped.RowAsTuple(i), serial.RowAsTuple(i)) << "row " << i;
+    }
+  }
+  auto more = node.Next(&serial, kDefaultBatchSize);
+  ASSERT_TRUE(more.ok());
+  EXPECT_FALSE(*more);
+}
+
 TEST(PipelineTest, GlobalAggregationIncludingEmptyInput) {
   auto table = BuildUpdatedTable(DeltaBackend::kPdt, 500, 200, 19);
   auto cols = AllColumns(table->schema());
