@@ -1222,46 +1222,6 @@ int main(int argc, char** argv) {
     Report(&json, "zero_copy_scan", rows,
            BestOf(reps, ScanDecodeFirstMs, &enc),
            BestOf(reps, ScanZeroCopyMs, &enc));
-
-    // Cold scan with a zone-map hint: most chunks are proven dead by
-    // their k min/max and never leave "disk". Reported as I/O bytes,
-    // the paper's cold-scan currency.
-    BufferPool* pool = encoded->buffer_pool();
-    pool->EvictAll();
-    pool->ResetStats();
-    const int64_t klo = static_cast<int64_t>(rows / 2);
-    const int64_t khi = klo + static_cast<int64_t>(rows / 16);
-    ScanOptions zso;
-    zso.zone_filters.push_back({0, Value(klo), Value(khi)});
-    Stopwatch zsw;
-    FilterNode zf(encoded->Scan({0, 3}, nullptr, zso),
-                  Int64Between(0, klo, khi));
-    Batch zb;
-    uint64_t zrows = 0;
-    while (true) {
-      auto more = zf.Next(&zb, kDefaultBatchSize);
-      if (!more.ok() || !*more) break;
-      zrows += zb.num_rows();
-    }
-    const double zms = zsw.ElapsedMillis();
-    const IoStats s = pool->stats();
-    if (zrows == 0) std::abort();
-    std::printf(
-        "%-24s %10.2f ms   read %.1f KiB in %llu chunks, skipped %.1f KiB "
-        "in %llu chunks\n",
-        "zone_prune_cold_scan", zms, s.bytes_read / 1024.0,
-        static_cast<unsigned long long>(s.chunks_read),
-        s.bytes_skipped / 1024.0,
-        static_cast<unsigned long long>(s.chunks_skipped));
-    json.Metric("zone_prune_cold_scan", "scan_ms", zms);
-    json.Metric("zone_prune_cold_scan", "bytes_read",
-                static_cast<double>(s.bytes_read));
-    json.Metric("zone_prune_cold_scan", "chunks_read",
-                static_cast<double>(s.chunks_read));
-    json.Metric("zone_prune_cold_scan", "bytes_skipped",
-                static_cast<double>(s.bytes_skipped));
-    json.Metric("zone_prune_cold_scan", "chunks_skipped",
-                static_cast<double>(s.chunks_skipped));
   }
 
   {

@@ -187,14 +187,20 @@ Status SaveTableImage(FileSystem* fs, const std::string& path,
   return WriteFileAtomic(fs, path, FrameFile(kImageMagic, p));
 }
 
-Status LoadTableImage(FileSystem* fs, const std::string& path, Table* table) {
+Status LoadTableImage(FileSystem* fs, const std::string& path,
+                      uint64_t row_count, Table* table) {
   std::string bytes;
   PDT_RETURN_NOT_OK(fs->ReadFileToString(path, &bytes));
   PDT_ASSIGN_OR_RETURN(std::string p,
                        UnframeFile(kImageMagic, bytes, "table image"));
   size_t pos = 0;
-  uint64_t row_count, ncols;
-  PDT_RETURN_NOT_OK(GetVarint64(p, &pos, &row_count));
+  uint64_t image_rows, ncols;
+  PDT_RETURN_NOT_OK(GetVarint64(p, &pos, &image_rows));
+  if (image_rows != row_count) {
+    return Status::Corruption("table image row count mismatch: image " +
+                              std::to_string(image_rows) + ", manifest " +
+                              std::to_string(row_count));
+  }
   PDT_RETURN_NOT_OK(GetVarint64(p, &pos, &ncols));
   const Schema& schema = table->schema();
   if (ncols != schema.num_columns()) {

@@ -35,7 +35,7 @@ struct ManifestTable {
   uint64_t chunk_rows = 0;
   bool compression = true;
   std::string image_file;  ///< relative to the db dir; "" = empty table
-  uint64_t row_count = 0;  ///< stable rows in the image (sanity check)
+  uint64_t row_count = 0;  ///< stable rows in the image (bounds its decode)
 };
 
 /// The database root pointer.
@@ -67,8 +67,12 @@ Status SaveTableImage(FileSystem* fs, const std::string& path,
                       const Table& table);
 
 /// Loads an image written by SaveTableImage into a freshly created
-/// (unloaded) table. Corruption is reported as Corruption.
-Status LoadTableImage(FileSystem* fs, const std::string& path, Table* table);
+/// (unloaded) table. `row_count` is the manifest's count for the table:
+/// an image header that disagrees is Corruption before any column is
+/// decoded, so a corrupt header cannot size an allocation. Other
+/// corruption is reported as Corruption too.
+Status LoadTableImage(FileSystem* fs, const std::string& path,
+                      uint64_t row_count, Table* table);
 
 }  // namespace pdtstore
 

@@ -73,12 +73,8 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& dir,
           t.name, std::make_shared<const Schema>(std::move(*schema)), topts,
           db->pool_);
       if (!t.image_file.empty()) {
-        Status st =
-            LoadTableImage(fs, db->PathOf(t.image_file), table.get());
-        if (st.ok() && table->store().num_rows() != t.row_count) {
-          st = Status::Corruption("table image row count mismatch for " +
-                                  t.name);
-        }
+        Status st = LoadTableImage(fs, db->PathOf(t.image_file),
+                                   t.row_count, table.get());
         if (!st.ok()) {
           db->tables_[t.name] = std::move(table);
           db->Degrade(st);

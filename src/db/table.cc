@@ -183,42 +183,46 @@ std::unique_ptr<BatchSource> Table::Scan(std::vector<ColumnId> projection,
                                     scan_opts));
 }
 
+SidRange Table::ScanRange(const KeyBounds* bounds,
+                          const std::vector<ColumnId>& projection) const {
+  if (bounds == nullptr) return store_->FullRange();
+  const SidRange range = sparse_index_.LookupRange(bounds->lo, bounds->hi);
+  uint64_t chunks = 0;
+  uint64_t bytes = 0;
+  for (size_t ci = 0; ci < store_->num_chunks(); ++ci) {
+    const auto [begin, end] = store_->ChunkSidRange(ci);
+    if (begin >= range.begin && end <= range.end) continue;
+    chunks += projection.size();
+    for (ColumnId col : projection) {
+      bytes += store_->chunk_meta(col, ci).DiskBytes();
+    }
+  }
+  if (chunks > 0) store_->buffer_pool()->NoteSkipped(chunks, bytes);
+  return range;
+}
+
 MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
                               const KeyBounds* bounds,
                               const ScanOptions& scan_opts) const {
-  std::vector<SidRange> ranges;
-  if (bounds != nullptr) {
-    ranges = sparse_index_.LookupRange(bounds->lo, bounds->hi);
-  }
+  const SidRange range = ScanRange(bounds, projection);
   // Pin the Read-PDT for the whole plan: the plan's sources carry the
   // pin (LayeredMorselPlan's `pins`), so a background merge installing
   // a replacement mid-scan cannot free the layer under the cursors.
   std::shared_ptr<const Pdt> pdt = SharedPdt();
-  if (!pdt) {
-    // VDT: zone pruning needs no entry check — the insert map carries
-    // full tuples and its drain is key-fenced, never positional (the
-    // PDT path prunes inside LayeredMorselPlan, entry-checked).
-    ranges = PruneRangesWithZoneMaps(*store_, {}, std::move(ranges),
-                                     scan_opts.zone_filters, projection);
-  }
   if (pdt) {
     // Serial or morsel-parallel over the single-layer stack — the same
     // shared planning step the transaction scan paths use.
     return internal::LayeredMorselPlan(*store_, {pdt.get()},
-                                       std::move(projection),
-                                       std::move(ranges), scan_opts, {pdt});
+                                       std::move(projection), range,
+                                       scan_opts, {pdt});
   }
-  // Parallel VDT path (ResolveMorselPlan: an empty range list means "no
-  // pruning" — both the unbounded scan and the conservative LookupRange
-  // fallback — i.e. the whole table).
   MorselPlan plan;
   plan.options = scan_opts;
-  if (!ResolveMorselPlan(&ranges, store_->num_rows(),
-                         store_->options().chunk_rows,
+  if (!ResolveMorselPlan(range, store_->options().chunk_rows,
                          vdt_->InsertCount() + vdt_->DeleteCount(),
                          &plan)) {
     plan.serial = std::make_unique<VdtMergeScan>(
-        store_.get(), vdt_.get(), std::move(projection), std::move(ranges),
+        store_.get(), vdt_.get(), std::move(projection), range,
         bounds ? *bounds : KeyBounds{});
     return plan;
   }
@@ -233,8 +237,8 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
       // Cannot fence: fall back to the serial scan.
       plan.morsels.clear();
       plan.serial = std::make_unique<VdtMergeScan>(
-          store_.get(), vdt_.get(), std::move(projection),
-          std::move(ranges), bounds ? *bounds : KeyBounds{});
+          store_.get(), vdt_.get(), std::move(projection), range,
+          bounds ? *bounds : KeyBounds{});
       return plan;
     }
     begin_keys[i] = std::move(*key);
@@ -251,8 +255,8 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
         std::vector<Value> fence_hi =
             final_morsel ? std::vector<Value>{} : begin_keys[idx + 1];
         return std::make_unique<VdtMergeScan>(
-            store, vdt, projection, std::vector<SidRange>{morsel},
-            user_bounds, std::move(fence_lo), std::move(fence_hi));
+            store, vdt, projection, morsel, user_bounds,
+            std::move(fence_lo), std::move(fence_hi));
       };
   // VDT batches carry morsel-local RIDs; the ordered exchange renumbers
   // them (pipeline fragments ignore RIDs).

@@ -139,13 +139,21 @@ class Table {
   /// columns — the paper's core I/O asymmetry.
   ///
   /// `scan_opts.num_threads > 1` runs the morsel-driven parallel scan
-  /// (exec/parallel_scan.h): disjoint SID-range morsels are merged by a
+  /// (exec/parallel_scan.h): consecutive SID-range morsels are merged by a
   /// worker pool; `scan_opts.ordered` picks SID-ordered or as-completed
   /// delivery. Both modes produce exactly the serial scan's rows. The
   /// scan must not overlap updates to this table's delta structure.
   std::unique_ptr<BatchSource> Scan(std::vector<ColumnId> projection,
                                     const KeyBounds* bounds = nullptr,
                                     const ScanOptions& scan_opts = {}) const;
+
+  /// The stable interval a scan with `bounds` covers: the whole image
+  /// when `bounds` is null, else the sparse-index lookup. Chunks the
+  /// lookup excludes are never fetched; they are counted, with the disk
+  /// bytes of their `projection` columns, into the buffer pool's skip
+  /// stats. Shared by the table and transaction scan paths.
+  SidRange ScanRange(const KeyBounds* bounds,
+                     const std::vector<ColumnId>& projection) const;
 
   /// Plans the same scan as morsels + a per-morsel source factory, the
   /// input of the parallel pipelines (exec/pipeline.h): operator

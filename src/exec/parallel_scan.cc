@@ -1,7 +1,6 @@
 #include "exec/parallel_scan.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "exec/pipeline.h"
 #include "util/mem_budget.h"
@@ -34,7 +33,7 @@ size_t AutoMorselRows(size_t chunk_rows, uint64_t scan_sids,
     }
   }
   // Chunk alignment: a morsel should cover whole decoded chunks (the
-  // unit of I/O and of zone-map pruning) whenever it spans at least one.
+  // unit of I/O) whenever it spans at least one.
   const size_t floor_rows = std::min(chunk_rows, kDefaultMorselRows);
   if (rows >= chunk_rows) {
     rows -= rows % chunk_rows;
@@ -42,23 +41,17 @@ size_t AutoMorselRows(size_t chunk_rows, uint64_t scan_sids,
   return std::max(rows, floor_rows);
 }
 
-std::vector<SidRange> SplitIntoMorsels(const std::vector<SidRange>& ranges,
-                                       size_t morsel_rows) {
+std::vector<SidRange> SplitIntoMorsels(SidRange range, size_t morsel_rows) {
   if (morsel_rows == 0) morsel_rows = kDefaultMorselRows;
   std::vector<SidRange> morsels;
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    assert(i == 0 || ranges[i - 1].end <= ranges[i].begin);
-    for (Sid b = ranges[i].begin; b < ranges[i].end; b += morsel_rows) {
-      morsels.push_back(SidRange{b, std::min<Sid>(b + morsel_rows,
-                                                  ranges[i].end)});
-    }
+  for (Sid b = range.begin; b < range.end; b += morsel_rows) {
+    morsels.push_back(SidRange{b, std::min<Sid>(b + morsel_rows, range.end)});
   }
   return morsels;
 }
 
-bool ResolveMorselPlan(std::vector<SidRange>* ranges, uint64_t table_rows,
-                       size_t chunk_rows, size_t delta_entries,
-                       MorselPlan* plan) {
+bool ResolveMorselPlan(SidRange range, size_t chunk_rows,
+                       size_t delta_entries, MorselPlan* plan) {
   if (plan->options.num_threads <= 0) {
     plan->options.num_threads = ThreadPool::DefaultThreads();
   }
@@ -66,20 +59,17 @@ bool ResolveMorselPlan(std::vector<SidRange>* ranges, uint64_t table_rows,
     plan->options.num_threads = 1;
     return false;
   }
-  if (ranges->empty()) ranges->push_back(SidRange{0, table_rows});
   if (plan->options.morsel_rows == 0) {
-    uint64_t span = 0;
-    for (const SidRange& r : *ranges) span += r.end - r.begin;
-    plan->options.morsel_rows = AutoMorselRows(
-        chunk_rows, span, delta_entries, plan->options.num_threads);
+    plan->options.morsel_rows =
+        AutoMorselRows(chunk_rows, range.end - range.begin, delta_entries,
+                       plan->options.num_threads);
   }
-  plan->morsels = SplitIntoMorsels(*ranges, plan->options.morsel_rows);
+  plan->morsels = SplitIntoMorsels(range, plan->options.morsel_rows);
   if (plan->morsels.empty()) {
-    // No stable rows to scan (empty table, or zone pruning dropped
-    // everything): keep one empty morsel at the end position so
-    // trailing/pending inserts still have a final morsel to ride with.
-    const Sid end = ranges->empty() ? 0 : ranges->back().end;
-    plan->morsels.push_back(SidRange{end, end});
+    // No stable rows to scan (empty table): keep one empty morsel at the
+    // end position so trailing/pending inserts still have a final morsel
+    // to ride with.
+    plan->morsels.push_back(SidRange{range.end, range.end});
   }
   return true;
 }
@@ -101,7 +91,6 @@ ParallelScanSource::ParallelScanSource(
   if (sh_->opts.num_threads <= 0) {
     sh_->opts.num_threads = ThreadPool::DefaultThreads();
   }
-  if (sh_->opts.batch_rows == 0) sh_->opts.batch_rows = kDefaultBatchSize;
   sh_->num_workers = std::min<size_t>(
       static_cast<size_t>(sh_->opts.num_threads), sh_->morsels.size());
   sh_->inflight_window =
@@ -188,7 +177,7 @@ bool ParallelScanSource::Shared::ProcessMorsel(
   Batch local;
   while (true) {
     GrabRecycledBatch(&local);
-    StatusOr<bool> more = src->Next(&local, opts.batch_rows);
+    StatusOr<bool> more = src->Next(&local, kDefaultBatchSize);
     Status op_status = Status::OK();
     bool produced = false;
     if (more.ok() && *more) {

@@ -1,7 +1,7 @@
 // Morsel-driven parallel scan: an exchange operator that runs one merge
-// cursor per worker over a shared queue of disjoint SID-range morsels
-// (the natural work units LookupRange / chunk bounds provide — PDT layers
-// are read-only during scans, so workers share them lock-free).
+// cursor per worker over a shared queue of consecutive SID-range morsels
+// cut from the scan's one stable interval (PDT layers are read-only
+// during scans, so workers share them lock-free).
 //
 // Since PR 3 the exchange is also the spine of parallel *pipelines*
 // (exec/pipeline.h): each worker may run a chain of PipelineOps (filter,
@@ -50,19 +50,6 @@ class PipelineOpState;
 /// Also the upper bound of the auto-tuned size (AutoMorselRows).
 constexpr size_t kDefaultMorselRows = 64 * 1024;
 
-/// Pruning-only hint for zone-map chunk skipping: the caller promises
-/// its predicate rejects every row of `col` outside [lo, hi] (both
-/// inclusive, typed like the column). Planning drops chunks whose
-/// min/max metadata proves no overlap (exec/zone_prune.h) — they are
-/// never fetched or decoded, and are charged to the buffer pool's skip
-/// counters instead of its read counters. Hints never replace the real
-/// predicate: the scan output is unchanged, only dead I/O disappears.
-struct ZoneFilter {
-  ColumnId col = 0;
-  Value lo;
-  Value hi;
-};
-
 /// Scan execution knobs, plumbed through Table::Scan and the transaction
 /// scan paths. The default (1 thread) is the unchanged serial scan.
 struct ScanOptions {
@@ -75,10 +62,6 @@ struct ScanOptions {
   /// Morsel granularity in stable SIDs. 0 (the default) auto-tunes from
   /// the chunk size and the observed delta entry density (AutoMorselRows).
   size_t morsel_rows = 0;
-  /// Rows per batch a worker pulls from its merge cursor.
-  size_t batch_rows = kDefaultBatchSize;
-  /// Zone-map pruning hints (see ZoneFilter). Empty = no pruning.
-  std::vector<ZoneFilter> zone_filters;
 };
 
 /// Derives a morsel granularity from the storage chunk size, the scanned
@@ -91,25 +74,21 @@ struct ScanOptions {
 size_t AutoMorselRows(size_t chunk_rows, uint64_t scan_sids,
                       size_t delta_entries, int num_threads);
 
-/// Splits `ranges` (sorted, disjoint — the SparseIndex::LookupRange
-/// invariant, asserted here in debug builds) into morsels of at most
-/// `morsel_rows` SIDs, preserving order and disjointness.
-std::vector<SidRange> SplitIntoMorsels(const std::vector<SidRange>& ranges,
-                                       size_t morsel_rows);
+/// Splits `range` into consecutive morsels of at most `morsel_rows` SIDs
+/// (none for an empty range).
+std::vector<SidRange> SplitIntoMorsels(SidRange range, size_t morsel_rows);
 
 struct MorselPlan;
 
 /// Shared planning prologue of Table::PlanMorsels and the layered scan
 /// plan: resolves plan->options (default thread count; morsel_rows == 0
 /// auto-tunes via AutoMorselRows from `chunk_rows`, the scanned span and
-/// `delta_entries`) and splits `*ranges` into plan->morsels (an empty
-/// range list means the whole table of `table_rows` SIDs; the result
-/// always has at least one morsel so trailing inserts have a home).
-/// Returns false — leaving `*ranges` untouched — when the resolved
-/// thread count is 1: the caller then fills plan->serial instead.
-bool ResolveMorselPlan(std::vector<SidRange>* ranges, uint64_t table_rows,
-                       size_t chunk_rows, size_t delta_entries,
-                       MorselPlan* plan);
+/// `delta_entries`) and splits `range` into plan->morsels (always at
+/// least one, so trailing inserts have a home). Returns false when the
+/// resolved thread count is 1: the caller then fills plan->serial
+/// instead.
+bool ResolveMorselPlan(SidRange range, size_t chunk_rows,
+                       size_t delta_entries, MorselPlan* plan);
 
 /// Builds the per-morsel merge cursor: called once per morsel, on a
 /// worker thread. `final_morsel` is true for the scan's last morsel (the

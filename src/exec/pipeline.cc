@@ -172,7 +172,7 @@ void RunPipelineWorker(const std::shared_ptr<RunShared>& rs) {
     std::unique_ptr<BatchSource> src =
         rs->plan->factory(m, rs->plan->morsels[m], m + 1 == num_morsels);
     while (status.ok()) {
-      StatusOr<bool> more = src->Next(&local, rs->plan->options.batch_rows);
+      StatusOr<bool> more = src->Next(&local, kDefaultBatchSize);
       if (!more.ok()) {
         status = more.status();
         break;
@@ -223,7 +223,7 @@ Status RunPipeline(MorselPlan* plan,
     Batch local;
     while (true) {
       PDT_ASSIGN_OR_RETURN(
-          bool more, plan->serial->Next(&local, plan->options.batch_rows));
+          bool more, plan->serial->Next(&local, kDefaultBatchSize));
       if (!more) break;
       Status st = Status::OK();
       for (size_t i = 0; i < ops.size() && st.ok(); ++i) {

@@ -21,34 +21,21 @@ constexpr size_t kMinBorrowRows = 256;
 
 StableScanSource::StableScanSource(const ColumnStore* store,
                                    std::vector<ColumnId> projection,
-                                   std::vector<SidRange> ranges)
+                                   SidRange range)
     : store_(store),
       projection_(std::move(projection)),
-      ranges_(std::move(ranges)) {
+      cur_sid_(range.begin),
+      end_sid_(range.end) {
   assert(!projection_.empty() && "scan needs at least one column");
+  assert(range.begin <= range.end && range.end <= store_->num_rows());
   proto_ = Batch::ForSchema(store_->schema(), projection_);
-  if (ranges_.empty()) {
-    ranges_.push_back(SidRange{0, store_->num_rows()});
-  }
 }
 
 StatusOr<bool> StableScanSource::Next(Batch* out, size_t max_rows) {
-  if (!started_) {
-    started_ = true;
-    cur_sid_ = ranges_.empty() ? 0 : ranges_[0].begin;
-  }
-  // Skip exhausted / empty ranges.
-  while (range_idx_ < ranges_.size() &&
-         cur_sid_ >= ranges_[range_idx_].end) {
-    ++range_idx_;
-    if (range_idx_ < ranges_.size()) cur_sid_ = ranges_[range_idx_].begin;
-  }
-  if (range_idx_ >= ranges_.size() || store_->num_rows() == 0) return false;
-
-  const SidRange& range = ranges_[range_idx_];
+  if (cur_sid_ >= end_sid_) return false;
   size_t ci = store_->ChunkIndexForSid(cur_sid_);
   auto [cstart, cend] = store_->ChunkSidRange(ci);
-  Sid end = std::min({range.end, cend, cur_sid_ + max_rows});
+  Sid end = std::min({end_sid_, cend, cur_sid_ + max_rows});
 
   out->ResetLike(proto_);
   out->set_start_rid(cur_sid_);
@@ -79,8 +66,8 @@ PdtMergeSource::PdtMergeSource(std::unique_ptr<BatchSource> input,
       projection_(std::move(projection)),
       in_pos_(start_pos),
       emit_trailing_inserts_(emit_trailing_inserts) {
-  // SeekSid(0) == Begin(); for morsels it skips earlier entries while
-  // accumulating the global prefix delta, keeping emitted RIDs correct.
+  // SeekSid skips the entries before the interval while accumulating
+  // the global prefix delta, keeping emitted RIDs correct.
   cursor_ = pdt_->SeekSid(start_pos);
   proto_ = Batch::ForSchema(pdt_->schema(), projection_);
 }
@@ -93,17 +80,8 @@ StatusOr<bool> PdtMergeSource::FillInput(size_t max_rows) {
     input_done_ = true;
     return false;
   }
-  if (buf_.start_rid() != in_pos_) {
-    // Discontinuity (restricted scan skipped a SID range): re-seek. The
-    // cursor's delta_before is the global prefix delta at the new
-    // position, so emitted RIDs remain globally correct. The caller must
-    // flush any rows already gathered before consuming this batch — a
-    // batch's RIDs are contiguous from start_rid, so output assembled
-    // across the jump would hide the gap from the next layer up.
-    in_pos_ = buf_.start_rid();
-    cursor_ = pdt_->SeekSid(in_pos_);
-    input_jumped_ = true;
-  }
+  // One interval per scan: the input never skips positions.
+  assert(buf_.start_rid() == in_pos_);
   return true;
 }
 
@@ -139,12 +117,6 @@ StatusOr<bool> PdtMergeSource::Next(Batch* out, size_t max_rows) {
     if (!input_done_ && buf_off_ >= buf_.num_rows()) {
       PDT_ASSIGN_OR_RETURN(bool more, FillInput(max_rows));
       (void)more;
-      if (input_jumped_) {
-        input_jumped_ = false;
-        // The input skipped ahead (pruned range): end this batch at the
-        // gap so downstream positional consumers see the discontinuity.
-        if (out->num_rows() > 0) break;
-      }
     }
     const bool have_row = buf_off_ < buf_.num_rows();
     const bool have_entry = cursor_.Valid();
@@ -235,36 +207,20 @@ StatusOr<bool> PdtMergeSource::Next(Batch* out, size_t max_rows) {
 // Stack assembly.
 // ---------------------------------------------------------------------
 
-std::unique_ptr<BatchSource> MakeMergeScan(const ColumnStore& store,
-                                           std::vector<const Pdt*> layers,
-                                           std::vector<ColumnId> projection,
-                                           std::vector<SidRange> ranges) {
-  std::unique_ptr<BatchSource> source = std::make_unique<StableScanSource>(
-      &store, projection, std::move(ranges));
-  for (const Pdt* layer : layers) {
-    // An empty layer is an identity mapping: skipping it keeps the scan a
-    // bare StableScanSource (borrowed, zero-copy batches) after
-    // checkpoints wipe the deltas.
-    if (layer == nullptr || layer->EntryCount() == 0) continue;
-    source = std::make_unique<PdtMergeSource>(std::move(source), layer,
-                                              projection);
-  }
-  return source;
-}
-
-std::unique_ptr<BatchSource> MakeMorselMergeScan(
+std::unique_ptr<BatchSource> MakeMergeScan(
     const ColumnStore& store, const std::vector<const Pdt*>& layers,
-    const std::vector<ColumnId>& projection, SidRange morsel,
+    const std::vector<ColumnId>& projection, SidRange range,
     bool final_morsel) {
-  std::unique_ptr<BatchSource> source = std::make_unique<StableScanSource>(
-      &store, projection, std::vector<SidRange>{morsel});
+  std::unique_ptr<BatchSource> source =
+      std::make_unique<StableScanSource>(&store, projection, range);
   // Each layer consumes the output positions of the layer below: the
-  // morsel's start position in that domain is the stable start shifted by
-  // the prefix delta of every lower layer.
-  Sid start_pos = morsel.begin;
+  // interval's start position in that domain is the stable start shifted
+  // by the prefix delta of every lower layer.
+  Sid start_pos = range.begin;
   for (const Pdt* layer : layers) {
-    // Empty layer = identity mapping (prefix delta 0, no trailing
-    // inserts): skip it so post-checkpoint morsels stay zero-copy.
+    // An empty layer is an identity mapping (prefix delta 0, no inserts):
+    // skipping it keeps the scan a bare StableScanSource (borrowed,
+    // zero-copy batches) after checkpoints wipe the deltas.
     if (layer == nullptr || layer->EntryCount() == 0) continue;
     source = std::make_unique<PdtMergeSource>(std::move(source), layer,
                                               projection, start_pos,

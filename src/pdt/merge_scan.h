@@ -16,26 +16,23 @@
 
 namespace pdtstore {
 
-/// Scans the stable table's projected columns over the given SID ranges
-/// (empty = full table), emitting batches whose start_rid is the SID of
-/// the first row. The input side of every merge stack.
+/// Scans the stable table's projected columns over one SID interval,
+/// emitting batches whose start_rid is the SID of the first row. The
+/// input side of every merge stack.
 class StableScanSource : public BatchSource {
  public:
-  /// `projection` must be non-empty; `ranges` must be ascending and
-  /// disjoint (as produced by SparseIndex::LookupRange).
+  /// `projection` must be non-empty; `range` must lie within the image.
   StableScanSource(const ColumnStore* store, std::vector<ColumnId> projection,
-                   std::vector<SidRange> ranges = {});
+                   SidRange range);
 
   StatusOr<bool> Next(Batch* out, size_t max_rows) override;
 
  private:
   const ColumnStore* store_;
   std::vector<ColumnId> projection_;
-  std::vector<SidRange> ranges_;
   Batch proto_;  // output layout, reused via ResetLike
-  size_t range_idx_ = 0;
   Sid cur_sid_ = 0;
-  bool started_ = false;
+  Sid end_sid_ = 0;
 };
 
 /// Applies one PDT layer to an input stream whose row positions (batch
@@ -52,32 +49,31 @@ class StableScanSource : public BatchSource {
 /// inside it detaches only the modified column (copy-on-write SetFrom).
 /// Shorter runs, inserts and owned inputs are copied into an owned batch.
 ///
-/// Range-scan semantics: on a gap in the input positions the entry cursor
-/// re-seeks; trailing inserts (entries at the end-of-input position) are
-/// emitted when the input is exhausted, which for restricted scans yields
-/// a conservative superset exactly like zone-map pruning does — query
-/// predicates filter on top.
+/// Interval semantics: the input covers one contiguous run of positions
+/// starting at `start_pos`, where the entry cursor is placed up front
+/// (SeekSid), so a source over [lo, hi) starts correctly even when the
+/// input yields no rows at all (every stable row of the interval deleted
+/// by a lower layer). Entries at `start_pos` are emitted as leading
+/// inserts; entries at the end-of-input position as trailing inserts
+/// once the input is exhausted. For a key-bounded scan that is a
+/// conservative superset — query predicates filter on top.
 ///
-/// Morsel semantics (parallel scans): `start_pos` positions the entry
-/// cursor at an arbitrary input-domain offset up front (SeekSid), so a
-/// source over morsel [lo, hi) starts correctly even when the input
-/// yields no rows at all (every stable row of the morsel deleted by a
-/// lower layer). `emit_trailing_inserts` is false on every morsel but
-/// the scan's last one: entries at a morsel's end position are exactly
-/// the entries at the next morsel's start position, which that morsel
-/// emits as leading inserts — together the morsels partition the merged
-/// output with no duplicate and no loss.
+/// Morsel semantics (parallel scans): `emit_trailing_inserts` is false
+/// on every morsel but the scan's last one: entries at a morsel's end
+/// position are exactly the entries at the next morsel's start position,
+/// which that morsel emits as leading inserts — together the morsels
+/// partition the merged output with no duplicate and no loss.
 class PdtMergeSource : public BatchSource {
  public:
   PdtMergeSource(std::unique_ptr<BatchSource> input, const Pdt* pdt,
-                 std::vector<ColumnId> projection, Sid start_pos = 0,
-                 bool emit_trailing_inserts = true);
+                 std::vector<ColumnId> projection, Sid start_pos,
+                 bool emit_trailing_inserts);
 
   StatusOr<bool> Next(Batch* out, size_t max_rows) override;
 
  private:
-  // Ensures buf_ has an unconsumed row, pulling from the input; returns
-  // false when the input is exhausted.
+  // Pulls the next input batch into buf_ (which must continue at
+  // in_pos_); returns false when the input is exhausted.
   StatusOr<bool> FillInput(size_t max_rows);
   // Consumes the run of consecutive INS entries at the current position
   // (up to the batch budget) and gathers their tuples column-wise.
@@ -92,33 +88,24 @@ class PdtMergeSource : public BatchSource {
   size_t buf_off_ = 0;
   Rid in_pos_ = 0;     // input-domain position of buf_[buf_off_]
   bool input_done_ = false;
-  // Set by FillInput on an input RID discontinuity (zone-pruned gap):
-  // the batch being assembled must flush before the post-gap rows, so
-  // this layer's output RIDs stay contiguous within every batch.
-  bool input_jumped_ = false;
-  bool emit_trailing_inserts_ = true;
+  bool emit_trailing_inserts_;
   Pdt::Cursor cursor_;
 };
 
-/// Builds the full stack: stable scan + one PdtMergeSource per layer,
-/// bottom-up (layers[0] is the lowest / oldest, e.g. Read-PDT; the last is
-/// e.g. the Trans-PDT). Null layers are skipped.
+/// Builds the merge stack over the stable interval `range`: a stable scan
+/// plus one PdtMergeSource per layer, bottom-up (layers[0] is the lowest
+/// / oldest, e.g. the Read-PDT; the last is e.g. the Trans-PDT). Null and
+/// empty layers are skipped. Each layer's cursor starts at the lower
+/// layer's output position at `range.begin` (the stable start shifted by
+/// the SeekSid prefix deltas below), so stacked layers stay aligned even
+/// when lower layers emit no row of the interval. `final_morsel` is false
+/// only for a parallel scan's non-last morsels, which leave the inserts
+/// at their end position to the next morsel. Concatenating the outputs
+/// of a scan's morsels in SID order equals the whole interval's output.
 std::unique_ptr<BatchSource> MakeMergeScan(
-    const ColumnStore& store, std::vector<const Pdt*> layers,
-    std::vector<ColumnId> projection, std::vector<SidRange> ranges = {});
-
-/// Builds the stack restricted to one morsel [morsel.begin, morsel.end)
-/// of the stable SID domain. Each layer's cursor start position is the
-/// lower layer's output position at the morsel boundary (derived via
-/// SeekSid prefix deltas), so stacked layers stay aligned even when the
-/// morsel emits no stable rows. `final_morsel` marks the scan's last
-/// morsel, the only one that emits trailing inserts (see PdtMergeSource).
-/// Concatenating the outputs of all morsels of a scan in SID order equals
-/// the unrestricted MakeMergeScan output over the same ranges.
-std::unique_ptr<BatchSource> MakeMorselMergeScan(
     const ColumnStore& store, const std::vector<const Pdt*>& layers,
-    const std::vector<ColumnId>& projection, SidRange morsel,
-    bool final_morsel);
+    const std::vector<ColumnId>& projection, SidRange range,
+    bool final_morsel = true);
 
 }  // namespace pdtstore
 

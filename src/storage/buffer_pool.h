@@ -22,8 +22,8 @@ struct IoStats {
   uint64_t bytes_read = 0;      ///< encoded bytes pulled from "disk"
   uint64_t chunks_read = 0;     ///< number of chunk reads (seeks)
   uint64_t hits = 0;            ///< pool hits (no I/O)
-  uint64_t chunks_skipped = 0;  ///< chunks zone-map-pruned, never fetched
-  uint64_t bytes_skipped = 0;   ///< encoded bytes of pruned chunks
+  uint64_t chunks_skipped = 0;  ///< chunks outside a bounded scan's range
+  uint64_t bytes_skipped = 0;   ///< encoded bytes of skipped chunks
   uint64_t decode_ns = 0;       ///< time spent decoding missed chunks
 
   void Reset() { *this = IoStats{}; }
@@ -58,8 +58,8 @@ class BufferPool {
   /// Drops all cached chunks: the next scan is fully "cold".
   void EvictAll();
 
-  /// Records `chunks` chunks (`bytes` encoded bytes) proven dead by zone
-  /// maps during morsel planning and therefore never fetched.
+  /// Records `chunks` chunks (`bytes` encoded bytes) that a key-bounded
+  /// scan's sparse-index lookup excluded and that are never fetched.
   void NoteSkipped(uint64_t chunks, uint64_t bytes) {
     chunks_skipped_.fetch_add(chunks, std::memory_order_relaxed);
     bytes_skipped_.fetch_add(bytes, std::memory_order_relaxed);

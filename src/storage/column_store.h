@@ -15,6 +15,14 @@
 
 namespace pdtstore {
 
+/// Half-open SID range [begin, end) of a stable image: the one interval
+/// every scan covers.
+struct SidRange {
+  Sid begin = 0;
+  Sid end = 0;
+  bool operator==(const SidRange&) const = default;
+};
+
 /// Configuration of stable storage.
 struct ColumnStoreOptions {
   size_t chunk_rows = 16384;   ///< values per chunk per column
@@ -50,6 +58,8 @@ class ColumnStore {
   const ColumnStoreOptions& options() const { return options_; }
   uint64_t num_rows() const { return num_rows_; }
   size_t num_chunks() const { return chunk_bounds_.size(); }
+  /// Every SID of the image: the range of an unbounded scan.
+  SidRange FullRange() const { return SidRange{0, num_rows_}; }
 
   /// [start_sid, start_sid + rows) of chunk `ci`.
   std::pair<Sid, Sid> ChunkSidRange(size_t ci) const;

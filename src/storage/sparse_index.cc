@@ -35,28 +35,21 @@ int SparseIndex::ComparePrefix(const std::vector<Value>& zone_key,
   return 0;  // equal on the compared prefix
 }
 
-std::vector<SidRange> SparseIndex::LookupRange(
-    const std::vector<Value>& lo, const std::vector<Value>& hi) const {
-  std::vector<SidRange> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    bool qualifies = true;
-    if (!lo.empty() && ComparePrefix(e.max_key, lo) < 0) qualifies = false;
-    if (!hi.empty() && ComparePrefix(e.min_key, hi) > 0) qualifies = false;
-    if (!qualifies) continue;
-    if (!out.empty() && out.back().end == e.start_sid) {
-      out.back().end = e.end_sid;  // coalesce adjacent chunks
-    } else {
-      out.push_back(SidRange{e.start_sid, e.end_sid});
-    }
+SidRange SparseIndex::LookupRange(const std::vector<Value>& lo,
+                                  const std::vector<Value>& hi) const {
+  size_t first = entries_.size();
+  size_t last = 0;  // one past the last qualifying chunk
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const ZoneEntry& e = entries_[i];
+    if (!lo.empty() && ComparePrefix(e.max_key, lo) < 0) continue;
+    if (!hi.empty() && ComparePrefix(e.min_key, hi) > 0) continue;
+    // Contiguity (see the header): nothing qualifies past a gap.
+    assert(first == entries_.size() || last == i);
+    if (first == entries_.size()) first = i;
+    last = i + 1;
   }
-  // The sorted/disjoint/non-empty invariant documented in the header —
-  // chunk entries are ascending, so coalescing preserves it.
-  for (size_t i = 0; i < out.size(); ++i) {
-    assert(out[i].begin < out[i].end);
-    assert(i == 0 || out[i - 1].end <= out[i].begin);
-  }
-  return out;
+  if (first == entries_.size()) return SidRange{0, num_rows_};
+  return SidRange{entries_[first].start_sid, entries_[last - 1].end_sid};
 }
 
 Sid SparseIndex::LowerBoundSid(const std::vector<Value>& key) const {

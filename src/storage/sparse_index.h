@@ -13,13 +13,6 @@
 
 namespace pdtstore {
 
-/// Half-open SID range [begin, end).
-struct SidRange {
-  Sid begin = 0;
-  Sid end = 0;
-  bool operator==(const SidRange&) const = default;
-};
-
 /// Zone-map entry of one chunk.
 struct ZoneEntry {
   Sid start_sid = 0;
@@ -36,18 +29,17 @@ class SparseIndex {
   /// Builds from a loaded ColumnStore by decoding the SK columns once.
   static StatusOr<SparseIndex> Build(const ColumnStore& store);
 
-  /// SID ranges possibly containing keys in [lo, hi] (prefix comparison,
-  /// both bounds inclusive; empty `lo`/`hi` = unbounded on that side).
-  /// Adjacent qualifying chunks are coalesced. The result is a superset
-  /// of the true range: zone maps are conservative.
-  ///
-  /// Invariant (load-bearing): the returned ranges are non-empty, sorted
-  /// ascending and pairwise disjoint — range[i].end <= range[i+1].begin.
-  /// StableScanSource's range walk, the VDT merge's per-range key fences
-  /// and SplitIntoMorsels (exec/parallel_scan.h) all depend on it; the
-  /// morsel splitter asserts it in debug builds.
-  std::vector<SidRange> LookupRange(const std::vector<Value>& lo,
-                                    const std::vector<Value>& hi) const;
+  /// The SID interval of the chunks possibly containing keys in [lo, hi]
+  /// (prefix comparison, both bounds inclusive; empty `lo`/`hi` =
+  /// unbounded on that side) — a superset of the true range, since zone
+  /// maps are conservative. The image is SK-ordered, so the chunks with
+  /// max >= lo form a suffix and those with min <= hi a prefix: the
+  /// qualifying chunks are always contiguous, and one interval covers
+  /// them exactly (asserted in debug builds). When no chunk qualifies
+  /// the result is the whole table, which keeps out-of-range inserts
+  /// reachable at either end of the image.
+  SidRange LookupRange(const std::vector<Value>& lo,
+                       const std::vector<Value>& hi) const;
 
   /// First SID at which a tuple with SK >= key could reside (start of the
   /// first chunk whose max >= key); num_rows if none.

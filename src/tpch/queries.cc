@@ -41,10 +41,8 @@ ScanOptions PipeScanOptions(const QueryOptions& o) {
 }
 
 Plan Scan(const QueryOptions& o, Table* table, std::vector<ColumnId> proj,
-          const KeyBounds* bounds = nullptr,
-          std::vector<ZoneFilter> zone_filters = {}) {
-  ScanOptions so = PipeScanOptions(o);
-  so.zone_filters = std::move(zone_filters);
+          const KeyBounds* bounds = nullptr) {
+  const ScanOptions so = PipeScanOptions(o);
   if (o.num_threads > 1) {
     Plan p;
     p.pipe = std::make_unique<Pipeline>(
@@ -271,11 +269,8 @@ StatusOr<QueryResult> Q5(const TpchTables& t, const QueryOptions& o) {
 // poster-child for merge CPU overhead).
 StatusOr<QueryResult> Q6(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1994, 1, 1), hi = DayNumber(1995, 1, 1) - 1;
-  // The shipdate conjunct doubles as a zone-map pruning hint: chunks
-  // whose min/max date range misses [lo, hi] are never fetched.
   Plan scan = Scan(o, t.lineitem,
-                   {kLShipdate, kLDiscount, kLQuantity, kLExtendedprice},
-                   nullptr, {{kLShipdate, Value(lo), Value(hi)}});
+                   {kLShipdate, kLDiscount, kLQuantity, kLExtendedprice});
   Plan flt = Filter(std::move(scan),
                     And({Int64Between(0, lo, hi),
                          DoubleInRange(1, 0.05, 0.0701),

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "exec/parallel_scan.h"
-#include "exec/zone_prune.h"
 #include "pdt/merge_scan.h"
 #include "pdt/pdt.h"
 #include "storage/column_store.h"
@@ -213,9 +212,10 @@ class PinnedLayerSource : public BatchSource {
   std::vector<std::shared_ptr<const Pdt>> pins_;
 };
 
-/// Plans the merge scan over a snapshot layer stack: the serial merge
-/// cursor at one thread, or morsels + a per-morsel source factory for
-/// the parallel pipelines — the shared planning step of the transaction
+/// Plans the merge scan of stable interval `range` under a snapshot layer
+/// stack: the serial merge cursor at one thread, or morsels + a
+/// per-morsel source factory for the parallel pipelines — the shared
+/// planning step of the transaction
 /// Scan() paths and Table::PlanMorsels. A zero `morsel_rows` auto-tunes
 /// the granularity from the chunk size and the stack's delta entry
 /// density (AutoMorselRows). All layers must stay unmodified while the
@@ -230,30 +230,16 @@ class PinnedLayerSource : public BatchSource {
 /// concurrent background-merge ReplacePdt.
 inline MorselPlan LayeredMorselPlan(
     const ColumnStore& store, std::vector<const Pdt*> layers,
-    std::vector<ColumnId> projection, std::vector<SidRange> ranges,
+    std::vector<ColumnId> projection, SidRange range,
     const ScanOptions& scan_opts,
     std::vector<std::shared_ptr<const Pdt>> pins = {}) {
   MorselPlan plan;
   plan.options = scan_opts;
   size_t entries = 0;
   for (const Pdt* layer : layers) entries += layer->EntryCount();
-  // Zone-map pruning first, so skipped chunks shape the morsel split
-  // (dead chunks are never fetched — serial or parallel).
-  ranges = PruneRangesWithZoneMaps(store, layers, std::move(ranges),
-                                   scan_opts.zone_filters, projection);
-  if (!ResolveMorselPlan(&ranges, store.num_rows(),
-                         store.options().chunk_rows, entries, &plan)) {
-    if (ranges.size() == 1 && ranges[0].begin == ranges[0].end) {
-      // Everything pruned: MakeMergeScan would start the layer cursors
-      // at position 0 (the stable scan never emits a batch to re-seek
-      // on), so build the one empty-range source positioned at the scan
-      // end directly — it emits exactly the trailing inserts.
-      plan.serial = MakeMorselMergeScan(store, layers, projection,
-                                        ranges[0], /*final_morsel=*/true);
-    } else {
-      plan.serial = MakeMergeScan(store, std::move(layers),
-                                  std::move(projection), std::move(ranges));
-    }
+  if (!ResolveMorselPlan(range, store.options().chunk_rows, entries,
+                         &plan)) {
+    plan.serial = MakeMergeScan(store, layers, projection, range);
     if (!pins.empty()) {
       plan.serial = std::make_unique<PinnedLayerSource>(
           std::move(plan.serial), std::move(pins));
@@ -265,8 +251,8 @@ inline MorselPlan LayeredMorselPlan(
       [store_ptr, layers = std::move(layers),
        projection = std::move(projection), pins = std::move(pins)](
           size_t, const SidRange& morsel, bool final_morsel) {
-        return MakeMorselMergeScan(*store_ptr, layers, projection, morsel,
-                                   final_morsel);
+        return MakeMergeScan(*store_ptr, layers, projection, morsel,
+                             final_morsel);
       };
   return plan;
 }

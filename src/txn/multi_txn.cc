@@ -52,12 +52,6 @@ class ErrorSource : public BatchSource {
   Status status_;
 };
 
-// The stable-image SID ranges a key-bounded scan covers (all if null).
-std::vector<SidRange> KeyRanges(const Table& table, const KeyBounds* bounds) {
-  if (bounds == nullptr) return {};
-  return table.sparse_index().LookupRange(bounds->lo, bounds->hi);
-}
-
 }  // namespace
 
 // State for one incremental background Write→Read merge of one table.
@@ -220,9 +214,9 @@ MorselPlan MultiTransaction::PlanMorsels(const std::string& table,
     return plan;
   }
   const TableView& v = **view;
+  const SidRange range = v.table->ScanRange(bounds, projection);
   return internal::LayeredMorselPlan(v.table->store(), Layers(v),
-                                     std::move(projection),
-                                     KeyRanges(*v.table, bounds), scan_opts);
+                                     std::move(projection), range, scan_opts);
 }
 
 StatusOr<uint64_t> MultiTransaction::RowCount(

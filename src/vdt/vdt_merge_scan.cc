@@ -8,7 +8,7 @@ namespace pdtstore {
 
 VdtMergeScan::VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
                            std::vector<ColumnId> projection,
-                           std::vector<SidRange> ranges, KeyBounds bounds,
+                           SidRange range, KeyBounds bounds,
                            std::vector<Value> fence_lo,
                            std::vector<Value> fence_hi)
     : store_(store),
@@ -36,8 +36,8 @@ VdtMergeScan::VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
     out_batch_idx_.push_back(
         static_cast<int>(it - scan_projection_.begin()));
   }
-  stable_ = std::make_unique<StableScanSource>(store_, scan_projection_,
-                                               std::move(ranges));
+  stable_ =
+      std::make_unique<StableScanSource>(store_, scan_projection_, range);
   proto_ = Batch::ForSchema(store_->schema(), projection_);
   ins_it_ = vdt_->inserts().begin();
   del_it_ = vdt_->deletes().begin();

@@ -29,8 +29,9 @@ struct KeyBounds {
 /// of stable positions — another contrast with the PDT).
 class VdtMergeScan : public BatchSource {
  public:
-  /// `ranges` restricts the stable scan (from the sparse index); `bounds`
-  /// restricts which VDT entries participate (the key-space counterpart).
+  /// `range` is the stable interval scanned (from the sparse index);
+  /// `bounds` restricts which VDT entries participate (the key-space
+  /// counterpart).
   ///
   /// `fence_lo` (inclusive) / `fence_hi` (exclusive) are full-SK morsel
   /// fences for parallel scans: the VDT has no positions, so a morsel of
@@ -40,7 +41,7 @@ class VdtMergeScan : public BatchSource {
   /// instead of) the user-visible `bounds`. Empty = unfenced on that side.
   VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
                std::vector<ColumnId> projection,
-               std::vector<SidRange> ranges = {}, KeyBounds bounds = {},
+               SidRange range, KeyBounds bounds = {},
                std::vector<Value> fence_lo = {},
                std::vector<Value> fence_hi = {});
 

@@ -1,9 +1,7 @@
 // Targeted tests for the compressed-execution machinery: zero-copy
 // borrowed spans (lifetime, copy-on-write), dictionary code columns
 // (breaker re-encoding and decay), encoded predicate kernels (RLE
-// run-at-a-time, dict verdict tables), buffer-pool stats atomicity, and
-// zone-map chunk pruning (including the PDT-entry and trailing-insert
-// edge cases the pruner must respect).
+// run-at-a-time, dict verdict tables) and buffer-pool stats atomicity.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +13,6 @@
 #include "exec/filter.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_store.h"
-#include "txn/txn_manager.h"
 
 namespace pdtstore {
 namespace {
@@ -244,138 +241,6 @@ TEST(CompressedExec, PoolStatsAreExactUnderConcurrency) {
             static_cast<uint64_t>(kThreads) * kRounds * chunks);
   EXPECT_GE(s.chunks_read, chunks);  // every chunk missed at least once
   EXPECT_GT(s.bytes_read, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Zone-map pruning.
-// ---------------------------------------------------------------------
-
-std::vector<Tuple> ScanWith(const Table& t, std::vector<ZoneFilter> zf,
-                            int64_t lo, int64_t hi, int threads) {
-  ScanOptions so;
-  so.num_threads = threads;
-  so.zone_filters = std::move(zf);
-  auto src = std::make_unique<FilterNode>(t.Scan({0, 1, 2}, nullptr, so),
-                                          Int64Between(0, lo, hi));
-  return Collect(src.get());
-}
-
-// A narrow key-range hint skips the chunks outside it (visible in
-// IoStats) without changing the result, serial and parallel.
-TEST(CompressedExec, ZonePruningSkipsChunksWithoutChangingResults) {
-  auto t = MakeTable(512);  // 8 chunks of 64 keys
-  const int64_t lo = 200, hi = 260;
-  const std::vector<Tuple> want = ScanWith(*t, {}, lo, hi, 1);
-  ASSERT_EQ(want.size(), static_cast<size_t>(hi - lo + 1));
-  for (int threads : {1, 4}) {
-    t->buffer_pool()->EvictAll();
-    t->buffer_pool()->ResetStats();
-    const std::vector<Tuple> got =
-        ScanWith(*t, {{0, Value(lo), Value(hi)}}, lo, hi, threads);
-    EXPECT_EQ(got, want) << threads << " threads";
-    const IoStats s = t->buffer_pool()->stats();
-    EXPECT_GT(s.chunks_skipped, 0u) << threads << " threads";
-    EXPECT_GT(s.bytes_skipped, 0u) << threads << " threads";
-  }
-}
-
-// PDT entries inside otherwise-dead chunks block pruning (the merged
-// image shifts positions, so a pruned range must be entry-free); the
-// hinted scan must agree with the unhinted one under inserts, deletes
-// and modifies both inside and outside the hinted key range.
-TEST(CompressedExec, ZonePruningRespectsDeltaEntries) {
-  auto t = MakeTable(512);
-  // Entries in chunks the zone maps would otherwise prune:
-  ASSERT_TRUE(t->Insert({-5, 77, std::string("new")}).ok());
-  ASSERT_TRUE(t->ModifyByKey({Value(int64_t{50})}, 1, Value(int64_t{9})).ok());
-  ASSERT_TRUE(t->DeleteByKey({Value(int64_t{480})}).ok());
-  // And churn inside the hinted range itself:
-  ASSERT_TRUE(t->DeleteByKey({Value(int64_t{310})}).ok());
-  ASSERT_TRUE(
-      t->ModifyByKey({Value(int64_t{320})}, 2, Value(std::string("mod"))).ok());
-  const int64_t lo = 300, hi = 360;
-  const std::vector<Tuple> want = ScanWith(*t, {}, lo, hi, 1);
-  ASSERT_EQ(want.size(), static_cast<size_t>(hi - lo));  // one key deleted
-  for (int threads : {1, 4}) {
-    const std::vector<Tuple> got =
-        ScanWith(*t, {{0, Value(lo), Value(hi)}}, lo, hi, threads);
-    EXPECT_EQ(got, want) << threads << " threads";
-  }
-}
-
-// A hint that excludes every chunk on a delta-free table: nothing is
-// fetched, nothing is returned — and the scan still terminates cleanly
-// through the sentinel morsel, serial and parallel.
-TEST(CompressedExec, AllPrunedScanReadsNothing) {
-  auto t = MakeTable(512);
-  const int64_t lo = 9000, hi = 11000;
-  for (int threads : {1, 4}) {
-    t->buffer_pool()->EvictAll();
-    t->buffer_pool()->ResetStats();
-    const std::vector<Tuple> got =
-        ScanWith(*t, {{0, Value(lo), Value(hi)}}, lo, hi, threads);
-    EXPECT_TRUE(got.empty()) << threads << " threads";
-    const IoStats s = t->buffer_pool()->stats();
-    EXPECT_EQ(s.chunks_read, 0u) << threads << " threads";
-    EXPECT_EQ(s.chunks_skipped, 8u * 3u) << threads << " threads";
-  }
-}
-
-// All stable chunks dead + a trailing insert past the stable key range:
-// the insert must still be emitted. The insert's PDT entry parks at the
-// scan end, which deliberately blocks pruning of the *final* chunk
-// (trailing emission is anchored there), so exactly that chunk's
-// columns are fetched and everything before it is skipped.
-TEST(CompressedExec, AllPrunedScanStillEmitsTrailingInserts) {
-  auto t = MakeTable(512);
-  ASSERT_TRUE(t->Insert({10000, 1, std::string("tail")}).ok());
-  const int64_t lo = 9000, hi = 11000;
-  for (int threads : {1, 4}) {
-    t->buffer_pool()->EvictAll();
-    t->buffer_pool()->ResetStats();
-    const std::vector<Tuple> got =
-        ScanWith(*t, {{0, Value(lo), Value(hi)}}, lo, hi, threads);
-    ASSERT_EQ(got.size(), 1u) << threads << " threads";
-    EXPECT_EQ(got[0][0], Value(static_cast<int64_t>(10000)));
-    const IoStats s = t->buffer_pool()->stats();
-    EXPECT_EQ(s.chunks_read, 3u) << threads << " threads";   // final chunk
-    EXPECT_EQ(s.chunks_skipped, 7u * 3u) << threads << " threads";
-  }
-}
-
-// Multi-layer stack over a pruned mid-table gap: each PdtMergeSource
-// must end its output batch at an input RID discontinuity, or the next
-// layer up never sees the gap — its positional cursor drifts low by the
-// gap width and its trailing inserts are dropped (regression: a batch
-// once spanned the gap, hiding it from the layer above).
-TEST(CompressedExec, LayeredScanPropagatesPrunedGapsAcrossLayers) {
-  auto t = MakeTable(512);
-  // Bottom layer (the table's own PDT): an entry that keeps chunk 0
-  // alive, so the kept ranges have a hole between it and the final
-  // chunk once the middle chunks are pruned.
-  ASSERT_TRUE(t->Insert({-5, 77, std::string("head")}).ok());
-  // Top layer (open transaction): trailing inserts past the stable key
-  // range, inside the hinted window.
-  TxnManager mgr(t.get());
-  auto txn = mgr.Begin();
-  ASSERT_TRUE(txn->Insert({10000, 1, std::string("tail-a")}).ok());
-  ASSERT_TRUE(txn->Insert({10050, 2, std::string("tail-b")}).ok());
-  const int64_t lo = 9000, hi = 11000;
-  auto scan = [&](std::vector<ZoneFilter> zf, int threads) {
-    ScanOptions so;
-    so.num_threads = threads;
-    so.zone_filters = std::move(zf);
-    auto src = std::make_unique<FilterNode>(txn->Scan({0, 1, 2}, nullptr, so),
-                                            Int64Between(0, lo, hi));
-    return Collect(src.get());
-  };
-  const std::vector<Tuple> want = scan({}, 1);
-  ASSERT_EQ(want.size(), 2u);
-  for (int threads : {1, 4}) {
-    const std::vector<Tuple> got =
-        scan({{0, Value(lo), Value(hi)}}, threads);
-    EXPECT_EQ(got, want) << threads << " threads";
-  }
 }
 
 }  // namespace

@@ -6,12 +6,13 @@
 // exchange), and runs it four ways: the serial operator tree and
 // 2/4/8-thread pipelines over the compressed-execution table, plus a
 // serial reference over a byte-identical decoded twin (encoded_exec
-// off, zone-pruning hints off) built from a copy of the same Random.
+// off, key bounds off) built from a copy of the same Random.
 // Results must agree: the exact serial sequence where the engine
 // promises it (ordered exchange, deterministic sort), the multiset
 // everywhere else. Because the decoded reference never sees borrowed
-// spans, dictionary codes, RLE run predicates, or chunk pruning, any
-// compressed-execution divergence shows up as a mismatch.
+// spans, dictionary codes, RLE run predicates, or a bounded scan
+// interval, any compressed-execution or bounded-scan divergence shows
+// up as a mismatch.
 //
 // Knobs (environment):
 //   PDT_FUZZ_SEED   base seed (default 20260731)
@@ -76,17 +77,18 @@ void RunIteration(uint64_t seed) {
   const int plans = 3;
   for (int p = 0; p < plans; ++p) {
     const uint64_t plan_seed = seed ^ (0x9E3779B97F4A7C15ULL * (p + 1));
-    // Reference: serial tree over the decoded twin, pruning hints off —
-    // the plain row-at-a-time semantics everything else must match.
+    // Reference: serial tree over the decoded twin, scanning the whole
+    // table — the plain row-at-a-time semantics everything else must
+    // match.
     FuzzPlanResult ref = RunFuzzPlan(plan_seed, dec, build_dec.get(), 1,
-                                     /*zone_hints=*/false);
+                                     /*key_bounds=*/false);
     ASSERT_TRUE(ref.status.ok()) << ref.status.ToString();
     std::vector<Tuple> ref_sorted = ref.rows;
     SortTuples(&ref_sorted);
 
     // Serial over the encoded source must reproduce the decoded serial
     // sequence exactly: same plan, same row order, different
-    // representation (and possibly pruned chunks).
+    // representation (and possibly a bounded scan interval).
     FuzzPlanResult enc = RunFuzzPlan(plan_seed, src, build.get(), 1);
     ASSERT_TRUE(enc.status.ok())
         << enc.status.ToString() << " (plan " << p << ", encoded serial)";

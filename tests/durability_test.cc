@@ -339,7 +339,8 @@ TEST(ManifestTest, TableImageRoundtripsAndDetectsCorruption) {
   ASSERT_TRUE(SaveTableImage(fs, path, table).ok());
 
   Table loaded("inventory", InventorySchema(), TableOptions{});
-  ASSERT_TRUE(LoadTableImage(fs, path, &loaded).ok());
+  ASSERT_TRUE(
+      LoadTableImage(fs, path, InventoryRows().size(), &loaded).ok());
   EXPECT_EQ(TableRows(&loaded), InventoryRows());
 
   std::string data;
@@ -350,7 +351,7 @@ TEST(ManifestTest, TableImageRoundtripsAndDetectsCorruption) {
   ASSERT_TRUE((*f)->Append(data).ok());
   ASSERT_TRUE((*f)->Close().ok());
   Table corrupt("inventory", InventorySchema(), TableOptions{});
-  EXPECT_EQ(LoadTableImage(fs, path, &corrupt).code(),
+  EXPECT_EQ(LoadTableImage(fs, path, InventoryRows().size(), &corrupt).code(),
             StatusCode::kCorruption);
 }
 
@@ -379,8 +380,54 @@ TEST(ManifestTest, TableImageRowCountBeyondItsPayloadIsCorruption) {
   ASSERT_TRUE(f.ok());
   ASSERT_TRUE((*f)->Append(image).ok());
   ASSERT_TRUE((*f)->Close().ok());
+  // The manifest agrees with the header, so the decoder must catch it.
   Table table("inventory", InventorySchema(), TableOptions{});
-  EXPECT_EQ(LoadTableImage(fs, path, &table).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadTableImage(fs, path, uint64_t{1} << 40, &table).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(ManifestTest, ImageRowCountBeyondManifestIsCorruptionBeforeDecode) {
+  // A well-framed image (valid CRC) whose header and single RLE run both
+  // claim 2^40 rows — a self-consistent payload the decoder would size
+  // an 8 TiB column for — while the manifest says 5. Open must report
+  // Corruption from the header alone, without allocating.
+  std::string dir = FreshDir("image_vs_manifest");
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDir(dir).ok());
+  std::string p;
+  PutVarint64(&p, uint64_t{1} << 40);
+  PutVarint64(&p, 1);
+  p.push_back(static_cast<char>(Encoding::kRle));
+  std::string run;
+  PutVarint64(&run, uint64_t{1} << 40);
+  PutFixed64(&run, 7);
+  PutVarint64(&p, run.size());
+  p.append(run);
+  std::string image("PDTIMG01", 8);
+  PutFixed32(&image, static_cast<uint32_t>(p.size()));
+  PutFixed32(&image, Crc32c(p.data(), p.size()));
+  image.append(p);
+  auto f = fs->NewWritableFile(dir + "/t.img", true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(image).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+
+  Manifest m;
+  m.wal_file = "wal.000000";
+  ManifestTable t;
+  t.name = "t";
+  t.columns = {{"k", TypeId::kInt64}};
+  t.sort_key = {0};
+  t.chunk_rows = 1024;
+  t.image_file = "t.img";
+  t.row_count = 5;
+  m.tables.push_back(t);
+  ASSERT_TRUE(WriteManifest(fs, dir, m).ok());
+  auto db = Database::Open(dir);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE((*db)->read_only());
+  EXPECT_EQ((*db)->recovery_status().code(), StatusCode::kCorruption)
+      << (*db)->recovery_status().ToString();
 }
 
 // ---------------------------------------------------------------------

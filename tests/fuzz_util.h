@@ -129,14 +129,15 @@ struct FuzzSource {
   std::unique_ptr<Transaction> txn;
 
   std::unique_ptr<BatchSource> Scan(const std::vector<ColumnId>& cols,
+                                    const KeyBounds* bounds,
                                     const ScanOptions& so) const {
-    return txn ? txn->Scan(cols, nullptr, so)
-               : table->Scan(cols, nullptr, so);
+    return txn ? txn->Scan(cols, bounds, so) : table->Scan(cols, bounds, so);
   }
   MorselPlan PlanMorsels(const std::vector<ColumnId>& cols,
+                         const KeyBounds* bounds,
                          const ScanOptions& so) const {
-    return txn ? txn->PlanMorsels(cols, nullptr, so)
-               : table->PlanMorsels(cols, nullptr, so);
+    return txn ? txn->PlanMorsels(cols, bounds, so)
+               : table->PlanMorsels(cols, bounds, so);
   }
 };
 
@@ -263,7 +264,7 @@ inline std::vector<ColumnExpr> RandomProjection(Random* rng) {
 /// second table joins draw their build side from) at `threads`.
 inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
                                   Table* build_table, int threads,
-                                  bool zone_hints = true) {
+                                  bool key_bounds = true) {
   using fuzz_internal::RandomPredicate;
   using fuzz_internal::RandomProjection;
   Random rng(plan_seed);
@@ -276,21 +277,25 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
   const bool ordered = rng.Bernoulli(0.5);
   so.ordered = ordered;
 
-  // Zone-map pruning fuzz: sometimes pair an inclusive key-range
-  // predicate with the matching ScanOptions hint so whole chunks get
-  // skipped. The rng draws happen unconditionally so a reference run
-  // with zone_hints == false makes identical plan decisions but scans
-  // every chunk — any result difference is a pruning bug.
-  bool zoned = false;
+  // Bounded-scan fuzz: sometimes pair an inclusive key-range predicate
+  // with the matching KeyBounds, so the scan covers only the sparse
+  // index's interval and its layer cursors start mid-table. The rng
+  // draws happen unconditionally so a reference run with key_bounds ==
+  // false makes identical plan decisions but scans the whole table —
+  // any result difference is a bounded-scan bug.
+  bool bounded = false;
   int64_t zlo = 0, zhi = 0;
+  KeyBounds bounds;
   if (rng.Bernoulli(0.35)) {
-    zoned = true;
+    bounded = true;
     zlo = static_cast<int64_t>(rng.Uniform(2000));
-    zhi = zlo + 1 + static_cast<int64_t>(rng.UniformRange(0, 3000));
-    if (zone_hints) {
-      so.zone_filters.push_back({0, Value(zlo), Value(zhi)});
-    }
+    // Half the bounds are narrow enough to fall inside one ghost range
+    // (MakeFuzzTable's delete chain), where lower layers emit no row.
+    const int64_t width = rng.Bernoulli(0.5) ? 200 : 3000;
+    zhi = zlo + 1 + static_cast<int64_t>(rng.UniformRange(0, width));
+    bounds = KeyBounds{{Value(zlo)}, {Value(zhi)}};
   }
+  const KeyBounds* scan_bounds = bounded && key_bounds ? &bounds : nullptr;
 
   const std::vector<ColumnId> cols{0, 1, 2, 3};
   // Serial tree at 1 thread, pipeline otherwise — mirroring how the
@@ -299,9 +304,9 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
   std::unique_ptr<BatchSource> serial;
   std::unique_ptr<Pipeline> pipe;
   if (parallel) {
-    pipe = std::make_unique<Pipeline>(src.PlanMorsels(cols, so));
+    pipe = std::make_unique<Pipeline>(src.PlanMorsels(cols, scan_bounds, so));
   } else {
-    serial = src.Scan(cols, so);
+    serial = src.Scan(cols, scan_bounds, so);
   }
   auto add_filter = [&](VecPredicate p) {
     if (parallel) {
@@ -319,9 +324,9 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
     }
   };
 
-  // The predicate that justifies the pruning hint goes first so the
-  // hint is always implied by the plan's filters.
-  if (zoned) add_filter(Int64Between(0, zlo, zhi));
+  // The predicate matching the bounds goes first: a bounded scan
+  // returns a superset of the in-bounds rows, and this filter trims it.
+  if (bounded) add_filter(Int64Between(0, zlo, zhi));
 
   // Multi-predicate filters: the serial tree chains one FilterNode per
   // predicate (materializing each intermediate), while stacked
@@ -389,14 +394,9 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
     const std::vector<ColumnId> bcols{0, 1};
     std::shared_ptr<JoinBuildHandle> handle;
     if (parallel) {
-      ScanOptions bso = so;
-      // The zone hint is justified by the probe side's key predicate;
-      // the build scan has no such filter, so pruning there would be
-      // an unsound (contract-violating) hint.
-      bso.zone_filters.clear();
       auto bpipe =
           std::make_unique<Pipeline>(build_table->PlanMorsels(bcols, nullptr,
-                                                              bso));
+                                                              so));
       bpipe->Project(build_exprs);
       handle = Pipeline::IntoJoinBuild(std::move(bpipe), {0}, partitions);
       pipe->Probe(handle, {probe_key}, kind);

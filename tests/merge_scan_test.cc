@@ -33,7 +33,7 @@ std::vector<Tuple> IntRows(int n, int64_t gap = 10) {
 TEST(StableScanTest, FullScanEmitsChunkAlignedBatches) {
   auto schema = IntSchema();
   auto store = BuildStore(schema, IntRows(50), {.chunk_rows = 8});
-  StableScanSource scan(store.get(), {0, 1});
+  StableScanSource scan(store.get(), {0, 1}, store->FullRange());
   Batch batch;
   Sid expected_start = 0;
   size_t total = 0;
@@ -49,22 +49,32 @@ TEST(StableScanTest, FullScanEmitsChunkAlignedBatches) {
   EXPECT_EQ(total, 50u);
 }
 
-TEST(StableScanTest, MultiRangeScanSkipsGaps) {
+TEST(StableScanTest, RangeScanStartsAndEndsMidChunk) {
   auto schema = IntSchema();
   auto store = BuildStore(schema, IntRows(50), {.chunk_rows = 8});
-  StableScanSource scan(store.get(), {0}, {{5, 10}, {20, 23}, {49, 50}});
-  auto rows = CollectRows(&scan);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 9u);
-  EXPECT_EQ((*rows)[0][0], Value(50));    // sid 5
-  EXPECT_EQ((*rows)[5][0], Value(200));   // sid 20
-  EXPECT_EQ((*rows)[8][0], Value(490));   // sid 49
+  StableScanSource scan(store.get(), {0}, {5, 23});
+  Batch batch;
+  Sid expected_start = 5;
+  std::vector<int64_t> keys;
+  while (true) {
+    auto more = scan.Next(&batch, 1024);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    EXPECT_EQ(batch.start_rid(), expected_start);
+    expected_start += batch.num_rows();
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      keys.push_back(batch.column(0).GetValue(i).AsInt64());
+    }
+  }
+  ASSERT_EQ(keys.size(), 18u);
+  EXPECT_EQ(keys.front(), 50);   // sid 5
+  EXPECT_EQ(keys.back(), 220);   // sid 22
 }
 
 TEST(StableScanTest, EmptyTableIsEmptyStream) {
   auto schema = IntSchema();
   auto store = BuildStore(schema, {});
-  StableScanSource scan(store.get(), {0});
+  StableScanSource scan(store.get(), {0}, store->FullRange());
   Batch batch;
   auto more = scan.Next(&batch, 16);
   ASSERT_TRUE(more.ok());
@@ -89,7 +99,7 @@ TEST_P(BatchSizeSweepTest, MergeIsBatchSizeInvariant) {
       (void)model.ModifyAt(rng.Uniform(model.size()), 1, Value(i));
     }
   }
-  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   auto rows = CollectRows(scan.get(), GetParam());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, model.rows());
@@ -106,7 +116,7 @@ TEST(MergeScanTest, EmittedRidsAreContinuous) {
   ASSERT_TRUE(model.Insert({15, 100}).ok());
   ASSERT_TRUE(model.DeleteAt(40).ok());
   ASSERT_TRUE(model.ModifyAt(60, 1, Value(999)).ok());
-  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   Batch batch;
   Rid expected = 0;
   while (true) {
@@ -119,30 +129,42 @@ TEST(MergeScanTest, EmittedRidsAreContinuous) {
   EXPECT_EQ(expected, model.size());
 }
 
-TEST(MergeScanTest, RangeScanWithReSeekAppliesOnlyInRangeUpdates) {
+TEST(MergeScanTest, RangeScanAppliesOnlyInRangeUpdates) {
   auto schema = IntSchema();
   auto base = IntRows(100);
   auto store = BuildStore(schema, base, {.chunk_rows = 10});
   ModelTable model(schema, base);
   // Updates scattered across the key space.
-  ASSERT_TRUE(model.Insert({15, 100}).ok());   // in range 1 (sids 0..20)
-  ASSERT_TRUE(model.Insert({555, 101}).ok());  // in gap (sid ~55)
-  ASSERT_TRUE(model.DeleteAt(71).ok());        // rid of key 690-ish
-  // Scan sids [0,20) and [60,100).
-  auto scan =
-      MakeMergeScan(*store, {model.pdt()}, {0, 1}, {{0, 20}, {60, 100}});
-  auto rows = CollectRows(scan.get());
-  ASSERT_TRUE(rows.ok());
-  // Expected: merged rows whose underlying position is in the ranges.
-  // Build by filtering the model on key ranges the sids represent.
+  ASSERT_TRUE(model.Insert({15, 100}).ok());   // before the range (sid 2)
+  ASSERT_TRUE(model.Insert({195, 101}).ok());  // at the range start (sid 20)
+  ASSERT_TRUE(model.Insert({555, 102}).ok());  // inside (sid 56)
+  ASSERT_TRUE(model.Insert({695, 103}).ok());  // at the range end (sid 70)
+  ASSERT_TRUE(model.Insert({905, 104}).ok());  // past the range (sid 91)
+  Rid rid;
+  ASSERT_TRUE(model.FindKey({Value(650)}, &rid));
+  ASSERT_TRUE(model.DeleteAt(rid).ok());       // inside (sid 65)
+  // Scan sids [20, 70): the start-position insert leads, the
+  // end-position insert trails, and nothing outside applies.
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, {20, 70});
+  Batch batch;
+  std::vector<Tuple> rows;
+  Rid expected_start = 20 + 1;  // merged rid of sid 20: one insert before
+  while (true) {
+    auto more = scan->Next(&batch, 7);
+    ASSERT_TRUE(more.ok());
+    if (!*more) break;
+    EXPECT_EQ(batch.start_rid(), expected_start);
+    expected_start += batch.num_rows();
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      rows.push_back(batch.RowAsTuple(i));
+    }
+  }
   std::vector<Tuple> expected;
   for (const auto& t : model.rows()) {
-    int64_t k = t[0].AsInt64();
-    if (k < 200 || (k >= 600 && k < 1000)) expected.push_back(t);
+    const int64_t k = t[0].AsInt64();
+    if (k > 190 && k < 700) expected.push_back(t);
   }
-  EXPECT_EQ(*rows, expected);
-  // The gap insert (key 555) must not appear.
-  for (const auto& t : *rows) EXPECT_NE(t[0], Value(555));
+  EXPECT_EQ(rows, expected);
 }
 
 TEST(MergeScanTest, GhostRunAcrossChunkBoundary) {
@@ -308,7 +330,7 @@ TEST(ZeroCopyMergeTest, SparsePdtYieldsBorrowedBatches) {
   ASSERT_TRUE(model.DeleteAt(2600).ok());
   ASSERT_TRUE(model.DeleteAt(1500).ok());
   ASSERT_TRUE(model.DeleteAt(400).ok());
-  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   std::vector<DrainedBatch> batches;
   EXPECT_EQ(Drain(scan.get(), 1024, &batches), model.rows());
   ExpectContiguous(batches);
@@ -320,7 +342,7 @@ TEST(ZeroCopyMergeTest, SparsePdtYieldsBorrowedBatches) {
   // copied, in batches of their own; every stable row stays borrowed.
   ASSERT_TRUE(model.Insert({23205, -1}).ok());  // after sid 2320
   ASSERT_TRUE(model.Insert({38005, -2}).ok());  // after sid 3800
-  scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   batches.clear();
   EXPECT_EQ(Drain(scan.get(), 1024, &batches), model.rows());
   ExpectContiguous(batches);
@@ -343,7 +365,7 @@ TEST(ZeroCopyMergeTest, RunsEndingAtBatchAndChunkEdges) {
   // insert before sid 1024 ends the next run exactly at the chunk edge.
   ASSERT_TRUE(model.Insert({10235, -1}).ok());  // between sids 1023, 1024
   ASSERT_TRUE(model.DeleteAt(512).ok());
-  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   std::vector<DrainedBatch> batches;
   EXPECT_EQ(Drain(scan.get(), 512, &batches), model.rows());
   ExpectContiguous(batches);
@@ -369,7 +391,7 @@ TEST(ZeroCopyMergeTest, ModifyInsideBorrowedRunDetachesOnlyThatColumn) {
   auto store = BuildStore(schema, base, {.chunk_rows = 1024});
   ModelTable model(schema, base);
   ASSERT_TRUE(model.ModifyAt(500, 1, Value(int64_t{-500})).ok());
-  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, store->FullRange());
   Batch batch;
   auto more = scan->Next(&batch, 1024);
   ASSERT_TRUE(more.ok() && *more);
@@ -379,7 +401,7 @@ TEST(ZeroCopyMergeTest, ModifyInsideBorrowedRunDetachesOnlyThatColumn) {
   EXPECT_EQ(batch.column(1).GetValue(500), Value(int64_t{-500}));
   EXPECT_EQ(batch.column(1).GetValue(499), Value(int64_t{499}));
   // The copy-on-write detach never wrote through to the pool's chunk.
-  StableScanSource stable(store.get(), {0, 1});
+  StableScanSource stable(store.get(), {0, 1}, store->FullRange());
   Batch clean;
   more = stable.Next(&clean, 1024);
   ASSERT_TRUE(more.ok() && *more);
@@ -397,7 +419,8 @@ TEST(ZeroCopyMergeTest, ThreeLayerStackBorrowsThroughAllLayers) {
   ASSERT_TRUE(l2.ModifyAt(1800, 1, Value(int64_t{-1})).ok());
   ModelTable l3(schema, l2.rows());
   ASSERT_TRUE(l3.DeleteAt(2500).ok());
-  auto scan = MakeMergeScan(*store, {l1.pdt(), l2.pdt(), l3.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {l1.pdt(), l2.pdt(), l3.pdt()}, {0, 1},
+                            store->FullRange());
   std::vector<DrainedBatch> batches;
   EXPECT_EQ(Drain(scan.get(), 1024, &batches), l3.rows());
   ExpectContiguous(batches);
@@ -420,8 +443,8 @@ TEST(ZeroCopyMergeTest, MorselStartingMidChunkBorrows) {
   std::vector<DrainedBatch> batches;
   const std::vector<SidRange> morsels = {{0, 300}, {300, 1500}, {1500, 3000}};
   for (size_t m = 0; m < morsels.size(); ++m) {
-    auto scan = MakeMorselMergeScan(*store, {model.pdt()}, {0, 1},
-                                    morsels[m], m + 1 == morsels.size());
+    auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, morsels[m],
+                              m + 1 == morsels.size());
     std::vector<DrainedBatch> mb;
     auto part = Drain(scan.get(), 1024, &mb);
     rows.insert(rows.end(), part.begin(), part.end());
@@ -438,34 +461,6 @@ TEST(ZeroCopyMergeTest, MorselStartingMidChunkBorrows) {
   ExpectContiguous(batches);
 }
 
-TEST(ZeroCopyMergeTest, ZonePrunedRangeJumpBorrows) {
-  auto schema = IntSchema();
-  auto base = IntRows(2048);
-  auto store = BuildStore(schema, base, {.chunk_rows = 1024});
-  ModelTable model(schema, base);
-  ASSERT_TRUE(model.DeleteAt(1500).ok());
-  ASSERT_TRUE(model.DeleteAt(400).ok());
-  auto scan =
-      MakeMergeScan(*store, {model.pdt()}, {0, 1}, {{0, 800}, {1000, 1800}});
-  std::vector<DrainedBatch> batches;
-  auto rows = Drain(scan.get(), 1024, &batches);
-  std::vector<Tuple> expected;
-  for (const auto& t : model.rows()) {
-    int64_t k = t[0].AsInt64();
-    if (k < 8000 || (k >= 10000 && k < 18000)) expected.push_back(t);
-  }
-  EXPECT_EQ(rows, expected);
-  for (const DrainedBatch& b : batches) EXPECT_TRUE(b.AllBorrowed());
-  // No batch spans the pruned gap: the first post-gap batch starts at the
-  // merged position of stable sid 1000 (one row deleted before it).
-  bool saw_jump = false;
-  for (const DrainedBatch& b : batches) {
-    EXPECT_FALSE(b.start < 799 && b.start + b.rows > 799);
-    if (b.start == 999) saw_jump = true;
-  }
-  EXPECT_TRUE(saw_jump);
-}
-
 TEST(ZeroCopyMergeTest, OwnedLowerLayerInputIsCopied) {
   auto schema = IntSchema();
   auto base = IntRows(1024);
@@ -477,11 +472,13 @@ TEST(ZeroCopyMergeTest, OwnedLowerLayerInputIsCopied) {
   ModelTable sparse(schema, dense.rows());
   ASSERT_TRUE(sparse.DeleteAt(10).ok());
   std::vector<DrainedBatch> lower;
-  auto lower_scan = MakeMergeScan(*store, {dense.pdt()}, {0, 1});
+  auto lower_scan =
+      MakeMergeScan(*store, {dense.pdt()}, {0, 1}, store->FullRange());
   EXPECT_EQ(Drain(lower_scan.get(), 1024, &lower), dense.rows());
   for (const DrainedBatch& b : lower) EXPECT_TRUE(b.NoneBorrowed());
   // The upper layer's long run over owned input falls back to a copy.
-  auto scan = MakeMergeScan(*store, {dense.pdt(), sparse.pdt()}, {0, 1});
+  auto scan = MakeMergeScan(*store, {dense.pdt(), sparse.pdt()}, {0, 1},
+                            store->FullRange());
   std::vector<DrainedBatch> batches;
   EXPECT_EQ(Drain(scan.get(), 1024, &batches), sparse.rows());
   ExpectContiguous(batches);

@@ -77,18 +77,17 @@ void SortRows(std::vector<Tuple>* rows) {
 }
 
 TEST(SplitIntoMorselsTest, SplitsAndPreservesDisjointness) {
-  std::vector<SidRange> ranges = {{0, 100}, {150, 151}, {200, 500}};
-  auto morsels = SplitIntoMorsels(ranges, 128);
-  ASSERT_EQ(morsels.size(), 1 + 1 + 3u);
-  EXPECT_EQ(morsels[0], (SidRange{0, 100}));
-  EXPECT_EQ(morsels[1], (SidRange{150, 151}));
-  EXPECT_EQ(morsels[2], (SidRange{200, 328}));
-  EXPECT_EQ(morsels[3], (SidRange{328, 456}));
-  EXPECT_EQ(morsels[4], (SidRange{456, 500}));
+  auto morsels = SplitIntoMorsels(SidRange{200, 500}, 128);
+  ASSERT_EQ(morsels.size(), 3u);
+  EXPECT_EQ(morsels[0], (SidRange{200, 328}));
+  EXPECT_EQ(morsels[1], (SidRange{328, 456}));
+  EXPECT_EQ(morsels[2], (SidRange{456, 500}));
   for (size_t i = 1; i < morsels.size(); ++i) {
-    EXPECT_LE(morsels[i - 1].end, morsels[i].begin);
+    EXPECT_EQ(morsels[i - 1].end, morsels[i].begin);
   }
-  EXPECT_TRUE(SplitIntoMorsels({}, 128).empty());
+  EXPECT_EQ(SplitIntoMorsels(SidRange{150, 151}, 128),
+            (std::vector<SidRange>{{150, 151}}));
+  EXPECT_TRUE(SplitIntoMorsels(SidRange{7, 7}, 128).empty());
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

@@ -153,10 +153,10 @@ TEST_F(PdtPaperExampleTest, SparseIndexRangeStillFindsParisRack) {
   ApplyBatch3();
   auto index = SparseIndex::Build(*store_);
   ASSERT_TRUE(index.ok());
-  auto ranges =
+  const SidRange range =
       index->LookupRange({Value("Paris")}, {Value("Paris"), Value("rug")});
-  auto scan = MakeMergeScan(*store_, {model_->pdt()},
-                            AllColumns(*schema_), ranges);
+  auto scan = MakeMergeScan(*store_, {model_->pdt()}, AllColumns(*schema_),
+                            range);
   auto rows = CollectRows(scan.get());
   ASSERT_TRUE(rows.ok());
   bool found = false;

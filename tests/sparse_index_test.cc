@@ -1,6 +1,7 @@
 // Sparse-index tests, including the paper's staleness property: because
 // PDT SIDs respect ghost tuples, a zone-map built on TABLE0 keeps
-// returning correct (superset) SID ranges after arbitrary PDT updates.
+// returning a correct (superset) SID interval after arbitrary PDT
+// updates.
 #include "storage/sparse_index.h"
 
 #include <gtest/gtest.h>
@@ -35,25 +36,24 @@ TEST(SparseIndexTest, BuildAndLookup) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->entries().size(), 10u);
   // Keys 0..990 in chunks of 10 keys (gap 10): key 345 is in chunk 3.
-  auto ranges = index->LookupRange({Value(340)}, {Value(350)});
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].begin, 30u);
-  EXPECT_EQ(ranges[0].end, 40u);
-  // Range spanning a chunk boundary coalesces: keys 95..205 touch chunks
-  // 1 (100..190) and 2 (200..290); chunk 0's max key 90 < 95 excludes it.
-  ranges = index->LookupRange({Value(95)}, {Value(205)});
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].begin, 10u);
-  EXPECT_EQ(ranges[0].end, 30u);
+  EXPECT_EQ(index->LookupRange({Value(340)}, {Value(350)}),
+            (SidRange{30, 40}));
+  // A range spanning a chunk boundary covers both chunks: keys 95..205
+  // touch chunks 1 (100..190) and 2 (200..290); chunk 0's max key
+  // 90 < 95 excludes it.
+  EXPECT_EQ(index->LookupRange({Value(95)}, {Value(205)}),
+            (SidRange{10, 30}));
   // Unbounded sides.
-  ranges = index->LookupRange({}, {Value(15)});
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].begin, 0u);
-  ranges = index->LookupRange({Value(985)}, {});
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].end, 100u);
-  // Out of domain: empty.
-  EXPECT_TRUE(index->LookupRange({Value(99999)}, {Value(999999)}).empty());
+  EXPECT_EQ(index->LookupRange({}, {Value(15)}), (SidRange{0, 10}));
+  EXPECT_EQ(index->LookupRange({Value(985)}, {}), (SidRange{90, 100}));
+  EXPECT_EQ(index->LookupRange({}, {}), (SidRange{0, 100}));
+  // Out of domain on either side: no chunk qualifies, so the lookup
+  // falls back to the whole table (inserts past either end stay
+  // reachable).
+  EXPECT_EQ(index->LookupRange({Value(99999)}, {Value(999999)}),
+            (SidRange{0, 100}));
+  EXPECT_EQ(index->LookupRange({Value(-50)}, {Value(-10)}),
+            (SidRange{0, 100}));
 }
 
 TEST(SparseIndexTest, LowerBoundSid) {
@@ -72,11 +72,10 @@ TEST(SparseIndexTest, CompoundKeyPrefixLookup) {
                           {.chunk_rows = 2});
   auto index = SparseIndex::Build(*store);
   ASSERT_TRUE(index.ok());
-  auto ranges = index->LookupRange({Value("Paris")}, {Value("Paris")});
-  ASSERT_FALSE(ranges.empty());
-  // All Paris rows (sids 3, 4) are covered.
-  EXPECT_LE(ranges.front().begin, 3u);
-  EXPECT_GE(ranges.back().end, 5u);
+  // Chunks {0,1} {2,3} {4}: the Paris rows (sids 3, 4) sit in the last
+  // two, which the one interval covers exactly.
+  EXPECT_EQ(index->LookupRange({Value("Paris")}, {Value("Paris")}),
+            (SidRange{2, 5}));
 }
 
 // The "Respecting Deletes" property as a randomized invariant: after any
@@ -107,8 +106,8 @@ TEST_P(StaleIndexPropertyTest, StaleRangesRemainCorrect) {
     int64_t lo = rng.UniformRange(0, 5000);
     int64_t hi = lo + rng.UniformRange(0, 1500);
     // Restricted scan through the stale index...
-    auto ranges = index->LookupRange({Value(lo)}, {Value(hi)});
-    auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, ranges);
+    const SidRange range = index->LookupRange({Value(lo)}, {Value(hi)});
+    auto scan = MakeMergeScan(*store, {model.pdt()}, {0, 1}, range);
     auto got = CollectRows(scan.get());
     ASSERT_TRUE(got.ok());
     std::vector<Tuple> got_filtered;

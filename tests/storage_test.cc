@@ -1,12 +1,15 @@
 // Storage-layer tests: chunk build/decode with zone maps, buffer-pool
-// caching / eviction / I/O accounting, and ColumnStore bulk load, random
+// caching / eviction / I/O accounting (including the chunks a bounded
+// scan's sparse-index lookup skips), and ColumnStore bulk load, random
 // access and disk-byte reporting.
 #include <gtest/gtest.h>
 
+#include "db/table.h"
 #include "storage/buffer_pool.h"
 #include "storage/chunk.h"
 #include "storage/column_store.h"
 #include "test_util.h"
+#include "txn/txn_manager.h"
 #include "util/random.h"
 
 namespace pdtstore {
@@ -196,6 +199,58 @@ TEST(ColumnStoreTest, GetSortKeyMatchesTuple) {
   ASSERT_TRUE(key.ok());
   EXPECT_EQ((*key)[0], Value("Paris"));
   EXPECT_EQ((*key)[1], Value("rug"));
+}
+
+// A key-bounded scan fetches only the chunks of its sparse-index
+// interval; every other chunk of the projection counts as skipped, on
+// the table and the transaction scan paths alike.
+TEST(BufferPoolTest, BoundedScanCountsLookupSkips) {
+  auto schema = std::make_shared<const Schema>(
+      std::move(*Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}},
+                              {0})));
+  TableOptions opts;
+  opts.store.chunk_rows = 10;
+  Table table("t", schema, opts);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i * 10, i});
+  ASSERT_TRUE(table.Load(rows).ok());
+  const ColumnStore& store = table.store();
+  ASSERT_EQ(store.num_chunks(), 10u);
+  // Keys 250..260 lie in chunk 2 (keys 200..290): one range chunk.
+  const KeyBounds bounds{{Value(250)}, {Value(260)}};
+  const std::vector<ColumnId> projection = {0, 1};
+  uint64_t skipped_bytes = 0;
+  for (size_t ci = 0; ci < store.num_chunks(); ++ci) {
+    if (ci == 2) continue;
+    for (ColumnId col : projection) {
+      skipped_bytes += store.chunk_meta(col, ci).DiskBytes();
+    }
+  }
+  TxnManager mgr(&table, nullptr);
+  auto txn = mgr.Begin();
+  BufferPool* pool = table.buffer_pool();
+  for (int path = 0; path < 3; ++path) {
+    pool->EvictAll();
+    pool->ResetStats();
+    ScanOptions so;
+    so.num_threads = path == 1 ? 2 : 1;
+    auto scan = path == 2 ? txn->Scan(projection, &bounds, so)
+                          : table.Scan(projection, &bounds, so);
+    auto got = CollectRows(scan.get());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->size(), 10u) << "path " << path;
+    const IoStats s = pool->stats();
+    EXPECT_EQ(s.chunks_skipped, (10u - 1u) * projection.size())
+        << "path " << path;
+    EXPECT_EQ(s.bytes_skipped, skipped_bytes) << "path " << path;
+    EXPECT_EQ(s.chunks_read, 1u * projection.size()) << "path " << path;
+  }
+  // An unbounded scan skips nothing.
+  pool->ResetStats();
+  auto all = CollectRows(table.Scan(projection).get());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), 100u);
+  EXPECT_EQ(pool->stats().chunks_skipped, 0u);
 }
 
 }  // namespace

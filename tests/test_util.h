@@ -63,7 +63,7 @@ inline std::vector<Tuple> MergedRows(const ColumnStore& store,
                                      std::vector<ColumnId> projection = {},
                                      size_t batch_size = kDefaultBatchSize) {
   if (projection.empty()) projection = AllColumns(store.schema());
-  auto scan = MakeMergeScan(store, std::move(layers), projection);
+  auto scan = MakeMergeScan(store, layers, projection, store.FullRange());
   auto rows = CollectRows(scan.get(), batch_size);
   return rows.ok() ? *rows : std::vector<Tuple>{};
 }

@@ -650,6 +650,47 @@ TEST_F(TxnTest, QuietPointFoldDoesNotRaceDriverlessScans) {
   EXPECT_EQ(TxnScan(*check, *schema_).size(), 5u + kCommits);
 }
 
+TEST(TxnBoundedScanTest, OwnInsertSurvivesCommittedDeletesEmptyingRange) {
+  // A key-bounded scan whose stable range is wholly deleted by a lower
+  // (committed) layer: the lower merge yields no rows, so the top
+  // layer's cursor must already sit at the range start to emit the
+  // transaction's own insert there.
+  auto schema = std::make_shared<const Schema>(
+      std::move(*Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}},
+                              {0})));
+  TableOptions opts;
+  opts.store.chunk_rows = 10;
+  Table table("t", schema, opts);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i * 10, i});
+  ASSERT_TRUE(table.Load(rows).ok());
+  TxnManager mgr(&table, nullptr);
+  {
+    auto del = mgr.Begin();
+    for (int64_t k = 200; k <= 290; k += 10) {
+      ASSERT_TRUE(del->DeleteByKey({Value(k)}).ok());
+    }
+    ASSERT_TRUE(del->Commit().ok());
+  }
+  auto txn = mgr.Begin();
+  ASSERT_TRUE(txn->Insert({int64_t{255}, int64_t{-1}}).ok());
+  const KeyBounds bounds{{Value(250)}, {Value(260)}};
+  for (int threads : {1, 2}) {
+    ScanOptions so;
+    so.num_threads = threads;
+    auto got = CollectRows(txn->Scan({0, 1}, &bounds, so).get());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<Tuple> in_bounds;
+    for (const Tuple& t : *got) {
+      if (t[0].AsInt64() >= 250 && t[0].AsInt64() <= 260) {
+        in_bounds.push_back(t);
+      }
+    }
+    EXPECT_EQ(in_bounds, (std::vector<Tuple>{{int64_t{255}, int64_t{-1}}}))
+        << threads << " thread(s)";
+  }
+}
+
 TEST_F(TxnTest, CheckpointKeepsSharedWalForOtherTables) {
   // Two managers log to one WAL (as Database's per-table managers do).
   // One checkpoints its table; the log must keep the other table's

@@ -17,9 +17,8 @@ using testutil::InventorySchema;
 
 std::vector<Tuple> VdtScan(const ColumnStore& store, const Vdt& vdt,
                            std::vector<ColumnId> projection,
-                           std::vector<SidRange> ranges = {},
                            KeyBounds bounds = {}, size_t batch = 1024) {
-  VdtMergeScan scan(&store, &vdt, std::move(projection), std::move(ranges),
+  VdtMergeScan scan(&store, &vdt, std::move(projection), store.FullRange(),
                     std::move(bounds));
   auto rows = CollectRows(&scan, batch);
   EXPECT_TRUE(rows.ok());
@@ -79,7 +78,7 @@ TEST_F(VdtTest, MergeScanAppliesAllUpdateKinds) {
   };
   EXPECT_EQ(VdtScan(*store_, *vdt_, {0, 1, 2, 3}), expected);
   // Small batches exercise the resume paths.
-  EXPECT_EQ(VdtScan(*store_, *vdt_, {0, 1, 2, 3}, {}, {}, 2), expected);
+  EXPECT_EQ(VdtScan(*store_, *vdt_, {0, 1, 2, 3}, {}, 2), expected);
 }
 
 TEST_F(VdtTest, TrailingInsertsAfterStableEnd) {
@@ -119,9 +118,7 @@ TEST_F(VdtTest, KeyBoundsRestrictInsertEmission) {
   KeyBounds bounds;
   bounds.lo = {Value("London")};
   bounds.hi = {Value("Paris")};
-  // Restrict the stable scan to the same window the bounds describe.
-  std::vector<SidRange> ranges = {{0, 5}};
-  auto rows = VdtScan(*store_, *vdt_, {0, 1, 2, 3}, ranges, bounds);
+  auto rows = VdtScan(*store_, *vdt_, {0, 1, 2, 3}, bounds);
   // Aachen (< lo) and Zurich (> hi) inserts are excluded; Madrid stays.
   bool has_madrid = false;
   for (const auto& t : rows) {
