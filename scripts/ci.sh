@@ -233,7 +233,7 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
 fi
 
 if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== asan build (assertions on) + durability/crash-recovery/join/merge/decode/predicate/project/sparse-index tests =="
+  echo "== asan build (assertions on) + durability/crash-recovery/join/merge/decode/predicate/project/sparse-index/pdt tests =="
   # AddressSanitizer over the durability path: the WAL frame codec and
   # recovery scanner parse attacker-shaped (torn / bit-flipped) bytes,
   # and the crash fuzzer tears writes at arbitrary offsets — exactly
@@ -270,15 +270,20 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # sparse_index_test runs here because SparseIndex::LookupRange asserts
   # its one-interval contract (the qualifying chunks are contiguous),
   # and only this build keeps asserts.
+  # pdt_test, pdt_stress_test and propagate_serialize_test run here
+  # because PDT nodes hold exactly kFanout slots: an off-by-one write
+  # lands in the next member of the same node, which ASan cannot see,
+  # so only the asserts where nodes grow (InsertEntryAt, LinkSibling)
+  # and the value-space compaction's one-reference check catch it.
   cmake --build "$ASAN_DIR" -j "$(nproc)" \
       --target wal_test durability_test crash_recovery_fuzz_test \
       compressed_exec_test memory_budget_test exec_test \
       parallel_sort_join_test merge_scan_test pipeline_test \
       encoding_test storage_test keep_bitmap_test exec_kernels_test \
-      sparse_index_test
+      sparse_index_test pdt_test pdt_stress_test propagate_serialize_test
   (cd "$ASAN_DIR" && \
       ctest --output-on-failure \
-          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test|encoding_test|storage_test|keep_bitmap_test|exec_kernels_test|sparse_index_test")
+          -R "wal_test|durability_test|compressed_exec_test|memory_budget_test|exec_test|parallel_sort_join_test|merge_scan_test|pipeline_test|encoding_test|storage_test|keep_bitmap_test|exec_kernels_test|sparse_index_test|pdt_test|pdt_stress_test|propagate_serialize_test")
   (cd "$ASAN_DIR" && \
       PDT_CRASH_SEED="$CRASH_SEED" PDT_CRASH_ITERS="$CRASH_ITERS" \
           ./crash_recovery_fuzz_test)

@@ -15,7 +15,7 @@ Table::Table(std::string name, std::shared_ptr<const Schema> schema,
       pool_(pool ? std::move(pool) : std::make_shared<BufferPool>()) {
   store_ = std::make_unique<ColumnStore>(*schema_, options_.store, pool_);
   if (options_.backend == DeltaBackend::kPdt) {
-    pdt_ = std::make_shared<Pdt>(schema_, options_.pdt);
+    pdt_ = std::make_shared<Pdt>(schema_);
   } else {
     vdt_ = std::make_unique<Vdt>(schema_);
   }

@@ -32,7 +32,6 @@ enum class DeltaBackend { kPdt, kVdt };
 struct TableOptions {
   DeltaBackend backend = DeltaBackend::kPdt;
   ColumnStoreOptions store;
-  PdtOptions pdt;
 };
 
 /// An updatable, SK-ordered columnar table.

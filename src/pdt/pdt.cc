@@ -8,9 +8,13 @@
 namespace pdtstore {
 
 // ---------------------------------------------------------------------
-// Node layout. The paper packs a leaf into 128 bytes at fan-out 8; we use
-// fixed capacity kMaxFanout arrays so the fan-out can be swept at runtime
-// by the ablation benchmark, at the cost of some slack memory.
+// Node layout. The paper packs a leaf's entries into 128 bytes at fan-out
+// 8. Every array holds exactly kFanout slots; with the header, parent
+// link and (for leaves) sibling links a leaf is 184 bytes and an internal
+// node 216. A full node is split before it grows, and the two growth
+// points (InsertEntryAt, LinkSibling) assert that a slot is free: with no
+// slack, an off-by-one would write into the next member, which ASan does
+// not see inside one object.
 // ---------------------------------------------------------------------
 
 struct Pdt::NodeHeader {
@@ -21,17 +25,17 @@ struct Pdt::NodeHeader {
 };
 
 struct Pdt::LeafNode : Pdt::NodeHeader {
-  Sid sids[kMaxFanout];
-  uint16_t types[kMaxFanout];
-  uint64_t values[kMaxFanout];
+  Sid sids[kFanout];
+  uint16_t types[kFanout];
+  uint64_t values[kFanout];
   LeafNode* next = nullptr;
   LeafNode* prev = nullptr;
 };
 
 struct Pdt::InternNode : Pdt::NodeHeader {
-  Sid min_sids[kMaxFanout];     // min SID of child i's subtree
-  int64_t deltas[kMaxFanout];   // #ins - #del within child i's subtree
-  NodeHeader* children[kMaxFanout];
+  Sid min_sids[kFanout];     // min SID of child i's subtree
+  int64_t deltas[kFanout];   // #ins - #del within child i's subtree
+  NodeHeader* children[kFanout];
 };
 
 // ---------------------------------------------------------------------
@@ -73,9 +77,8 @@ bool Pdt::PrevCursor(Cursor* c) {
 // Construction / destruction.
 // ---------------------------------------------------------------------
 
-Pdt::Pdt(std::shared_ptr<const Schema> schema, PdtOptions options)
-    : value_space_(std::move(schema)), options_(options) {
-  options_.fanout = std::clamp(options_.fanout, 4, kMaxFanout);
+Pdt::Pdt(std::shared_ptr<const Schema> schema)
+    : value_space_(std::move(schema)) {
   auto* leaf = new LeafNode();
   leaf->is_leaf = true;
   root_ = leaf;
@@ -111,9 +114,10 @@ void Pdt::Clear() {
 }
 
 std::unique_ptr<Pdt> Pdt::Clone() const {
-  auto copy = std::make_unique<Pdt>(value_space_.shared_schema(), options_);
-  copy->value_space_ = value_space_;
-  Status st = copy->BuildFromSorted(Flatten());
+  auto copy = std::make_unique<Pdt>(value_space_.shared_schema());
+  std::vector<UpdateEntry> entries = Flatten();
+  copy->value_space_ = value_space_.Compact(&entries);
+  Status st = copy->BuildFromSorted(entries);
   assert(st.ok());
   (void)st;
   return copy;
@@ -284,10 +288,11 @@ void Pdt::LinkSibling(NodeHeader* left, NodeHeader* right, Sid right_min,
     root_ = nr;
     return;
   }
-  if (parent->count == options_.fanout) {
+  if (parent->count == kFanout) {
     SplitIntern(parent);
     parent = left->parent;  // the split may have moved `left`
   }
+  assert(parent->count < kFanout);
   int lpos = left->pos_in_parent;
   parent->deltas[lpos] -= right_delta;
   for (int i = parent->count; i > lpos + 1; --i) {
@@ -354,13 +359,14 @@ Pdt::InternNode* Pdt::SplitIntern(InternNode* node) {
 void Pdt::InsertEntryAt(Cursor* c, Sid sid, uint16_t type, uint64_t value) {
   LeafNode* leaf = c->leaf_;
   int pos = c->pos_;
-  if (leaf->count == options_.fanout) {
+  if (leaf->count == kFanout) {
     LeafNode* right = SplitLeaf(leaf);
     if (pos > leaf->count) {
       pos -= leaf->count;
       leaf = right;
     }
   }
+  assert(leaf->count < kFanout);
   for (int i = leaf->count; i > pos; --i) {
     leaf->sids[i] = leaf->sids[i - 1];
     leaf->types[i] = leaf->types[i - 1];
@@ -629,17 +635,16 @@ std::vector<UpdateEntry> Pdt::Flatten() const {
 Status Pdt::BuildFromSorted(const std::vector<UpdateEntry>& entries) {
   ClearTree();
   if (entries.empty()) return Status::OK();
-  const int fanout = options_.fanout;
   // Leaf level.
   std::vector<NodeHeader*> level;
   delete static_cast<LeafNode*>(root_);  // discard the fresh empty root
   node_count_ = 0;
   first_leaf_ = last_leaf_ = nullptr;
   LeafNode* prev = nullptr;
-  for (size_t i = 0; i < entries.size(); i += fanout) {
+  for (size_t i = 0; i < entries.size(); i += kFanout) {
     auto* leaf = new LeafNode();
     ++node_count_;
-    int n = static_cast<int>(std::min<size_t>(fanout, entries.size() - i));
+    int n = static_cast<int>(std::min<size_t>(kFanout, entries.size() - i));
     for (int k = 0; k < n; ++k) {
       const UpdateEntry& e = entries[i + k];
       leaf->sids[k] = e.sid;
@@ -661,11 +666,11 @@ Status Pdt::BuildFromSorted(const std::vector<UpdateEntry>& entries) {
   // Internal levels.
   while (level.size() > 1) {
     std::vector<NodeHeader*> next;
-    for (size_t i = 0; i < level.size(); i += fanout) {
+    for (size_t i = 0; i < level.size(); i += kFanout) {
       auto* in = new InternNode();
       ++node_count_;
       in->is_leaf = false;
-      int n = static_cast<int>(std::min<size_t>(fanout, level.size() - i));
+      int n = static_cast<int>(std::min<size_t>(kFanout, level.size() - i));
       for (int k = 0; k < n; ++k) {
         NodeHeader* child = level[i + k];
         in->children[k] = child;
@@ -716,7 +721,7 @@ Status Pdt::CheckSubtree(const NodeHeader* node, size_t* entries_seen,
     if (leaf != root_ && leaf->count == 0) {
       return Status::Corruption("empty non-root leaf");
     }
-    if (leaf->count > options_.fanout) {
+    if (leaf->count > kFanout) {
       return Status::Corruption("overfull leaf");
     }
     for (int i = 1; i < leaf->count; ++i) {
@@ -729,7 +734,7 @@ Status Pdt::CheckSubtree(const NodeHeader* node, size_t* entries_seen,
     return Status::OK();
   }
   const auto* in = static_cast<const InternNode*>(node);
-  if (in->count < 1 || in->count > options_.fanout) {
+  if (in->count < 1 || in->count > kFanout) {
     return Status::Corruption("bad internal node count");
   }
   int64_t total = 0;

@@ -10,14 +10,17 @@
 // current image) in O(log n).
 //
 // Deviations from the paper's sketch, documented here and in DESIGN.md:
-//  * Fan-out is a runtime option (default 8 as in Sec. 3.1, max 32) so the
-//    ablation benchmark can sweep it.
+//  * Fan-out is fixed at kFanout = 8 (Sec. 3.1) and node arrays are sized
+//    to it exactly; there is no slack slot, so growth paths assert room.
 //  * Leaves are doubly linked; algorithms operate on a bidirectional
 //    cursor, which makes the "jump to successor leaf" details the paper
 //    omits explicit (and handles update chains spanning leaf boundaries).
 //  * Under-full leaves are not rebalanced; a leaf that becomes empty
 //    (delete-of-insert) is unlinked immediately. PDTs are short-lived
 //    (bounded by Propagate/checkpoint), so rebalancing buys nothing.
+//  * Removing an update leaves a hole in the value space; Clone() copies
+//    only the values live entries reference, so every Write→Read fold
+//    (which clones the Read-PDT) drops the holes of the folds before it.
 //  * AddModify of a column whose tuple already has a *different* column's
 //    modify entry appends a separate entry (one entry per modified
 //    column), matching Merge (Alg. 2 lines 15-18).
@@ -37,15 +40,9 @@
 
 namespace pdtstore {
 
-/// Hard upper bound on the runtime-configurable fan-out.
-constexpr int kMaxFanout = 32;
-
-/// PDT tuning knobs.
-struct PdtOptions {
-  /// Entries per leaf / children per internal node. The paper picks 8 so a
-  /// leaf spans two cache lines. Must be in [4, kMaxFanout].
-  int fanout = 8;
-};
+/// Entries per leaf / children per internal node. The paper picks 8 so a
+/// leaf spans two cache lines (Sec. 3.1).
+constexpr int kFanout = 8;
 
 /// A single PDT layer. Thread-compatible (external synchronization; the
 /// transaction manager clones PDTs for snapshot isolation instead of
@@ -57,20 +54,22 @@ class Pdt {
   struct NodeHeader;
 
  public:
-  explicit Pdt(std::shared_ptr<const Schema> schema, PdtOptions options = {});
+  explicit Pdt(std::shared_ptr<const Schema> schema);
   ~Pdt();
 
   Pdt(const Pdt&) = delete;
   Pdt& operator=(const Pdt&) = delete;
 
-  /// Deep copy (tree + value space). Used to snapshot the Write-PDT at
-  /// transaction start (Sec. 3.3).
+  /// Deep copy: the same entries over a compacted value space that holds
+  /// only the values live entries reference, renumbered in increasing
+  /// old-offset order (a PDT without holes clones to identical entries).
+  /// Used to snapshot the Write-PDT at transaction start and as the base
+  /// of every Write→Read fold (Sec. 3.3).
   std::unique_ptr<Pdt> Clone() const;
 
   const Schema& schema() const { return value_space_.schema(); }
   const ValueSpace& value_space() const { return value_space_; }
   ValueSpace& value_space() { return value_space_; }
-  const PdtOptions& options() const { return options_; }
 
   // ----------------------------------------------------------------
   // Update operations (Sec. 3.2). Positions are in *this* PDT's RID
@@ -185,16 +184,6 @@ class Pdt {
   /// PDT's RID domain) into this PDT.
   Status Propagate(const Pdt& w);
 
-  /// Incremental Algorithm 7: folds up to `max_entries` of `w` into this
-  /// PDT, resuming from `*cursor` (pass `w.Begin()` to start) and
-  /// leaving the cursor at the first unapplied entry. Sets `*done` when
-  /// `w` is exhausted. Left-to-right prefixes of a Propagate are
-  /// themselves valid states (the RID domain evolves entry by entry), so
-  /// a background merge can interleave chunks with other work as long as
-  /// `w` and this PDT stay otherwise unmodified between steps.
-  Status PropagateStep(const Pdt& w, Cursor* cursor, size_t max_entries,
-                       bool* done);
-
   /// Algorithm 8: makes this (newer, aligned) PDT consecutive to `ty` by
   /// converting its SIDs into ty's RID domain. Returns Status::Conflict
   /// on a write-write conflict (caller aborts the transaction).
@@ -235,7 +224,6 @@ class Pdt {
   int LeafDepth() const;
 
   ValueSpace value_space_;
-  PdtOptions options_;
   NodeHeader* root_ = nullptr;  // a LeafNode when the tree has height 1
   LeafNode* first_leaf_ = nullptr;
   LeafNode* last_leaf_ = nullptr;

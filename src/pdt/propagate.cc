@@ -9,29 +9,14 @@
 // entry's own RID (sid + running delta within W) is exactly the position
 // at which to apply it to R. Inserts additionally need SKRidToSid on R to
 // land correctly among R's ghost tuples.
-#include <limits>
-
 #include "pdt/pdt.h"
 
 namespace pdtstore {
 
 Status Pdt::Propagate(const Pdt& w) {
-  Cursor c = w.Begin();
-  bool done = false;
-  while (!done) {
-    PDT_RETURN_NOT_OK(PropagateStep(
-        w, &c, std::numeric_limits<size_t>::max(), &done));
-  }
-  return Status::OK();
-}
-
-Status Pdt::PropagateStep(const Pdt& w, Cursor* cursor, size_t max_entries,
-                          bool* done) {
   if (&w == this) return Status::InvalidArgument("cannot self-propagate");
   const ValueSpace& wvs = w.value_space();
-  Cursor& c = *cursor;
-  for (size_t applied = 0; c.Valid() && applied < max_entries;
-       c.Next(), ++applied) {
+  for (Cursor c = w.Begin(); c.Valid(); c.Next()) {
     const Rid rid = c.rid();
     const uint16_t type = c.type();
     if (type == kTypeIns) {
@@ -47,7 +32,6 @@ Status Pdt::PropagateStep(const Pdt& w, Cursor* cursor, size_t max_entries,
           AddModify(rid, col, wvs.GetModifyValue(col, c.value())));
     }
   }
-  *done = !c.Valid();
   return Status::OK();
 }
 

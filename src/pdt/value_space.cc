@@ -2,8 +2,8 @@
 
 #include <cassert>
 
+#include "columnstore/sel_vector.h"
 #include "util/string_util.h"
-#include "pdt/update_entry.h"
 
 namespace pdtstore {
 
@@ -130,6 +130,77 @@ int ValueSpace::CompareDeleteKeyToKey(uint64_t offset,
     if (c != 0) return c;
   }
   return 0;
+}
+
+ValueSpace ValueSpace::Compact(std::vector<UpdateEntry>* entries) const {
+  // Value tables by index: 0 the insert table, 1 the delete table, 2 + c
+  // column c's modify table.
+  const size_t num_tables = 2 + modify_cols_.size();
+  auto table_of = [](uint16_t type) -> size_t {
+    if (type == kTypeIns) return 0;
+    if (type == kTypeDel) return 1;
+    return 2 + type;
+  };
+  auto rows_of = [&](size_t t) {
+    return t == 0 ? insert_count()
+                  : t == 1 ? delete_count() : modify_cols_[t - 2].size();
+  };
+  ValueSpace out(schema_);
+  auto for_columns = [&](size_t t, auto&& fn) {
+    if (t == 0) {
+      for (size_t c = 0; c < insert_cols_.size(); ++c) {
+        fn(insert_cols_[c], &out.insert_cols_[c]);
+      }
+    } else if (t == 1) {
+      for (size_t k = 0; k < delete_cols_.size(); ++k) {
+        fn(delete_cols_[k], &out.delete_cols_[k]);
+      }
+    } else {
+      fn(modify_cols_[t - 2], &out.modify_cols_[t - 2]);
+    }
+  };
+  std::vector<size_t> live(num_tables, 0);
+  for (const UpdateEntry& e : *entries) ++live[table_of(e.type)];
+  // A table with as many live entries as rows has no hole: copy it as it
+  // is. The others get a renumbering (old offset -> new offset).
+  constexpr uint32_t kDead = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> renumber(num_tables);
+  bool holes = false;
+  for (size_t t = 0; t < num_tables; ++t) {
+    if (live[t] == rows_of(t)) {
+      for_columns(t, [](const ColumnVector& from, ColumnVector* to) {
+        *to = from;
+      });
+    } else {
+      renumber[t].assign(rows_of(t), kDead);
+      holes = true;
+    }
+  }
+  if (!holes) return out;
+  for (const UpdateEntry& e : *entries) {
+    std::vector<uint32_t>& r = renumber[table_of(e.type)];
+    if (r.empty()) continue;
+    assert(r[e.value] == kDead);
+    r[e.value] = 0;
+  }
+  for (size_t t = 0; t < num_tables; ++t) {
+    if (renumber[t].empty()) continue;
+    SelVector rows;
+    rows.reserve(live[t]);
+    for (size_t i = 0; i < renumber[t].size(); ++i) {
+      if (renumber[t][i] == kDead) continue;
+      renumber[t][i] = static_cast<uint32_t>(rows.size());
+      rows.push_back(static_cast<uint32_t>(i));
+    }
+    for_columns(t, [&](const ColumnVector& from, ColumnVector* to) {
+      to->AppendGather(from, rows);
+    });
+  }
+  for (UpdateEntry& e : *entries) {
+    const std::vector<uint32_t>& r = renumber[table_of(e.type)];
+    if (!r.empty()) e.value = r[e.value];
+  }
+  return out;
 }
 
 size_t ValueSpace::MemoryBytes() const {

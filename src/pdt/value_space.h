@@ -3,8 +3,11 @@
 //   ins<col1..coln>   full newly-inserted tuples (columnar),
 //   del<SK>           sort-key values of deleted stable ("ghost") tuples,
 //   colk<colk>        per-column modified values.
-// Offsets are stable; removing an update (e.g. delete-of-insert) leaves a
-// hole that is reclaimed wholesale at Propagate/checkpoint time.
+// Offsets are stable; removing an update (e.g. delete-of-insert, or a
+// delete that collapses a tuple's modify entries) leaves a hole. Compact()
+// drops the holes: Pdt::Clone() copies through it, so every Write→Read
+// fold starts from a hole-free Read-PDT, and a checkpoint drops the
+// whole value space.
 #ifndef PDTSTORE_PDT_VALUE_SPACE_H_
 #define PDTSTORE_PDT_VALUE_SPACE_H_
 
@@ -13,6 +16,7 @@
 
 #include "columnstore/column_vector.h"
 #include "columnstore/schema.h"
+#include "pdt/update_entry.h"
 #include "util/status.h"
 
 namespace pdtstore {
@@ -21,9 +25,6 @@ namespace pdtstore {
 class ValueSpace {
  public:
   explicit ValueSpace(std::shared_ptr<const Schema> schema);
-
-  ValueSpace(const ValueSpace&) = default;
-  ValueSpace& operator=(const ValueSpace&) = default;
 
   const Schema& schema() const { return *schema_; }
   std::shared_ptr<const Schema> shared_schema() const { return schema_; }
@@ -78,6 +79,12 @@ class ValueSpace {
   size_t delete_count() const {
     return delete_cols_.empty() ? 0 : delete_cols_[0].size();
   }
+
+  /// A copy holding only the rows `*entries` reference, each table's
+  /// rows kept in increasing old-offset order; rewrites every entry's
+  /// offset to its row in the copy. Each row must be referenced at most
+  /// once (as every PDT entry owns its value).
+  ValueSpace Compact(std::vector<UpdateEntry>* entries) const;
 
   /// Approximate heap footprint.
   size_t MemoryBytes() const;

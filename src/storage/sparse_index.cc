@@ -48,7 +48,17 @@ SidRange SparseIndex::LookupRange(const std::vector<Value>& lo,
     if (first == entries_.size()) first = i;
     last = i + 1;
   }
-  if (first == entries_.size()) return SidRange{0, num_rows_};
+  if (first == entries_.size()) {
+    // Empty at the insert position of the bounds' keys (see the header).
+    Sid s = num_rows_;
+    for (size_t i = 0; !hi.empty() && i < entries_.size(); ++i) {
+      if (ComparePrefix(entries_[i].min_key, hi) > 0) {
+        s = entries_[i].start_sid;
+        break;
+      }
+    }
+    return SidRange{s, s};
+  }
   return SidRange{entries_[first].start_sid, entries_[last - 1].end_sid};
 }
 

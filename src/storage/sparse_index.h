@@ -36,8 +36,11 @@ class SparseIndex {
   /// max >= lo form a suffix and those with min <= hi a prefix: the
   /// qualifying chunks are always contiguous, and one interval covers
   /// them exactly (asserted in debug builds). When no chunk qualifies
-  /// the result is the whole table, which keeps out-of-range inserts
-  /// reachable at either end of the image.
+  /// (bounds below the min, above the max, or in a key gap between two
+  /// chunks) the result is the empty interval {s, s} at the start SID s
+  /// of the first chunk whose min is above `hi` (num_rows if none): the
+  /// SID where inserts with keys in the bounds sit, so a merge scan
+  /// still emits them while it reads no chunk.
   SidRange LookupRange(const std::vector<Value>& lo,
                        const std::vector<Value>& hi) const;
 

@@ -39,7 +39,6 @@ StatusOr<HtapReport> RunHtapScenario(const GenOptions& gen,
 
   TxnManagerOptions topts;
   topts.write_pdt_max_entries = opts.write_pdt_max_entries;
-  topts.merge_chunk_entries = opts.merge_chunk_entries;
   MultiTxnManager mgr({tables->orders, tables->lineitem}, wal, topts);
   if (writer != nullptr) mgr.SetWalWriter(writer);
 

@@ -61,7 +61,6 @@ struct HtapOptions {
   /// Writer-path tuning: a small Write-PDT cap keeps propagation (and
   /// the background merge machinery) active during the run.
   size_t write_pdt_max_entries = 1024;
-  size_t merge_chunk_entries = 2048;
   /// Maintenance cadence; 0 disables the checkpoint thread entirely.
   int maintenance_interval_ms = 50;
   /// Checkpoint a table when its Read-PDT exceeds this many entries at

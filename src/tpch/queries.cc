@@ -36,7 +36,6 @@ ScanOptions PipeScanOptions(const QueryOptions& o) {
   ScanOptions so;
   so.num_threads = o.num_threads;
   so.ordered = false;  // pipeline fragments are order-insensitive
-  so.morsel_rows = o.morsel_rows;
   return so;
 }
 

@@ -29,8 +29,6 @@ struct QueryResult {
 /// order and floating-point summation order are not.
 struct QueryOptions {
   int num_threads = 1;
-  /// Morsel granularity; 0 auto-tunes (AutoMorselRows).
-  size_t morsel_rows = 0;
 };
 
 /// Runs query `q` (1-22). InvalidArgument for unknown numbers.

@@ -265,17 +265,5 @@ Status ApplyRefreshGroupMultiTxn(const UpdateStream& stream,
   return last;
 }
 
-Status ApplyUpdateStreamMultiTxn(const UpdateStream& stream,
-                                 MultiTxnManager* mgr,
-                                 const MultiTxnApplyOptions& opts,
-                                 MultiTxnApplyStats* stats) {
-  for (const RefreshGroup& g : PlanRefreshGroups(stream,
-                                                 opts.orders_per_txn)) {
-    PDT_RETURN_NOT_OK(ApplyRefreshGroupMultiTxn(stream, g, mgr, opts,
-                                                stats));
-  }
-  return Status::OK();
-}
-
 }  // namespace tpch
 }  // namespace pdtstore

@@ -43,7 +43,7 @@ Status ApplyUpdateStream(const UpdateStream& stream, TpchTables* tables);
 /// update load as an HTAP writer). Atomicity is per table: the orders
 /// and lineitem updates of a group commit as two transactions (for the
 /// cross-table refresh the paper's RF1/RF2 demand, use
-/// ApplyUpdateStreamMultiTxn). On any error both in-flight transactions
+/// ApplyRefreshGroupMultiTxn). On any error both in-flight transactions
 /// are resolved (awaited or aborted) before the error propagates.
 Status ApplyUpdateStreamTxn(const UpdateStream& stream, TxnManager* orders,
                             TxnManager* lineitem, size_t orders_per_txn = 8);
@@ -84,13 +84,6 @@ struct MultiTxnApplyStats {
 /// fresh snapshot per `opts.max_conflict_retries`.
 Status ApplyRefreshGroupMultiTxn(const UpdateStream& stream,
                                  const RefreshGroup& group,
-                                 MultiTxnManager* mgr,
-                                 const MultiTxnApplyOptions& opts = {},
-                                 MultiTxnApplyStats* stats = nullptr);
-
-/// Applies a whole stream as a sequence of cross-table refresh groups
-/// (PlanRefreshGroups + ApplyRefreshGroupMultiTxn).
-Status ApplyUpdateStreamMultiTxn(const UpdateStream& stream,
                                  MultiTxnManager* mgr,
                                  const MultiTxnApplyOptions& opts = {},
                                  MultiTxnApplyStats* stats = nullptr);

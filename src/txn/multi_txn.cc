@@ -52,17 +52,25 @@ class ErrorSource : public BatchSource {
   Status status_;
 };
 
-}  // namespace
+// The one Write→Read fold (Algorithm 7): Read ▷ pending ▷ write as a new
+// PDT. It builds on a clone of `read` (which Clone() compacts) instead of
+// mutating it — an installed Read-PDT may be pinned by driverless scans
+// and snapshots. `pending`, a Write-PDT claimed by a background merge,
+// folds first: the current Write-PDT's SID domain is Read ▷ pending.
+// Either layer may be null.
+StatusOr<std::unique_ptr<Pdt>> FoldLayers(const Pdt& read,
+                                          const Pdt* pending,
+                                          const Pdt* write) {
+  std::unique_ptr<Pdt> merged = read.Clone();
+  for (const Pdt* layer : {pending, write}) {
+    if (layer != nullptr && !layer->Empty()) {
+      PDT_RETURN_NOT_OK(merged->Propagate(*layer));
+    }
+  }
+  return merged;
+}
 
-// State for one incremental background Write→Read merge of one table.
-// Shared between the successive worker-pool tasks that advance it.
-struct MultiTxnManager::MergeJob {
-  TableState* st = nullptr;                // owned by state_ (stable map)
-  std::shared_ptr<const Pdt> source_read;  ///< pinned pre-merge Read-PDT
-  std::shared_ptr<const Pdt> pending;      ///< the claimed Write-PDT
-  std::unique_ptr<Pdt> merged;             ///< private clone being built
-  Pdt::Cursor cursor;                      ///< next unapplied entry
-};
+}  // namespace
 
 // ---------------------------------------------------------------------
 // MultiTransaction.
@@ -95,8 +103,7 @@ MultiTransaction::TableView MultiTxnManager::MakeViewLocked(
   view.read = st->table->SharedPdt();
   view.pending = st->merge_pending;
   view.write = st->write_snapshot;
-  view.trans = std::make_unique<Pdt>(st->table->shared_schema(),
-                                     st->table->options().pdt);
+  view.trans = std::make_unique<Pdt>(st->table->shared_schema());
   return view;
 }
 
@@ -239,8 +246,7 @@ Status MultiTransaction::BeginQueryPdt(const std::string& table) {
   if (v->query != nullptr) {
     return Status::InvalidArgument("Query-PDT already active");
   }
-  v->query = std::make_unique<Pdt>(v->table->shared_schema(),
-                                   v->table->options().pdt);
+  v->query = std::make_unique<Pdt>(v->table->shared_schema());
   return Status::OK();
 }
 
@@ -355,7 +361,7 @@ MultiTxnManager::MultiTxnManager(std::vector<Table*> tables, Wal* wal,
     if (claimed) claimed_.push_back(t);
     TableState st;
     st.table = t;
-    st.write = std::make_unique<Pdt>(t->shared_schema(), t->options().pdt);
+    st.write = std::make_unique<Pdt>(t->shared_schema());
     state_.emplace(t->name(), std::move(st));
   }
 }
@@ -520,8 +526,8 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
     if (!entry.pdts.empty()) tz_.push_back(std::move(entry));
   }
   rec->trans.clear();
-  // Write->Read propagation: inline clone+install at quiet points, in
-  // the background on the worker pool while transactions are running.
+  // Write->Read propagation: the same fold, inline at quiet points and
+  // in one worker-pool task while transactions are running.
   rec->result = MaybePropagateLocked();
   rec->state = MultiDeltaRecord::kCommitted;
 }
@@ -546,19 +552,10 @@ void MultiTxnManager::AbortPublished(MultiTransaction* txn) {
 }
 
 Status MultiTxnManager::FoldIntoReadLocked(TableState* st) {
-  // Never mutate the installed Read-PDT: driverless scans may be reading
-  // it right now. Fold into a clone and install it; their pins keep the
-  // old layer alive.
-  auto merged = st->table->SharedPdt()->Clone();
-  if (st->merge_pending != nullptr) {
-    // A layer parked by a failed background merge folds first — the
-    // Write-PDT's SID domain is defined over Read ▷ pending.
-    PDT_RETURN_NOT_OK(merged->Propagate(*st->merge_pending));
-  }
-  if (!st->write->Empty()) {
-    PDT_RETURN_NOT_OK(merged->Propagate(*st->write));
-  }
-  st->table->ReplacePdt(std::shared_ptr<Pdt>(merged.release()));
+  PDT_ASSIGN_OR_RETURN(std::unique_ptr<Pdt> merged,
+                       FoldLayers(*st->table->SharedPdt(),
+                                  st->merge_pending.get(), st->write.get()));
+  st->table->ReplacePdt(std::move(merged));
   st->merge_pending.reset();
   st->merge_error = Status::OK();
   st->write->Clear();
@@ -578,9 +575,8 @@ Status MultiTxnManager::MaybePropagateLocked() {
       // behavior, still install-based.
       PDT_RETURN_NOT_OK(FoldIntoReadLocked(&st));
     } else if (oversized && st.merge_pending == nullptr) {
-      // Transactions are running: merge into a private clone on the
-      // worker pool instead of blocking this commit (and every reader)
-      // on an O(Read-PDT) fold.
+      // Transactions are running: fold on the worker pool instead of
+      // blocking this commit (and every reader) on an O(Read-PDT) fold.
       StartBackgroundMergeLocked(&st);
     }
   }
@@ -588,57 +584,44 @@ Status MultiTxnManager::MaybePropagateLocked() {
 }
 
 void MultiTxnManager::StartBackgroundMergeLocked(TableState* st) {
-  auto job = std::make_shared<MergeJob>();
-  job->st = st;
   // The claimed Write-PDT becomes an immutable shared layer: commits
   // fold into a fresh Write-PDT (whose SID domain is Read ▷ pending),
   // and new snapshots stack [read, pending, write] until the merged
   // Read-PDT absorbs it.
-  job->pending = std::shared_ptr<const Pdt>(st->write.release());
-  st->merge_pending = job->pending;
-  st->write = std::make_unique<Pdt>(st->table->shared_schema(),
-                                    st->table->options().pdt);
+  st->merge_pending = std::shared_ptr<const Pdt>(st->write.release());
+  st->write = std::make_unique<Pdt>(st->table->shared_schema());
   st->write_snapshot.reset();
   st->write_snapshot_time = 0;
-  job->source_read = st->table->SharedPdt();
   st->merge_inflight = true;
   ++merges_inflight_;
-  ThreadPool::Global().Submit([this, job] { MergeStep(job); });
+  ThreadPool::Global().Submit(
+      [this, st, read = st->table->SharedPdt(), pending = st->merge_pending] {
+        BackgroundMerge(st, *read, *pending);
+      });
 }
 
-void MultiTxnManager::MergeStep(std::shared_ptr<MergeJob> job) {
-  if (!job->merged) {
-    // First step: clone the pinned Read-PDT. The table's PDT cannot
-    // change while this merge is in flight: every install path of this
-    // manager excludes tables with merge_inflight set, and no other
-    // manager can touch the table (exclusive driver claim).
-    job->merged = job->source_read->Clone();
-    job->cursor = job->pending->Begin();
-  }
-  bool done = false;
-  Status st = job->merged->PropagateStep(*job->pending, &job->cursor,
-                                         opts_.merge_chunk_entries, &done);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!st.ok()) {
-    // Abandon the clone; the pending layer stays parked in the snapshot
+void MultiTxnManager::BackgroundMerge(TableState* st, const Pdt& read,
+                                      const Pdt& pending) {
+  // Outside mu_: both layers are immutable and pinned by the task. The
+  // table's PDT cannot change while this merge is in flight: every
+  // install path of this manager excludes tables with merge_inflight
+  // set, and no other manager can touch the table (exclusive driver
+  // claim).
+  StatusOr<std::unique_ptr<Pdt>> merged = FoldLayers(read, &pending, nullptr);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!merged.ok()) {
+    // Abandon the fold; the pending layer stays parked in the snapshot
     // stack and the next quiet point folds it inline.
-    job->st->merge_error = st;
-  } else if (!done) {
-    // Yield the worker between chunks so foreground scan morsels and
-    // pipeline tasks interleave with the merge.
-    lock.unlock();
-    ThreadPool::Global().Submit([this, job] { MergeStep(job); });
-    return;
+    st->merge_error = merged.status();
   } else {
     // Install the merged Read-PDT. Snapshots (and driverless scans)
     // taken before this instant keep the pre-merge layers alive through
     // their shared_ptrs; new ones see [merged, write] — the same image.
-    job->st->table->ReplacePdt(
-        std::shared_ptr<Pdt>(job->merged.release()));
-    job->st->merge_pending.reset();
-    ++job->st->background_merges;
+    st->table->ReplacePdt(std::move(*merged));
+    st->merge_pending.reset();
+    ++st->background_merges;
   }
-  job->st->merge_inflight = false;
+  st->merge_inflight = false;
   --merges_inflight_;
   merge_cv_.notify_all();
 }

@@ -31,11 +31,11 @@
 // share one group-commit fsync.
 //
 // Install-only propagation: an installed Read-PDT is never mutated.
-// Every Write→Read fold — inline at quiet points, incrementally on the
-// worker pool under load — builds a merged clone and installs it via
-// Table::ReplacePdt, so driverless scans (Table::Scan, the HTAP
-// harness's analytic readers) can pin the Read-PDT and read it while
-// commits continue.
+// Every Write→Read fold runs one routine — inline under the manager lock
+// at quiet points, in one worker-pool task under load — that builds a
+// merged clone; the manager installs it via Table::ReplacePdt, so
+// driverless scans (Table::Scan, the HTAP harness's analytic readers)
+// can pin the Read-PDT and read it while commits continue.
 #ifndef PDTSTORE_TXN_MULTI_TXN_H_
 #define PDTSTORE_TXN_MULTI_TXN_H_
 
@@ -66,9 +66,6 @@ struct TxnManagerOptions {
   size_t write_pdt_max_entries = 4096;
   /// Checkpoint a table when its Read-PDT exceeds this many entries.
   size_t read_pdt_max_entries = 1 << 20;
-  /// Entries a background Write→Read merge folds per worker-pool task
-  /// before yielding the worker (so foreground scan morsels interleave).
-  size_t merge_chunk_entries = 2048;
   /// When several managers share one WAL, they must also share a
   /// transaction-id source — concurrent transactions with colliding ids
   /// would be merged by replay. Database wires all its managers to one
@@ -303,7 +300,6 @@ class MultiTxnManager {
 
  private:
   friend class MultiTransaction;
-  struct MergeJob;
 
   struct TableState {
     Table* table = nullptr;
@@ -350,19 +346,20 @@ class MultiTxnManager {
   void FinishActiveLocked(uint64_t start_time);
 
   // --- Write→Read propagation (install-only; see file comment) ---
-  // Per table: inline clone+install at quiet points, or an incremental
-  // background merge when transactions are running. Caller holds mu_.
+  // Per table: an inline fold at quiet points, or a background merge
+  // when transactions are running. Caller holds mu_.
   Status MaybePropagateLocked();
   // Folds pending + write into a clone of `st`'s Read-PDT and installs
   // it via ReplacePdt. Caller holds mu_ and guarantees no merge is in
   // flight for `st`.
   Status FoldIntoReadLocked(TableState* st);
-  // Claims st->write as the immutable pending layer and schedules the
-  // incremental fold on the global worker pool. Caller holds mu_.
+  // Claims st->write as the immutable pending layer and submits one
+  // worker-pool task that runs BackgroundMerge. Caller holds mu_.
   void StartBackgroundMergeLocked(TableState* st);
-  // One incremental merge step; re-submits itself until done, then
-  // installs the merged Read-PDT. Runs on a pool worker.
-  void MergeStep(std::shared_ptr<MergeJob> job);
+  // Folds `pending` into a clone of `read` without the lock, then takes
+  // mu_ to install the result (or park `pending` on failure). Runs on a
+  // pool worker.
+  void BackgroundMerge(TableState* st, const Pdt& read, const Pdt& pending);
 
   mutable std::mutex mu_;
   TxnManagerOptions opts_;

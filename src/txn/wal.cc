@@ -517,41 +517,6 @@ Status Wal::SyncTo(uint64_t upto) {
   return result;
 }
 
-Status Wal::WriteToFile(const std::string& path, FileSystem* fs) const {
-  if (fs == nullptr) fs = FileSystem::Default();
-  std::string snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot = buffer_;
-  }
-  PDT_ASSIGN_OR_RETURN(auto file,
-                       fs->NewWritableFile(path, /*truncate=*/true));
-  PDT_RETURN_NOT_OK(file->Append(snapshot));
-  PDT_RETURN_NOT_OK(file->Sync());
-  return file->Close();
-}
-
-Status Wal::LoadFromFile(const std::string& path, FileSystem* fs) {
-  if (fs == nullptr) fs = FileSystem::Default();
-  std::string bytes;
-  PDT_RETURN_NOT_OK(fs->ReadFileToString(path, &bytes));
-  // Strict validation (and record recount) before adopting the buffer.
-  size_t count = 0;
-  PDT_RETURN_NOT_OK(ScanFrames(bytes, /*tolerate_tail=*/false, nullptr,
-                               nullptr, [&count](const WalRecord&) {
-                                 ++count;
-                                 return Status::OK();
-                               }));
-  std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  std::lock_guard<std::mutex> lock(mu_);
-  buffer_ = std::move(bytes);
-  record_count_ = count;
-  flushed_bytes_ = buffer_.size();
-  durable_bytes_ = buffer_.size();
-  health_ = Status::OK();
-  return Status::OK();
-}
-
 StatusOr<WalRecoveryStats> Wal::RecoverFrom(FileSystem* fs,
                                             const std::string& path) {
   if (fs == nullptr) fs = FileSystem::Default();

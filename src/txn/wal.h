@@ -150,12 +150,6 @@ class Wal {
   /// swapped safely afterwards).
   void Truncate();
 
-  /// Persists the whole buffer to a file / restores it (strict — no
-  /// tail tolerance; recovery uses RecoverFrom).
-  Status WriteToFile(const std::string& path,
-                     FileSystem* fs = nullptr) const;
-  Status LoadFromFile(const std::string& path, FileSystem* fs = nullptr);
-
   /// Crash-recovery load: reads the segment at `path`, accepts the
   /// longest intact frame prefix, truncates a torn tail both in memory
   /// and on disk (so later appends land at the right offset), and

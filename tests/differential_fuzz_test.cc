@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -50,9 +51,10 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   return std::strtoull(v, nullptr, 10);
 }
 
-// One full iteration from one seed. Returns false (with a recorded
-// failure) if any thread count disagreed with the serial tree.
-void RunIteration(uint64_t seed) {
+// One full iteration from one seed. Records a failure if any thread
+// count disagreed with the serial tree; adds to `*chain_bounded` the
+// plans whose key bounds fell inside the table's delete chain.
+void RunIteration(uint64_t seed, int* chain_bounded) {
   // Two identical decision streams: `rng` drives the compressed-
   // execution source, `rng_dec` its decoded twin. Random is a small
   // value type, so the copy freezes the stream and both builds make
@@ -92,6 +94,7 @@ void RunIteration(uint64_t seed) {
     FuzzPlanResult enc = RunFuzzPlan(plan_seed, src, build.get(), 1);
     ASSERT_TRUE(enc.status.ok())
         << enc.status.ToString() << " (plan " << p << ", encoded serial)";
+    *chain_bounded += enc.chain_bounded ? 1 : 0;
     EXPECT_EQ(enc.rows, ref.rows)
         << "encoded vs decoded serial mismatch, plan " << p;
     if (::testing::Test::HasFailure()) return;
@@ -117,18 +120,26 @@ void RunIteration(uint64_t seed) {
 }
 
 TEST(DifferentialFuzz, SerialAndParallelPlansAgree) {
+  constexpr uint64_t kDefaultIters = 40;
   const uint64_t base = EnvOr("PDT_FUZZ_SEED", 20260731);
-  const uint64_t iters = EnvOr("PDT_FUZZ_ITERS", 40);
+  const uint64_t iters = EnvOr("PDT_FUZZ_ITERS", kDefaultIters);
+  int chain_bounded = 0;
   for (uint64_t i = 0; i < iters; ++i) {
     const uint64_t seed = base + i;
     SCOPED_TRACE("repro: PDT_FUZZ_SEED=" + std::to_string(seed) +
                  " PDT_FUZZ_ITERS=1 ./differential_fuzz_test");
-    RunIteration(seed);
+    RunIteration(seed, &chain_bounded);
     if (::testing::Test::HasFailure()) {
       FAIL() << "differential fuzz failed at seed " << seed
              << " — repro: PDT_FUZZ_SEED=" << seed
              << " PDT_FUZZ_ITERS=1 ./differential_fuzz_test";
     }
+  }
+  // A full batch must reach a bounded scan over a range the lower layers
+  // emptied (a short repro run may not).
+  std::printf("bounded scans inside a delete chain: %d\n", chain_bounded);
+  if (iters >= kDefaultIters) {
+    EXPECT_GT(chain_bounded, 0);
   }
 }
 
@@ -166,10 +177,9 @@ void RunConcurrentWriteIteration(uint64_t seed) {
   for (int64_t i = 0; i < init_rows; ++i) init.push_back({i * 2, i});
 
   TxnManagerOptions opts;
-  // Small Write-PDT cap + tiny merge chunks: background merges fire
-  // mid-workload, so readers cross the four-layer snapshot stack.
+  // Small Write-PDT cap: background merges fire mid-workload, so
+  // readers cross the four-layer snapshot stack.
   opts.write_pdt_max_entries = 4 + rng.Uniform(28);
-  opts.merge_chunk_entries = 1 + rng.Uniform(8);
 
   Table table("fuzz_write", WriteFuzzSchema(), TableOptions{});
   ASSERT_TRUE(table.Load(init).ok());
@@ -339,7 +349,6 @@ void RunMultiTableWriteIteration(uint64_t seed) {
 
   TxnManagerOptions opts;
   opts.write_pdt_max_entries = 4 + rng.Uniform(28);
-  opts.merge_chunk_entries = 1 + rng.Uniform(8);
 
   Table parent("parent", ParentFuzzSchema(), TableOptions{});
   Table child("child", ChildFuzzSchema(), TableOptions{});

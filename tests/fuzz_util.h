@@ -47,19 +47,21 @@ inline Tuple FuzzRow(int64_t key, Random* rng) {
 /// A randomly built, randomly updated table. Keys are spaced so inserts
 /// land between stable rows; a fraction of iterations gets hostile
 /// extras (long delete chains that empty whole morsels, modify churn on
-/// one region) on top of the uniform mix.
+/// one region) on top of the uniform mix. `chain_keys`, if given,
+/// receives the inclusive key range the delete chain emptied (left
+/// unbounded when the table got no chain).
 inline std::unique_ptr<Table> MakeFuzzTable(Random* rng,
                                             DeltaBackend backend,
                                             uint64_t min_rows,
                                             uint64_t max_rows,
-                                            bool encoded_exec = true) {
+                                            bool encoded_exec = true,
+                                            KeyBounds* chain_keys = nullptr) {
   const int64_t n =
       static_cast<int64_t>(min_rows + rng->Uniform(max_rows - min_rows + 1));
   TableOptions opts;
   opts.backend = backend;
   const size_t chunk_choices[] = {32, 64, 128, 256};
   opts.store.chunk_rows = chunk_choices[rng->Uniform(4)];
-  opts.pdt.fanout = 4 + 4 * rng->Uniform(3);  // 4 / 8 / 12
   // Compressed execution vs the decoded differential reference. The
   // flag is a caller decision, not an rng draw, so copying the Random
   // builds a byte-identical twin table in the other representation.
@@ -106,8 +108,16 @@ inline std::unique_ptr<Table> MakeFuzzTable(Random* rng,
     if (cnt > 40) {
       const Rid at = rng->Uniform(cnt / 2);
       const uint64_t chain = 20 + rng->Uniform(cnt / 2 - 20 + 1);
+      auto first = table->GetMergedTuple(at);
       for (uint64_t i = 0; i < chain && table->RowCount() > 1; ++i) {
         (void)table->DeleteAt(at);
+      }
+      // The chain emptied every key from its first row up to the row
+      // that now sits at `at`.
+      auto next = table->GetMergedTuple(at);
+      if (chain_keys != nullptr && first.ok() && next.ok()) {
+        *chain_keys = KeyBounds{{(*first)[0]},
+                                {Value((*next)[0].AsInt64() - 1)}};
       }
       for (int i = 0; i < 8; ++i) {
         (void)table->Insert(
@@ -125,6 +135,7 @@ inline std::unique_ptr<Table> MakeFuzzTable(Random* rng,
 /// stack). Owns everything so scans stay valid for the iteration.
 struct FuzzSource {
   std::unique_ptr<Table> table;
+  KeyBounds chain_keys;  // keys the table's delete chain emptied, if any
   std::unique_ptr<TxnManager> mgr;      // set iff scanning through a txn
   std::unique_ptr<Transaction> txn;
 
@@ -151,7 +162,8 @@ inline FuzzSource MakeFuzzSource(Random* rng, bool encoded_exec = true) {
         MakeFuzzTable(rng, DeltaBackend::kVdt, 200, 700, encoded_exec);
     return src;
   }
-  src.table = MakeFuzzTable(rng, DeltaBackend::kPdt, 200, 900, encoded_exec);
+  src.table = MakeFuzzTable(rng, DeltaBackend::kPdt, 200, 900, encoded_exec,
+                            &src.chain_keys);
   if (pick < 0.55 && src.table != nullptr) {
     // Multi-layer stack: one committed transaction (propagated into the
     // Read/Write layers), then an open one whose Trans-PDT the scan
@@ -197,6 +209,9 @@ struct FuzzPlanResult {
   /// The engine promises the exact serial sequence (ordered exchange or
   /// deterministic sort); otherwise compare as multisets.
   bool exact = false;
+  /// The plan's key bounds lie inside the range the source's delete
+  /// chain emptied, where the lower layers emit no row.
+  bool chain_bounded = false;
   Status status = Status::OK();
 };
 
@@ -288,11 +303,21 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
   KeyBounds bounds;
   if (rng.Bernoulli(0.35)) {
     bounded = true;
-    zlo = static_cast<int64_t>(rng.Uniform(2000));
-    // Half the bounds are narrow enough to fall inside one ghost range
-    // (MakeFuzzTable's delete chain), where lower layers emit no row.
-    const int64_t width = rng.Bernoulli(0.5) ? 200 : 3000;
-    zhi = zlo + 1 + static_cast<int64_t>(rng.UniformRange(0, width));
+    const KeyBounds& chain = src.chain_keys;
+    if (!chain.lo.empty() && rng.Bernoulli(0.5)) {
+      // Bounds inside the range MakeFuzzTable's delete chain emptied,
+      // where the lower layers emit no row and only inserts (the
+      // table's own or a transaction's) remain.
+      const int64_t lo = chain.lo[0].AsInt64();
+      const int64_t hi = chain.hi[0].AsInt64();
+      zlo = lo + static_cast<int64_t>(rng.Uniform(hi - lo + 1));
+      zhi = zlo + static_cast<int64_t>(rng.Uniform(hi - zlo + 1));
+      result.chain_bounded = true;
+    } else {
+      zlo = static_cast<int64_t>(rng.Uniform(2000));
+      const int64_t width = rng.Bernoulli(0.5) ? 200 : 3000;
+      zhi = zlo + 1 + static_cast<int64_t>(rng.UniformRange(0, width));
+    }
     bounds = KeyBounds{{Value(zlo)}, {Value(zhi)}};
   }
   const KeyBounds* scan_bounds = bounded && key_bounds ? &bounds : nullptr;

@@ -154,7 +154,6 @@ TEST(ParallelScanTest, HostilePdtStatesFromStressPatterns) {
   // region spanning several morsels), then inserts into the ghosts.
   TableOptions topts;
   topts.store.chunk_rows = 64;
-  topts.pdt.fanout = 4;
   auto table = std::make_unique<Table>("t", IntSchema(), topts);
   ASSERT_TRUE(table->Load(IntRows(600, 10)).ok());
   for (int i = 0; i < 400; ++i) {

@@ -236,7 +236,6 @@ TEST(ParallelSortTest, HostilePdtStatesAndEmptyResults) {
   // churn — then sort on top.
   TableOptions topts;
   topts.store.chunk_rows = 64;
-  topts.pdt.fanout = 4;
   auto table = std::make_unique<Table>("t", IntSchema(), topts);
   ASSERT_TRUE(table->Load(IntRows(600, 10)).ok());
   for (int i = 0; i < 400; ++i) ASSERT_TRUE(table->DeleteAt(100).ok());

@@ -1,6 +1,6 @@
 // Adversarial PDT stress tests: hostile update patterns (hammering a
 // single position, strict front/back insertion, interleaved ghost
-// chains), deep trees at minimum fan-out, cursor/bulk-build round trips,
+// chains), deep trees, bulk-build round trips at node boundaries,
 // and long randomized runs with invariant checking at every step.
 #include <gtest/gtest.h>
 
@@ -33,7 +33,7 @@ TEST(PdtStressTest, ManyInsertsAtSamePosition) {
   // stay balanced and ordered.
   auto schema = IntSchema();
   auto store = BuildStore(schema, IntRows(4, 1000000));
-  ModelTable model(schema, IntRows(4, 1000000), PdtOptions{.fanout = 4});
+  ModelTable model(schema, IntRows(4, 1000000));
   for (int i = 999; i >= 1; --i) {  // key 0 exists in the base data
     ASSERT_TRUE(model.Insert({int64_t{i}, int64_t{i}}).ok());
   }
@@ -50,7 +50,7 @@ TEST(PdtStressTest, ManyInsertsAtSamePosition) {
 TEST(PdtStressTest, AscendingAppendsAtEnd) {
   auto schema = IntSchema();
   auto store = BuildStore(schema, IntRows(4, 10));
-  ModelTable model(schema, IntRows(4, 10), PdtOptions{.fanout = 4});
+  ModelTable model(schema, IntRows(4, 10));
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(model.Insert({int64_t{1000 + i}, int64_t{i}}).ok());
   }
@@ -75,7 +75,7 @@ TEST(PdtStressTest, InsertDeleteChurnAtOnePosition) {
   // must end empty (delete-of-insert leaves no trace).
   auto schema = IntSchema();
   auto store = BuildStore(schema, IntRows(10));
-  ModelTable model(schema, IntRows(10), PdtOptions{.fanout = 4});
+  ModelTable model(schema, IntRows(10));
   for (int i = 0; i < 300; ++i) {
     ASSERT_TRUE(model.Insert({int64_t{55}, int64_t{i}}).ok());
     Rid rid = 0;
@@ -92,7 +92,7 @@ TEST(PdtStressTest, LongGhostChains) {
   auto schema = IntSchema();
   auto base = IntRows(600, 10);
   auto store = BuildStore(schema, base, {.chunk_rows = 64});
-  ModelTable model(schema, base, PdtOptions{.fanout = 4});
+  ModelTable model(schema, base);
   // Kill rows 100..499 -> a 400-ghost chain at one RID.
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(model.DeleteAt(100).ok());
@@ -128,33 +128,38 @@ TEST(PdtStressTest, LongGhostChains) {
   EXPECT_LT(by_key.front().second, by_key.back().second);
 }
 
-TEST(PdtStressTest, BulkBuildRoundtripAtAllFanouts) {
+TEST(PdtStressTest, BulkBuildRoundtripAtNodeBoundaries) {
+  // Entry counts on both sides of a full leaf (8), a full two-level tree
+  // (64) and a full three-level tree (512): the counts at which a bulk
+  // build adds a leaf or a level, and where nodes fill to kFanout.
   auto schema = IntSchema();
   auto base = IntRows(300);
   auto store = BuildStore(schema, base);
-  ModelTable model(schema, base);
-  Random rng(9);
-  for (int i = 0; i < 400; ++i) {
-    double d = rng.NextDouble();
-    if (d < 0.4) {
-      (void)model.Insert({rng.UniformRange(0, 50000), int64_t{i}});
-    } else if (d < 0.7 && model.size() > 0) {
-      (void)model.DeleteAt(rng.Uniform(model.size()));
-    } else if (model.size() > 0) {
-      (void)model.ModifyAt(rng.Uniform(model.size()), 1, Value(int64_t{i}));
+  for (size_t n : {1, 7, 8, 9, 64, 65, 512, 513}) {
+    ModelTable model(schema, base);
+    Random rng(9 + n);
+    // Every op changes the entry count by at most one, so growing until
+    // the count reaches n stops exactly at n.
+    for (int i = 0; model.pdt()->EntryCount() < n; ++i) {
+      double d = rng.NextDouble();
+      if (d < 0.4) {
+        (void)model.Insert({rng.UniformRange(0, 50000), int64_t{i}});
+      } else if (d < 0.7 && model.size() > 0) {
+        (void)model.DeleteAt(rng.Uniform(model.size()));
+      } else if (model.size() > 0) {
+        (void)model.ModifyAt(rng.Uniform(model.size()), 1, Value(int64_t{i}));
+      }
     }
-  }
-  auto entries = model.pdt()->Flatten();
-  for (int fanout : {4, 5, 8, 16, 32}) {
-    Pdt rebuilt(schema, PdtOptions{.fanout = fanout});
+    ASSERT_EQ(model.pdt()->EntryCount(), n);
+    auto entries = model.pdt()->Flatten();
+    Pdt rebuilt(schema);
     rebuilt.value_space() = model.pdt()->value_space();
     ASSERT_TRUE(rebuilt.BuildFromSorted(entries).ok());
     ASSERT_TRUE(rebuilt.CheckInvariants().ok())
-        << "fanout " << fanout << ": "
-        << rebuilt.CheckInvariants().ToString();
-    EXPECT_EQ(rebuilt.Flatten(), entries) << "fanout " << fanout;
+        << "entries " << n << ": " << rebuilt.CheckInvariants().ToString();
+    EXPECT_EQ(rebuilt.Flatten(), entries) << "entries " << n;
     EXPECT_EQ(MergedRows(*store, {&rebuilt}), model.rows())
-        << "fanout " << fanout;
+        << "entries " << n;
   }
 }
 
@@ -162,7 +167,7 @@ TEST(PdtStressTest, SeekSidMatchesLinearScan) {
   auto schema = IntSchema();
   auto base = IntRows(200);
   auto store = BuildStore(schema, base);
-  ModelTable model(schema, base, PdtOptions{.fanout = 4});
+  ModelTable model(schema, base);
   Random rng(11);
   for (int i = 0; i < 300; ++i) {
     double d = rng.NextDouble();
@@ -196,7 +201,7 @@ TEST(PdtStressTest, LongRandomRunWithPerOpInvariants) {
   auto schema = IntSchema();
   auto base = IntRows(50);
   auto store = BuildStore(schema, base, {.chunk_rows = 16});
-  ModelTable model(schema, base, PdtOptions{.fanout = 4});
+  ModelTable model(schema, base);
   Random rng(13);
   for (int i = 0; i < 2500; ++i) {
     double d = rng.NextDouble();

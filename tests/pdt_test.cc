@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "pdt/merge_scan.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -266,7 +268,6 @@ TEST_F(PdtChainTest, LookupRidMatchesModel) {
 struct RandomOpsParam {
   uint64_t seed;
   int ops;
-  int fanout;
   double p_insert;
   double p_delete;
 };
@@ -296,7 +297,7 @@ TEST_P(PdtRandomOpsTest, MergedImageMatchesModelThroughout) {
   });
   auto store = BuildStore(schema, rows, {.chunk_rows = 64});
   ASSERT_NE(store, nullptr);
-  ModelTable model(schema, rows, PdtOptions{.fanout = param.fanout});
+  ModelTable model(schema, rows);
 
   int applied = 0;
   for (int op = 0; op < param.ops; ++op) {
@@ -336,13 +337,13 @@ TEST_P(PdtRandomOpsTest, MergedImageMatchesModelThroughout) {
 INSTANTIATE_TEST_SUITE_P(
     Sweeps, PdtRandomOpsTest,
     ::testing::Values(
-        RandomOpsParam{1, 500, 8, 0.5, 0.25}, RandomOpsParam{2, 500, 4, 0.5, 0.25},
-        RandomOpsParam{3, 500, 16, 0.5, 0.25},
-        RandomOpsParam{4, 800, 8, 0.8, 0.1},   // insert-heavy
-        RandomOpsParam{5, 800, 8, 0.1, 0.6},   // delete-heavy
-        RandomOpsParam{6, 800, 8, 0.1, 0.1},   // modify-heavy
-        RandomOpsParam{7, 1500, 5, 0.34, 0.33},
-        RandomOpsParam{8, 1500, 32, 0.34, 0.33}));
+        RandomOpsParam{1, 500, 0.5, 0.25}, RandomOpsParam{2, 500, 0.5, 0.25},
+        RandomOpsParam{3, 500, 0.5, 0.25},
+        RandomOpsParam{4, 800, 0.8, 0.1},   // insert-heavy
+        RandomOpsParam{5, 800, 0.1, 0.6},   // delete-heavy
+        RandomOpsParam{6, 800, 0.1, 0.1},   // modify-heavy
+        RandomOpsParam{7, 1500, 0.34, 0.33},
+        RandomOpsParam{8, 1500, 0.34, 0.33}));
 
 // Projection correctness: merging a subset of columns (without SK!) must
 // equal the projected model — the core of the PDT's I/O claim.
@@ -377,6 +378,38 @@ TEST(PdtCloneTest, CloneIsDeepAndEqual) {
   ASSERT_TRUE(clone->AddModify(3, 3, Value(1)).ok());
   EXPECT_NE(clone->EntryCount(), model.pdt()->EntryCount());
   EXPECT_EQ(MergedRows(*store, {model.pdt()}), model.rows());
+}
+
+TEST(PdtCloneTest, CloneDropsValueSpaceHoles) {
+  // Deleting a PDT insert erases its entry but leaves its value-space
+  // row, and deleting a modified stable tuple leaves its modify value: a
+  // clone must copy only the rows live entries still reference, or every
+  // Write→Read fold would carry every hole forward.
+  auto schema = InventorySchema();
+  auto store = BuildStore(schema, InventoryRows());
+  ModelTable model(schema, InventoryRows());
+  constexpr int kInserts = 40;
+  for (int i = 0; i < kInserts; ++i) {
+    char prod[8];
+    std::snprintf(prod, sizeof(prod), "p%03d", i);
+    ASSERT_TRUE(model.Insert({"Zurich", prod, "Y", i}).ok());
+  }
+  // The inserts sort after every stable row: delete all but the last.
+  for (int i = 0; i + 1 < kInserts; ++i) ASSERT_TRUE(model.DeleteAt(5).ok());
+  ASSERT_TRUE(model.ModifyAt(0, 3, Value(99)).ok());
+  ASSERT_TRUE(model.DeleteAt(0).ok());
+  const Pdt& pdt = *model.pdt();
+  ASSERT_EQ(pdt.value_space().insert_count(), size_t{kInserts});
+  ASSERT_EQ(pdt.InsertCount(), 1u);
+
+  auto clone = pdt.Clone();
+  EXPECT_EQ(clone->value_space().insert_count(), clone->InsertCount());
+  EXPECT_EQ(clone->value_space().delete_count(), clone->DeleteCount());
+  EXPECT_EQ(clone->value_space().modify_column(3).size(), 0u);
+  EXPECT_TRUE(clone->CheckInvariants().ok());
+  EXPECT_EQ(MergedRows(*store, {clone.get()}), model.rows());
+  // A clone of the compacted clone has no holes left to drop.
+  EXPECT_EQ(clone->Clone()->Flatten(), clone->Flatten());
 }
 
 TEST(PdtEmptyTest, EmptyPdtIsIdentity) {

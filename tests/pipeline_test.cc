@@ -373,7 +373,6 @@ TEST(PipelineTest, HostilePdtStatesFromStressPatterns) {
   // spanning whole morsels, inserts into ghosts, modify churn.
   TableOptions topts;
   topts.store.chunk_rows = 64;
-  topts.pdt.fanout = 4;
   auto table = std::make_unique<Table>("t", IntSchema(), topts);
   ASSERT_TRUE(table->Load(IntRows(600, 10)).ok());
   for (int i = 0; i < 400; ++i) {

@@ -47,13 +47,19 @@ TEST(SparseIndexTest, BuildAndLookup) {
   EXPECT_EQ(index->LookupRange({}, {Value(15)}), (SidRange{0, 10}));
   EXPECT_EQ(index->LookupRange({Value(985)}, {}), (SidRange{90, 100}));
   EXPECT_EQ(index->LookupRange({}, {}), (SidRange{0, 100}));
-  // Out of domain on either side: no chunk qualifies, so the lookup
-  // falls back to the whole table (inserts past either end stay
-  // reachable).
+  // No chunk qualifies: the lookup returns the empty interval at the SID
+  // where inserts with such keys sit — the end of the image above the
+  // max, its start below the min, and the next chunk's start in a key
+  // gap between two chunks (chunk 0 ends at key 90, chunk 1 starts at
+  // 100).
   EXPECT_EQ(index->LookupRange({Value(99999)}, {Value(999999)}),
-            (SidRange{0, 100}));
+            (SidRange{100, 100}));
   EXPECT_EQ(index->LookupRange({Value(-50)}, {Value(-10)}),
-            (SidRange{0, 100}));
+            (SidRange{0, 0}));
+  EXPECT_EQ(index->LookupRange({Value(91)}, {Value(99)}),
+            (SidRange{10, 10}));
+  EXPECT_EQ(index->LookupRange({Value(991)}, {}), (SidRange{100, 100}));
+  EXPECT_EQ(index->LookupRange({}, {Value(-1)}), (SidRange{0, 0}));
 }
 
 TEST(SparseIndexTest, LowerBoundSid) {

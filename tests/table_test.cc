@@ -146,6 +146,50 @@ INSTANTIATE_TEST_SUITE_P(Backends, TableBackendTest,
                                                                    : "Vdt";
                          });
 
+TEST(TableBoundedScanTest, BoundsMissingEveryChunkReadOnlyTheirInserts) {
+  // Bounds above the max, or in the key gap between two chunks, qualify
+  // no chunk: the scan reads none of them, yet still returns the insert
+  // whose key lies in the bounds.
+  auto schema = std::make_shared<const Schema>(
+      std::move(*Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}},
+                              {0})));
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i * 10, i});
+  for (DeltaBackend backend : {DeltaBackend::kPdt, DeltaBackend::kVdt}) {
+    TableOptions opts;
+    opts.backend = backend;
+    opts.store.chunk_rows = 10;  // chunk c holds keys 100c..100c+90
+    Table table("t", schema, opts);
+    ASSERT_TRUE(table.Load(rows).ok());
+    const Tuple gap = {int64_t{95}, int64_t{-1}};     // chunks 0 and 1
+    const Tuple above = {int64_t{5000}, int64_t{-2}};  // past key 990
+    ASSERT_TRUE(table.Insert(gap).ok());
+    ASSERT_TRUE(table.Insert(above).ok());
+    const std::vector<ColumnId> projection = {0, 1};
+    BufferPool* pool = table.buffer_pool();
+    for (const Tuple& want : {gap, above}) {
+      const int64_t k = want[0].AsInt64();
+      const KeyBounds bounds{{Value(k - 3)}, {Value(k + 3)}};
+      for (int threads : {1, 2}) {
+        pool->EvictAll();
+        pool->ResetStats();
+        ScanOptions so;
+        so.num_threads = threads;
+        auto got = CollectRows(table.Scan(projection, &bounds, so).get());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, std::vector<Tuple>{want})
+            << "key " << k << ", " << threads << " thread(s)";
+        const IoStats st = pool->stats();
+        EXPECT_EQ(st.chunks_skipped,
+                  table.store().num_chunks() * projection.size())
+            << "key " << k << ", " << threads << " thread(s)";
+        EXPECT_EQ(st.chunks_read, 0u)
+            << "key " << k << ", " << threads << " thread(s)";
+      }
+    }
+  }
+}
+
 TEST(TxnDriverClaimTest, ExclusiveClaimAndRelease) {
   auto schema = InventorySchema();
   Table table("inv", schema, {});
@@ -166,7 +210,7 @@ TEST(PdtReplacementTest, OpenScanKeepsItsPinnedSnapshot) {
   // what the background Write->Read merge does via ReplacePdt. The
   // open scan pinned the pre-replacement layer and must keep seeing it.
   auto src = table.Scan(AllColumns(table.schema()));
-  table.ReplacePdt(std::make_shared<Pdt>(schema, table.options().pdt));
+  table.ReplacePdt(std::make_shared<Pdt>(schema));
   auto rows = CollectRows(src.get());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->size(), 6u);  // 5 stable + the pinned layer's insert

@@ -73,11 +73,10 @@ inline std::vector<Tuple> MergedRows(const ColumnStore& store,
 /// the model vector's index space.
 class ModelTable {
  public:
-  ModelTable(std::shared_ptr<const Schema> schema, std::vector<Tuple> rows,
-             PdtOptions pdt_options = {})
+  ModelTable(std::shared_ptr<const Schema> schema, std::vector<Tuple> rows)
       : schema_(schema),
         rows_(std::move(rows)),
-        pdt_(std::make_unique<Pdt>(schema, pdt_options)) {}
+        pdt_(std::make_unique<Pdt>(schema)) {}
 
   const std::vector<Tuple>& rows() const { return rows_; }
   Pdt* pdt() { return pdt_.get(); }

@@ -196,11 +196,20 @@ TEST_F(TxnTest, WalRecoveryReproducesCommittedState) {
   auto expected = TxnScan(*final_txn, *schema_);
   ASSERT_TRUE(final_txn->Commit().ok());
 
-  // Round-trip the WAL through a file, then recover into a fresh table.
+  // Round-trip the WAL through a file (written by a WalWriter, read back
+  // by crash recovery), then recover into a fresh table.
   std::string path = ::testing::TempDir() + "/pdtstore_wal_test.bin";
-  ASSERT_TRUE(wal_.WriteToFile(path).ok());
+  {
+    auto writer = WalWriter::Open(FileSystem::Default(), path,
+                                  /*truncate=*/true);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    wal_.SetWriter(writer->get());
+    ASSERT_TRUE(wal_.SyncTo(wal_.SizeBytes()).ok());
+    wal_.SetWriter(nullptr);
+  }
   Wal restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
+  auto recovered = restored.RecoverFrom(FileSystem::Default(), path);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(restored.SizeBytes(), wal_.SizeBytes());
 
   Table fresh("inventory", schema_, TableOptions{});
@@ -545,7 +554,6 @@ TEST_F(TxnTest, BackgroundMergeKeepsReaderSnapshotStable) {
   mgr_.reset();  // a table has exactly one driver at a time
   TxnManagerOptions opts;
   opts.write_pdt_max_entries = 2;  // overflow quickly
-  opts.merge_chunk_entries = 1;    // force many incremental steps
   auto mgr = std::make_unique<TxnManager>(table_.get(), nullptr, opts);
   auto reader = mgr->Begin();
   EXPECT_EQ(TxnScan(*reader, *schema_).size(), 5u);
@@ -689,6 +697,86 @@ TEST(TxnBoundedScanTest, OwnInsertSurvivesCommittedDeletesEmptyingRange) {
     EXPECT_EQ(in_bounds, (std::vector<Tuple>{{int64_t{255}, int64_t{-1}}}))
         << threads << " thread(s)";
   }
+}
+
+TEST(TxnBoundedScanTest, BoundsMissingEveryChunkReadOnlyTheirInserts) {
+  // A transaction's bounded scan over keys no chunk holds — above the
+  // max, or in the gap between two chunks — reads no chunk and returns
+  // exactly the insert in the bounds: first as the transaction's own
+  // uncommitted insert, then committed, from a later snapshot.
+  auto schema = std::make_shared<const Schema>(
+      std::move(*Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}},
+                              {0})));
+  TableOptions opts;
+  opts.store.chunk_rows = 10;  // chunk c holds keys 100c..100c+90
+  Table table("t", schema, opts);
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i * 10, i});
+  ASSERT_TRUE(table.Load(rows).ok());
+  TxnManager mgr(&table, nullptr);
+  const Tuple gap = {int64_t{95}, int64_t{-1}};     // chunks 0 and 1
+  const Tuple above = {int64_t{5000}, int64_t{-2}};  // past key 990
+  const std::vector<ColumnId> projection = {0, 1};
+  BufferPool* pool = table.buffer_pool();
+  auto check = [&](const Transaction& txn, const char* label) {
+    for (const Tuple& want : {gap, above}) {
+      const int64_t k = want[0].AsInt64();
+      const KeyBounds bounds{{Value(k - 3)}, {Value(k + 3)}};
+      for (int threads : {1, 2}) {
+        pool->EvictAll();
+        pool->ResetStats();
+        ScanOptions so;
+        so.num_threads = threads;
+        auto got = CollectRows(txn.Scan(projection, &bounds, so).get());
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, std::vector<Tuple>{want})
+            << label << ": key " << k << ", " << threads << " thread(s)";
+        const IoStats st = pool->stats();
+        EXPECT_EQ(st.chunks_skipped,
+                  table.store().num_chunks() * projection.size())
+            << label << ": key " << k << ", " << threads << " thread(s)";
+        EXPECT_EQ(st.chunks_read, 0u)
+            << label << ": key " << k << ", " << threads << " thread(s)";
+      }
+    }
+  };
+  auto writer = mgr.Begin();
+  ASSERT_TRUE(writer->Insert(gap).ok());
+  ASSERT_TRUE(writer->Insert(above).ok());
+  check(*writer, "own inserts");
+  ASSERT_TRUE(writer->Commit().ok());
+  auto reader = mgr.Begin();
+  check(*reader, "committed inserts");
+}
+
+TEST_F(TxnTest, ReadPdtValueSpaceStaysBoundedAcrossFolds) {
+  // Cycles of "insert K keys, fold; delete them, fold" leave the
+  // Read-PDT with no live entries after every cycle. Deleting a folded
+  // insert erases its entry but not its value-space row; each fold
+  // clones the Read-PDT, and the clone drops those rows, so the insert
+  // table never holds more than one cycle's keys.
+  constexpr int kKeys = 20;
+  constexpr int kCycles = 10;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    for (bool insert : {true, false}) {
+      auto txn = mgr_->Begin();
+      for (int i = 0; i < kKeys; ++i) {
+        const std::string prod = "p" + std::to_string(i);
+        Status st = insert ? txn->Insert({"Zurich", prod, "Y", i})
+                           : txn->DeleteByKey({Value("Zurich"), Value(prod)});
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+      ASSERT_TRUE(txn->Commit().ok());
+      ASSERT_TRUE(mgr_->PropagateAndMaybeCheckpoint().ok());
+      const Pdt& read = *table_->pdt();
+      EXPECT_EQ(read.InsertCount(), insert ? size_t{kKeys} : 0u);
+      // After an insert fold the table holds exactly the live inserts;
+      // after a delete fold, the rows that fold's deletes left behind.
+      EXPECT_EQ(read.value_space().insert_count(), size_t{kKeys})
+          << "cycle " << cycle << (insert ? " insert" : " delete");
+    }
+  }
+  EXPECT_EQ(table_->pdt()->EntryCount(), 0u);
 }
 
 TEST_F(TxnTest, CheckpointKeepsSharedWalForOtherTables) {
