@@ -215,13 +215,16 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
   # racing driverless table scans. durability_test commits from 8
   # threads through a Database with a real WalWriter: the group-commit
   # fsync leader election in Wal::SyncTo racing the commit lock.
+  # memory_budget_test: parallel sort and join-build workers charge one
+  # shared lease at once, and a failed build's lease is released while
+  # pool workers may still hold the op chain.
   cmake --build "$TSAN_DIR" -j "$(nproc)" \
       --target parallel_scan_test pipeline_test parallel_sort_join_test \
       htap_test txn_test multi_txn_test durability_test \
-      differential_fuzz_test workload_stress_test
+      memory_budget_test differential_fuzz_test workload_stress_test
   (cd "$TSAN_DIR" && \
       ctest --output-on-failure \
-          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test|txn_test|multi_txn_test|durability_test")
+          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test|txn_test|multi_txn_test|durability_test|memory_budget_test")
   (cd "$TSAN_DIR" && \
       PDT_FUZZ_SEED="$FUZZ_SEED" PDT_FUZZ_ITERS="$FUZZ_ITERS" \
           ./differential_fuzz_test)
@@ -251,7 +254,7 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # pool-owned chunk memory and dictionary-code reads are exactly the
   # pointer arithmetic ASan exists to check.
   # memory_budget_test runs here too: budget-triggered teardown paths
-  # (aborted sorts, failed join builds, spill restore) free buffers on
+  # (aborted sorts, failed join builds) free buffers on
   # error edges that the happy path never takes — use-after-free bait.
   # exec_test and parallel_sort_join_test cover the join table's row+1
   # chain links and the partitioned build's per-partition row indices:

@@ -189,14 +189,15 @@ JoinBuildHandle::JoinBuildHandle(std::unique_ptr<BatchSource> build_source,
                                  std::vector<size_t> build_keys) {
   // Shared-ptr capture: std::function requires copyability.
   std::shared_ptr<BatchSource> src = std::move(build_source);
-  // Constructed on the query thread: capture its budget now, charge
-  // when the build actually materializes. The lease lives on the handle
-  // (lease_), so the charge spans the cached table's lifetime.
+  // Constructed on the query thread: capture its budget now; the drain
+  // charges what each batch adds to the build rows. The lease lives on
+  // the handle (lease_), so the charge spans the cached table's lifetime.
   lease_ = std::make_shared<BudgetLease>(CurrentBudget());
   producer_ = [src, lease = lease_, keys = std::move(build_keys)]()
       -> StatusOr<PartitionedJoinTable> {
-    PDT_ASSIGN_OR_RETURN(Batch rows, MaterializeAll(src.get()));
-    PDT_RETURN_NOT_OK(lease->Charge(rows.ByteSize()));
+    PDT_ASSIGN_OR_RETURN(Batch rows, MaterializeAll(src.get(),
+                                                    kDefaultBatchSize,
+                                                    lease.get()));
     PartitionedJoinTable t;
     t.parts.push_back(JoinTable::Build(std::move(rows), keys));
     return t;
@@ -248,11 +249,10 @@ StatusOr<bool> HashJoinNode::Next(Batch* out, size_t max_rows) {
   if (table_ == nullptr) {
     PDT_ASSIGN_OR_RETURN(table_, build_->Resolve());
   }
-  Batch in;
   while (true) {
-    PDT_ASSIGN_OR_RETURN(bool more, probe_->Next(&in, max_rows));
+    PDT_ASSIGN_OR_RETURN(bool more, probe_->Next(&in_, max_rows));
     if (!more) return false;
-    ProbeJoinBatch(*table_, probe_keys_, kind_, in, out, &scratch_);
+    ProbeJoinBatch(*table_, probe_keys_, kind_, in_, out, &scratch_);
     if (out->num_rows() > 0) return true;
   }
 }

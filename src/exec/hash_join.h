@@ -181,6 +181,7 @@ class HashJoinNode : public BatchSource {
   std::vector<size_t> probe_keys_;
   JoinKind kind_;
   const PartitionedJoinTable* table_ = nullptr;  // resolved on first Next
+  Batch in_;  // probe input, reused across pulls
   JoinProbeScratch scratch_;
 };
 

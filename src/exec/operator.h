@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "columnstore/batch.h"
+#include "util/mem_budget.h"
 
 namespace pdtstore {
 
@@ -23,9 +24,14 @@ class VectorSource : public BatchSource {
   size_t pos_ = 0;
 };
 
-/// Drains `source` into one big batch.
+/// Drains `source` into one big batch. With a `lease`, each append
+/// charges what it added to the result's rows and the kept dictionaries
+/// are charged at the end, so the lease gains exactly the result's
+/// ByteSize(), its running charge never exceeds that, and an over-budget
+/// drain stops with ResourceExhausted at the batch that crosses the cap.
 StatusOr<Batch> MaterializeAll(BatchSource* source,
-                               size_t batch_size = kDefaultBatchSize);
+                               size_t batch_size = kDefaultBatchSize,
+                               BudgetLease* lease = nullptr);
 
 }  // namespace pdtstore
 

@@ -1,15 +1,12 @@
 #include "exec/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <numeric>
 
 #include "exec/operator.h"
-#include "storage/encoding.h"
-#include "util/file.h"
 #include "util/mem_budget.h"
 #include "util/thread_pool.h"
 
@@ -210,33 +207,11 @@ void RunPipelineWorker(const std::shared_ptr<RunShared>& rs) {
 Status RunPipeline(MorselPlan* plan,
                    const std::vector<std::unique_ptr<PipelineOp>>& ops,
                    PipelineSink* sink) {
+  // Serial plans never get here: they keep the serial operator tree
+  // (HashAggNode, SortNode, the one-partition join build).
+  assert(plan->serial == nullptr);
   for (const auto& op : ops) {
     PDT_RETURN_NOT_OK(op->Prepare());
-  }
-
-  if (plan->serial != nullptr) {
-    // Serial fallback: one worker, the caller.
-    std::vector<std::unique_ptr<PipelineOpState>> op_states;
-    op_states.reserve(ops.size());
-    for (const auto& op : ops) op_states.push_back(op->MakeState());
-    std::unique_ptr<PipelineOpState> sink_state = sink->MakeState();
-    Batch local;
-    while (true) {
-      PDT_ASSIGN_OR_RETURN(
-          bool more, plan->serial->Next(&local, kDefaultBatchSize));
-      if (!more) break;
-      Status st = Status::OK();
-      for (size_t i = 0; i < ops.size() && st.ok(); ++i) {
-        st = ops[i]->Execute(&local, op_states[i].get());
-      }
-      PDT_RETURN_NOT_OK(st);
-      if (local.num_rows() == 0) continue;
-      // The whole serial stream counts as morsel 0: it already is the
-      // serial sequence.
-      PDT_RETURN_NOT_OK(sink->Sink(&local, sink_state.get(), 0));
-    }
-    PDT_RETURN_NOT_OK(sink->Finish(sink_state.get()));
-    return sink->Combine(sink_state.get());
   }
 
   auto rs = std::make_shared<RunShared>();
@@ -421,132 +396,6 @@ size_t AutoJoinPartitions(int num_threads) {
   return std::min<size_t>(p, 64);
 }
 
-// --- join-build partition spill ---------------------------------------
-// When a collect charge hits the memory budget and the query has a spill
-// directory, the worker's partition slices go to disk (one file per
-// partition slice) and their bytes return to the budget; Finalize reads
-// them back partition-at-a-time. Row-at-a-time Value encoding: the spill
-// path trades speed for simplicity — it only runs once the query is
-// over budget.
-
-Status WriteSpillSlice(const std::string& path, const Batch& rows,
-                       const std::vector<uint64_t>& hashes) {
-  std::string buf;
-  const size_t cols = rows.num_columns();
-  const bool has_ids = rows.column_ids().size() == cols;
-  PutFixed32(&buf, static_cast<uint32_t>(cols));
-  for (size_t c = 0; c < cols; ++c) {
-    PutFixed32(&buf, has_ids ? rows.column_ids()[c]
-                             : static_cast<uint32_t>(c));
-    PutFixed32(&buf, static_cast<uint32_t>(rows.column(c).type()));
-  }
-  PutFixed64(&buf, rows.num_rows());
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      const Value v = rows.column(c).GetValue(r);
-      switch (v.type()) {
-        case TypeId::kInt64:
-          PutFixed64(&buf, static_cast<uint64_t>(v.AsInt64()));
-          break;
-        case TypeId::kDouble: {
-          uint64_t u;
-          const double d = v.AsDouble();
-          std::memcpy(&u, &d, sizeof(u));
-          PutFixed64(&buf, u);
-          break;
-        }
-        case TypeId::kString: {
-          const std::string& s = v.AsString();
-          PutFixed32(&buf, static_cast<uint32_t>(s.size()));
-          buf.append(s);
-          break;
-        }
-      }
-    }
-  }
-  PutFixed64(&buf, hashes.size());
-  for (uint64_t h : hashes) PutFixed64(&buf, h);
-  PDT_ASSIGN_OR_RETURN(
-      std::unique_ptr<WritableFile> file,
-      FileSystem::Default()->NewWritableFile(path, /*truncate=*/true));
-  PDT_RETURN_NOT_OK(file->Append(buf));
-  // No Sync: spill files are scratch, not durable state — a crash loses
-  // the query anyway.
-  return file->Close();
-}
-
-Status ReadSpillSlice(const std::string& path, Batch* rows,
-                      std::vector<uint64_t>* hashes) {
-  std::string buf;
-  PDT_RETURN_NOT_OK(FileSystem::Default()->ReadFileToString(path, &buf));
-  size_t pos = 0;
-  auto need = [&](size_t n) {
-    return pos + n <= buf.size()
-               ? Status::OK()
-               : Status::Corruption("truncated spill slice " + path);
-  };
-  PDT_RETURN_NOT_OK(need(4));
-  const size_t cols = DecodeFixed32(buf.data() + pos);
-  pos += 4;
-  *rows = Batch();
-  std::vector<ColumnId> ids;
-  for (size_t c = 0; c < cols; ++c) {
-    PDT_RETURN_NOT_OK(need(8));
-    ids.push_back(DecodeFixed32(buf.data() + pos));
-    const TypeId type =
-        static_cast<TypeId>(DecodeFixed32(buf.data() + pos + 4));
-    pos += 8;
-    rows->columns().emplace_back(type);
-  }
-  rows->set_column_ids(std::move(ids));
-  PDT_RETURN_NOT_OK(need(8));
-  const size_t n = static_cast<size_t>(DecodeFixed64(buf.data() + pos));
-  pos += 8;
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < cols; ++c) {
-      ColumnVector& col = rows->column(c);
-      switch (col.type()) {
-        case TypeId::kInt64: {
-          PDT_RETURN_NOT_OK(need(8));
-          col.Append(Value(
-              static_cast<int64_t>(DecodeFixed64(buf.data() + pos))));
-          pos += 8;
-          break;
-        }
-        case TypeId::kDouble: {
-          PDT_RETURN_NOT_OK(need(8));
-          double d;
-          const uint64_t u = DecodeFixed64(buf.data() + pos);
-          std::memcpy(&d, &u, sizeof(d));
-          col.Append(Value(d));
-          pos += 8;
-          break;
-        }
-        case TypeId::kString: {
-          PDT_RETURN_NOT_OK(need(4));
-          const size_t len = DecodeFixed32(buf.data() + pos);
-          pos += 4;
-          PDT_RETURN_NOT_OK(need(len));
-          col.Append(Value(buf.substr(pos, len)));
-          pos += len;
-          break;
-        }
-      }
-    }
-  }
-  PDT_RETURN_NOT_OK(need(8));
-  const size_t nh = static_cast<size_t>(DecodeFixed64(buf.data() + pos));
-  pos += 8;
-  PDT_RETURN_NOT_OK(need(8 * nh));
-  hashes->clear();
-  hashes->reserve(nh);
-  for (size_t i = 0; i < nh; ++i) {
-    hashes->push_back(DecodeFixed64(buf.data() + pos));
-    pos += 8;
-  }
-  return Status::OK();
-}
-
 /// Workers hash each collected batch's key columns once and route the
 /// rows into P per-worker partition batches (gathers). Combine hands
 /// the per-worker slices over; Finalize then concatenates and hashes
@@ -555,12 +404,10 @@ Status ReadSpillSlice(const std::string& path, Batch* rows,
 class PartitionedCollectSink : public PipelineSink {
  public:
   PartitionedCollectSink(std::vector<size_t> keys, size_t num_partitions,
-                         BudgetLease* lease = nullptr,
-                         std::string spill_dir = {})
+                         BudgetLease* lease)
       : keys_(std::move(keys)),
         num_partitions_(num_partitions),
-        lease_(lease),
-        spill_dir_(std::move(spill_dir)) {}
+        lease_(lease) {}
 
   struct State : PipelineOpState {
     bool init = false;
@@ -568,7 +415,6 @@ class PartitionedCollectSink : public PipelineSink {
     std::vector<std::vector<uint64_t>> part_hashes;
     std::vector<uint64_t> row_hashes;  // scratch
     std::vector<SelVector> route;      // scratch
-    size_t charged = 0;  // budget bytes held for this worker's slices
   };
 
   std::unique_ptr<PipelineOpState> MakeState() const override {
@@ -587,29 +433,9 @@ class PartitionedCollectSink : public PipelineSink {
       s->route.resize(num_partitions_);
       s->init = true;
     }
-    // Spill the routed batch straight back out after this call: set when
-    // the budget has no headroom even after shedding this worker's own
-    // slices (peers hold the cap), so progress never waits on them.
-    bool spill_through = false;
-    if (lease_ != nullptr) {
-      // Charge the copy before making it: rows + their hashes. A
-      // rejected charge either spills this worker's slices (spill_dir
-      // configured) or fails the build fast with ResourceExhausted.
-      const size_t bytes = batch->ByteSize() + 8 * n;
-      Status st = lease_->Charge(bytes);
-      if (!st.ok() && !spill_dir_.empty()) {
-        if (s->charged > 0) {
-          PDT_RETURN_NOT_OK(SpillState(s));
-          st = lease_->Charge(bytes);
-        }
-        if (!st.ok()) {
-          st = Status::OK();
-          spill_through = true;  // route uncharged, then write out
-        }
-      }
-      PDT_RETURN_NOT_OK(st);
-      if (!spill_through) s->charged += bytes;
-    }
+    // Charge the copy before making it: rows + their hashes. An
+    // over-budget build fails fast here with ResourceExhausted.
+    PDT_RETURN_NOT_OK(lease_->Charge(batch->ByteSize() + 8 * n));
     s->row_hashes.assign(n, kHashSeed);
     for (size_t k : keys_) {
       batch->column(k).HashColumn(s->row_hashes.data());
@@ -632,7 +458,6 @@ class PartitionedCollectSink : public PipelineSink {
         }
       }
     }
-    if (spill_through) return SpillState(s);
     return Status::OK();
   }
 
@@ -646,44 +471,16 @@ class PartitionedCollectSink : public PipelineSink {
     return Status::OK();
   }
 
-  bool spilled() const { return !spill_files_.empty(); }
-
   /// Builds the published table: for each partition, concatenate every
-  /// worker's slice (disk spills first, then the in-memory ones) and
-  /// hash it into a JoinTable — independent per partition, so the
-  /// partitions build in parallel.
-  StatusOr<PartitionedJoinTable> Finalize(int num_threads) {
+  /// worker's slice and hash it into a JoinTable — independent per
+  /// partition, so the partitions build in parallel.
+  PartitionedJoinTable Finalize(int num_threads) {
     PartitionedJoinTable t;
     t.parts.resize(num_partitions_);
-    std::vector<Status> errs(num_partitions_);
     ParallelFor(num_threads, 0, num_partitions_, [&](size_t p) {
       Batch rows;
       std::vector<uint64_t> hashes;
       bool first = true;
-      if (!spill_files_.empty()) {
-        // Restored spill bytes are not re-charged: the spill's job is
-        // to bound collect-time pressure; the final table's in-memory
-        // slices remain covered by the lease.
-        for (const std::string& path : spill_files_[p]) {
-          Batch sr;
-          std::vector<uint64_t> sh;
-          Status st = ReadSpillSlice(path, &sr, &sh);
-          if (!st.ok()) {
-            errs[p] = st;
-            return;
-          }
-          if (first) {
-            rows = std::move(sr);
-            hashes = std::move(sh);
-            first = false;
-          } else {
-            AppendRows(&rows, sr);
-            hashes.insert(hashes.end(), sh.begin(), sh.end());
-          }
-          // Best-effort cleanup; a leftover scratch file is harmless.
-          (void)FileSystem::Default()->DeleteFile(path);
-        }
-      }
       for (WorkerSlices& ws : slices_) {
         if (ws.parts[p].num_rows() == 0 && !first) continue;
         if (first) {
@@ -700,9 +497,6 @@ class PartitionedCollectSink : public PipelineSink {
                                               std::move(hashes));
     });
     slices_.clear();
-    for (const Status& st : errs) {
-      PDT_RETURN_NOT_OK(st);
-    }
     return t;
   }
 
@@ -712,39 +506,9 @@ class PartitionedCollectSink : public PipelineSink {
     std::vector<std::vector<uint64_t>> hashes;
   };
 
-  // Writes this worker's non-empty partition slices to disk, registers
-  // the files, and returns the worker's charged bytes to the budget.
-  // Runs on the worker that owns `s` — only the file registry is shared.
-  Status SpillState(State* s) {
-    PDT_RETURN_NOT_OK(FileSystem::Default()->CreateDir(spill_dir_));
-    for (size_t p = 0; p < num_partitions_; ++p) {
-      if (s->parts[p].num_rows() == 0) continue;
-      const uint64_t id =
-          spill_counter_.fetch_add(1, std::memory_order_relaxed);
-      std::string path = spill_dir_ + "/joinbuild_p" + std::to_string(p) +
-                         "_" + std::to_string(id) + ".spill";
-      PDT_RETURN_NOT_OK(
-          WriteSpillSlice(path, s->parts[p], s->part_hashes[p]));
-      {
-        std::lock_guard<std::mutex> lock(spill_mu_);
-        if (spill_files_.empty()) spill_files_.resize(num_partitions_);
-        spill_files_[p].push_back(std::move(path));
-      }
-      s->parts[p].Clear();  // keeps the layout for further appends
-      s->part_hashes[p].clear();
-    }
-    lease_->Release(s->charged);
-    s->charged = 0;
-    return Status::OK();
-  }
-
   std::vector<size_t> keys_;
   size_t num_partitions_;
   BudgetLease* lease_;
-  std::string spill_dir_;
-  std::mutex spill_mu_;
-  std::vector<std::vector<std::string>> spill_files_;  // per partition
-  std::atomic<uint64_t> spill_counter_{0};
   std::vector<WorkerSlices> slices_;
 };
 
@@ -948,28 +712,23 @@ std::unique_ptr<BatchSource> Pipeline::IntoSortBuild(
 std::shared_ptr<JoinBuildHandle> Pipeline::IntoJoinBuild(
     std::unique_ptr<Pipeline> pipeline, std::vector<size_t> build_keys,
     size_t num_partitions) {
+  if (pipeline->plan_.serial != nullptr) {
+    // One thread: the serial join's build, a single partition.
+    return std::make_shared<JoinBuildHandle>(
+        std::make_unique<OpChainSource>(std::move(pipeline->plan_.serial),
+                                        std::move(pipeline->ops_)),
+        std::move(build_keys));
+  }
   std::shared_ptr<Pipeline> pipe = std::move(pipeline);
-  // Budget + spill config captured here, on the query thread (the
-  // producer may run later, possibly deep inside Prepare).
+  // Budget captured here, on the query thread (the producer may run
+  // later, possibly deep inside Prepare).
   auto lease = std::make_shared<BudgetLease>(CurrentBudget());
-  std::string spill_dir = CurrentQueryContext().spill_dir;
-  auto producer = [pipe, lease, spill_dir, keys = std::move(build_keys),
+  auto producer = [pipe, lease, keys = std::move(build_keys),
                    num_partitions]() -> StatusOr<PartitionedJoinTable> {
-    if (pipe->plan_.serial != nullptr) {
-      // One thread: materialize and hash a single partition — the
-      // serial join's unchanged shape.
-      OpChainSource chain(std::move(pipe->plan_.serial),
-                          std::move(pipe->ops_));
-      PDT_ASSIGN_OR_RETURN(Batch rows, MaterializeAll(&chain));
-      PDT_RETURN_NOT_OK(lease->Charge(rows.ByteSize()));
-      PartitionedJoinTable t;
-      t.parts.push_back(JoinTable::Build(std::move(rows), keys));
-      return t;
-    }
     const int threads = pipe->plan_.options.num_threads;
     const size_t parts =
         num_partitions > 0 ? num_partitions : AutoJoinPartitions(threads);
-    PartitionedCollectSink sink(keys, parts, lease.get(), spill_dir);
+    PartitionedCollectSink sink(keys, parts, lease.get());
     PDT_RETURN_NOT_OK(RunPipeline(&pipe->plan_, pipe->ops_, &sink));
     return sink.Finalize(threads);
   };

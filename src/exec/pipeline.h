@@ -117,8 +117,9 @@ class PipelineSink {
 
 /// Drives `plan` through `ops` into `sink` with up to
 /// plan.options.num_threads workers (global pool + the calling thread,
-/// which always participates). Handles the serial fallback plan. Calls
-/// every op's Prepare() first. Returns the first error.
+/// which always participates). Parallel plans only: a serial plan
+/// (plan.serial set) keeps the serial operator tree instead. Calls every
+/// op's Prepare() first. Returns the first error.
 Status RunPipeline(MorselPlan* plan,
                    const std::vector<std::unique_ptr<PipelineOp>>& ops,
                    PipelineSink* sink);
@@ -194,6 +195,7 @@ class Pipeline {
   /// (0 = auto: scales with the pipeline's worker count) while
   /// collecting; the partitions are finalized (concatenated + hashed)
   /// in parallel and published on first use of the returned handle.
+  /// A one-thread plan gets the serial single-partition build instead.
   static std::shared_ptr<JoinBuildHandle> IntoJoinBuild(
       std::unique_ptr<Pipeline> pipeline, std::vector<size_t> build_keys,
       size_t num_partitions = 0);

@@ -107,12 +107,13 @@ bool RunMerger::Next(Batch* out, size_t max_rows) {
 
 StatusOr<bool> SortNode::Next(Batch* out, size_t max_rows) {
   if (!built_) {
-    PDT_ASSIGN_OR_RETURN(all_, MaterializeAll(input_.get()));
-    // Charge the materialization (+4-byte order index per row) against
-    // the query's budget; an over-budget sort fails here with
-    // ResourceExhausted and the lease destructor releases the charge.
-    PDT_RETURN_NOT_OK(
-        lease_.Charge(all_.ByteSize() + 4 * all_.num_rows()));
+    // The drain charges what each batch adds against the query's
+    // budget, so an over-budget sort fails fast with ResourceExhausted
+    // at the batch that crosses the cap; the lease destructor releases
+    // the charge.
+    PDT_ASSIGN_OR_RETURN(
+        all_, MaterializeAll(input_.get(), kDefaultBatchSize, &lease_));
+    PDT_RETURN_NOT_OK(lease_.Charge(4 * all_.num_rows()));  // order_
     order_.indices().resize(all_.num_rows());
     std::iota(order_.indices().begin(), order_.indices().end(), 0);
     std::stable_sort(order_.indices().begin(), order_.indices().end(),

@@ -34,7 +34,6 @@ StatusOr<std::shared_ptr<QueryTicket>> WorkloadManager::Admit(
     std::string label) {
   uint64_t seq;
   size_t per_query_cap;
-  std::string spill_dir;
   {
     std::unique_lock<std::mutex> lock(mu_);
     const size_t cap = static_cast<size_t>(ResolvedMaxConcurrent());
@@ -65,12 +64,11 @@ StatusOr<std::shared_ptr<QueryTicket>> WorkloadManager::Admit(
     ++admitted_;
     // Snapshot under the lock: Configure may swap options_ concurrently.
     per_query_cap = options_.per_query_memory_cap;
-    spill_dir = options_.spill_dir;
   }
   auto budget = std::make_shared<MemoryBudget>(std::move(label),
                                                per_query_cap, &pool_);
   return std::shared_ptr<QueryTicket>(
-      new QueryTicket(this, seq, std::move(budget), std::move(spill_dir)));
+      new QueryTicket(this, seq, std::move(budget)));
 }
 
 void WorkloadManager::Done() {

@@ -43,9 +43,6 @@ struct WorkloadOptions {
   size_t process_memory_cap = 0;
   /// Per-query memory cap (bytes); 0 = only the process cap applies.
   size_t per_query_memory_cap = 0;
-  /// Directory for join-build partition spills; empty = fail-fast
-  /// (ResourceExhausted) instead of spilling.
-  std::string spill_dir;
 };
 
 /// Point-in-time counters of a WorkloadManager.
@@ -74,22 +71,16 @@ class QueryTicket {
   uint64_t token() const { return token_; }
   const std::shared_ptr<MemoryBudget>& budget() const { return budget_; }
   const std::string& label() const { return budget_->label(); }
-  /// Spill directory captured at admission (empty = fail fast).
-  const std::string& spill_dir() const { return spill_dir_; }
 
  private:
   friend class WorkloadManager;
   QueryTicket(WorkloadManager* mgr, uint64_t token,
-              std::shared_ptr<MemoryBudget> budget, std::string spill_dir)
-      : mgr_(mgr),
-        token_(token),
-        budget_(std::move(budget)),
-        spill_dir_(std::move(spill_dir)) {}
+              std::shared_ptr<MemoryBudget> budget)
+      : mgr_(mgr), token_(token), budget_(std::move(budget)) {}
 
   WorkloadManager* mgr_;
   uint64_t token_;
   std::shared_ptr<MemoryBudget> budget_;
-  std::string spill_dir_;
 };
 
 /// The admission gate + shared memory pool. Thread-safe. One process
@@ -145,8 +136,7 @@ class ScopedQuery {
   explicit ScopedQuery(std::shared_ptr<QueryTicket> ticket)
       : ticket_(std::move(ticket)),
         ctx_(QueryContext{ticket_ ? ticket_->budget() : nullptr,
-                          ticket_ ? ticket_->token() : 0,
-                          ticket_ ? ticket_->spill_dir() : std::string()}) {}
+                          ticket_ ? ticket_->token() : 0}) {}
 
  private:
   std::shared_ptr<QueryTicket> ticket_;

@@ -161,22 +161,6 @@ class BudgetLease {
     return Status::OK();
   }
 
-  /// Returns `bytes` (clamped to what is held) to the budget early —
-  /// the spill path's hook.
-  void Release(size_t bytes) {
-    if (budget_ == nullptr) return;
-    size_t cur = held_.load(std::memory_order_relaxed);
-    while (true) {
-      const size_t give = bytes < cur ? bytes : cur;
-      if (give == 0) return;
-      if (held_.compare_exchange_weak(cur, cur - give,
-                                      std::memory_order_relaxed)) {
-        budget_->Release(give);
-        return;
-      }
-    }
-  }
-
   void ReleaseAll() {
     if (budget_ == nullptr) return;
     const size_t h = held_.exchange(0, std::memory_order_relaxed);
@@ -202,9 +186,6 @@ class BudgetLease {
 struct QueryContext {
   std::shared_ptr<MemoryBudget> budget;
   uint64_t token = 0;
-  /// Directory for operator spills (join-build partitions); empty =
-  /// fail fast with ResourceExhausted instead of spilling.
-  std::string spill_dir;
 };
 
 /// The context installed on this thread (empty default context if none).

@@ -1,23 +1,25 @@
 // Memory-budget enforcement: pool/budget/lease charge-release
-// invariants, ResourceExhausted on oversized sorts and join builds,
-// release on every error path (no leak once the operators die), the
-// shared process cap under concurrent chargers, and the join-build
-// partition spill path completing a query whose collect would otherwise
-// blow its budget.
+// invariants, the shared process cap under concurrent chargers, and
+// fail-fast ResourceExhausted on oversized sorts and join builds —
+// serial breakers included, which stop pulling at the batch that
+// crosses the cap — with every byte released on the error path once
+// the operators die.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "db/table.h"
+#include "exec/filter.h"
 #include "exec/hash_join.h"
+#include "exec/operator.h"
 #include "exec/pipeline.h"
 #include "exec/sort.h"
-#include "util/file.h"
+#include "storage/encoding.h"
 #include "util/mem_budget.h"
 #include "util/thread_pool.h"
 
@@ -38,6 +40,29 @@ std::unique_ptr<Table> MakeIntTable(const std::string& name, int64_t rows) {
   std::vector<Tuple> init;
   init.reserve(rows);
   for (int64_t i = 0; i < rows; ++i) init.push_back({i, i % 97});
+  EXPECT_TRUE(table->Load(init).ok());
+  return table;
+}
+
+/// A key column and a dictionary-coded string column over `rows / 2048`
+/// chunks; row i holds value i % `distinct`, padded past the short-string
+/// buffer when `long_values`.
+std::unique_ptr<Table> MakeDictTable(const std::string& name, int64_t rows,
+                                     int64_t distinct, bool long_values) {
+  auto schema =
+      Schema::Make({{"k", TypeId::kInt64}, {"s", TypeId::kString}}, {0});
+  TableOptions opts;
+  opts.store.chunk_rows = 2048;
+  opts.store.forced_encodings = {Encoding::kPlain, Encoding::kDict};
+  auto table = std::make_unique<Table>(
+      name, std::make_shared<const Schema>(std::move(*schema)), opts);
+  std::vector<Tuple> init;
+  init.reserve(rows);
+  for (int64_t i = 0; i < rows; ++i) {
+    std::string v = "v" + std::to_string(i % distinct);
+    if (long_values) v += std::string(24, 'x');
+    init.push_back({i, std::move(v)});
+  }
   EXPECT_TRUE(table->Load(init).ok());
   return table;
 }
@@ -95,14 +120,8 @@ TEST(MemoryBudget, LeaseReleasesOnDestruction) {
     EXPECT_TRUE(lease.Charge(300).ok());
     EXPECT_TRUE(lease.Charge(200).ok());
     EXPECT_EQ(lease.held(), 500u);
-    // Early partial release (the spill hook), clamped to what is held.
-    lease.Release(100);
-    EXPECT_EQ(lease.held(), 400u);
-    lease.Release(1u << 20);
-    EXPECT_EQ(lease.held(), 0u);
-    EXPECT_EQ(pool.used(), 0u);
-    EXPECT_TRUE(lease.Charge(250).ok());
-  }  // destructor returns the outstanding 250
+    EXPECT_EQ(pool.used(), 500u);
+  }  // destructor returns the 500 held bytes
   EXPECT_EQ(pool.used(), 0u);
   EXPECT_EQ(budget->used(), 0u);
   // Null-budget lease is a no-op everywhere.
@@ -147,7 +166,7 @@ TEST(MemoryBudget, OversizedSerialSortFailsAndReleases) {
   MemoryPool pool(0);
   auto budget = std::make_shared<MemoryBudget>("sort", 16 << 10, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0, ""});
+    ScopedQueryContext ctx(QueryContext{budget, 0});
     SortNode sort(table->Scan({0, 1}), {{1, false}});
     Batch out;
     StatusOr<bool> more = sort.Next(&out, kDefaultBatchSize);
@@ -163,7 +182,7 @@ TEST(MemoryBudget, OversizedParallelSortFailsAndReleases) {
   MemoryPool pool(0);
   auto budget = std::make_shared<MemoryBudget>("psort", 16 << 10, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0, ""});
+    ScopedQueryContext ctx(QueryContext{budget, 0});
     ScanOptions so;
     so.num_threads = 4;
     Pipeline pipe(table->PlanMorsels({0, 1}, nullptr, so));
@@ -184,7 +203,7 @@ TEST(MemoryBudget, OversizedJoinBuildFailsAndReleases) {
   for (int threads : {1, 4}) {
     auto budget = std::make_shared<MemoryBudget>("join", 16 << 10, &pool);
     {
-      ScopedQueryContext ctx(QueryContext{budget, 0, ""});
+      ScopedQueryContext ctx(QueryContext{budget, 0});
       ScanOptions so;
       so.num_threads = threads;
       StatusOr<std::vector<Tuple>> rows = [&]() -> StatusOr<std::vector<Tuple>> {
@@ -229,7 +248,7 @@ TEST(MemoryBudget, WithinBudgetQueriesMatchUnbudgetedRuns) {
   MemoryPool pool(64 << 20);
   auto budget = std::make_shared<MemoryBudget>("ok", 32 << 20, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0, ""});
+    ScopedQueryContext ctx(QueryContext{budget, 0});
     ScanOptions so;
     so.num_threads = 4;
     auto bpipe =
@@ -250,55 +269,167 @@ TEST(MemoryBudget, WithinBudgetQueriesMatchUnbudgetedRuns) {
 }
 
 // ---------------------------------------------------------------------
-// Join-build spill: with a spill directory configured, a collect that
-// would blow the per-query cap sheds full partitions to disk instead of
-// failing, and the finalized join is byte-equivalent to the uncapped
-// run. The cap stays enforced during collect (budget peak <= cap).
+// Serial breakers charge as they drain their input, so an over-budget
+// sort or join build stops pulling at the batch that crosses the cap
+// instead of materializing everything first, and a finished one holds
+// exactly what it materialized.
 // ---------------------------------------------------------------------
 
-TEST(MemoryBudget, JoinBuildSpillCompletesUnderTinyCap) {
-  auto probe = MakeIntTable("probe_spill", 2000);
-  auto build = MakeIntTable("build_spill", 12000);  // ~190 KiB + hashes
-  std::vector<Tuple> ref;
-  {
-    HashJoinNode join(probe->Scan({0, 1}), build->Scan({0, 1}), {0}, {0});
-    auto rows = CollectRows(&join);
-    ASSERT_TRUE(rows.ok());
-    ref = std::move(*rows);
-    SortTuples(&ref);
+/// Passes batches through and counts the pulls that delivered one.
+class CountingSource : public BatchSource {
+ public:
+  CountingSource(std::unique_ptr<BatchSource> input, int* pulls)
+      : input_(std::move(input)), pulls_(pulls) {}
+
+  StatusOr<bool> Next(Batch* out, size_t max_rows) override {
+    PDT_ASSIGN_OR_RETURN(bool more, input_->Next(out, max_rows));
+    if (more) ++*pulls_;
+    return more;
   }
 
-  const std::string spill_dir =
-      (std::filesystem::temp_directory_path() / "pdt_budget_spill").string();
-  ASSERT_TRUE(FileSystem::Default()->CreateDir(spill_dir).ok());
+ private:
+  std::unique_ptr<BatchSource> input_;
+  int* pulls_;
+};
 
-  constexpr size_t kCap = 96 << 10;  // far below the build's footprint
-  MemoryPool pool(0);
-  auto budget = std::make_shared<MemoryBudget>("spill", kCap, &pool);
-  {
-    ScopedQueryContext ctx(QueryContext{budget, 0, spill_dir});
+const char* const kSerialBreakers[] = {"sort", "join",
+                                       "pipeline join build"};
+
+/// A serial breaker that has drained its input (or failed to); the
+/// operator it keeps alive holds the charge.
+struct Drained {
+  Status status;
+  std::unique_ptr<BatchSource> node;        // sort, join
+  std::shared_ptr<JoinBuildHandle> handle;  // pipeline join build
+};
+
+/// Drains `input`, rows of `table`'s columns {0, 1}, through serial
+/// breaker `shape`: a sort on column 1, a HashJoinNode build probed by
+/// `probe`, or a one-thread Pipeline::IntoJoinBuild over a plan whose
+/// serial source is `input`.
+Drained DrainSerialBreaker(const std::string& shape, Table* table,
+                           std::unique_ptr<BatchSource> input,
+                           Table* probe) {
+  Drained d;
+  Batch out;
+  if (shape == "sort") {
+    d.node = std::make_unique<SortNode>(std::move(input),
+                                        std::vector<SortKey>{{1, false}});
+    d.status = d.node->Next(&out, kDefaultBatchSize).status();
+  } else if (shape == "join") {
+    d.node = std::make_unique<HashJoinNode>(
+        probe->Scan({0, 1}), std::move(input), std::vector<size_t>{0},
+        std::vector<size_t>{0});
+    d.status = d.node->Next(&out, kDefaultBatchSize).status();
+  } else {
     ScanOptions so;
-    so.num_threads = 4;
-    auto bpipe =
-        std::make_unique<Pipeline>(build->PlanMorsels({0, 1}, nullptr, so));
-    auto handle = Pipeline::IntoJoinBuild(std::move(bpipe), {0}, 8);
-    Pipeline pipe(probe->PlanMorsels({0, 1}, nullptr, so));
-    pipe.Probe(handle, {0});
-    auto out = std::move(pipe).Exchange();
-    auto rows = CollectRows(out.get());
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    SortTuples(&*rows);
-    EXPECT_EQ(*rows, ref);
-    // The cap held during collect: the whole build never sat in memory
-    // at once (it can't: the data is ~2x the cap), so spill engaged.
-    EXPECT_LE(budget->peak(), kCap);
-    EXPECT_GT(budget->peak(), 0u);
+    so.num_threads = 1;
+    MorselPlan plan = table->PlanMorsels({0, 1}, nullptr, so);
+    EXPECT_NE(plan.serial, nullptr);
+    plan.serial = std::move(input);
+    d.handle = Pipeline::IntoJoinBuild(
+        std::make_unique<Pipeline>(std::move(plan)), {0});
+    d.status = d.handle->Resolve().status();
   }
-  ThreadPool::Global().WaitIdle();
-  EXPECT_EQ(pool.used(), 0u);
-  EXPECT_EQ(budget->used(), 0u);
-  std::error_code ec;
-  std::filesystem::remove_all(spill_dir, ec);
+  return d;
+}
+
+TEST(MemoryBudget, SerialBreakersStopPullingAtTheCap) {
+  // 64 batches of two int columns: 16 KiB each, 1 MiB in all.
+  auto table = MakeIntTable("pull_budget", 64 * kDefaultBatchSize);
+  auto probe = MakeIntTable("pull_probe", 100);
+  constexpr size_t kCap = 64 << 10;  // crossed by the fifth batch
+  constexpr int kMaxPulls = 8;
+  MemoryPool pool(0);
+  for (const char* shape : kSerialBreakers) {
+    auto budget = std::make_shared<MemoryBudget>(shape, kCap, &pool);
+    int pulls = 0;
+    {
+      ScopedQueryContext ctx(QueryContext{budget, 0});
+      Drained d = DrainSerialBreaker(
+          shape, table.get(),
+          std::make_unique<CountingSource>(table->Scan({0, 1}), &pulls),
+          probe.get());
+      EXPECT_EQ(d.status.code(), StatusCode::kResourceExhausted)
+          << shape << ": " << d.status.ToString();
+      EXPECT_GT(pulls, 0) << shape;
+      EXPECT_LE(pulls, kMaxPulls) << shape;
+      EXPECT_LE(budget->peak(), kCap) << shape;
+    }
+    EXPECT_EQ(pool.used(), 0u) << shape;
+    EXPECT_EQ(budget->used(), 0u) << shape;
+  }
+}
+
+// A dictionary-coded string column over several chunks arrives with one
+// dictionary per chunk, so the materialized column adopts the first and
+// decays to plain strings at the second. The serial breakers charge what
+// the materialization holds — not each pulled batch's size, which counts
+// 4-byte codes plus the chunk's whole dictionary — so a cap equal to that
+// footprint fits, and one byte less does not. Under a selective filter
+// the adopted dictionary outweighs the rows that later decay it, and a
+// result drawn from one chunk keeps its dictionary.
+TEST(MemoryBudget, SerialBreakersChargeWhatTheyMaterialize) {
+  constexpr int64_t kRows = 4 * 2048;
+  auto probe = MakeIntTable("charge_probe", 100);
+  struct Case {
+    const char* name;
+    int64_t distinct;
+    bool long_values;
+    int64_t keep_every;  // rows with k % keep_every == 0 and
+    int64_t keep_below;  // k < keep_below pass the filter
+  };
+  for (const Case& c :
+       {Case{"few short values", 5, false, 1, kRows},
+        Case{"distinct long values", kRows, true, 1, kRows},
+        Case{"distinct long values, 1 in 16 kept", kRows, true, 16, kRows},
+        Case{"one chunk of distinct long values", kRows, true, 1, 1500}}) {
+    auto table = MakeDictTable("charge_dict", kRows, c.distinct,
+                               c.long_values);
+    VecPredicate keep = [c](const Batch& b, KeepBitmap* bits) {
+      const int64_t* k = b.column(0).ints_data();
+      bits->FillFrom([&](size_t i) {
+        return k[i] % c.keep_every == 0 && k[i] < c.keep_below;
+      });
+    };
+    auto input = [&]() -> std::unique_ptr<BatchSource> {
+      return std::make_unique<FilterNode>(table->Scan({0, 1}), keep);
+    };
+    Batch first;
+    ASSERT_TRUE(input()->Next(&first, kDefaultBatchSize).ok());
+    ASSERT_TRUE(first.column(1).is_dict()) << c.name;
+    auto ref = MaterializeAll(input().get());
+    ASSERT_TRUE(ref.ok());
+    const size_t rows = ref->num_rows();
+    ASSERT_EQ(rows, static_cast<size_t>(
+                        std::min(kRows, c.keep_below) / c.keep_every));
+    // Past the first chunk the column decays to plain strings.
+    ASSERT_EQ(ref->column(1).is_dict(), c.keep_below <= 2048) << c.name;
+
+    for (const char* shape : kSerialBreakers) {
+      const size_t footprint =
+          ref->ByteSize() + (std::string(shape) == "sort" ? 4 * rows : 0);
+      for (size_t cap : {footprint, footprint - 1}) {
+        MemoryPool pool(0);
+        auto budget = std::make_shared<MemoryBudget>(shape, cap, &pool);
+        {
+          ScopedQueryContext ctx(QueryContext{budget, 0});
+          Drained d =
+              DrainSerialBreaker(shape, table.get(), input(), probe.get());
+          if (cap == footprint) {
+            EXPECT_TRUE(d.status.ok()) << c.name << ", " << shape << ": "
+                                       << d.status.ToString();
+            EXPECT_EQ(budget->used(), footprint) << c.name << ", " << shape;
+          } else {
+            EXPECT_EQ(d.status.code(), StatusCode::kResourceExhausted)
+                << c.name << ", " << shape << ": " << d.status.ToString();
+          }
+        }
+        EXPECT_EQ(budget->used(), 0u) << c.name << ", " << shape;
+        EXPECT_EQ(pool.used(), 0u) << c.name << ", " << shape;
+      }
+    }
+  }
 }
 
 }  // namespace
