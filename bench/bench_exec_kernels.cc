@@ -1,10 +1,11 @@
 // Microbenchmarks for the selection-vector execution kernels: filter
 // survivor compaction, selection gather, predicate evaluation,
-// projection, hash aggregation and hash join, each measured against the
-// baseline the engine used before (per-value TypeId dispatch via
-// Batch::AppendRow, a shift-or keep fill with short-circuit predicate
+// projection, hash aggregation, group assign and hash join, each measured
+// against the baseline the engine used before (per-value TypeId dispatch
+// via Batch::AppendRow, a shift-or keep fill with short-circuit predicate
 // bodies, a copying projection, string-encoded group keys via
-// std::unordered_map, a node-based join table), plus stable-chunk decode
+// std::unordered_map, a row-at-a-time group assign, a node-based join
+// table), plus stable-chunk decode
 // throughput per encoding. Emits BENCH_exec.json for machine consumption.
 //
 // Usage: bench_exec_kernels [--rows=1000000] [--reps=5]
@@ -945,6 +946,7 @@ constexpr DecodeColumnSpec kDecodeColumns[] = {
     {"delta", TypeId::kInt64, Encoding::kDeltaVarint},
     {"dict", TypeId::kString, Encoding::kDict},
     {"rle", TypeId::kInt64, Encoding::kRle},
+    {"rle_string", TypeId::kString, Encoding::kRle},
 };
 
 std::unique_ptr<Table> BuildDecodeTable(size_t rows) {
@@ -970,6 +972,10 @@ std::unique_ptr<Table> BuildDecodeTable(size_t rows) {
   auto& k = data[2].ints();
   auto& g = data[3].strings();
   auto& r = data[4].ints();
+  auto& rs = data[5].strings();
+  // The run-length string column has l_linestatus's shape: a few short
+  // values in runs, each value returning in many runs.
+  const std::string statuses[] = {"F", "O", "P"};
   int64_t key = 0;
   int64_t run_value = 0;
   size_t run_left = 0;
@@ -984,6 +990,7 @@ std::unique_ptr<Table> BuildDecodeTable(size_t rows) {
       run_value = static_cast<int64_t>(rng.Uniform(1000));
     }
     r.push_back(run_value);
+    rs.push_back(statuses[run_value % 3]);
     --run_left;
   }
   if (!t->LoadColumns(std::move(data)).ok()) std::abort();
@@ -1055,6 +1062,169 @@ void RunChunkDecode(JsonResultWriter* json, size_t rows, int reps) {
   }
   json->Metric("chunk_decode", "copy_ms", copy_ms);
   json->Metric("chunk_decode", "decode_over_copy", decode_ms / copy_ms);
+}
+
+// ------------------------------------------------------------------
+// Group assign with Q1's shape: 4 groups over two string keys, in
+// engine-sized batches whose dictionary changes every 16 batches (one
+// dictionary per storage chunk, each in its own appearance order).
+// Shapes: a plain key with a dictionary key (l_linestatus decoded plain,
+// l_returnflag coded) and two dictionary keys. Baseline = the row-at-a-
+// time assign the engine used before: probe, then one CompareAt per key
+// column per row, keys stored as ColumnVectors. Kernel = AggregationState
+// (hash probe, one typed verify kernel per key column, re-probe of the
+// unresolved rows) with a COUNT, the only aggregate both paths run.
+// ------------------------------------------------------------------
+
+std::vector<Batch> MakeGroupAssignBatches(size_t rows, bool plain_first) {
+  // Q1's four (returnflag, linestatus) groups.
+  const char* const kGroups[4][2] = {
+      {"A", "F"}, {"N", "F"}, {"N", "O"}, {"R", "F"}};
+  Random rng(41);
+  std::vector<Batch> batches;
+  std::shared_ptr<StringDict> flags, statuses;
+  for (size_t off = 0, b = 0; off < rows; off += kDefaultBatchSize, ++b) {
+    if (b % 16 == 0) {
+      // A new chunk: its dictionaries list the values in a new order.
+      flags = std::make_shared<StringDict>();
+      statuses = std::make_shared<StringDict>();
+      for (size_t i = 0; i < 3; ++i) {
+        flags->values.push_back(std::string(1, "ANR"[(b / 16 + i) % 3]));
+      }
+      for (size_t i = 0; i < 2; ++i) {
+        statuses->values.push_back(std::string(1, "FO"[(b / 16 + i) % 2]));
+      }
+      for (auto* d : {flags.get(), statuses.get()}) {
+        for (const auto& v : d->values) {
+          d->hashes.push_back(HashBytes(v.data(), v.size()));
+        }
+      }
+    }
+    auto code_of = [](const StringDict& d, const char* v) {
+      return static_cast<uint32_t>(
+          std::find(d.values.begin(), d.values.end(), v) - d.values.begin());
+    };
+    Batch batch;
+    batch.columns().emplace_back(TypeId::kString);
+    batch.columns().emplace_back(TypeId::kString);
+    batch.set_column_ids({0, 1});
+    ColumnVector& flag = batch.column(0);
+    ColumnVector& status = batch.column(1);
+    flag.AdoptDict(flags);
+    if (!plain_first) status.AdoptDict(statuses);
+    const size_t end = std::min(rows, off + kDefaultBatchSize);
+    for (size_t i = off; i < end; ++i) {
+      const auto& g = kGroups[rng.Uniform(4)];
+      flag.codes().push_back(code_of(*flags, g[0]));
+      if (plain_first) {
+        status.strings().push_back(g[1]);
+      } else {
+        status.codes().push_back(code_of(*statuses, g[1]));
+      }
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+// The row-at-a-time assign (see the section comment), counting rows per
+// group; returns the number of groups.
+size_t RowAtATimeAssign(const std::vector<Batch>& batches) {
+  std::vector<ColumnVector> keys;
+  std::vector<uint64_t> group_hashes;
+  std::vector<int64_t> counts;
+  std::vector<uint32_t> slots(1024, 0);
+  const size_t mask = slots.size() - 1;
+  std::vector<uint64_t> hashes;
+  for (const Batch& in : batches) {
+    if (keys.empty()) {
+      for (size_t c = 0; c < in.num_columns(); ++c) {
+        keys.emplace_back(in.column(c).type());
+      }
+    }
+    const size_t n = in.num_rows();
+    hashes.assign(n, kHashSeed);
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      in.column(c).HashColumn(hashes.data());
+    }
+    for (size_t row = 0; row < n; ++row) {
+      const uint64_t h = hashes[row];
+      size_t pos = h & mask;
+      uint32_t gid;
+      while (true) {
+        const uint32_t slot = slots[pos];
+        if (slot == 0) {
+          gid = static_cast<uint32_t>(group_hashes.size());
+          slots[pos] = gid + 1;
+          group_hashes.push_back(h);
+          for (size_t c = 0; c < keys.size(); ++c) {
+            keys[c].AppendFrom(in.column(c), row);
+          }
+          counts.push_back(0);
+          break;
+        }
+        gid = slot - 1;
+        if (group_hashes[gid] == h) {
+          bool equal = true;
+          for (size_t c = 0; c < keys.size(); ++c) {
+            if (keys[c].CompareAt(gid, in.column(c), row) != 0) {
+              equal = false;
+              break;
+            }
+          }
+          if (equal) break;
+        }
+        pos = (pos + 1) & mask;
+      }
+      ++counts[gid];
+    }
+  }
+  return counts.size();
+}
+
+double GroupAssignBaselineMs(const void* p) {
+  const auto* batches = static_cast<const std::vector<Batch>*>(p);
+  Stopwatch sw;
+  const size_t groups = RowAtATimeAssign(*batches);
+  const double ms = sw.ElapsedMillis();
+  if (groups == 0 || groups > 4) std::abort();
+  return ms;
+}
+
+double GroupAssignKernelMs(const void* p) {
+  const auto* batches = static_cast<const std::vector<Batch>*>(p);
+  Stopwatch sw;
+  AggregationState state({0, 1}, {{AggKind::kCount, 0}});
+  for (const Batch& b : *batches) {
+    if (!state.Absorb(b).ok()) std::abort();
+  }
+  const double ms = sw.ElapsedMillis();
+  if (state.num_groups() == 0 || state.num_groups() > 4) std::abort();
+  return ms;
+}
+
+void RunGroupAssign(JsonResultWriter* json, size_t rows, int reps) {
+  std::printf("group_assign\n");
+  json->Metric("group_assign", "rows", static_cast<double>(rows));
+  for (bool plain_first : {true, false}) {
+    const std::vector<Batch> batches =
+        MakeGroupAssignBatches(rows, plain_first);
+    (void)GroupAssignBaselineMs(&batches);  // warm
+    (void)GroupAssignKernelMs(&batches);
+    const double base_ms = BestOf(reps, GroupAssignBaselineMs, &batches);
+    const double kern_ms = BestOf(reps, GroupAssignKernelMs, &batches);
+    const char* name = plain_first ? "plain_dict" : "dict_dict";
+    const double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
+    const double kern_mrps = static_cast<double>(rows) / kern_ms / 1e3;
+    std::printf("  %-22s %10.2f ms -> %8.2f ms   %7.1f -> %7.1f Mrows/s   "
+                "%5.2fx\n",
+                name, base_ms, kern_ms, base_mrps, kern_mrps,
+                base_ms / kern_ms);
+    const std::string prefix(name);
+    json->Metric("group_assign", prefix + "_baseline_ms", base_ms);
+    json->Metric("group_assign", prefix + "_kernel_ms", kern_ms);
+    json->Metric("group_assign", prefix + "_speedup", base_ms / kern_ms);
+  }
 }
 
 }  // namespace
@@ -1154,6 +1324,8 @@ int main(int argc, char** argv) {
     Report(&json, "hash_agg", rows, BestOf(reps, AggBaselineMs, &args),
            BestOf(reps, AggKernelMs, &args));
   }
+
+  RunGroupAssign(&json, rows, reps);
 
   {
     // Join shape (see the section comment above): distinct build keys

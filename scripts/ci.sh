@@ -155,10 +155,12 @@ check_keys() {
 keys_ok=1
 # merge_scan_sparse records the zero-copy merge gain (PDT scan vs its
 # checkpointed twin), chunk_decode the decode kernels' throughput per
-# encoding, predicate_eval the branch-free predicate kernels and
-# project_refs move-through projection; all must stay in the committed
-# artifact.
-for required in merge_scan_sparse chunk_decode predicate_eval project_refs; do
+# encoding, predicate_eval the branch-free predicate kernels,
+# project_refs move-through projection and group_assign the
+# column-at-a-time hash-aggregation group assign; all must stay in the
+# committed artifact.
+for required in merge_scan_sparse chunk_decode predicate_eval project_refs \
+    group_assign; do
   if ! bench_names BENCH_exec.json | grep -qxF "$required"; then
     echo "bench key check FAILED: BENCH_exec.json lacks $required"
     keys_ok=0
@@ -270,6 +272,8 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # buffer, and ProjectBatch moves columns out of an input batch that is
   # then reused: use-after-move bait that exec_test and pipeline_test
   # drive through ProjectNode and the pipeline's project op.
+  # exec_kernels_test also drives hash aggregation's probe positions,
+  # selection compaction and pool ids over borrowed and dictionary keys.
   # sparse_index_test runs here because SparseIndex::LookupRange asserts
   # its one-interval contract (the qualifying chunks are contiguous),
   # and only this build keeps asserts.

@@ -1,5 +1,6 @@
 #include "columnstore/column_vector.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace pdtstore {
@@ -249,10 +250,14 @@ void ColumnVector::AppendGather(const ColumnVector& other,
         for (size_t i = 0; i < sel.size(); ++i) codes_[base + i] = src[sel[i]];
       } else {
         EnsureOwnedPlain();
-        size_t base = strings_.size();
-        strings_.resize(base + sel.size());
+        // Copy-construct (not assign into default strings), so a gathered
+        // string has the capacity any other copy of it has.
+        const size_t need = strings_.size() + sel.size();
+        if (need > strings_.capacity()) {
+          strings_.reserve(std::max(need, 2 * strings_.capacity()));
+        }
         for (size_t i = 0; i < sel.size(); ++i) {
-          strings_[base + i] = other.StringAt(sel[i]);
+          strings_.push_back(other.StringAt(sel[i]));
         }
       }
       break;

@@ -12,18 +12,41 @@ namespace {
 // that just dropped its dictionary (at most once) is counted whole.
 size_t RowBytesAfterAppend(const ColumnVector& col, size_t before,
                            bool was_dict, size_t added) {
-  if (col.type() != TypeId::kString) return col.ByteSize();
-  if (col.is_dict()) return col.size() * sizeof(uint32_t);
-  if (was_dict) return col.ByteSize();
-  size_t total = before + added * sizeof(std::string);
-  const std::string* s = col.strings_data();
-  for (size_t i = col.size() - added; i < col.size(); ++i) {
-    total += s[i].capacity();
+  if (col.type() != TypeId::kString || col.is_dict() || was_dict) {
+    return RowBytesFrom(col, 0);
   }
-  return total;
+  return before + RowBytesFrom(col, col.size() - added);
 }
 
 }  // namespace
+
+size_t RowBytesFrom(const ColumnVector& col, size_t from) {
+  const size_t rows = col.size() - from;
+  if (col.type() != TypeId::kString) return rows * 8;
+  if (col.is_dict()) return rows * sizeof(uint32_t);
+  size_t total = rows * sizeof(std::string);
+  const std::string* s = col.strings_data();
+  for (size_t i = from; i < col.size(); ++i) total += s[i].capacity();
+  return total;
+}
+
+size_t AppendPlainRows(Batch* into, const Batch& b, const SelVector* sel) {
+  size_t bytes = 0;
+  for (size_t c = 0; c < into->num_columns(); ++c) {
+    ColumnVector& col = into->column(c);
+    const size_t before = col.size();
+    if (sel != nullptr) {
+      col.AppendGather(b.column(c), *sel);
+    } else {
+      col.AppendRange(b.column(c), 0, b.num_rows());
+    }
+    // Only an empty column adopts a dictionary, so decaying it right
+    // away keeps every later append plain.
+    if (col.is_dict()) col.EnsureOwnedPlain();
+    bytes += RowBytesFrom(col, before);
+  }
+  return bytes;
+}
 
 StatusOr<bool> VectorSource::Next(Batch* out, size_t max_rows) {
   if (pos_ >= batch_.num_rows()) return false;

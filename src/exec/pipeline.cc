@@ -296,10 +296,8 @@ class PartialAggSink : public PipelineSink {
         aggs_(std::move(aggs)),
         merged_(group_by_, aggs_),
         lease_(lease),
-        // Per-group estimate: the key values + hash + slot + count +
-        // one accumulator per aggregate. The budgets account growth,
-        // not exact heap bytes.
-        group_bytes_(48 + 16 * aggs_.size()) {}
+        // The budgets account growth, not exact heap bytes.
+        group_bytes_(merged_.bytes_per_group()) {}
 
   struct State : PipelineOpState {
     State(const std::vector<size_t>& gb, const std::vector<AggSpec>& aggs)
@@ -433,15 +431,15 @@ class PartitionedCollectSink : public PipelineSink {
       s->route.resize(num_partitions_);
       s->init = true;
     }
-    // Charge the copy before making it: rows + their hashes. An
-    // over-budget build fails fast here with ResourceExhausted.
-    PDT_RETURN_NOT_OK(lease_->Charge(batch->ByteSize() + 8 * n));
     s->row_hashes.assign(n, kHashSeed);
     for (size_t k : keys_) {
       batch->column(k).HashColumn(s->row_hashes.data());
     }
+    // Charged: what the copied rows hold, plus their hashes. An
+    // over-budget build fails fast here with ResourceExhausted.
+    size_t bytes = 8 * n;
     if (num_partitions_ == 1) {
-      AppendRows(&s->parts[0], *batch);
+      bytes += AppendPlainRows(&s->parts[0], *batch);
       s->part_hashes[0].insert(s->part_hashes[0].end(),
                                s->row_hashes.begin(), s->row_hashes.end());
     } else {
@@ -452,13 +450,13 @@ class PartitionedCollectSink : public PipelineSink {
       }
       for (size_t p = 0; p < num_partitions_; ++p) {
         if (s->route[p].empty()) continue;
-        s->parts[p].AppendGather(*batch, s->route[p]);
+        bytes += AppendPlainRows(&s->parts[p], *batch, &s->route[p]);
         for (uint32_t row : s->route[p].indices()) {
           s->part_hashes[p].push_back(s->row_hashes[row]);
         }
       }
     }
-    return Status::OK();
+    return lease_->Charge(bytes);
   }
 
   Status Combine(PipelineOpState* state) override {
@@ -542,12 +540,6 @@ class SortBuildSink : public PipelineSink {
 
   Status Sink(Batch* batch, PipelineOpState* state, size_t morsel) override {
     State* s = static_cast<State*>(state);
-    if (lease_ != nullptr) {
-      // Charge the materialized copy (rows + 8-byte seq tags) before
-      // making it; an over-budget sort fails fast here.
-      PDT_RETURN_NOT_OK(
-          lease_->Charge(batch->ByteSize() + 8 * batch->num_rows()));
-    }
     if (morsel != s->cur_morsel) {
       // A morsel is processed by exactly one worker, contiguously, so a
       // fresh row counter per morsel yields globally unique tags in
@@ -560,12 +552,15 @@ class SortBuildSink : public PipelineSink {
       s->seq.push_back(base | s->local++);
     }
     if (s->first) {
-      s->rows = *batch;  // copy: the worker recycles batch storage
+      s->rows.ResetLike(*batch);
       s->first = false;
-    } else {
-      AppendRows(&s->rows, *batch);
     }
-    return Status::OK();
+    // A copy: the worker recycles batch storage. Charged: what the
+    // copied rows hold plus their 8-byte seq tags; an over-budget sort
+    // fails fast here.
+    const size_t bytes =
+        AppendPlainRows(&s->rows, *batch) + 8 * batch->num_rows();
+    return lease_ != nullptr ? lease_->Charge(bytes) : Status::OK();
   }
 
   Status Finish(PipelineOpState* state) override {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 namespace pdtstore {
@@ -361,15 +362,23 @@ Status ReadRunValue(VarintReader* r, std::string* v) {
   return Status::OK();
 }
 
+struct ReadPlainRunValue {
+  template <typename T>
+  Status operator()(VarintReader* r, T* v) const {
+    return ReadRunValue(r, v);
+  }
+};
+
 // Expands (run_len varint, plain value) pairs into `dst` until `count`
-// rows are produced. One run header can stand for any number of rows, so
-// the payload cannot prove `count` up front: every run is read and
-// checked against the rows still missing first (runs and values are
-// bounded by the payload's size), then the output is sized once and
-// filled run by run. With `ends`, records each run's end row.
-template <typename T>
+// rows are produced; `read_value` turns each run's value into a T. One
+// run header can stand for any number of rows, so the payload cannot
+// prove `count` up front: every run is read and checked against the rows
+// still missing first (runs and values are bounded by the payload's
+// size), then the output is sized once and filled run by run. With
+// `ends`, records each run's end row.
+template <typename T, typename ReadValue = ReadPlainRunValue>
 Status DecodeRuns(const std::string& in, size_t count, std::vector<T>* dst,
-                  std::vector<uint32_t>* ends) {
+                  std::vector<uint32_t>* ends, ReadValue read_value = {}) {
   VarintReader r(in);
   std::vector<size_t> runs;
   std::vector<T> values;
@@ -378,7 +387,7 @@ Status DecodeRuns(const std::string& in, size_t count, std::vector<T>* dst,
     uint64_t run;
     if (!r.Read(&run)) return TruncatedVarint();
     T value{};
-    PDT_RETURN_NOT_OK(ReadRunValue(&r, &value));
+    PDT_RETURN_NOT_OK(read_value(&r, &value));
     if (run > count - produced) return Status::Corruption("RLE overrun");
     produced += run;
     runs.push_back(static_cast<size_t>(run));
@@ -396,11 +405,41 @@ Status DecodeRuns(const std::string& in, size_t count, std::vector<T>* dst,
   return Status::OK();
 }
 
+// RLE strings decoded as dictionary codes: one dictionary entry per
+// distinct run value (StringEquals resolves a literal to a single code,
+// so entries must not repeat) and one code per row. A chunk can hold up
+// to count / 4 distinct runs, so the values are indexed by a hash map
+// over the payload's bytes.
+Status DecodeRleCodes(const std::string& in, size_t count, ColumnVector* out,
+                      std::vector<uint32_t>* ends) {
+  auto dict = std::make_shared<StringDict>();
+  std::unordered_map<std::string_view, uint32_t> index;
+  std::vector<uint32_t> codes;
+  PDT_RETURN_NOT_OK(DecodeRuns(
+      in, count, &codes, ends, [&](VarintReader* r, uint32_t* code) {
+        const char* data;
+        size_t len;
+        if (!r->ReadString(&data, &len)) return TruncatedString();
+        const auto [it, added] = index.try_emplace(
+            std::string_view(data, len),
+            static_cast<uint32_t>(dict->values.size()));
+        if (added) {
+          dict->values.emplace_back(data, len);
+          dict->hashes.push_back(HashBytes(data, len));
+        }
+        *code = it->second;
+        return Status::OK();
+      }));
+  out->AdoptDict(std::move(dict));
+  out->codes() = std::move(codes);
+  return Status::OK();
+}
+
 Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
                  bool keep_encoded) {
-  // Values always materialize plain; with keep_encoded the run layout is
-  // additionally recorded as an RleRuns sidecar so predicate kernels can
-  // evaluate one compare per run.
+  // With keep_encoded the run layout is recorded as an RleRuns sidecar so
+  // predicate kernels can evaluate one compare per run, and strings
+  // become dictionary codes; otherwise values materialize plain.
   std::vector<uint32_t> ends;
   std::vector<uint32_t>* ends_out = keep_encoded ? &ends : nullptr;
   switch (out->type()) {
@@ -411,7 +450,11 @@ Status DecodeRle(const std::string& in, size_t count, ColumnVector* out,
       PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->doubles(), ends_out));
       break;
     case TypeId::kString:
-      PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->strings(), ends_out));
+      if (keep_encoded) {
+        PDT_RETURN_NOT_OK(DecodeRleCodes(in, count, out, ends_out));
+      } else {
+        PDT_RETURN_NOT_OK(DecodeRuns(in, count, &out->strings(), ends_out));
+      }
       break;
   }
   if (keep_encoded && count > 0 && count <= UINT32_MAX) {

@@ -32,8 +32,9 @@ Status EncodeColumn(const ColumnVector& col, Encoding encoding,
 /// column of `count` values of type `type`) into `*out` (replaced).
 /// With `keep_encoded`, dictionary chunks decode to live code vectors
 /// (shared StringDict + precomputed hashes) and RLE chunks carry an
-/// RleRuns sidecar — the compressed-execution representations; values are
-/// identical either way. `count` comes from chunk and image headers and is
+/// RleRuns sidecar, RLE strings as codes over a dictionary of their
+/// distinct run values — the compressed-execution representations; values
+/// are identical either way. `count` comes from chunk and image headers and is
 /// not trusted: a payload that cannot hold `count` values is Corruption,
 /// found before `out` is sized.
 Status DecodeColumn(const std::string& bytes, TypeId type, Encoding encoding,

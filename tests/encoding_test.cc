@@ -3,8 +3,8 @@
 // detection on truncated payloads. The decode-kernel tests cover the
 // bulk paths' edges: FOR word loads vs the byte tail, varints inside and
 // outside the reader's fast window, compressed-execution sidecars at the
-// store's chunk size, and headers whose row count the payload cannot
-// hold.
+// store's chunk size, RLE strings kept as distinct dictionary codes, and
+// headers whose row count the payload cannot hold.
 #include "storage/encoding.h"
 
 #include <gtest/gtest.h>
@@ -358,7 +358,10 @@ TEST(DecodeKernelTest, EveryEncodingAndTypeAtChunkSize) {
       for (size_t i = 0; i < kChunkRows; ++i) {
         ASSERT_EQ(out.CompareAt(i, col, i), 0) << "row " << i;
       }
-      const bool dict = keep_encoded && enc == Encoding::kDict;
+      // Kept-encoded RLE strings are dictionary codes too.
+      const bool dict =
+          keep_encoded && (enc == Encoding::kDict ||
+                           (enc == Encoding::kRle && type == TypeId::kString));
       const bool runs = keep_encoded && enc == Encoding::kRle;
       ASSERT_EQ(out.is_dict(), dict);
       ASSERT_EQ(out.rle_runs() != nullptr, runs);
@@ -458,6 +461,79 @@ TEST(DecodeKernelTest, RleRunLengthCannotWrapPastTheRowCount) {
                            keep_encoded)
                   .code(),
               StatusCode::kCorruption);
+  }
+}
+
+// A kept-encoded RLE string chunk is one code per row over a dictionary
+// of the distinct run values — a value that returns in a later run reuses
+// its code — plus the run sidecar, and reads back as the plain decode.
+TEST(DecodeKernelTest, RleStringsKeepDistinctDictionaryCodes) {
+  const ColumnVector col = RunColumn(TypeId::kString, kChunkRows, 53);
+  std::string bytes;
+  ASSERT_TRUE(EncodeColumn(col, Encoding::kRle, &bytes).ok());
+  ColumnVector plain, coded;
+  ASSERT_TRUE(DecodeColumn(bytes, TypeId::kString, Encoding::kRle,
+                           kChunkRows, &plain)
+                  .ok());
+  ASSERT_TRUE(DecodeColumn(bytes, TypeId::kString, Encoding::kRle,
+                           kChunkRows, &coded, /*keep_encoded=*/true)
+                  .ok());
+  ASSERT_FALSE(plain.is_dict());
+  ASSERT_TRUE(coded.is_dict());
+  ASSERT_EQ(coded.size(), kChunkRows);
+  const StringDict& d = *coded.dict();
+  std::unordered_map<std::string, uint32_t> entries;
+  for (uint32_t c = 0; c < d.values.size(); ++c) {
+    EXPECT_TRUE(entries.emplace(d.values[c], c).second)
+        << "entry " << c << " repeats " << d.values[c];
+    EXPECT_EQ(d.hashes[c], HashBytes(d.values[c].data(), d.values[c].size()));
+  }
+  const RleRuns* runs = coded.rle_runs();
+  ASSERT_NE(runs, nullptr);
+  // 50 values over far more runs: values return, and keep their code.
+  EXPECT_LE(d.values.size(), 50u);
+  EXPECT_GT(runs->ends.size(), 2 * d.values.size());
+  const uint32_t* codes = coded.codes_data();
+  uint32_t begin = 0;
+  for (uint32_t end : runs->ends) {
+    ASSERT_LT(begin, end);
+    for (uint32_t i = begin; i < end; ++i) {
+      ASSERT_EQ(codes[i], codes[begin]) << "row " << i;
+    }
+    if (end < kChunkRows) EXPECT_NE(codes[end], codes[begin]);
+    begin = end;
+  }
+  EXPECT_EQ(begin, kChunkRows);
+  for (size_t i = 0; i < kChunkRows; ++i) {
+    ASSERT_EQ(coded.StringAt(i), plain.StringAt(i)) << "row " << i;
+    ASSERT_EQ(entries.at(plain.StringAt(i)), codes[i]) << "row " << i;
+  }
+
+  // A run past the row count, a wrapping run length, and a truncated
+  // value are Corruption and leave no dictionary behind.
+  std::string overrun, wrap, truncated;
+  PutVarint64(&overrun, 2);
+  PutVarint64(&overrun, 1);
+  overrun.append("a");
+  PutVarint64(&overrun, 5);
+  PutVarint64(&overrun, 1);
+  overrun.append("b");
+  PutVarint64(&wrap, 1);
+  PutVarint64(&wrap, 1);
+  wrap.append("a");
+  PutVarint64(&wrap, ~0ULL);
+  PutVarint64(&wrap, 1);
+  wrap.append("b");
+  PutVarint64(&truncated, 3);
+  PutVarint64(&truncated, 4);
+  truncated.append("ab");
+  for (const std::string& payload : {overrun, wrap, truncated}) {
+    ColumnVector out;
+    EXPECT_EQ(DecodeColumn(payload, TypeId::kString, Encoding::kRle, 3, &out,
+                           /*keep_encoded=*/true)
+                  .code(),
+              StatusCode::kCorruption);
+    EXPECT_FALSE(out.is_dict());
   }
 }
 

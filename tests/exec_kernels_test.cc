@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -22,6 +23,8 @@
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "exec/parallel_scan.h"
+#include "exec/pipeline.h"
 #include "util/random.h"
 
 namespace pdtstore {
@@ -458,6 +461,324 @@ TEST(OperatorEquivalenceTest, HashAggMatchesRowAtATime) {
     }
     ExpectRowsEqual(got, want);
   }
+}
+
+// ---------------------------------------------------------------------
+// Hash aggregation across key representations: the column-at-a-time
+// group assign and the fused accumulate pass against a row-at-a-time
+// reference, bit for bit.
+// ---------------------------------------------------------------------
+
+// One input row: string key, double key, int and double values.
+struct AggRow {
+  std::string s;
+  double d;
+  int64_t v;
+  double x;
+};
+
+std::shared_ptr<const StringDict> MakeDict(std::vector<std::string> values) {
+  auto dict = std::make_shared<StringDict>();
+  for (const auto& v : values) {
+    dict->hashes.push_back(HashBytes(v.data(), v.size()));
+  }
+  dict->values = std::move(values);
+  return dict;
+}
+
+// How a batch carries its string key column.
+enum class KeyRep { kPlain, kDict, kBorrowedDict, kBorrowedPlain };
+
+// Rows as a batch (columns s, d, v, x). Dictionary columns code each
+// value by its entry in `dict`; borrowed ones are windows 3 rows into a
+// larger owner.
+Batch AggBatch(const std::vector<AggRow>& rows, KeyRep rep,
+               const std::shared_ptr<const StringDict>& dict = nullptr) {
+  Batch b;
+  b.columns().emplace_back(TypeId::kString);
+  b.columns().emplace_back(TypeId::kDouble);
+  b.columns().emplace_back(TypeId::kInt64);
+  b.columns().emplace_back(TypeId::kDouble);
+  b.set_column_ids({0, 1, 2, 3});
+  ColumnVector keys(TypeId::kString);
+  const size_t pad = rep == KeyRep::kBorrowedDict ||
+                             rep == KeyRep::kBorrowedPlain
+                         ? 3
+                         : 0;
+  const bool coded = rep == KeyRep::kDict || rep == KeyRep::kBorrowedDict;
+  if (coded) keys.AdoptDict(dict);
+  for (size_t i = 0; i < rows.size() + 2 * pad; ++i) {
+    const std::string& s =
+        rows[std::min(rows.size() - 1, i >= pad ? i - pad : 0)].s;
+    if (coded) {
+      const auto it = std::find(dict->values.begin(), dict->values.end(), s);
+      EXPECT_NE(it, dict->values.end()) << s;
+      keys.codes().push_back(
+          static_cast<uint32_t>(it - dict->values.begin()));
+    } else {
+      keys.strings().push_back(s);
+    }
+  }
+  if (pad > 0) {
+    b.column(0).BorrowFrom(
+        std::make_shared<const ColumnVector>(std::move(keys)), pad,
+        rows.size());
+  } else {
+    b.column(0) = std::move(keys);
+  }
+  for (const AggRow& r : rows) {
+    b.column(1).doubles().push_back(r.d);
+    b.column(2).ints().push_back(r.v);
+    b.column(3).doubles().push_back(r.x);
+  }
+  return b;
+}
+
+// Hands out a list of batches as they are (borrows and dictionaries
+// included).
+class BatchListSource : public BatchSource {
+ public:
+  explicit BatchListSource(std::vector<Batch> batches)
+      : batches_(std::move(batches)) {}
+  StatusOr<bool> Next(Batch* out, size_t) override {
+    if (pos_ == batches_.size()) return false;
+    *out = batches_[pos_++];
+    return true;
+  }
+
+ private:
+  std::vector<Batch> batches_;
+  size_t pos_ = 0;
+};
+
+const std::vector<size_t> kAggGroupBy = {0, 1};
+const std::vector<AggSpec> kAggSpecs = {
+    {AggKind::kSum, 2}, {AggKind::kSum, 3}, {AggKind::kAvg, 3},
+    {AggKind::kMin, 3}, {AggKind::kMax, 2}, {AggKind::kCount, 0},
+    {AggKind::kAvg, 2}, {AggKind::kMax, 3}, {AggKind::kMin, 2}};
+
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+// The expected result rows, one string per row: the key and every
+// aggregate, doubles as their bits. Groups form as the engine forms them
+// (equal hash and equal key): -0.0 joins 0.0, NaN joins NaN, and a group
+// keeps the key it first appeared with — or, with `unsigned_zero`, shows
+// a zero key as 0.0. Every sum runs in row order.
+std::vector<std::string> ReferenceAgg(const std::vector<AggRow>& rows,
+                                      bool unsigned_zero) {
+  struct Group {
+    AggRow key;
+    double sum_v = 0, sum_x = 0;
+    double min_x = std::numeric_limits<double>::infinity();
+    double max_x = -std::numeric_limits<double>::infinity();
+    double min_v = std::numeric_limits<double>::infinity();
+    double max_v = -std::numeric_limits<double>::infinity();
+    int64_t count = 0;
+  };
+  std::map<std::pair<std::string, uint64_t>, size_t> index;
+  std::vector<Group> groups;
+  for (const AggRow& r : rows) {
+    const double d = r.d == 0.0 ? 0.0 : r.d;
+    auto [it, added] = index.try_emplace({r.s, Bits(d)}, groups.size());
+    if (added) {
+      groups.emplace_back();
+      groups.back().key = r;
+    }
+    Group& g = groups[it->second];
+    const double v = static_cast<double>(r.v);
+    g.sum_v += v;
+    g.sum_x += r.x;
+    if (r.x < g.min_x) g.min_x = r.x;
+    if (r.x > g.max_x) g.max_x = r.x;
+    if (v < g.min_v) g.min_v = v;
+    if (v > g.max_v) g.max_v = v;
+    ++g.count;
+  }
+  std::vector<std::string> out;
+  for (const Group& g : groups) {
+    const double n = static_cast<double>(g.count);
+    const double d = unsigned_zero && g.key.d == 0.0 ? 0.0 : g.key.d;
+    out.push_back(g.key.s + "|" + std::to_string(Bits(d)));
+    for (double a : {g.sum_v, g.sum_x, g.sum_x / n, g.min_x, g.max_v}) {
+      out.back() += "|" + std::to_string(Bits(a));
+    }
+    out.back() += "|" + std::to_string(g.count);
+    for (double a : {g.sum_v / n, g.max_x, g.min_v}) {
+      out.back() += "|" + std::to_string(Bits(a));
+    }
+  }
+  return out;
+}
+
+// The rows of an aggregation result over AggRow batches, as ReferenceAgg
+// writes them.
+std::vector<std::string> ResultRows(BatchSource* agg, bool unsigned_zero) {
+  std::vector<std::string> out;
+  Batch b;
+  while (true) {
+    auto more = agg->Next(&b, kDefaultBatchSize);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      std::string row = b.column(0).StringAt(i);
+      for (size_t c = 1; c < b.num_columns(); ++c) {
+        const ColumnVector& col = b.column(c);
+        if (col.type() == TypeId::kInt64) {
+          row += "|" + std::to_string(col.ints_data()[i]);
+          continue;
+        }
+        double v = col.doubles_data()[i];
+        if (c == 1 && unsigned_zero && v == 0.0) v = 0.0;
+        row += "|" + std::to_string(Bits(v));
+      }
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+// Serial: exactly the reference, in first-appearance order. Four
+// threads, one morsel per batch: the same rows as a multiset (the values
+// are small multiples of 0.25, so partial sums are exact in any order).
+// A worker's group may first see -0.0 where the serial order saw 0.0, so
+// there zero keys compare unsigned.
+void ExpectAggMatchesReference(const std::vector<Batch>& batches,
+                               const std::vector<AggRow>& rows) {
+  const std::vector<std::string> want = ReferenceAgg(rows, false);
+  HashAggNode serial(std::make_unique<BatchListSource>(batches), kAggGroupBy,
+                     kAggSpecs);
+  const std::vector<std::string> got = ResultRows(&serial, false);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "group " << i;
+  }
+
+  MorselPlan plan;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    plan.morsels.push_back({static_cast<Sid>(i), static_cast<Sid>(i + 1)});
+  }
+  plan.factory = [&batches](size_t idx, const SidRange&, bool) {
+    return std::make_unique<BatchListSource>(
+        std::vector<Batch>{batches[idx]});
+  };
+  plan.options.num_threads = 4;
+  plan.options.morsel_rows = 1;
+  auto parallel = Pipeline(std::move(plan)).Aggregate(kAggGroupBy, kAggSpecs);
+  std::vector<std::string> par = ResultRows(parallel.get(), true);
+  std::vector<std::string> sorted_want = ReferenceAgg(rows, true);
+  std::sort(par.begin(), par.end());
+  std::sort(sorted_want.begin(), sorted_want.end());
+  EXPECT_EQ(par, sorted_want);
+}
+
+TEST(OperatorEquivalenceTest, HashAggAcrossKeyRepresentations) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kDoubles[] = {-0.0, 0.0, 1.5, kNaN};
+  Random rng(31);
+  auto rows_over = [&](const std::vector<std::string>& domain, size_t n) {
+    std::vector<AggRow> rows;
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back({domain[rng.Uniform(domain.size())],
+                      kDoubles[rng.Uniform(4)],
+                      static_cast<int64_t>(rng.Uniform(100)) - 50,
+                      static_cast<double>(rng.Uniform(64)) * 0.25});
+    }
+    return rows;
+  };
+  const auto d1 = MakeDict({"a", "b", "c"});
+  const auto d2 = MakeDict({"c", "b", "e", "a"});
+  // Lacks "a", "c" and "e", which earlier batches stored.
+  const auto d3 = MakeDict({"zz", "b"});
+  struct Part {
+    KeyRep rep;
+    std::shared_ptr<const StringDict> dict;
+    std::vector<std::string> domain;
+  };
+  const Part parts[] = {
+      {KeyRep::kDict, d1, {"a", "b", "c"}},
+      {KeyRep::kDict, d2, {"c", "b", "e", "a"}},
+      {KeyRep::kPlain, nullptr, {"a", "b", "c", "e", "f"}},
+      {KeyRep::kBorrowedDict, d2, {"e", "a"}},
+      {KeyRep::kDict, d3, {"zz", "b"}},
+      {KeyRep::kBorrowedPlain, nullptr, {"zz", "f", "g"}},
+      {KeyRep::kDict, d1, {"a", "b", "c"}},
+  };
+  std::vector<Batch> batches;
+  std::vector<AggRow> all;
+  for (const Part& p : parts) {
+    std::vector<AggRow> rows = rows_over(p.domain, 300);
+    if (batches.empty()) {
+      // A group first seen as -0.0 that 0.0 then joins, and NaN twice.
+      rows[0].d = -0.0;
+      rows[1] = {rows[0].s, 0.0, 7, 0.5};
+      rows[2].d = kNaN;
+      rows[3] = {rows[2].s, kNaN, 9, 1.25};
+    }
+    batches.push_back(AggBatch(rows, p.rep, p.dict));
+    all.insert(all.end(), rows.begin(), rows.end());
+  }
+  ExpectAggMatchesReference(batches, all);
+}
+
+TEST(OperatorEquivalenceTest, HashAggPastSixtyFourThousandGroups) {
+  // 70,000 distinct string keys: a small first batch, so the table's
+  // per-batch estimate under-predicts and it grows inside the second
+  // (all-new, plain) batch; then the same keys as codes of one large
+  // shuffled dictionary, a borrowed window of it, and plain again.
+  constexpr size_t kKeys = 70000;
+  Random rng(37);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kKeys; ++i) names.push_back("k" + std::to_string(i));
+  auto row = [&](size_t key) {
+    return AggRow{names[key], key % 3 == 0 ? -0.0 : 0.0,
+                  static_cast<int64_t>(rng.Uniform(1000)),
+                  static_cast<double>(rng.Uniform(64)) * 0.25};
+  };
+  std::vector<AggRow> first, fresh, coded, window, again;
+  for (size_t i = 0; i < 10; ++i) first.push_back(row(i));
+  for (size_t i = 0; i < kKeys; ++i) fresh.push_back(row(i));
+  std::vector<std::string> shuffled = names;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Uniform(i)]);
+  }
+  const auto big = MakeDict(shuffled);
+  for (size_t i = 0; i < 20000; ++i) coded.push_back(row(rng.Uniform(kKeys)));
+  for (size_t i = 0; i < 5000; ++i) window.push_back(row(rng.Uniform(kKeys)));
+  for (size_t i = 0; i < 5000; ++i) again.push_back(row(rng.Uniform(kKeys)));
+  // Dictionary lookups by value are slow for 70k entries: code through a
+  // map instead of AggBatch's linear search.
+  std::map<std::string, uint32_t> code_of;
+  for (uint32_t c = 0; c < big->values.size(); ++c) {
+    code_of[big->values[c]] = c;
+  }
+  auto coded_batch = [&](const std::vector<AggRow>& rows, bool borrowed) {
+    Batch b = AggBatch(rows, KeyRep::kPlain);
+    ColumnVector keys(TypeId::kString);
+    keys.AdoptDict(big);
+    if (borrowed) keys.codes().push_back(0);
+    for (const AggRow& r : rows) keys.codes().push_back(code_of.at(r.s));
+    if (borrowed) {
+      b.column(0).BorrowFrom(
+          std::make_shared<const ColumnVector>(std::move(keys)), 1,
+          rows.size());
+    } else {
+      b.column(0) = std::move(keys);
+    }
+    return b;
+  };
+  std::vector<Batch> batches = {
+      AggBatch(first, KeyRep::kPlain), AggBatch(fresh, KeyRep::kPlain),
+      coded_batch(coded, false), coded_batch(window, true),
+      AggBatch(again, KeyRep::kPlain)};
+  std::vector<AggRow> all;
+  for (const auto* part : {&first, &fresh, &coded, &window, &again}) {
+    all.insert(all.end(), part->begin(), part->end());
+  }
+  ExpectAggMatchesReference(batches, all);
 }
 
 TEST(OperatorEquivalenceTest, BatchGatherAndFilterHelpers) {

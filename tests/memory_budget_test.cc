@@ -432,5 +432,87 @@ TEST(MemoryBudget, SerialBreakersChargeWhatTheyMaterialize) {
   }
 }
 
+// The 4-thread sort and join build collect rows per worker, and a
+// worker's rows come from several chunk dictionaries, so they hold them
+// as plain strings and charge exactly that: the plain footprint of the
+// same rows plus 8 bytes a row (sort sequence tags, join hashes),
+// whichever worker saw which chunk. A cap of that size completes and one
+// byte less fails. Charging each routed batch's ByteSize() instead read
+// 0.22x of this for the few short values and 32x for the filtered long
+// ones.
+TEST(MemoryBudget, ParallelBreakersChargeWhatTheyMaterialize) {
+  constexpr int64_t kRows = 4 * 2048;
+  constexpr int kThreads = 4;
+  struct Case {
+    const char* name;
+    int64_t distinct;
+    bool long_values;
+    int64_t keep_every;
+    int64_t keep_below;
+  };
+  for (const Case& c :
+       {Case{"few short values", 5, false, 1, kRows},
+        Case{"distinct long values", kRows, true, 1, kRows},
+        Case{"distinct long values, 1 in 16 kept", kRows, true, 16, kRows},
+        Case{"one chunk of distinct long values", kRows, true, 1, 1500}}) {
+    auto table = MakeDictTable("parallel_charge", kRows, c.distinct,
+                               c.long_values);
+    VecPredicate keep = [c](const Batch& b, KeepBitmap* bits) {
+      const int64_t* k = b.column(0).ints_data();
+      bits->FillFrom([&](size_t i) {
+        return k[i] % c.keep_every == 0 && k[i] < c.keep_below;
+      });
+    };
+    auto ref = MaterializeAll(
+        std::make_unique<FilterNode>(table->Scan({0, 1}), keep).get());
+    ASSERT_TRUE(ref.ok());
+    const size_t rows = ref->num_rows();
+    Batch plain = *ref;
+    size_t footprint = 8 * rows;
+    for (size_t col = 0; col < plain.num_columns(); ++col) {
+      plain.column(col).EnsureOwnedPlain();
+      footprint += plain.column(col).ByteSize();
+    }
+    ScanOptions so;
+    so.num_threads = kThreads;
+    for (const char* shape : {"sort", "join build"}) {
+      for (size_t cap : {footprint, footprint - 1}) {
+        MemoryPool pool(0);
+        auto budget = std::make_shared<MemoryBudget>(shape, cap, &pool);
+        {
+          ScopedQueryContext ctx(QueryContext{budget, 0});
+          MorselPlan plan = table->PlanMorsels({0, 1}, nullptr, so);
+          ASSERT_EQ(plan.serial, nullptr);
+          Pipeline pipe(std::move(plan));
+          pipe.Filter(keep);
+          Status status;
+          std::unique_ptr<BatchSource> sort;
+          std::shared_ptr<JoinBuildHandle> build;
+          if (std::string(shape) == "sort") {
+            sort = std::move(pipe).IntoSortBuild({{1, false}}, 0);
+            Batch out;
+            status = sort->Next(&out, kDefaultBatchSize).status();
+          } else {
+            build = Pipeline::IntoJoinBuild(
+                std::make_unique<Pipeline>(std::move(pipe)), {0});
+            status = build->Resolve().status();
+          }
+          if (cap == footprint) {
+            EXPECT_TRUE(status.ok())
+                << c.name << ", " << shape << ": " << status.ToString();
+            EXPECT_EQ(budget->used(), footprint) << c.name << ", " << shape;
+          } else {
+            EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+                << c.name << ", " << shape << ": " << status.ToString();
+          }
+        }
+        ThreadPool::Global().WaitIdle();
+        EXPECT_EQ(budget->used(), 0u) << c.name << ", " << shape;
+        EXPECT_EQ(pool.used(), 0u) << c.name << ", " << shape;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pdtstore
