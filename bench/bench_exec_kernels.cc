@@ -1,12 +1,13 @@
 // Microbenchmarks for the selection-vector execution kernels: filter
 // survivor compaction, selection gather, predicate evaluation,
-// projection, hash aggregation, group assign and hash join, each measured
-// against the baseline the engine used before (per-value TypeId dispatch
-// via Batch::AppendRow, a shift-or keep fill with short-circuit predicate
-// bodies, a copying projection, string-encoded group keys via
-// std::unordered_map, a row-at-a-time group assign, a node-based join
-// table), plus stable-chunk decode
-// throughput per encoding. Emits BENCH_exec.json for machine consumption.
+// projection, hash aggregation, group assign, hash join and join probe,
+// each measured against the baseline the engine used before (per-value
+// TypeId dispatch via Batch::AppendRow, a shift-or keep fill with
+// short-circuit predicate bodies, a copying projection, string-encoded
+// group keys via std::unordered_map, a row-at-a-time group assign, a
+// node-based join table, a row-at-a-time chain walk), plus stable-chunk
+// decode throughput per encoding. Emits BENCH_exec.json for machine
+// consumption.
 //
 // Usage: bench_exec_kernels [--rows=1000000] [--reps=5]
 //                           [--json=BENCH_exec.json]
@@ -722,6 +723,287 @@ double JoinKernelMs(const void* p) {
 }
 
 // ------------------------------------------------------------------
+// Join probe: the engine's column-at-a-time ProbeJoinBatch against the
+// row-at-a-time chain walk it replaced, where each probe row walks its
+// bucket's chain to the end (to its first match for a semi join),
+// comparing the full hash and then every key through CompareAt. Both
+// probe the same prebuilt join table through one reused scratch, with
+// the same hashing, routing and output gathers; only the probe is timed.
+// Shapes, probing `rows` rows in engine-sized slices:
+//   inner_unique  inner join, 150k distinct build keys (at --rows=1M),
+//                 ~25% of probe rows hit;
+//   semi_small    semi join over 2.4k build rows (Q9's part side), ~10%
+//                 of probe rows hit;
+//   inner_dups    inner join, 8 build rows per key spread over the build
+//                 (matches at chain depths 1-8, mean 4.5), ~25% hit;
+//   inner_dups_p8 the same over 8 hash partitions, as a 4-thread
+//                 partitioned build publishes it: each batch routes its
+//                 rows and probes every partition.
+// ------------------------------------------------------------------
+
+// The row-at-a-time walk: JoinTable::KeysEqual + ForEachMatch as the
+// engine had them.
+bool RowAtATimeKeysEqual(const JoinTable& t,
+                         const std::vector<size_t>& probe_keys,
+                         const Batch& probe, size_t probe_row,
+                         size_t build_row) {
+  for (size_t k = 0; k < probe_keys.size(); ++k) {
+    if (t.rows.column(t.key_cols[k])
+            .CompareAt(build_row, probe.column(probe_keys[k]),
+                       probe_row) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Fn>
+void RowAtATimeForEachMatch(const JoinTable& t, uint64_t hash,
+                            const std::vector<size_t>& probe_keys,
+                            const Batch& probe, size_t probe_row, Fn&& fn) {
+  if (t.heads.empty()) return;
+  for (uint32_t e = t.heads[hash & (t.heads.size() - 1)]; e != 0;
+       e = t.next[e - 1]) {
+    const uint32_t b = e - 1;
+    if (t.hashes[b] == hash &&
+        RowAtATimeKeysEqual(t, probe_keys, probe, probe_row, b) && !fn(b)) {
+      return;
+    }
+  }
+}
+
+// The ProbeJoinBatch built on that walk: a partitioned inner probe
+// routes rows once and gathers build rows per partition.
+void RowAtATimeProbe(const PartitionedJoinTable& table,
+                     const std::vector<size_t>& probe_keys, JoinKind kind,
+                     const Batch& in, Batch* out, JoinProbeScratch* s) {
+  const size_t n = in.num_rows();
+  const JoinTable& layout = table.parts[0];
+  if (!s->proto_init) {
+    std::vector<ColumnId> ids;
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      ids.push_back(static_cast<ColumnId>(c));
+      s->out_proto.columns().emplace_back(in.column(c).type());
+    }
+    if (kind == JoinKind::kInner) {
+      for (size_t c = 0; c < layout.rows.num_columns(); ++c) {
+        ids.push_back(static_cast<ColumnId>(in.num_columns() + c));
+        s->out_proto.columns().emplace_back(layout.rows.column(c).type());
+      }
+    }
+    s->out_proto.set_column_ids(std::move(ids));
+    s->proto_init = true;
+  }
+  out->ResetLike(s->out_proto);
+  s->hashes.assign(n, kHashSeed);
+  for (size_t k : probe_keys) in.column(k).HashColumn(s->hashes.data());
+  if (kind == JoinKind::kInner) {
+    const bool partitioned = table.parts.size() > 1;
+    if (partitioned) {
+      s->part_rows.resize(table.parts.size());
+      for (SelVector& pr : s->part_rows) pr.clear();
+      for (size_t row = 0; row < n; ++row) {
+        s->part_rows[table.PartitionOf(s->hashes[row])].push_back(
+            static_cast<uint32_t>(row));
+      }
+    }
+    s->probe_sel.clear();
+    for (size_t p = 0; p < table.parts.size(); ++p) {
+      const JoinTable& part = table.parts[p];
+      const size_t count = partitioned ? s->part_rows[p].size() : n;
+      s->build_sel.clear();
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = partitioned ? s->part_rows[p].indices()[i]
+                                         : static_cast<uint32_t>(i);
+        RowAtATimeForEachMatch(part, s->hashes[row], probe_keys, in, row,
+                               [&](uint32_t b) {
+                                 s->probe_sel.push_back(row);
+                                 s->build_sel.push_back(b);
+                                 return true;
+                               });
+      }
+      for (size_t c = 0; c < part.rows.num_columns(); ++c) {
+        out->column(in.num_columns() + c)
+            .AppendGather(part.rows.column(c), s->build_sel);
+      }
+    }
+    for (size_t c = 0; c < in.num_columns(); ++c) {
+      out->column(c).AppendGather(in.column(c), s->probe_sel);
+    }
+    return;
+  }
+  const bool want = kind == JoinKind::kLeftSemi;
+  s->keep.Reset(n);
+  for (size_t row = 0; row < n; ++row) {
+    bool matched = false;
+    RowAtATimeForEachMatch(table.parts[table.PartitionOf(s->hashes[row])],
+                           s->hashes[row], probe_keys, in, row,
+                           [&](uint32_t) {
+                             matched = true;
+                             return false;
+                           });
+    s->keep.SetTo(row, matched == want);
+  }
+  out->AppendFiltered(in, s->keep);
+}
+
+struct JoinProbeArgs {
+  const PartitionedJoinTable* table;
+  const std::vector<Batch>* probe_slices;
+  JoinKind kind;
+};
+
+// Probes every slice through `probe`; returns the output row count.
+template <typename Probe>
+size_t ProbeSlices(const JoinProbeArgs& a, Probe probe) {
+  const std::vector<size_t> keys{0};
+  JoinProbeScratch scratch;
+  Batch out;
+  size_t out_rows = 0;
+  for (const Batch& in : *a.probe_slices) {
+    probe(keys, in, &out, &scratch);
+    out_rows += out.num_rows();
+  }
+  return out_rows;
+}
+
+size_t JoinProbeBaselineRows(const JoinProbeArgs& a) {
+  return ProbeSlices(a, [&](const std::vector<size_t>& keys, const Batch& in,
+                            Batch* out, JoinProbeScratch* s) {
+    RowAtATimeProbe(*a.table, keys, a.kind, in, out, s);
+  });
+}
+
+size_t JoinProbeKernelRows(const JoinProbeArgs& a) {
+  return ProbeSlices(a, [&](const std::vector<size_t>& keys, const Batch& in,
+                            Batch* out, JoinProbeScratch* s) {
+    ProbeJoinBatch(*a.table, keys, a.kind, in, out, s);
+  });
+}
+
+double JoinProbeBaselineMs(const void* p) {
+  Stopwatch sw;
+  const size_t out_rows =
+      JoinProbeBaselineRows(*static_cast<const JoinProbeArgs*>(p));
+  const double ms = sw.ElapsedMillis();
+  if (out_rows == 0) std::abort();
+  return ms;
+}
+
+double JoinProbeKernelMs(const void* p) {
+  Stopwatch sw;
+  const size_t out_rows =
+      JoinProbeKernelRows(*static_cast<const JoinProbeArgs*>(p));
+  const double ms = sw.ElapsedMillis();
+  if (out_rows == 0) std::abort();
+  return ms;
+}
+
+// A build side of `keys` (shuffled) with an int64 payload, split into
+// `partitions` hash partitions as the partitioned build routes them (one
+// partition: as the serial join builds it).
+PartitionedJoinTable MakeProbeBuild(std::vector<int64_t> keys,
+                                    size_t partitions, Random* rng) {
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng->Uniform(i)]);
+  }
+  ColumnVector key_col(TypeId::kInt64);
+  key_col.ints() = std::move(keys);
+  std::vector<uint64_t> hashes(key_col.size(), kHashSeed);
+  key_col.HashColumn(hashes.data());
+  std::vector<Batch> parts(partitions);
+  for (Batch& part : parts) {
+    part.columns().emplace_back(TypeId::kInt64);
+    part.columns().emplace_back(TypeId::kInt64);
+    part.set_column_ids({0, 1});
+  }
+  for (size_t i = 0; i < key_col.size(); ++i) {
+    Batch& part = parts[JoinPartitionOf(hashes[i], partitions)];
+    part.column(0).ints().push_back(key_col.ints_data()[i]);
+    part.column(1).ints().push_back(static_cast<int64_t>(i));
+  }
+  PartitionedJoinTable table;
+  for (Batch& part : parts) {
+    table.parts.push_back(JoinTable::Build(std::move(part), {0}));
+  }
+  return table;
+}
+
+// `rows` probe rows in engine-sized slices: an int64 key uniform over
+// [0, key_domain) and a double payload.
+std::vector<Batch> MakeProbeSlices(size_t rows, uint64_t key_domain,
+                                   Random* rng) {
+  std::vector<Batch> slices;
+  for (size_t off = 0; off < rows; off += kDefaultBatchSize) {
+    const size_t end = std::min(rows, off + kDefaultBatchSize);
+    Batch slice;
+    slice.columns().emplace_back(TypeId::kInt64);
+    slice.columns().emplace_back(TypeId::kDouble);
+    for (size_t i = off; i < end; ++i) {
+      slice.column(0).ints().push_back(
+          static_cast<int64_t>(rng->Uniform(key_domain)));
+      slice.column(1).doubles().push_back(rng->NextDouble());
+    }
+    slice.set_column_ids({0, 1});
+    slices.push_back(std::move(slice));
+  }
+  return slices;
+}
+
+void RunJoinProbe(JsonResultWriter* json, size_t rows, int reps) {
+  std::printf("join_probe\n");
+  json->Metric("join_probe", "rows", static_cast<double>(rows));
+  Random rng(43);
+  const size_t distinct = std::max<size_t>(rows * 15 / 100, 1);
+  const size_t dup_keys = std::max<size_t>(distinct / 8, 1);
+  struct Shape {
+    const char* name;
+    JoinKind kind;
+    size_t build_keys;  // distinct keys k * 4 ...
+    size_t copies;      // ... each this many times
+    size_t partitions;
+  } shapes[] = {
+      {"inner_unique", JoinKind::kInner, distinct, 1, 1},
+      {"semi_small", JoinKind::kLeftSemi, 2400, 1, 1},
+      {"inner_dups", JoinKind::kInner, dup_keys, 8, 1},
+      {"inner_dups_p8", JoinKind::kInner, dup_keys, 8, 8},
+  };
+  for (const Shape& shape : shapes) {
+    std::vector<int64_t> keys;
+    for (size_t c = 0; c < shape.copies; ++c) {
+      for (size_t k = 0; k < shape.build_keys; ++k) {
+        keys.push_back(static_cast<int64_t>(k) * 4);
+      }
+    }
+    const PartitionedJoinTable table =
+        MakeProbeBuild(std::move(keys), shape.partitions, &rng);
+    // Keys k * 4 over [0, 4 * keys) hit ~25%; the semi shape probes
+    // [0, 10 * keys) for ~10%.
+    const uint64_t domain =
+        (shape.kind == JoinKind::kLeftSemi ? 10 : 4) * shape.build_keys;
+    const std::vector<Batch> slices = MakeProbeSlices(rows, domain, &rng);
+    const JoinProbeArgs args{&table, &slices, shape.kind};
+    // Warm, and check both probes emit the same rows.
+    const size_t out_rows = JoinProbeBaselineRows(args);
+    if (JoinProbeKernelRows(args) != out_rows || out_rows == 0) std::abort();
+    const double base_ms = BestOf(reps, JoinProbeBaselineMs, &args);
+    const double kern_ms = BestOf(reps, JoinProbeKernelMs, &args);
+    const double base_mrps = static_cast<double>(rows) / base_ms / 1e3;
+    const double kern_mrps = static_cast<double>(rows) / kern_ms / 1e3;
+    std::printf("  %-22s %10.2f ms -> %8.2f ms   %7.1f -> %7.1f Mrows/s   "
+                "%5.2fx\n",
+                shape.name, base_ms, kern_ms, base_mrps, kern_mrps,
+                base_ms / kern_ms);
+    const std::string prefix(shape.name);
+    json->Metric("join_probe", prefix + "_out_rows",
+                 static_cast<double>(out_rows));
+    json->Metric("join_probe", prefix + "_baseline_ms", base_ms);
+    json->Metric("join_probe", prefix + "_kernel_ms", kern_ms);
+    json->Metric("join_probe", prefix + "_speedup", base_ms / kern_ms);
+  }
+}
+
+// ------------------------------------------------------------------
 // Compressed-execution ablations: the same data flowing through the
 // same operators, stored once with encoded execution on (dictionary
 // codes, RLE sidecars, zero-copy borrows) and once decoded to plain
@@ -1368,6 +1650,8 @@ int main(int argc, char** argv) {
     Report(&json, "hash_join", rows, BestOf(reps, JoinBaselineMs, &args),
            BestOf(reps, JoinKernelMs, &args));
   }
+
+  RunJoinProbe(&json, rows, reps);
 
   {
     // Compressed-execution ablations (see the section comment above).

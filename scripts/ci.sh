@@ -156,11 +156,11 @@ keys_ok=1
 # merge_scan_sparse records the zero-copy merge gain (PDT scan vs its
 # checkpointed twin), chunk_decode the decode kernels' throughput per
 # encoding, predicate_eval the branch-free predicate kernels,
-# project_refs move-through projection and group_assign the
-# column-at-a-time hash-aggregation group assign; all must stay in the
-# committed artifact.
+# project_refs move-through projection, group_assign the
+# column-at-a-time hash-aggregation group assign and join_probe the
+# column-at-a-time join probe; all must stay in the committed artifact.
 for required in merge_scan_sparse chunk_decode predicate_eval project_refs \
-    group_assign; do
+    group_assign join_probe; do
   if ! bench_names BENCH_exec.json | grep -qxF "$required"; then
     echo "bench key check FAILED: BENCH_exec.json lacks $required"
     keys_ok=0
@@ -259,8 +259,10 @@ if [[ "${PDTSTORE_SKIP_ASAN:-0}" != "1" ]]; then
   # (aborted sorts, failed join builds) free buffers on
   # error edges that the happy path never takes — use-after-free bait.
   # exec_test and parallel_sort_join_test cover the join table's row+1
-  # chain links and the partitioned build's per-partition row indices:
-  # index arithmetic where an off-by-one reads past a vector.
+  # chain links, the probe's candidate and cursor arrays (compacted in
+  # place each round, then reordered by probe row) and the partitioned
+  # build's per-partition row indices: index arithmetic where an
+  # off-by-one reads past a vector.
   # merge_scan_test and pipeline_test run here because merged scan
   # output borrows slices of pool-owned chunks through every PDT layer.
   # encoding_test and storage_test run here because the chunk decode

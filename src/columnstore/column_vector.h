@@ -63,6 +63,13 @@ inline uint64_t HashBytes(const char* data, size_t n) {
   return Mix64(h);
 }
 
+/// Double key equality as CompareAt sees it: 0.0 equals -0.0, and a NaN
+/// equals anything (it is neither less nor greater). The typed verify
+/// kernels of hash aggregation and the join probe both use this rule.
+inline bool DoubleKeysEqual(double a, double b) {
+  return !(a < b) & !(a > b);
+}
+
 /// Immutable string dictionary shared between a decoded chunk and every
 /// batch column borrowing from it. `values` is in *appearance order* (the
 /// on-disk dict encoding), NOT sorted: codes must never be compared for
@@ -222,7 +229,8 @@ class ColumnVector {
   /// Three-way comparison of element i with element j of `other`. Equal
   /// codes under a shared dictionary short-circuit to 0; everything else
   /// compares lexically (dictionaries are appearance-ordered, so code
-  /// order is meaningless).
+  /// order is meaningless). Doubles are equal exactly when
+  /// DoubleKeysEqual says so.
   int CompareAt(size_t i, const ColumnVector& other, size_t j) const;
 
   // Typed hot-path accessors. Caller must respect type(). The mutable

@@ -25,10 +25,6 @@ double InitAcc(AggKind op) {
   }
 }
 
-// Double keys are equal as CompareAt sees them: 0.0 equals -0.0, and a
-// NaN equals anything (it is neither less nor greater).
-bool DoubleKeysEqual(double a, double b) { return !(a < b) & !(a > b); }
-
 // Keeps, in order, the rows of sel[0, m) whose candidate group passes
 // `eq(row, gid)`; returns how many remain.
 template <typename Eq>

@@ -2,11 +2,12 @@
 // and indexed by a flat bucket-chained table (MonetDB/X100 layout): a
 // power-of-two array of chain heads addressed by the low bits of the
 // combined 64-bit key hash, one `next` link and one full hash per build
-// row. A probe walks its bucket's chain, compares the full hash, then
-// verifies the typed keys against the materialized build columns. Probe
-// batches are hashed with one bulk HashColumn pass per key column and
-// matches are compacted with selection-vector gathers. Inner or
-// left-semi/anti.
+// row. Probe batches are hashed with one bulk HashColumn pass per key
+// column, then probed column-at-a-time: whole-batch passes load every
+// row's bucket head, compare full hashes, verify keys with one typed
+// kernel per key column and advance every live row one chain link, until
+// no row is left. Matches are compacted with selection-vector gathers.
+// Inner or left-semi/anti.
 //
 // The build side is factored into an immutable PartitionedJoinTable —
 // P >= 1 independent JoinTable partitions addressed by a hash-derived
@@ -15,7 +16,7 @@
 // inside the collect workers and finalizes the P partitions in
 // parallel; probes route each row by the same partition function and
 // share the whole structure lock-free. The serial HashJoinNode builds a
-// single partition, byte-identical to the pre-partitioned behavior.
+// single partition.
 #ifndef PDTSTORE_EXEC_HASH_JOIN_H_
 #define PDTSTORE_EXEC_HASH_JOIN_H_
 
@@ -43,7 +44,7 @@ struct JoinTable {
   std::vector<uint32_t> heads;
   /// Next row+1 in the same bucket, per build row (0 = end of chain).
   std::vector<uint32_t> next;
-  /// Combined key hash per build row, checked before KeysEqual.
+  /// Combined key hash per build row, checked before the key verify.
   std::vector<uint64_t> hashes;
 
   static JoinTable Build(Batch build_rows, std::vector<size_t> keys);
@@ -53,28 +54,6 @@ struct JoinTable {
   static JoinTable BuildWithHashes(Batch build_rows,
                                    std::vector<size_t> keys,
                                    std::vector<uint64_t> hashes);
-
-  /// Typed key equality between a probe row and a build row (the
-  /// verify-on-collision step).
-  bool KeysEqual(const std::vector<size_t>& probe_keys, const Batch& probe,
-                 size_t probe_row, size_t build_row) const;
-
-  /// Calls fn(build_row) for every build row whose key equals probe row
-  /// `probe_row` (whose combined key hash is `hash`), in build order;
-  /// stops early once fn returns false.
-  template <typename Fn>
-  void ForEachMatch(uint64_t hash, const std::vector<size_t>& probe_keys,
-                    const Batch& probe, size_t probe_row, Fn&& fn) const {
-    if (heads.empty()) return;
-    for (uint32_t e = heads[hash & (heads.size() - 1)]; e != 0;
-         e = next[e - 1]) {
-      const uint32_t b = e - 1;
-      if (hashes[b] == hash && KeysEqual(probe_keys, probe, probe_row, b) &&
-          !fn(b)) {
-        return;
-      }
-    }
-  }
 };
 
 /// The partition function both the build collect and the probe use.
@@ -99,13 +78,28 @@ struct PartitionedJoinTable {
   }
 };
 
-/// Per-thread probe scratch (allocation-free steady state).
+/// Per-thread probe scratch. Every buffer is sized to the probe batch (or
+/// its matches) and reused, so a warm probe allocates nothing.
 struct JoinProbeScratch {
-  std::vector<uint64_t> hashes;
+  std::vector<uint64_t> hashes;  // combined key hash per probe row
+  // Chain-walk candidates: probe row and its current chain link (build
+  // row+1), compacted to the rows whose chains go on.
+  std::vector<uint32_t> cand_rows;
+  std::vector<uint32_t> cand_links;
+  // Candidates whose full hash matched, narrowed by each key's verify.
+  std::vector<uint32_t> pair_rows;
+  std::vector<uint32_t> pair_builds;
+  std::vector<uint8_t> matched;  // 1 per probe row with a match (semi/anti)
+  // Reorder pass: next output slot per routed row, and the reordered
+  // matches (the builds are swapped into build_sel).
+  std::vector<uint32_t> row_slots;
+  std::vector<uint32_t> reorder_rows;
+  std::vector<uint32_t> reorder_builds;
   SelVector probe_sel;
   SelVector build_sel;
   KeepBitmap keep;  // semi/anti survivor bits, 1 bit per probe row
   std::vector<SelVector> part_rows;  // probe rows routed per partition
+  std::vector<uint32_t> part_pos;    // each probe row's index in part_rows
   Batch out_proto;  // output layout, built once, reused via ResetLike
   bool proto_init = false;
 };
@@ -114,8 +108,9 @@ struct JoinProbeScratch {
 /// layout): inner gathers probe then build columns; semi/anti compact
 /// surviving probe rows (each probe row emitted at most once no matter
 /// how many build rows match). Thread-safe across distinct scratch
-/// objects. Inner matches for one probe row come out in that row's
-/// partition's build order.
+/// objects. With one partition, inner output is in (probe row, build
+/// row) order; with more, it is grouped by partition and in (probe row,
+/// build row) order within each group. Semi/anti keep probe order.
 void ProbeJoinBatch(const PartitionedJoinTable& table,
                     const std::vector<size_t>& probe_keys, JoinKind kind,
                     const Batch& in, Batch* out, JoinProbeScratch* scratch);
@@ -159,6 +154,11 @@ class JoinBuildHandle {
 /// Equi-join on (probe_keys[i] == build_keys[i]). Output columns: all
 /// probe columns, then (inner only) all build columns. Duplicate build
 /// matches are emitted in build-row order.
+///
+/// An inner Next returns every match of one probe batch of up to
+/// `max_rows` rows, so with duplicate build keys it can return more than
+/// `max_rows` rows — an exception to BatchSource::Next's "up to
+/// `max_rows`". No consumer relies on the bound.
 class HashJoinNode : public BatchSource {
  public:
   HashJoinNode(std::unique_ptr<BatchSource> probe,

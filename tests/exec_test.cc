@@ -1,9 +1,12 @@
 // Executor operator tests: filter, project, hash aggregation, hash join
 // (inner/semi/anti, plus the bucket-chained JoinTable against a
-// nested-loop reference), sort/top-k, and pipeline composition.
+// nested-loop reference: hash-equal key mismatches, signed-zero and NaN
+// double keys, matches at every chain depth and probe slice, and empty
+// partitions), sort/top-k, and pipeline composition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "exec/filter.h"
@@ -220,6 +223,15 @@ TEST(HashJoinTest, SemiAndAnti) {
 // JoinTable + ProbeJoinBatch against a nested-loop reference.
 // ---------------------------------------------------------------------
 
+// The combined key hash of a one-column int64 key, as HashColumn makes it.
+uint64_t Int64KeyHash(int64_t v) {
+  uint64_t h = kHashSeed;
+  ColumnVector one(TypeId::kInt64);
+  one.ints() = {v};
+  one.HashColumn(&h);
+  return h;
+}
+
 std::shared_ptr<const StringDict> MakeDict(std::vector<std::string> values) {
   auto dict = std::make_shared<StringDict>();
   for (const std::string& v : values) {
@@ -398,11 +410,7 @@ TEST(JoinTableTest, DistinctKeysSharingABucketStayApart) {
   constexpr size_t kRows = 8;
   std::vector<int64_t> keys, misses;
   for (int64_t v = 0; keys.size() < kRows || misses.size() < kRows; ++v) {
-    uint64_t h = kHashSeed;
-    ColumnVector one(TypeId::kInt64);
-    one.ints() = {v};
-    one.HashColumn(&h);
-    if ((h & (kRows - 1)) != 0) continue;
+    if ((Int64KeyHash(v) & (kRows - 1)) != 0) continue;
     (keys.size() < kRows ? keys : misses).push_back(v);
   }
   std::vector<int64_t> payload(kRows);
@@ -486,6 +494,172 @@ TEST(JoinTableTest, FourPartitionsMatchOnePartitionAsMultiset) {
   std::sort(serial.begin(), serial.end());
   std::sort(partitioned.begin(), partitioned.end());
   EXPECT_EQ(partitioned, serial);
+}
+
+TEST(JoinTableTest, VerifyRejectsAnEqualHashWithAnUnequalKey) {
+  // Build row 1 (key 2) carries key 1's full hash, so it sits in key 1's
+  // chain between two true matches and only the key verify keeps it out.
+  // Key 2 itself is never probed: its own hash reaches no build row.
+  Batch build = MakeBatch({{1, 2, 1, 3}, {10, 20, 30, 40}});
+  const std::vector<uint64_t> hashes = {Int64KeyHash(1), Int64KeyHash(1),
+                                        Int64KeyHash(1), Int64KeyHash(3)};
+  PartitionedJoinTable table;
+  table.parts.push_back(JoinTable::BuildWithHashes(build, {0}, hashes));
+  Batch probe = MakeBatch({{1, 3, 5, 1}});
+  for (size_t slice : {size_t{1}, size_t{7}}) {
+    for (JoinKind kind :
+         {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+      EXPECT_EQ(ProbeAll(table, probe, {0}, kind, slice),
+                NestedLoopJoin(probe, {0}, build, {0}, kind))
+          << "slice " << slice << " kind " << static_cast<int>(kind);
+    }
+  }
+  EXPECT_EQ(ProbeAll(table, probe, {0}, JoinKind::kInner).size(), 5u);
+}
+
+TEST(JoinTableTest, DoubleKeysMatchAsCompareAtSeesThem) {
+  // -0.0 and 0.0 are one key (they hash alike and compare equal).
+  Batch build = MakeBatch({{0, 1, 2, 3, 4}}, {{0.0, -0.0, 1.5, 2.0, -0.0}});
+  Batch probe = MakeBatch({{0, 1, 2, 3, 4, 5}},
+                          {{-0.0, 0.0, 1.5, 3.0, 2.0, -1.5}});
+  PartitionedJoinTable table = BuildTable(build, {1});
+  for (size_t slice : {size_t{1}, size_t{7}}) {
+    for (JoinKind kind :
+         {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+      EXPECT_EQ(ProbeAll(table, probe, {1}, kind, slice),
+                NestedLoopJoin(probe, {1}, build, {1}, kind));
+    }
+  }
+  EXPECT_EQ(ProbeAll(table, probe, {1}, JoinKind::kInner).size(), 8u);
+
+  // CompareAt finds a NaN equal to every double. Every build row here
+  // carries the NaN's hash, so each probe NaN reaches every build row,
+  // and the verify must accept all of them, as the nested loop does.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Batch nan_build = MakeBatch({{0, 1, 2, 3}}, {{nan, 1.0, -0.0, nan}});
+  uint64_t nan_hash = kHashSeed;
+  ColumnVector one_nan(TypeId::kDouble);
+  one_nan.doubles() = {nan};
+  one_nan.HashColumn(&nan_hash);
+  PartitionedJoinTable nan_table;
+  nan_table.parts.push_back(JoinTable::BuildWithHashes(
+      nan_build, {1}, std::vector<uint64_t>(4, nan_hash)));
+  Batch nan_probe = MakeBatch({{7, 8}}, {{nan, nan}});
+  for (JoinKind kind :
+       {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+    EXPECT_EQ(ProbeAll(nan_table, nan_probe, {1}, kind),
+              NestedLoopJoin(nan_probe, {1}, nan_build, {1}, kind));
+  }
+  EXPECT_EQ(ProbeAll(nan_table, nan_probe, {1}, JoinKind::kInner).size(), 8u);
+}
+
+TEST(JoinTableTest, MatchesAtChainDepthsOneToFourAtEverySlice) {
+  // Key k has k % 4 + 1 build rows, added round by round, so a key's
+  // duplicates are spread over the build and its matches sit at chain
+  // depths 1 to 4. Probe keys 100..159 miss; hits of every depth are
+  // interleaved with rows whose chains end earlier.
+  std::vector<int64_t> build_keys, payload;
+  for (int64_t depth = 0; depth < 4; ++depth) {
+    for (int64_t k = 0; k < 100; ++k) {
+      if (k % 4 < depth) continue;
+      build_keys.push_back(k);
+      payload.push_back(static_cast<int64_t>(payload.size()));
+    }
+  }
+  Batch build = MakeBatch({build_keys, payload});
+  std::vector<int64_t> probe_keys;
+  for (int64_t r = 0; r < 3000; ++r) probe_keys.push_back((r * 37) % 160);
+  Batch probe = MakeBatch({probe_keys});
+  PartitionedJoinTable table = BuildTable(build, {0});
+  for (size_t slice : {size_t{1}, size_t{7}, kDefaultBatchSize}) {
+    for (JoinKind kind :
+         {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+      EXPECT_EQ(ProbeAll(table, probe, {0}, kind, slice),
+                NestedLoopJoin(probe, {0}, build, {0}, kind))
+          << "slice " << slice << " kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(JoinTableTest, SemiAndAntiFindAMatchBehindSameBucketMisses) {
+  // Nine keys whose hashes share the low 3 bits: an 8-row build puts
+  // every row in one chain, in build order. Probed keys v2, v4 and v5
+  // have one build row each, behind 3, 6 and 7 rows of other keys.
+  std::vector<int64_t> v;
+  for (int64_t x = 0; v.size() < 9; ++x) {
+    if ((Int64KeyHash(x) & 7) == 0) v.push_back(x);
+  }
+  Batch build =
+      MakeBatch({{v[0], v[1], v[0], v[2], v[3], v[1], v[4], v[5]}});
+  PartitionedJoinTable table = BuildTable(build, {0});
+  ASSERT_EQ(table.parts[0].heads.size(), 8u);
+  EXPECT_EQ(std::count(table.parts[0].heads.begin(),
+                       table.parts[0].heads.end(), 0u),
+            7);
+  Batch probe = MakeBatch({{v[2], v[6], v[4], v[7], v[5], v[8], v[1]}});
+  for (size_t slice : {size_t{1}, size_t{7}}) {
+    for (JoinKind kind :
+         {JoinKind::kInner, JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+      EXPECT_EQ(ProbeAll(table, probe, {0}, kind, slice),
+                NestedLoopJoin(probe, {0}, build, {0}, kind))
+          << "slice " << slice << " kind " << static_cast<int>(kind);
+    }
+  }
+  EXPECT_EQ(ProbeAll(table, probe, {0}, JoinKind::kLeftSemi).size(), 4u);
+}
+
+TEST(JoinTableTest, FourPartitionsWithEmptyPartitions) {
+  // Build keys route to partitions 0 and 2 only (with duplicates);
+  // probe keys route to all four, so half the probe rows meet an empty
+  // partition.
+  constexpr size_t kParts = 4;
+  std::vector<int64_t> build_keys, payload, probe_keys;
+  for (int64_t x = 0; probe_keys.size() < 400; ++x) {
+    const size_t p = JoinPartitionOf(Int64KeyHash(x), kParts);
+    probe_keys.push_back(x);
+    if ((p == 0 || p == 2) && x % 3 != 0) {
+      for (int64_t d = 0; d <= x % 3; ++d) {
+        build_keys.push_back(x);
+        payload.push_back(static_cast<int64_t>(payload.size()));
+      }
+    }
+  }
+  std::reverse(probe_keys.begin(), probe_keys.end());
+  Batch build = MakeBatch({build_keys, payload});
+  Batch probe = MakeBatch({probe_keys});
+  PartitionedJoinTable table = BuildTable(build, {0}, kParts);
+  ASSERT_EQ(table.num_partitions(), kParts);
+  EXPECT_EQ(table.parts[1].rows.num_rows(), 0u);
+  EXPECT_EQ(table.parts[3].rows.num_rows(), 0u);
+  EXPECT_GT(table.parts[0].rows.num_rows(), 0u);
+  EXPECT_GT(table.parts[2].rows.num_rows(), 0u);
+  for (size_t slice : {size_t{1}, size_t{7}, kDefaultBatchSize}) {
+    // Each probe batch's inner output is grouped by partition, and in
+    // (probe row, build row) order within a group.
+    std::vector<Tuple> want;
+    for (size_t off = 0; off < probe_keys.size(); off += slice) {
+      const size_t end = std::min(probe_keys.size(), off + slice);
+      const Batch batch = MakeBatch(
+          {{probe_keys.begin() + static_cast<ptrdiff_t>(off),
+            probe_keys.begin() + static_cast<ptrdiff_t>(end)}});
+      const std::vector<Tuple> matches =
+          NestedLoopJoin(batch, {0}, build, {0}, JoinKind::kInner);
+      for (size_t p = 0; p < kParts; ++p) {
+        for (const Tuple& t : matches) {
+          if (JoinPartitionOf(Int64KeyHash(t[0].AsInt64()), kParts) == p) {
+            want.push_back(t);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(ProbeAll(table, probe, {0}, JoinKind::kInner, slice), want)
+        << "slice " << slice;
+    for (JoinKind kind : {JoinKind::kLeftSemi, JoinKind::kLeftAnti}) {
+      EXPECT_EQ(ProbeAll(table, probe, {0}, kind, slice),
+                NestedLoopJoin(probe, {0}, build, {0}, kind))
+          << "slice " << slice << " kind " << static_cast<int>(kind);
+    }
+  }
 }
 
 TEST(SortTest, MultiKeyAndLimit) {
