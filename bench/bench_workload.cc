@@ -2,8 +2,11 @@
 // scan-heavy queries through one WorkloadManager (bounded FIFO admission
 // in front of the shared worker pool) and reports sustained qps plus
 // p50/p99 end-to-end latency — queueing time included, since that is
-// what admission control trades against memory safety. One cell per
-// client fleet size: workload_c<N>.
+// what admission control trades against memory safety. Two cells per
+// client fleet size, run back to back over the same table:
+// workload_c<N> admits every query (8 run slots), noadmit_c<N> runs the
+// same fleet and query with no admission and no memory budget, so the
+// pair shows what admission itself buys.
 //
 //   bench_workload [--queries=N] [--clients=1,8,64,256] [--rows=R]
 //                  [--json=PATH]
@@ -16,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -44,9 +48,9 @@ struct RunResult {
 };
 
 // `clients` threads drain a shared counter of `total` queries, each one
-// admitted through `mgr` and scanning the whole table (project k0 + v0,
-// unordered 4-way morsel plan, drain through an exchange). The query is
-// deliberately scan-dominated.
+// admitted through `mgr` (when non-null) and scanning the whole table
+// (project k0 + v0, unordered 4-way morsel plan, drain through an
+// exchange). The query is deliberately scan-dominated.
 RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
                    uint64_t total) {
   std::atomic<uint64_t> next{0};
@@ -61,12 +65,16 @@ RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
       lat[c].reserve(total / clients + 1);
       while (next.fetch_add(1) < total) {
         Stopwatch sw;
-        auto ticket = mgr->Admit("bench");
-        if (!ticket.ok()) {
-          rejected.fetch_add(1);
-          continue;
+        std::shared_ptr<QueryTicket> ticket;
+        if (mgr != nullptr) {
+          auto admitted = mgr->Admit("bench");
+          if (!admitted.ok()) {
+            rejected.fetch_add(1);
+            continue;
+          }
+          ticket = std::move(*admitted);
         }
-        ScopedQuery scope(*ticket);
+        ScopedQuery scope(std::move(ticket));
         ScanOptions so;
         so.num_threads = 4;
         so.ordered = false;
@@ -126,20 +134,24 @@ int Main(int argc, char** argv) {
     opts.max_concurrent = 8;
     opts.max_queued = 4096;
     WorkloadManager mgr(opts);
-    RunResult r = RunFleet(*table, &mgr, clients, queries);
-    std::string name = "workload_c" + std::to_string(clients);
-    std::printf("%-24s %10.1f %10.3f %10.3f\n", name.c_str(), r.qps,
-                r.p50_ms, r.p99_ms);
-    json.Metric(name, "qps", r.qps);
-    json.Metric(name, "p50_ms", r.p50_ms);
-    json.Metric(name, "p99_ms", r.p99_ms);
-    json.Metric(name, "queries", static_cast<double>(r.queries));
-    json.Metric(name, "rejected", static_cast<double>(r.rejected));
-    if (r.queries != queries) {
-      std::fprintf(stderr, "%s: expected %llu queries, ran %llu\n",
-                   name.c_str(), static_cast<unsigned long long>(queries),
-                   static_cast<unsigned long long>(r.queries));
-      return 1;
+    const std::pair<std::string, WorkloadManager*> arms[] = {
+        {"workload_c", &mgr}, {"noadmit_c", nullptr}};
+    for (const auto& [prefix, arm_mgr] : arms) {
+      RunResult r = RunFleet(*table, arm_mgr, clients, queries);
+      std::string name = prefix + std::to_string(clients);
+      std::printf("%-24s %10.1f %10.3f %10.3f\n", name.c_str(), r.qps,
+                  r.p50_ms, r.p99_ms);
+      json.Metric(name, "qps", r.qps);
+      json.Metric(name, "p50_ms", r.p50_ms);
+      json.Metric(name, "p99_ms", r.p99_ms);
+      json.Metric(name, "queries", static_cast<double>(r.queries));
+      json.Metric(name, "rejected", static_cast<double>(r.rejected));
+      if (r.queries != queries) {
+        std::fprintf(stderr, "%s: expected %llu queries, ran %llu\n",
+                     name.c_str(), static_cast<unsigned long long>(queries),
+                     static_cast<unsigned long long>(r.queries));
+        return 1;
+      }
     }
   }
   if (!json_path.empty() && !json.WriteFile(json_path)) {

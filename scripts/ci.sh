@@ -74,9 +74,10 @@ echo "== bench smoke (tiny sizes) =="
 # time-sliced and the latency numbers are upper bounds only.
 "$BUILD_DIR/bench_htap" --sf=0.01 --configs=1x2,2x2,4x4 --streams=1 \
     --fraction=0.002 --json="$BUILD_DIR/BENCH_htap_smoke.json"
-# Workload-management smoke: all four client fleets (so every committed
-# BENCH_workload.json key is produced) over a small table. The binary
-# itself fails if any query is lost or rejected with an oversized queue.
+# Workload-management smoke: all four client fleets, each with and
+# without admission (so every committed BENCH_workload.json key is
+# produced), over a small table. The binary itself fails if any query
+# is lost or rejected with an oversized queue.
 "$BUILD_DIR/bench_workload" --queries=64 --clients=1,8,64,256 \
     --rows=50000 --json="$BUILD_DIR/BENCH_workload_smoke.json"
 
@@ -165,6 +166,21 @@ for required in merge_scan_sparse chunk_decode predicate_eval project_refs \
     echo "bench key check FAILED: BENCH_exec.json lacks $required"
     keys_ok=0
   fi
+done
+# BENCH_workload.json keeps both arms at every client count: the
+# admitted fleet (workload_c<N>) and the same fleet and query with no
+# admission (noadmit_c<N>), so the record of what admission buys cannot
+# lose its baseline. There is no ratio gate on the pair: the smoke run
+# is 64 queries over 50k rows and CI may have one core, while
+# admission's win at 64 clients was measured only at full size (512
+# queries over 800k rows) on 4 vCPUs.
+for clients in 1 8 64 256; do
+  for required in "workload_c$clients" "noadmit_c$clients"; do
+    if ! bench_names BENCH_workload.json | grep -qxF "$required"; then
+      echo "bench key check FAILED: BENCH_workload.json lacks $required"
+      keys_ok=0
+    fi
+  done
 done
 check_keys BENCH_exec.json "the benches" \
     "$BUILD_DIR/BENCH_exec_smoke.json" "$BUILD_DIR/BENCH_fig17_smoke.json"

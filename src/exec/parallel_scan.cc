@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/pipeline.h"
-#include "util/mem_budget.h"
 
 namespace pdtstore {
 
@@ -122,12 +121,8 @@ void ParallelScanSource::Start() {
     }
   }
   std::shared_ptr<Shared> sh = sh_;
-  // Tag the tasks with the query's scheduling token so the pool's
-  // round-robin rotation keeps concurrent queries' scans fair.
-  const uint64_t token = CurrentQueryToken();
-  for (size_t i = 0; i < sh_->num_workers; ++i) {
-    ThreadPool::Global().Submit(token, [sh] { sh->RunWorker(); });
-  }
+  ThreadPool::Global().SubmitMany(sh_->num_workers,
+                                  [sh] { sh->RunWorker(); });
 }
 
 void ParallelScanSource::Shared::GrabRecycledBatch(Batch* b) {

@@ -223,8 +223,7 @@ Status RunPipeline(MorselPlan* plan,
   const size_t helpers = std::min<size_t>(
       threads > 0 ? static_cast<size_t>(threads - 1) : 0,
       plan->morsels.size());
-  ThreadPool::Global().SubmitMany(CurrentQueryToken(), helpers,
-                                  [rs] { RunPipelineWorker(rs); });
+  ThreadPool::Global().SubmitMany(helpers, [rs] { RunPipelineWorker(rs); });
   // The driver always participates, so the pipeline finishes even when
   // the shared pool is saturated by concurrent queries.
   RunPipelineWorker(rs);

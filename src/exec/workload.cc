@@ -32,20 +32,24 @@ void WorkloadManager::Configure(const WorkloadOptions& options) {
 
 StatusOr<std::shared_ptr<QueryTicket>> WorkloadManager::Admit(
     std::string label) {
-  uint64_t seq;
   size_t per_query_cap;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    const size_t cap = static_cast<size_t>(ResolvedMaxConcurrent());
-    if (active_ >= cap && waiters_.size() >= options_.max_queued) {
+    // An arrival queues behind any existing waiter even when a slot is
+    // free: a finishing query wakes the head waiter, and without this
+    // check the finisher's next Admit would take the slot first.
+    const bool must_wait =
+        active_ >= static_cast<size_t>(ResolvedMaxConcurrent()) ||
+        !waiters_.empty();
+    if (must_wait && waiters_.size() >= options_.max_queued) {
       ++rejected_;
       return Status::ResourceExhausted(
           "admission queue full (" + std::to_string(active_) +
           " active, " + std::to_string(waiters_.size()) +
           " queued) rejecting query '" + label + "'");
     }
-    seq = next_seq_++;
-    if (active_ >= cap) {
+    if (must_wait) {
+      const uint64_t seq = next_seq_++;
       waiters_.push_back(seq);
       queued_peak_ = std::max(queued_peak_, waiters_.size());
       // Strict FIFO: a waiter runs only when it is the oldest waiter
@@ -68,7 +72,7 @@ StatusOr<std::shared_ptr<QueryTicket>> WorkloadManager::Admit(
   auto budget = std::make_shared<MemoryBudget>(std::move(label),
                                                per_query_cap, &pool_);
   return std::shared_ptr<QueryTicket>(
-      new QueryTicket(this, seq, std::move(budget)));
+      new QueryTicket(this, std::move(budget)));
 }
 
 void WorkloadManager::Done() {

@@ -4,14 +4,16 @@
 // snapshot for observability (shell `.stats`).
 //
 // Admission semantics: at most `max_concurrent` queries run at once.
-// Arrivals beyond that wait in strict FIFO order; when the wait queue is
-// itself full (`max_queued`), Admit fails immediately with
-// ResourceExhausted — bounded queueing, so a flood degrades into fast
-// rejections instead of an unbounded backlog. Each admitted query gets a
-// QueryTicket carrying a unique scheduling token (the ThreadPool
-// fairness lane) and a MemoryBudget; ScopedQuery installs both in the
-// thread-local query context for the duration of the query, where the
-// exchange / pipeline / breaker code picks them up.
+// An arrival waits whenever every slot is taken OR anyone is already
+// waiting, and waiters are admitted in strict arrival order: a client
+// whose query just finished cannot re-admit ahead of the waiter its
+// finish woke. When the wait queue is itself full (`max_queued`), Admit
+// fails immediately with ResourceExhausted — bounded queueing, so a
+// flood degrades into fast rejections instead of an unbounded backlog.
+// Each admitted query gets a QueryTicket carrying its MemoryBudget;
+// ScopedQuery installs that budget as the thread's current budget for
+// the duration of the query, where the exchange / pipeline / breaker
+// code picks it up.
 #ifndef PDTSTORE_EXEC_WORKLOAD_H_
 #define PDTSTORE_EXEC_WORKLOAD_H_
 
@@ -68,18 +70,15 @@ class QueryTicket {
   QueryTicket(const QueryTicket&) = delete;
   QueryTicket& operator=(const QueryTicket&) = delete;
 
-  uint64_t token() const { return token_; }
   const std::shared_ptr<MemoryBudget>& budget() const { return budget_; }
   const std::string& label() const { return budget_->label(); }
 
  private:
   friend class WorkloadManager;
-  QueryTicket(WorkloadManager* mgr, uint64_t token,
-              std::shared_ptr<MemoryBudget> budget)
-      : mgr_(mgr), token_(token), budget_(std::move(budget)) {}
+  QueryTicket(WorkloadManager* mgr, std::shared_ptr<MemoryBudget> budget)
+      : mgr_(mgr), budget_(std::move(budget)) {}
 
   WorkloadManager* mgr_;
-  uint64_t token_;
   std::shared_ptr<MemoryBudget> budget_;
 };
 
@@ -90,9 +89,10 @@ class WorkloadManager {
   explicit WorkloadManager(WorkloadOptions options = {});
   ~WorkloadManager();
 
-  /// Blocks until a run slot is free (FIFO among waiters) and returns
-  /// the query's ticket, or fails fast with ResourceExhausted when the
-  /// bounded wait queue is full. Destroying the ticket frees the slot.
+  /// Blocks until a run slot is free and every earlier waiter has been
+  /// admitted (strict FIFO) and returns the query's ticket, or fails
+  /// fast with ResourceExhausted when the bounded wait queue is full.
+  /// Destroying the ticket frees the slot.
   StatusOr<std::shared_ptr<QueryTicket>> Admit(std::string label);
 
   WorkloadStats GetStats() const;
@@ -118,7 +118,7 @@ class WorkloadManager {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<uint64_t> waiters_;  // FIFO admission order (by seq)
-  uint64_t next_seq_ = 1;         // also the scheduling token source
+  uint64_t next_seq_ = 1;
   uint64_t active_ = 0;
   uint64_t admitted_ = 0;
   uint64_t completed_ = 0;
@@ -127,20 +127,18 @@ class WorkloadManager {
 };
 
 /// Binds an admitted query to the current thread for a scope: installs
-/// the ticket's budget + token in the thread-local query context (so
-/// plans, pipelines and breakers constructed in the scope account to
-/// this query and submit to its fairness lane) and keeps the ticket
-/// alive for the duration.
+/// the ticket's budget as the thread's current budget (so plans,
+/// pipelines and breakers constructed in the scope account to this
+/// query) and keeps the ticket alive for the duration.
 class ScopedQuery {
  public:
   explicit ScopedQuery(std::shared_ptr<QueryTicket> ticket)
       : ticket_(std::move(ticket)),
-        ctx_(QueryContext{ticket_ ? ticket_->budget() : nullptr,
-                          ticket_ ? ticket_->token() : 0}) {}
+        budget_(ticket_ ? ticket_->budget() : nullptr) {}
 
  private:
   std::shared_ptr<QueryTicket> ticket_;
-  ScopedQueryContext ctx_;
+  ScopedBudget budget_;
 };
 
 }  // namespace pdtstore

@@ -3,24 +3,16 @@
 namespace pdtstore {
 
 namespace {
-thread_local QueryContext g_query_context;
+thread_local std::shared_ptr<MemoryBudget> g_budget;
 }  // namespace
 
-const QueryContext& CurrentQueryContext() { return g_query_context; }
+std::shared_ptr<MemoryBudget> CurrentBudget() { return g_budget; }
 
-std::shared_ptr<MemoryBudget> CurrentBudget() {
-  return g_query_context.budget;
+ScopedBudget::ScopedBudget(std::shared_ptr<MemoryBudget> budget)
+    : prev_(std::move(g_budget)) {
+  g_budget = std::move(budget);
 }
 
-uint64_t CurrentQueryToken() { return g_query_context.token; }
-
-ScopedQueryContext::ScopedQueryContext(QueryContext ctx)
-    : prev_(std::move(g_query_context)) {
-  g_query_context = std::move(ctx);
-}
-
-ScopedQueryContext::~ScopedQueryContext() {
-  g_query_context = std::move(prev_);
-}
+ScopedBudget::~ScopedBudget() { g_budget = std::move(prev_); }
 
 }  // namespace pdtstore

@@ -1,6 +1,6 @@
 // Per-query memory accounting: a process-wide MemoryPool with an atomic
 // cap, per-query MemoryBudget objects charging it, and a thread-local
-// query context so deep operator code (sort materialization, join build
+// current budget so deep operator code (sort materialization, join build
 // collect, agg tables) can find the budget of the query it works for
 // without threading it through every constructor signature.
 //
@@ -176,36 +176,27 @@ class BudgetLease {
 };
 
 // ---------------------------------------------------------------------
-// Thread-local query context.
+// Thread-local current budget.
 // ---------------------------------------------------------------------
 
-/// What the executing query carries: its budget and its scheduling token
-/// (the ThreadPool fairness lane). Installed on the query's own thread
-/// by ScopedQueryContext; operator constructors read it there. Worker
-/// threads never read the TLS — budgets reach them by captured pointer.
-struct QueryContext {
-  std::shared_ptr<MemoryBudget> budget;
-  uint64_t token = 0;
-};
-
-/// The context installed on this thread (empty default context if none).
-const QueryContext& CurrentQueryContext();
-/// Shorthands.
+/// The budget installed on this thread by ScopedBudget (null if none:
+/// the code runs outside any managed query and charges nothing).
+/// Operator constructors read it on the query's own thread; worker
+/// threads never read it — budgets reach them by captured pointer.
 std::shared_ptr<MemoryBudget> CurrentBudget();
-uint64_t CurrentQueryToken();
 
-/// Installs `ctx` for the current thread's scope; restores the previous
-/// context on destruction (nests).
-class ScopedQueryContext {
+/// Installs `budget` as the current thread's budget for a scope;
+/// restores the previous one on destruction (nests).
+class ScopedBudget {
  public:
-  explicit ScopedQueryContext(QueryContext ctx);
-  ~ScopedQueryContext();
+  explicit ScopedBudget(std::shared_ptr<MemoryBudget> budget);
+  ~ScopedBudget();
 
-  ScopedQueryContext(const ScopedQueryContext&) = delete;
-  ScopedQueryContext& operator=(const ScopedQueryContext&) = delete;
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
 
  private:
-  QueryContext prev_;
+  std::shared_ptr<MemoryBudget> prev_;
 };
 
 }  // namespace pdtstore

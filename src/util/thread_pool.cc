@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-
-#include "util/mem_budget.h"
+#include <memory>
 
 namespace pdtstore {
 
@@ -37,45 +36,19 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::EnqueueLocked(uint64_t token, std::function<void()> fn) {
-  std::deque<std::function<void()>>& lane = lanes_[token];
-  if (lane.empty()) rotation_.push_back(token);
-  lane.push_back(std::move(fn));
-  ++pending_;
-}
-
-std::function<void()> ThreadPool::ClaimLocked() {
-  const uint64_t token = rotation_.front();
-  rotation_.pop_front();
-  auto it = lanes_.find(token);
-  std::function<void()> task = std::move(it->second.front());
-  it->second.pop_front();
-  --pending_;
-  if (it->second.empty()) {
-    // Keep the lane map from growing one tombstone per query token.
-    lanes_.erase(it);
-  } else {
-    // Round-robin: the lane goes to the back of the rotation, so every
-    // other waiting token gets a task claimed before this one again.
-    rotation_.push_back(token);
-  }
-  return task;
-}
-
-void ThreadPool::Submit(uint64_t token, std::function<void()> fn) {
+void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    EnqueueLocked(token, std::move(fn));
+    queue_.push_back(std::move(fn));
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::SubmitMany(uint64_t token, size_t n,
-                            const std::function<void()>& fn) {
+void ThreadPool::SubmitMany(size_t n, const std::function<void()>& fn) {
   if (n == 0) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < n; ++i) EnqueueLocked(token, fn);
+    queue_.insert(queue_.end(), n, fn);
   }
   if (n == 1) {
     work_cv_.notify_one();
@@ -86,7 +59,7 @@ void ThreadPool::SubmitMany(uint64_t token, size_t n,
 
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0 && running_ == 0; });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -94,9 +67,10 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || pending_ > 0; });
-      if (pending_ == 0) return;  // shutdown with nothing left to run
-      task = ClaimLocked();
+      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // shutdown with nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++running_;
     }
     task();
@@ -107,7 +81,7 @@ void ThreadPool::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;
-      if (pending_ == 0 && running_ == 0) idle_cv_.notify_all();
+      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
   }
 }
@@ -147,8 +121,7 @@ void ParallelFor(int num_threads, size_t begin, size_t end,
       s->fn(i);
     }
   };
-  ThreadPool::Global().SubmitMany(CurrentQueryToken(), workers - 1,
-                                  [sh, drain] {
+  ThreadPool::Global().SubmitMany(workers - 1, [sh, drain] {
     {
       std::lock_guard<std::mutex> lock(sh->mu);
       if (sh->finished) return;

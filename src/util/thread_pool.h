@@ -4,32 +4,29 @@
 // atomic queue, so a plain task pool with dynamic (counter-based) index
 // claiming already load-balances skewed morsels.
 //
-// Fairness: tasks are submitted under a query token (0 = the default /
-// system lane). Each token gets its own FIFO lane and the workers claim
-// lanes round-robin, so a query that fans out a 100-deep backlog cannot
-// starve a query admitted earlier — the earlier query's lane is visited
-// once per rotation no matter how deep any other lane is. Within one
-// lane, order stays FIFO (the old single-queue behavior; a single-token
-// workload is scheduled exactly as before). Claimed tasks are never
-// preempted: fairness bounds queue wait, not the runtime of tasks
-// already on a worker — admission control (exec/workload.h) bounds how
-// many queries can occupy workers at once.
+// Scheduling: one FIFO queue shared by every query. Workers claim tasks
+// in submission order and never preempt them. Fairness between
+// concurrent queries comes from admission control (exec/workload.h),
+// which bounds how many queries can submit work at once and admits them
+// in arrival order. Per-query lanes in the pool were measured against
+// this single queue and won nothing (DESIGN.md, "Workload management").
+// Every submitter also works on its own thread (the consumer-help loop
+// in exec/parallel_scan.cc, the pipeline driver, ParallelFor's caller),
+// so a long queue costs throughput, never liveness.
 #ifndef PDTSTORE_UTIL_THREAD_POOL_H_
 #define PDTSTORE_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace pdtstore {
 
-/// Fixed set of worker threads executing submitted tasks FIFO per token,
-/// round-robin across tokens. The destructor drains all submitted tasks
+/// Fixed set of worker threads executing submitted tasks in FIFO order.
+/// The destructor drains all submitted tasks
 /// before joining, so long-running tasks must observe their own
 /// cancellation flag (as the parallel scan's workers do via its abort
 /// flag).
@@ -43,20 +40,13 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(threads_.size()); }
 
-  /// Enqueues `fn` on the default lane (token 0).
-  void Submit(std::function<void()> fn) { Submit(0, std::move(fn)); }
-
-  /// Enqueues `fn` on `token`'s FIFO lane.
-  void Submit(uint64_t token, std::function<void()> fn);
+  /// Enqueues `fn` at the back of the queue.
+  void Submit(std::function<void()> fn);
 
   /// Enqueues `n` copies of `fn` under one lock acquisition and a
   /// single wake-all — the fan-out path of pipeline runners and
   /// ParallelFor, which otherwise pay one lock + notify per helper.
-  void SubmitMany(size_t n, const std::function<void()>& fn) {
-    SubmitMany(0, n, fn);
-  }
-  void SubmitMany(uint64_t token, size_t n,
-                  const std::function<void()>& fn);
+  void SubmitMany(size_t n, const std::function<void()>& fn);
 
   /// Blocks until every submitted task has finished.
   void WaitIdle();
@@ -70,28 +60,21 @@ class ThreadPool {
   /// longer spawn a private pool: `ScanOptions::num_threads` caps how
   /// many of these workers one query fragment occupies, so concurrent
   /// queries share the same threads. Submitted tasks must tolerate
-  /// running arbitrarily late (lanes rotate across all queries) and
-  /// must observe their own cancellation flags; progress-critical work
-  /// additionally runs on the submitting thread (see the consumer-help
-  /// loop in exec/parallel_scan.cc), so a busy pool degrades throughput,
-  /// never liveness.
+  /// running arbitrarily late (they queue behind every query's earlier
+  /// tasks) and must observe their own cancellation flags;
+  /// progress-critical work additionally runs on the submitting thread
+  /// (see the consumer-help loop in exec/parallel_scan.cc), so a busy
+  /// pool degrades throughput, never liveness.
   static ThreadPool& Global();
 
  private:
   void WorkerLoop();
-  // Appends to a token's lane, registering the token in the rotation if
-  // its lane was empty. Caller holds mu_.
-  void EnqueueLocked(uint64_t token, std::function<void()> fn);
-  // Pops the next task round-robin. Caller holds mu_ and pending_ > 0.
-  std::function<void()> ClaimLocked();
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: task or shutdown
   std::condition_variable idle_cv_;   // signals WaitIdle: all drained
-  std::unordered_map<uint64_t, std::deque<std::function<void()>>> lanes_;
-  std::deque<uint64_t> rotation_;     // tokens with non-empty lanes
-  size_t pending_ = 0;                // total queued tasks across lanes
+  std::deque<std::function<void()>> queue_;
   size_t running_ = 0;
   bool shutdown_ = false;
 };
@@ -101,10 +84,8 @@ class ThreadPool {
 /// with the calling thread participating — every index completes even if
 /// the pool is fully occupied by other queries. Indices are claimed
 /// dynamically from a shared atomic counter, so unevenly-sized work items
-/// still balance. Runs inline when one worker suffices. Helper tasks are
-/// submitted under the calling thread's query token (util/mem_budget.h),
-/// so a query's ParallelFor waits in that query's fairness lane. `fn`
-/// must be thread-safe.
+/// still balance. Runs inline when one worker suffices. `fn` must be
+/// thread-safe.
 void ParallelFor(int num_threads, size_t begin, size_t end,
                  const std::function<void(size_t)>& fn);
 

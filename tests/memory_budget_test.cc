@@ -166,7 +166,7 @@ TEST(MemoryBudget, OversizedSerialSortFailsAndReleases) {
   MemoryPool pool(0);
   auto budget = std::make_shared<MemoryBudget>("sort", 16 << 10, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0});
+    ScopedBudget ctx(budget);
     SortNode sort(table->Scan({0, 1}), {{1, false}});
     Batch out;
     StatusOr<bool> more = sort.Next(&out, kDefaultBatchSize);
@@ -182,7 +182,7 @@ TEST(MemoryBudget, OversizedParallelSortFailsAndReleases) {
   MemoryPool pool(0);
   auto budget = std::make_shared<MemoryBudget>("psort", 16 << 10, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0});
+    ScopedBudget ctx(budget);
     ScanOptions so;
     so.num_threads = 4;
     Pipeline pipe(table->PlanMorsels({0, 1}, nullptr, so));
@@ -203,7 +203,7 @@ TEST(MemoryBudget, OversizedJoinBuildFailsAndReleases) {
   for (int threads : {1, 4}) {
     auto budget = std::make_shared<MemoryBudget>("join", 16 << 10, &pool);
     {
-      ScopedQueryContext ctx(QueryContext{budget, 0});
+      ScopedBudget ctx(budget);
       ScanOptions so;
       so.num_threads = threads;
       StatusOr<std::vector<Tuple>> rows = [&]() -> StatusOr<std::vector<Tuple>> {
@@ -248,7 +248,7 @@ TEST(MemoryBudget, WithinBudgetQueriesMatchUnbudgetedRuns) {
   MemoryPool pool(64 << 20);
   auto budget = std::make_shared<MemoryBudget>("ok", 32 << 20, &pool);
   {
-    ScopedQueryContext ctx(QueryContext{budget, 0});
+    ScopedBudget ctx(budget);
     ScanOptions so;
     so.num_threads = 4;
     auto bpipe =
@@ -345,7 +345,7 @@ TEST(MemoryBudget, SerialBreakersStopPullingAtTheCap) {
     auto budget = std::make_shared<MemoryBudget>(shape, kCap, &pool);
     int pulls = 0;
     {
-      ScopedQueryContext ctx(QueryContext{budget, 0});
+      ScopedBudget ctx(budget);
       Drained d = DrainSerialBreaker(
           shape, table.get(),
           std::make_unique<CountingSource>(table->Scan({0, 1}), &pulls),
@@ -413,7 +413,7 @@ TEST(MemoryBudget, SerialBreakersChargeWhatTheyMaterialize) {
         MemoryPool pool(0);
         auto budget = std::make_shared<MemoryBudget>(shape, cap, &pool);
         {
-          ScopedQueryContext ctx(QueryContext{budget, 0});
+          ScopedBudget ctx(budget);
           Drained d =
               DrainSerialBreaker(shape, table.get(), input(), probe.get());
           if (cap == footprint) {
@@ -480,7 +480,7 @@ TEST(MemoryBudget, ParallelBreakersChargeWhatTheyMaterialize) {
         MemoryPool pool(0);
         auto budget = std::make_shared<MemoryBudget>(shape, cap, &pool);
         {
-          ScopedQueryContext ctx(QueryContext{budget, 0});
+          ScopedBudget ctx(budget);
           MorselPlan plan = table->PlanMorsels({0, 1}, nullptr, so);
           ASSERT_EQ(plan.serial, nullptr);
           Pipeline pipe(std::move(plan));

@@ -51,6 +51,29 @@ TEST(TpchGenTest, OrderRegenerationIsDeterministic) {
   }
 }
 
+// dbgen leaves every customer whose key is divisible by 3 without
+// orders; Q22 counts such customers, so without them it is always empty.
+TEST(TpchGenTest, CustomersWithKeyDivisibleByThreeHaveNoOrders) {
+  GenOptions gen = SmallGen();
+  gen.scale_factor = 0.01;
+  Database db;
+  auto tables = GenerateInto(&db, gen, TableOptions{});
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  auto scan = tables->orders->Scan({kOCustkey});
+  auto rows = CollectRows(scan.get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), tables->orders->RowCount());
+  size_t divisible = 0;
+  for (const Tuple& row : *rows) {
+    if (row[0].AsInt64() % 3 == 0) ++divisible;
+  }
+  EXPECT_EQ(divisible, 0u);
+
+  auto q22 = RunTpchQuery(22, *tables);
+  ASSERT_TRUE(q22.ok()) << q22.status().ToString();
+  EXPECT_GT(q22->rows, 0u);
+}
+
 TEST(UpdateStreamTest, StreamsAreDisjointAndScatter) {
   GenOptions gen = SmallGen();
   auto streams = MakeUpdateStreams(gen, 2, 0.01);

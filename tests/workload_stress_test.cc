@@ -4,9 +4,9 @@
 // degrade gracefully — every query either completes, fails fast with
 // ResourceExhausted, or is rejected at the bounded admission queue, and
 // the accounting returns to zero afterwards. Plus targeted regressions:
-// strict FIFO admission order, fast rejection on a full queue, and the
-// ThreadPool's per-token fairness lanes (a deep backlog under one query
-// token cannot starve a task submitted under another).
+// strict FIFO admission order, no barging by a client that re-admits
+// right after its own query finished, and fast rejection on a full
+// queue.
 //
 // Knobs (environment):
 //   PDT_WORKLOAD_QUERIES  total queries in the stress run (default 1000;
@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,7 +29,6 @@
 #include "exec/pipeline.h"
 #include "exec/workload.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace pdtstore {
 namespace {
@@ -100,6 +98,54 @@ TEST(WorkloadAdmission, StrictFifoOrder) {
   EXPECT_EQ(s.queued_peak, static_cast<uint64_t>(kArrivals));
 }
 
+// A finishing query wakes the head waiter, but the waiter needs the
+// manager mutex to take the freed slot. A client that re-admits straight
+// after releasing its ticket must queue behind that waiter, not take the
+// slot first: StrictFifoOrder cannot see this, because there only the
+// gate ever releases and nobody re-admits.
+TEST(WorkloadAdmission, ReturningClientDoesNotOvertakeWaiters) {
+  WorkloadOptions opts;
+  opts.max_concurrent = 1;
+  opts.max_queued = 64;
+  WorkloadManager mgr(opts);
+
+  constexpr int kIterations = 100;
+  int barged = 0;
+  for (int iter = 0; iter < kIterations; ++iter) {
+    auto gate = *mgr.Admit("gate");
+    std::mutex mu;
+    std::vector<std::string> order;
+    std::thread waiter([&] {
+      auto t = mgr.Admit("waiter");
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back("waiter");
+      // Ticket dies here -> the returning client is admitted.
+    });
+    while (mgr.GetStats().queued != 1) std::this_thread::yield();
+
+    gate.reset();  // finish, and come straight back
+    auto again = mgr.Admit("again");
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back("again");
+    }
+    again->reset();
+    waiter.join();
+    ASSERT_EQ(order.size(), 2u);
+    if (order.front() != "waiter") ++barged;
+  }
+  EXPECT_EQ(barged, 0) << "a returning client overtook the queued waiter in "
+                       << barged << "/" << kIterations << " iterations";
+
+  WorkloadStats s = mgr.GetStats();
+  EXPECT_EQ(s.admitted, 3u * kIterations);
+  EXPECT_EQ(s.completed, s.admitted);
+  EXPECT_EQ(s.active, 0u);
+  EXPECT_EQ(s.queued, 0u);
+}
+
 TEST(WorkloadAdmission, FullQueueRejectsImmediately) {
   WorkloadOptions opts;
   opts.max_concurrent = 1;
@@ -125,36 +171,6 @@ TEST(WorkloadAdmission, FullQueueRejectsImmediately) {
   gate.reset();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(mgr.GetStats().active, 0u);
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool fairness: a 200-task backlog under token A cannot starve a
-// task submitted under token B — lanes rotate, so B's task runs within
-// a rotation, not after A's whole backlog.
-// ---------------------------------------------------------------------
-
-TEST(WorkloadFairness, TokenBacklogCannotStarveOtherQueries) {
-  ThreadPool pool(1);  // single worker: scheduling order is observable
-  std::promise<void> release;
-  std::shared_future<void> released(release.get_future());
-  std::atomic<int> a_done{0};
-  std::atomic<int> b_saw{-1};
-
-  // Block the worker so the backlog builds deterministically.
-  pool.Submit(1, [released] { released.wait(); });
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit(1, [&] { a_done.fetch_add(1); });
-  }
-  // B arrives last, on its own lane. Under single-queue FIFO it would
-  // wait behind all 200 of A's tasks.
-  pool.Submit(2, [&] { b_saw.store(a_done.load()); });
-
-  release.set_value();
-  pool.WaitIdle();
-  ASSERT_GE(b_saw.load(), 0) << "token-2 task never ran";
-  EXPECT_LT(b_saw.load(), 8)
-      << "token-2 task waited behind token-1's backlog (starvation)";
-  EXPECT_EQ(a_done.load(), 200);
 }
 
 // ---------------------------------------------------------------------
