@@ -7,7 +7,7 @@
 // checkpoints shrinking the PDT layers as ingest grows them. Reports,
 // per (writers, readers) configuration, the HTAP SLO quantities:
 // p50/p99/p999 query latency under ingest and ingest rows/sec under
-// scans, plus the layer dynamics (peaks, merges, checkpoints).
+// scans, plus the layer dynamics (peaks, Write→Read folds, checkpoints).
 //
 //   bench_htap [--sf=0.05] [--configs=1x2,2x2,4x4] [--streams=3]
 //              [--fraction=0.003] [--json=PATH]
@@ -77,7 +77,7 @@ int Run(int argc, char** argv) {
   JsonResultWriter json;
   std::printf(
       "%-12s %9s %9s %9s %11s %8s %8s %6s\n", "config", "p50_ms",
-      "p99_ms", "p999_ms", "ingest_r/s", "queries", "merges", "ckpts");
+      "p99_ms", "p999_ms", "ingest_r/s", "queries", "folds", "ckpts");
   for (const Config& c : configs) {
     Database db;
     tpch::GenOptions gen;
@@ -150,8 +150,6 @@ int Run(int argc, char** argv) {
                 static_cast<double>(report->read_pdt_peak));
     json.Metric(name, "write_pdt_peak",
                 static_cast<double>(report->write_pdt_peak));
-    json.Metric(name, "merge_pending_peak",
-                static_cast<double>(report->merge_pending_peak));
     json.Metric(name, "wal_syncs", static_cast<double>(report->wal_syncs));
     json.Metric(name, "writer_wall_s", report->writer_wall_s);
     json.Metric(name, "wall_s", report->wall_s);

@@ -100,8 +100,7 @@ RunResult RunWorkload(int writers, int total_txns, int ops_per_txn,
   const int committed = per_thread * writers;
 
   // Key-loss check: every committed insert must be visible through a
-  // fresh snapshot (which sees Read ▷ pending ▷ Write even while a
-  // background merge is mid-flight).
+  // fresh snapshot (Read ▷ Write, whichever side of a fold they sit).
   {
     auto check = mgr.Begin();
     const uint64_t expect =

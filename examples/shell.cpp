@@ -233,12 +233,11 @@ class Shell {
         }
         TxnManagerStats s = mgr->GetStats();
         std::printf(
-            "  %-16s read_pdt=%zu write_pdt=%zu merge_pending=%zu%s\n"
+            "  %-16s read_pdt=%zu write_pdt=%zu\n"
             "    txns: committed=%llu aborted=%llu active=%zu\n"
             "    write path: pending_deltas=%zu fold_batches=%llu "
-            "folded=%llu bg_merges=%llu lock_us/commit=%.2f\n",
+            "folded=%llu read_folds=%llu lock_us/commit=%.2f\n",
             name.c_str(), s.read_pdt_entries, s.write_pdt_entries,
-            s.merge_pending_entries, s.merge_inflight ? " (merging)" : "",
             static_cast<unsigned long long>(s.committed),
             static_cast<unsigned long long>(s.aborted), s.active,
             s.pending_deltas,
@@ -249,13 +248,6 @@ class Shell {
                 ? static_cast<double>(s.commit_lock_ns) / 1e3 /
                       static_cast<double>(s.committed)
                 : 0.0);
-        if (!s.last_merge_error.ok()) {
-          // A failed background merge parks its layer until a
-          // quiet-point fold; without this line the failure is
-          // invisible and merge_pending just keeps growing.
-          std::printf("    merge error: %s\n",
-                      s.last_merge_error.message().c_str());
-        }
         if (s.wal_records > 0 || s.wal_syncs > 0) {
           const uint64_t txns = s.committed + s.aborted;
           std::printf("    wal: records=%llu syncs=%llu syncs/txn=%.3f\n",

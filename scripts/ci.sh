@@ -229,8 +229,8 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
   # threads over the multi-table commit FIFO) at small scale — the
   # densest cross-thread interleaving in the tree, so it belongs here.
   # txn_test and multi_txn_test drive the commit engine directly:
-  # concurrent publishers, background merges, and quiet-point folds
-  # racing driverless table scans. durability_test commits from 8
+  # concurrent publishers whose commits fold the Write-PDT inline,
+  # racing driverless table scans and the other committers. durability_test commits from 8
   # threads through a Database with a real WalWriter: the group-commit
   # fsync leader election in Wal::SyncTo racing the commit lock.
   # memory_budget_test: parallel sort and join-build workers charge one

@@ -114,9 +114,12 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     db->Degrade(stats.status());
     return db;
   }
-  // Replay the committed transactions into each table.
+  // Replay the committed transactions into each table. Txn() refuses
+  // VDT tables, so the log holds no records for them (and a transaction
+  // manager cannot drive one).
   if (db->wal_->RecordCount() > 0) {
     for (auto& [name, table] : db->tables_) {
+      if (table->pdt() == nullptr) continue;
       Status st = db->ReplayInto(table.get());
       if (!st.ok()) {
         db->Degrade(st);

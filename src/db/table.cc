@@ -206,7 +206,7 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
                               const ScanOptions& scan_opts) const {
   const SidRange range = ScanRange(bounds, projection);
   // Pin the Read-PDT for the whole plan: the plan's sources carry the
-  // pin (LayeredMorselPlan's `pins`), so a background merge installing
+  // pin (LayeredMorselPlan's `pins`), so a Write→Read fold installing
   // a replacement mid-scan cannot free the layer under the cursors.
   std::shared_ptr<const Pdt> pdt = SharedPdt();
   if (pdt) {

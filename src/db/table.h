@@ -190,9 +190,10 @@ class Table {
  private:
   // Pins the current Read-PDT for the duration of one table operation
   // (null on the VDT backend). Table methods never touch pdt_ directly
-  // beyond this: a background merge may ReplacePdt concurrently with
-  // non-transactional reads, and the pin keeps the pointer read atomic
-  // and the old layer alive until the operation finishes.
+  // beyond this: a transaction manager's Write→Read fold may ReplacePdt
+  // from a committing thread concurrently with non-transactional reads,
+  // and the pin keeps the pointer read atomic and the old layer alive
+  // until the operation finishes.
   std::shared_ptr<Pdt> PinPdt() const {
     std::lock_guard<std::mutex> lock(pdt_mu_);
     return pdt_;

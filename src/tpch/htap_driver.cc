@@ -128,8 +128,6 @@ StatusOr<HtapReport> RunHtapScenario(const GenOptions& gen,
           std::max(report.read_pdt_peak, t.read_pdt_entries);
       report.write_pdt_peak =
           std::max(report.write_pdt_peak, t.write_pdt_entries);
-      report.merge_pending_peak =
-          std::max(report.merge_pending_peak, t.merge_pending_entries);
     }
   };
   if (opts.maintenance_interval_ms > 0) {

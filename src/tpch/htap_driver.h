@@ -2,12 +2,13 @@
 // N writer threads apply TPC-H refresh streams as cross-table atomic
 // transactions (ApplyRefreshGroupMultiTxn over one MultiTxnManager
 // driving orders + lineitem) while M reader threads run the TPC-H
-// pipeline kernels against the same tables, with background Write→Read
-// propagation running on the worker pool and a maintenance thread
-// periodically folding + checkpointing at induced quiet points. The
-// report carries the HTAP SLO quantities: query-latency percentiles
-// (p50/p99/p999) under ingest, ingest rows/sec under scans, and the
-// PDT layer dynamics (peaks, background merges, checkpoints).
+// pipeline kernels against the same tables, with each commit that
+// overflows a Write-PDT folding it into the Read-PDT inline and a
+// maintenance thread periodically folding + checkpointing at induced
+// quiet points. The report carries the HTAP SLO quantities:
+// query-latency percentiles (p50/p99/p999) under ingest, ingest
+// rows/sec under scans, and the PDT layer dynamics (peaks, Write→Read
+// folds, checkpoints).
 //
 // Concurrency protocol: readers scan the tables directly (no
 // transaction) — safe because MultiTxnManager never mutates an
@@ -58,8 +59,8 @@ struct HtapOptions {
   /// Each reader runs at least this many queries even if the writers
   /// finish first (so short ingest phases still produce latency data).
   int min_queries_per_reader = 2;
-  /// Writer-path tuning: a small Write-PDT cap keeps propagation (and
-  /// the background merge machinery) active during the run.
+  /// Writer-path tuning: a small Write-PDT cap keeps Write→Read folds
+  /// running under the readers.
   size_t write_pdt_max_entries = 1024;
   /// Maintenance cadence; 0 disables the checkpoint thread entirely.
   int maintenance_interval_ms = 50;
@@ -92,8 +93,7 @@ struct HtapReport {
   // Layer dynamics.
   size_t read_pdt_peak = 0;
   size_t write_pdt_peak = 0;
-  size_t merge_pending_peak = 0;
-  uint64_t background_merges = 0;
+  uint64_t background_merges = 0;  ///< every Write→Read fold, all tables
   uint64_t checkpoints = 0;
   double checkpoint_stall_ms_max = 0;
   uint64_t wal_syncs = 0;

@@ -196,8 +196,9 @@ inline Status LayeredModify(const ColumnStore& store,
 
 /// BatchSource wrapper that keeps a set of PDT layers alive exactly as
 /// long as the wrapped source. Table-level (non-transactional) scans
-/// pin the Read-PDT this way: a background merge's ReplacePdt then
-/// never frees the layer under a running serial cursor.
+/// pin the Read-PDT this way: a committing thread's Write→Read fold
+/// (ReplacePdt) then never frees the layer under a running serial
+/// cursor.
 class PinnedLayerSource : public BatchSource {
  public:
   PinnedLayerSource(std::unique_ptr<BatchSource> inner,
@@ -227,7 +228,7 @@ class PinnedLayerSource : public BatchSource {
 /// layers live as long as anything built from this plan. Transaction
 /// scans pass none (the transaction object owns its snapshot for the
 /// scan's duration); Table::PlanMorsels pins the Read-PDT against a
-/// concurrent background-merge ReplacePdt.
+/// concurrent fold's ReplacePdt.
 inline MorselPlan LayeredMorselPlan(
     const ColumnStore& store, std::vector<const Pdt*> layers,
     std::vector<ColumnId> projection, SidRange range,

@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "txn/layered.h"
-#include "util/thread_pool.h"
 
 namespace pdtstore {
 
@@ -52,21 +51,14 @@ class ErrorSource : public BatchSource {
   Status status_;
 };
 
-// The one Write→Read fold (Algorithm 7): Read ▷ pending ▷ write as a new
-// PDT. It builds on a clone of `read` (which Clone() compacts) instead of
+// The one Write→Read fold (Algorithm 7): Read ▷ write as a new PDT. It
+// builds on a clone of `read` (which Clone() compacts) instead of
 // mutating it — an installed Read-PDT may be pinned by driverless scans
-// and snapshots. `pending`, a Write-PDT claimed by a background merge,
-// folds first: the current Write-PDT's SID domain is Read ▷ pending.
-// Either layer may be null.
+// and snapshots.
 StatusOr<std::unique_ptr<Pdt>> FoldLayers(const Pdt& read,
-                                          const Pdt* pending,
-                                          const Pdt* write) {
+                                          const Pdt& write) {
   std::unique_ptr<Pdt> merged = read.Clone();
-  for (const Pdt* layer : {pending, write}) {
-    if (layer != nullptr && !layer->Empty()) {
-      PDT_RETURN_NOT_OK(merged->Propagate(*layer));
-    }
-  }
+  if (!write.Empty()) PDT_RETURN_NOT_OK(merged->Propagate(write));
   return merged;
 }
 
@@ -95,13 +87,10 @@ MultiTransaction::TableView MultiTxnManager::MakeViewLocked(
   }
   MultiTransaction::TableView view;
   view.table = st->table;
-  // Pin the Read-PDT (and, when a background merge is folding a claimed
-  // Write-PDT, that immutable pending layer): a fold installs a
-  // replacement via ReplacePdt while this snapshot lives, and the
-  // shared_ptrs keep the pre-merge layers — which this snapshot's RIDs
-  // are defined over — alive.
+  // Pin the Read-PDT: a fold installs a replacement via ReplacePdt while
+  // this snapshot lives, and the shared_ptr keeps the pre-fold layer —
+  // which this snapshot's RIDs are defined over — alive.
   view.read = st->table->SharedPdt();
-  view.pending = st->merge_pending;
   view.write = st->write_snapshot;
   view.trans = std::make_unique<Pdt>(st->table->shared_schema());
   return view;
@@ -126,9 +115,8 @@ StatusOr<MultiTransaction::TableView*> MultiTransaction::OpenView(
 
 std::vector<const Pdt*> MultiTransaction::Layers(const TableView& v) {
   std::vector<const Pdt*> layers;
-  layers.reserve(5);
+  layers.reserve(4);
   layers.push_back(v.read.get());
-  if (v.pending != nullptr) layers.push_back(v.pending.get());
   layers.push_back(v.write.get());
   layers.push_back(v.trans.get());
   return layers;
@@ -353,8 +341,8 @@ MultiTxnManager::MultiTxnManager(std::vector<Table*> tables, Wal* wal,
     assert(t->pdt() != nullptr &&
            "transaction management requires the PDT backend");
     // A table is driven by exactly one manager: this one claims the
-    // driver slot, so every layer install (background merges,
-    // quiet-point folds, checkpoints) happens under this manager's mu_.
+    // driver slot, so every layer install (folds, checkpoints) happens
+    // under this manager's mu_.
     bool claimed = t->AcquireTxnDriver();
     assert(claimed &&
            "table is already driven by another transaction manager");
@@ -367,11 +355,6 @@ MultiTxnManager::MultiTxnManager(std::vector<Table*> tables, Wal* wal,
 }
 
 MultiTxnManager::~MultiTxnManager() {
-  {
-    // Background merge tasks capture `this`; wait them out.
-    std::unique_lock<std::mutex> lock(mu_);
-    merge_cv_.wait(lock, [this] { return merges_inflight_ == 0; });
-  }
   for (Table* t : claimed_) t->ReleaseTxnDriver();
 }
 
@@ -526,8 +509,9 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
     if (!entry.pdts.empty()) tz_.push_back(std::move(entry));
   }
   rec->trans.clear();
-  // Write->Read propagation: the same fold, inline at quiet points and
-  // in one worker-pool task while transactions are running.
+  // Write->Read propagation: fold any over-cap Write-PDT inline. A
+  // failure is this commit's result; the Write-PDT stays unfolded and
+  // the next commit retries.
   rec->result = MaybePropagateLocked();
   rec->state = MultiDeltaRecord::kCommitted;
 }
@@ -553,77 +537,25 @@ void MultiTxnManager::AbortPublished(MultiTransaction* txn) {
 
 Status MultiTxnManager::FoldIntoReadLocked(TableState* st) {
   PDT_ASSIGN_OR_RETURN(std::unique_ptr<Pdt> merged,
-                       FoldLayers(*st->table->SharedPdt(),
-                                  st->merge_pending.get(), st->write.get()));
+                       FoldLayers(*st->table->SharedPdt(), *st->write));
+  // Snapshots (and driverless scans) taken before this instant keep the
+  // pre-fold Read-PDT alive through their shared_ptrs; new ones see
+  // [merged, empty write] — the same image.
   st->table->ReplacePdt(std::move(merged));
-  st->merge_pending.reset();
-  st->merge_error = Status::OK();
   st->write->Clear();
   st->write_snapshot.reset();
   st->write_snapshot_time = 0;
+  ++st->folds;
   return Status::OK();
 }
 
 Status MultiTxnManager::MaybePropagateLocked() {
   for (auto& [name, st] : state_) {
-    if (st.merge_inflight) continue;
-    const bool oversized =
-        st.write->EntryCount() > opts_.write_pdt_max_entries;
-    if (!oversized && st.merge_pending == nullptr) continue;
-    if (active_ == 0) {
-      // Quiet point: fold synchronously — the deterministic serial
-      // behavior, still install-based.
+    if (st.write->EntryCount() > opts_.write_pdt_max_entries) {
       PDT_RETURN_NOT_OK(FoldIntoReadLocked(&st));
-    } else if (oversized && st.merge_pending == nullptr) {
-      // Transactions are running: fold on the worker pool instead of
-      // blocking this commit (and every reader) on an O(Read-PDT) fold.
-      StartBackgroundMergeLocked(&st);
     }
   }
   return Status::OK();
-}
-
-void MultiTxnManager::StartBackgroundMergeLocked(TableState* st) {
-  // The claimed Write-PDT becomes an immutable shared layer: commits
-  // fold into a fresh Write-PDT (whose SID domain is Read ▷ pending),
-  // and new snapshots stack [read, pending, write] until the merged
-  // Read-PDT absorbs it.
-  st->merge_pending = std::shared_ptr<const Pdt>(st->write.release());
-  st->write = std::make_unique<Pdt>(st->table->shared_schema());
-  st->write_snapshot.reset();
-  st->write_snapshot_time = 0;
-  st->merge_inflight = true;
-  ++merges_inflight_;
-  ThreadPool::Global().Submit(
-      [this, st, read = st->table->SharedPdt(), pending = st->merge_pending] {
-        BackgroundMerge(st, *read, *pending);
-      });
-}
-
-void MultiTxnManager::BackgroundMerge(TableState* st, const Pdt& read,
-                                      const Pdt& pending) {
-  // Outside mu_: both layers are immutable and pinned by the task. The
-  // table's PDT cannot change while this merge is in flight: every
-  // install path of this manager excludes tables with merge_inflight
-  // set, and no other manager can touch the table (exclusive driver
-  // claim).
-  StatusOr<std::unique_ptr<Pdt>> merged = FoldLayers(read, &pending, nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!merged.ok()) {
-    // Abandon the fold; the pending layer stays parked in the snapshot
-    // stack and the next quiet point folds it inline.
-    st->merge_error = merged.status();
-  } else {
-    // Install the merged Read-PDT. Snapshots (and driverless scans)
-    // taken before this instant keep the pre-merge layers alive through
-    // their shared_ptrs; new ones see [merged, write] — the same image.
-    st->table->ReplacePdt(std::move(*merged));
-    st->merge_pending.reset();
-    ++st->background_merges;
-  }
-  st->merge_inflight = false;
-  --merges_inflight_;
-  merge_cv_.notify_all();
 }
 
 MultiTxnStats MultiTxnManager::GetStats() const {
@@ -643,21 +575,14 @@ MultiTxnStats MultiTxnManager::GetStats() const {
     t.table = name;
     t.read_pdt_entries = st.table->pdt()->EntryCount();
     t.write_pdt_entries = st.write->EntryCount();
-    t.merge_pending_entries =
-        st.merge_pending != nullptr ? st.merge_pending->EntryCount() : 0;
-    t.merge_inflight = st.merge_inflight;
-    t.background_merges = st.background_merges;
+    t.background_merges = st.folds;
     s.tables.push_back(std::move(t));
-    if (!st.merge_error.ok()) s.last_merge_error = st.merge_error;
   }
   return s;
 }
 
 Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Drain in-flight background merges: they own clones mid-fold, and
-  // the folds below replace the very layers they read.
-  merge_cv_.wait(lock, [this] { return merges_inflight_ == 0; });
+  std::lock_guard<std::mutex> lock(mu_);
   if (active_ > 0) {
     // Published-but-undecided commits still count as active, so a
     // non-empty commit FIFO also lands here.
@@ -665,7 +590,7 @@ Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
         "cannot propagate/checkpoint with active transactions");
   }
   for (auto& [name, st] : state_) {
-    if (st.merge_pending != nullptr || !st.write->Empty()) {
+    if (!st.write->Empty()) {
       PDT_RETURN_NOT_OK(FoldIntoReadLocked(&st));
     }
     // With a durable WAL attached, in-place checkpointing here would

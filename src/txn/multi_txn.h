@@ -31,16 +31,16 @@
 // share one group-commit fsync.
 //
 // Install-only propagation: an installed Read-PDT is never mutated.
-// Every Write→Read fold runs one routine — inline under the manager lock
-// at quiet points, in one worker-pool task under load — that builds a
-// merged clone; the manager installs it via Table::ReplacePdt, so
-// driverless scans (Table::Scan, the HTAP harness's analytic readers)
-// can pin the Read-PDT and read it while commits continue.
+// Every Write→Read fold runs inline under the manager lock, right after
+// the commit that pushed the Write-PDT over its cap: it builds a merged
+// clone and installs it via Table::ReplacePdt, so driverless scans
+// (Table::Scan, the HTAP harness's analytic readers) and running
+// snapshots keep reading the Read-PDT they pinned while commits
+// continue.
 #ifndef PDTSTORE_TXN_MULTI_TXN_H_
 #define PDTSTORE_TXN_MULTI_TXN_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
@@ -79,9 +79,12 @@ struct MultiTxnTableStats {
   std::string table;
   size_t read_pdt_entries = 0;
   size_t write_pdt_entries = 0;
-  size_t merge_pending_entries = 0;  ///< claimed layer a bg merge is folding
-  bool merge_inflight = false;
-  uint64_t background_merges = 0;  ///< completed background propagations
+  /// Always 0: every fold runs inline, so no claimed Write-PDT waits
+  /// between the Write and Read layers.
+  size_t merge_pending_entries = 0;
+  /// Write→Read folds installed for this table (every fold, inline at
+  /// the commit that crossed the cap or at PropagateAndMaybeCheckpoint).
+  uint64_t background_merges = 0;
 };
 
 /// Observability counters for the write path (see shell `.stats`).
@@ -95,10 +98,6 @@ struct MultiTxnStats {
   uint64_t commit_lock_ns = 0;  ///< total ns commit work held the lock
   uint64_t wal_syncs = 0;       ///< fsyncs through the attached writer
   uint64_t wal_records = 0;
-  /// Why a background merge was abandoned (OK if none is): its claimed
-  /// layer stays parked in merge_pending until a quiet-point fold
-  /// absorbs it, which clears the error.
-  Status last_merge_error = Status::OK();
   std::vector<MultiTxnTableStats> tables;
 };
 
@@ -184,16 +183,11 @@ class MultiTransaction {
  private:
   friend class MultiTxnManager;
 
-  // One table's snapshot. Scans see [read, pending?, write, trans] — the
-  // optional pending layer is a claimed Write-PDT an in-flight
-  // background merge is folding into the Read-PDT; until the merged
-  // Read-PDT is installed, snapshots keep seeing those updates through
-  // this extra immutable layer. Update positioning additionally sees the
-  // Query-PDT when one is active.
+  // One table's snapshot. Scans see [read, write, trans]; update
+  // positioning additionally sees the Query-PDT when one is active.
   struct TableView {
     Table* table = nullptr;
     std::shared_ptr<const Pdt> read;     // pinned Read-PDT
-    std::shared_ptr<const Pdt> pending;  // in-flight merge layer (or null)
     std::shared_ptr<const Pdt> write;    // Write-PDT snapshot
     std::unique_ptr<Pdt> trans;          // private Trans-PDT (until Publish)
     std::unique_ptr<Pdt> query;          // optional Query-PDT (footnote 5)
@@ -244,8 +238,7 @@ class MultiTxnManager {
   /// `wal` is optional; when given, commits append logical redo records.
   MultiTxnManager(std::vector<Table*> tables, Wal* wal = nullptr,
                   TxnManagerOptions opts = {});
-  /// Drains in-flight background merges (their worker-pool tasks hold a
-  /// pointer to this manager).
+  /// Releases the tables' driver slots.
   ~MultiTxnManager();
 
   /// Starts a snapshot-isolated transaction over every managed table.
@@ -276,11 +269,11 @@ class MultiTxnManager {
   /// Write->Read propagation for every table, then checkpoints each
   /// table whose Read-PDT exceeds read_pdt_max_entries. Quiet points
   /// only: returns InvalidArgument while transactions are active (a
-  /// published-but-unfolded commit still counts). Drains in-flight
-  /// background merges first. The checkpoint fast path is reserved for
-  /// managers without a durable writer — durable checkpointing is
-  /// Database::Save's manifest protocol — and logs kCheckpoint without
-  /// truncating the WAL, which other tables' redo may share.
+  /// published-but-unfolded commit still counts). The checkpoint fast
+  /// path is reserved for managers without a durable writer — durable
+  /// checkpointing is Database::Save's manifest protocol — and logs
+  /// kCheckpoint without truncating the WAL, which other tables' redo
+  /// may share.
   Status PropagateAndMaybeCheckpoint();
 
   size_t active_transactions() const;
@@ -306,12 +299,7 @@ class MultiTxnManager {
     std::unique_ptr<Pdt> write;  // master Write-PDT
     std::shared_ptr<const Pdt> write_snapshot;  // cache: copy of write
     uint64_t write_snapshot_time = 0;           // logical time of that copy
-    // Background merge state (under mu_; the pending layer itself is
-    // immutable and shared with snapshots).
-    std::shared_ptr<const Pdt> merge_pending;  // claimed Write-PDT
-    bool merge_inflight = false;
-    Status merge_error = Status::OK();  // abandoned merge (folded later)
-    uint64_t background_merges = 0;
+    uint64_t folds = 0;  // Write→Read folds installed (under mu_)
   };
 
   // An entry of TZ: a committed transaction's serialized Trans-PDTs,
@@ -346,20 +334,14 @@ class MultiTxnManager {
   void FinishActiveLocked(uint64_t start_time);
 
   // --- Write→Read propagation (install-only; see file comment) ---
-  // Per table: an inline fold at quiet points, or a background merge
-  // when transactions are running. Caller holds mu_.
+  // Folds every Write-PDT over write_pdt_max_entries inline. Caller
+  // holds mu_.
   Status MaybePropagateLocked();
-  // Folds pending + write into a clone of `st`'s Read-PDT and installs
-  // it via ReplacePdt. Caller holds mu_ and guarantees no merge is in
-  // flight for `st`.
+  // Folds `st`'s Write-PDT into a clone of its Read-PDT, installs the
+  // clone via ReplacePdt and empties the Write-PDT. On failure nothing
+  // changes: the Write-PDT stays unfolded for the next attempt. Caller
+  // holds mu_.
   Status FoldIntoReadLocked(TableState* st);
-  // Claims st->write as the immutable pending layer and submits one
-  // worker-pool task that runs BackgroundMerge. Caller holds mu_.
-  void StartBackgroundMergeLocked(TableState* st);
-  // Folds `pending` into a clone of `read` without the lock, then takes
-  // mu_ to install the result (or park `pending` on failure). Runs on a
-  // pool worker.
-  void BackgroundMerge(TableState* st, const Pdt& read, const Pdt& pending);
 
   mutable std::mutex mu_;
   TxnManagerOptions opts_;
@@ -381,10 +363,6 @@ class MultiTxnManager {
   std::atomic<uint64_t> committed_count_{0};
   std::atomic<uint64_t> aborted_count_{0};
   std::deque<CommittedTxn> tz_;  // commit-ordered
-
-  // Background merges in flight across tables (under mu_).
-  size_t merges_inflight_ = 0;
-  std::condition_variable merge_cv_;  // signals merge completion
 
   // Write-path counters (under mu_).
   uint64_t fold_batches_ = 0;

@@ -16,9 +16,7 @@ TxnManagerStats TxnManager::GetStats() const {
   s.read_pdt_entries = t.read_pdt_entries;
   s.write_pdt_entries = t.write_pdt_entries;
   s.merge_pending_entries = t.merge_pending_entries;
-  s.merge_inflight = t.merge_inflight;
   s.background_merges = t.background_merges;
-  s.last_merge_error = m.last_merge_error;
   s.wal_syncs = m.wal_syncs;
   s.wal_records = m.wal_records;
   return s;

@@ -1,8 +1,8 @@
 // Single-table transactions: TxnManager is the one-table case of the
 // commit engine in txn/multi_txn.h. Same three PDT layers (Sec. 3.3,
-// Fig. 14/15), same Algorithm 9, same commit FIFO, group commit,
-// background merge and install-only Write→Read propagation — these
-// classes only drop the table-name argument from every call.
+// Fig. 14/15), same Algorithm 9, same commit FIFO, group commit and
+// inline install-only Write→Read fold — these classes only drop the
+// table-name argument from every call.
 #ifndef PDTSTORE_TXN_TXN_MANAGER_H_
 #define PDTSTORE_TXN_TXN_MANAGER_H_
 
@@ -89,11 +89,8 @@ struct TxnManagerStats {
   uint64_t commit_lock_ns = 0;    ///< total ns commit work held the lock
   size_t read_pdt_entries = 0;
   size_t write_pdt_entries = 0;
-  size_t merge_pending_entries = 0;  ///< claimed layer a bg merge is folding
-  bool merge_inflight = false;
-  uint64_t background_merges = 0;  ///< completed background propagations
-  /// Why a background merge was abandoned (OK if none is parked).
-  Status last_merge_error = Status::OK();
+  size_t merge_pending_entries = 0;  ///< always 0 (every fold is inline)
+  uint64_t background_merges = 0;    ///< Write→Read folds installed
   uint64_t wal_syncs = 0;          ///< fsyncs through the attached writer
   uint64_t wal_records = 0;
 };

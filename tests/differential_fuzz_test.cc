@@ -177,8 +177,9 @@ void RunConcurrentWriteIteration(uint64_t seed) {
   for (int64_t i = 0; i < init_rows; ++i) init.push_back({i * 2, i});
 
   TxnManagerOptions opts;
-  // Small Write-PDT cap: background merges fire mid-workload, so
-  // readers cross the four-layer snapshot stack.
+  // Small Write-PDT cap: commits fold the Write-PDT into the Read-PDT
+  // mid-workload, so readers hold snapshots across many Read-PDT
+  // installs.
   opts.write_pdt_max_entries = 4 + rng.Uniform(28);
 
   Table table("fuzz_write", WriteFuzzSchema(), TableOptions{});

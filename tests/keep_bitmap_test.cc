@@ -11,9 +11,9 @@
 
 #include "columnstore/batch.h"
 #include "columnstore/sel_vector.h"
+#include "db/table.h"
 #include "exec/filter.h"
 #include "exec/operator.h"
-#include "exec/scan_node.h"
 #include "util/random.h"
 
 namespace pdtstore {
@@ -271,7 +271,7 @@ TEST(KeepBitmapTest, AndOrCombinatorsOnOperators) {
   EXPECT_EQ(Drain(&no_preds), vals);
 }
 
-TEST(KeepBitmapTest, TableScanNodePredicatePushdown) {
+TEST(KeepBitmapTest, FilterNodeOverMergedTableScan) {
   auto made = Schema::Make({{"k", TypeId::kInt64}, {"v", TypeId::kInt64}},
                            {0});
   auto schema = std::make_shared<const Schema>(std::move(*made));
@@ -279,16 +279,15 @@ TEST(KeepBitmapTest, TableScanNodePredicatePushdown) {
   std::vector<Tuple> rows;
   for (int64_t i = 0; i < 400; ++i) rows.push_back({i, i % 10});
   ASSERT_TRUE(table.Load(rows).ok());
-  // Updates so the pushed-down predicate runs over a real merge.
+  // Updates so the predicate runs over a real merge.
   ASSERT_TRUE(table.Insert({1000, int64_t{3}}).ok());
   ASSERT_TRUE(table.DeleteByKey({Value(int64_t{13})}).ok());
 
-  auto pushed =
-      TableScanNode(table, {0, 1}, nullptr, {}, Int64Between(1, 3, 3));
-  auto got = CollectRows(pushed.get());
+  FilterNode filtered(table.Scan({0, 1}), Int64Between(1, 3, 3));
+  auto got = CollectRows(&filtered);
   ASSERT_TRUE(got.ok());
 
-  auto plain = TableScanNode(table, {0, 1});
+  auto plain = table.Scan({0, 1});
   auto all = CollectRows(plain.get());
   ASSERT_TRUE(all.ok());
   std::vector<Tuple> want;

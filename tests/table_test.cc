@@ -207,7 +207,7 @@ TEST(PdtReplacementTest, OpenScanKeepsItsPinnedSnapshot) {
   ASSERT_TRUE(table.Load(InventoryRows()).ok());
   ASSERT_TRUE(table.Insert({"Berlin", "table", "Y", 10}).ok());
   // Open a scan, then swap in a fresh empty Read-PDT underneath it —
-  // what the background Write->Read merge does via ReplacePdt. The
+  // what a Write->Read fold does via ReplacePdt. The
   // open scan pinned the pre-replacement layer and must keep seeing it.
   auto src = table.Scan(AllColumns(table.schema()));
   table.ReplacePdt(std::make_shared<Pdt>(schema));

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "test_util.h"
@@ -413,7 +412,7 @@ TEST_F(TxnTest, QueryPdtUpdatesCompose) {
 
 // ---------------------------------------------------------------------
 // Concurrent write path: the commit FIFO, decisions in publication
-// order, background Write->Read propagation.
+// order, inline Write->Read folds under running snapshots.
 // ---------------------------------------------------------------------
 
 TEST_F(TxnTest, PublishedBatchFoldsUnderOneLeader) {
@@ -441,7 +440,6 @@ TEST_F(TxnTest, PublishedBatchFoldsUnderOneLeader) {
   EXPECT_EQ(s.pending_deltas, 0u);
   EXPECT_EQ(s.fold_batches, 1u);
   EXPECT_EQ(s.folded_records, 2u);
-  EXPECT_TRUE(s.last_merge_error.ok()) << s.last_merge_error.ToString();
   // b's verdict was decided by a's drain; AwaitCommit just reads it.
   ASSERT_TRUE(b->AwaitCommit().ok());
   EXPECT_EQ(mgr_->committed_count(), 2u);
@@ -547,10 +545,11 @@ TEST_F(TxnTest, AwaitOnLaterRecordDecidesEarlierFirst) {
   EXPECT_EQ(mgr_->committed_count(), 3u);
 }
 
-TEST_F(TxnTest, BackgroundMergeKeepsReaderSnapshotStable) {
+TEST_F(TxnTest, FoldUnderPinnedReaderIsInline) {
   // A long-running reader pins its snapshot while commits overflow the
-  // Write-PDT; the merge must run in the background (the reader keeps
-  // the Read-PDT pinned) and the reader's view must not change.
+  // Write-PDT. Each over-cap commit folds inline before it returns —
+  // the running reader does not defer it — and installs a new Read-PDT
+  // without changing the reader's view.
   mgr_.reset();  // a table has exactly one driver at a time
   TxnManagerOptions opts;
   opts.write_pdt_max_entries = 2;  // overflow quickly
@@ -561,28 +560,23 @@ TEST_F(TxnTest, BackgroundMergeKeepsReaderSnapshotStable) {
     auto txn = mgr->Begin();
     ASSERT_TRUE(txn->Insert({"M" + std::to_string(i), "p", "Y", i}).ok());
     ASSERT_TRUE(txn->Commit().ok());
-    // The reader's snapshot stays at 5 rows throughout.
-    EXPECT_EQ(TxnScan(*reader, *schema_).size(), 5u);
-  }
-  // At least one background merge must have been scheduled (the reader
-  // kept every commit away from the inline quiet-point path).
-  for (int spins = 0; spins < 1000; ++spins) {
     TxnManagerStats s = mgr->GetStats();
-    if (!s.merge_inflight && s.background_merges > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_LE(s.write_pdt_entries, 2u) << "commit " << i;
+    EXPECT_EQ(s.merge_pending_entries, 0u) << "commit " << i;
+    // The reader's snapshot stays at 5 rows throughout.
+    EXPECT_EQ(TxnScan(*reader, *schema_).size(), 5u) << "commit " << i;
   }
-  TxnManagerStats stats = mgr->GetStats();
-  EXPECT_GT(stats.background_merges, 0u);
-  EXPECT_EQ(TxnScan(*reader, *schema_).size(), 5u);
+  // One single-entry commit per insert: every third commit crosses the
+  // cap of 2 and folds.
+  EXPECT_EQ(mgr->GetStats().background_merges, 4u);
   ASSERT_TRUE(reader->Commit().ok());
-  // New snapshots see everything, through whatever layer stack the
-  // merge left behind.
   auto check = mgr->Begin();
   EXPECT_EQ(TxnScan(*check, *schema_).size(), 17u);
   ASSERT_TRUE(check->Commit().ok());
-  // Quiesce and verify the layers collapsed into the Read-PDT.
+  // Quiesce: the last commits' Write-PDT entries collapse into the
+  // Read-PDT and the image stays the same.
   ASSERT_TRUE(mgr->PropagateAndMaybeCheckpoint().ok());
-  EXPECT_EQ(mgr->GetStats().merge_pending_entries, 0u);
+  EXPECT_EQ(mgr->GetStats().write_pdt_entries, 0u);
   auto after = mgr->Begin();
   EXPECT_EQ(TxnScan(*after, *schema_).size(), 17u);
 }
