@@ -121,6 +121,27 @@ if not syncs < 1:
 print("value gate OK (commit_w8 syncs_per_txn %.3f)" % syncs)
 PY
 
+echo "== value gate: fig19 thread counts agree =="
+# bench_fig19_tpch prints MISMATCH and records t{N}_agree = 0 when a
+# thread count's TPC-H results (tpch_pipeline) or sort / join-build
+# results (sort_join_build) differ from the serial run; the smoke must
+# report agreement at every thread count it swept.
+python3 - "$BUILD_DIR/BENCH_fig19_smoke.json" <<'PY'
+import json, re, sys
+cells = {b["name"]: b["metrics"] for b in json.load(open(sys.argv[1]))["benches"]}
+gated, failed = 0, []
+for name in ("tpch_pipeline", "sort_join_build"):
+    flags = {k: v for k, v in cells.get(name, {}).items()
+             if re.fullmatch(r"t[0-9]+_agree", k)}
+    if not flags:
+        sys.exit("value gate FAILED: no t{N}_agree flags in %s" % name)
+    gated += len(flags)
+    failed += ["%s %s=%s" % (name, k, v) for k, v in flags.items() if v != 1]
+if failed:
+    sys.exit("value gate FAILED: thread counts disagree: " + "; ".join(failed))
+print("value gate OK (%d t{N}_agree flags all 1)" % gated)
+PY
+
 echo "== pdtbench smoke =="
 # The end-to-end benchmark (BENCHMARK.json): every workload at SF 0.01
 # for 2 s, untraced and traced. Fails on any correctness check and on a
@@ -235,14 +256,17 @@ if [[ "${PDTSTORE_SKIP_TSAN:-0}" != "1" ]]; then
   # fsync leader election in Wal::SyncTo racing the commit lock.
   # memory_budget_test: parallel sort and join-build workers charge one
   # shared lease at once, and a failed build's lease is released while
-  # pool workers may still hold the op chain.
+  # pool workers may still hold the op chain. tpch_test runs all 22
+  # TPC-H plans at four threads: every fragment shape (filter, project,
+  # probe, partial agg, partitioned build, sort runs) across workers.
   cmake --build "$TSAN_DIR" -j "$(nproc)" \
       --target parallel_scan_test pipeline_test parallel_sort_join_test \
       htap_test txn_test multi_txn_test durability_test \
-      memory_budget_test differential_fuzz_test workload_stress_test
+      memory_budget_test tpch_test differential_fuzz_test \
+      workload_stress_test
   (cd "$TSAN_DIR" && \
       ctest --output-on-failure \
-          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test|txn_test|multi_txn_test|durability_test|memory_budget_test")
+          -R "parallel_scan_test|pipeline_test|parallel_sort_join_test|htap_test|txn_test|multi_txn_test|durability_test|memory_budget_test|tpch_test")
   (cd "$TSAN_DIR" && \
       PDT_FUZZ_SEED="$FUZZ_SEED" PDT_FUZZ_ITERS="$FUZZ_ITERS" \
           ./differential_fuzz_test)

@@ -24,15 +24,21 @@ void Database::Degrade(const Status& why) {
   for (auto& [name, table] : tables_) table->SetReadOnly();
 }
 
-Status Database::ReplayInto(Table* table) {
+Status Database::ReplayWal() {
+  // Txn() refuses VDT tables, so the log holds no records for them (and
+  // a transaction manager cannot drive one).
+  std::vector<Table*> pdt_tables;
+  for (auto& [name, table] : tables_) {
+    if (table->pdt() != nullptr) pdt_tables.push_back(table.get());
+  }
   // A throwaway manager with NO wal attached: replaying through a
   // manager wired to the WAL being replayed would append each replayed
-  // commit back onto it.
-  TxnManagerOptions opts = options_.txn_defaults;
-  opts.txn_id_counter = nullptr;
-  TxnManager recovery_mgr(table, /*wal=*/nullptr, opts);
+  // commit back onto it. A multi-table transaction replays as one
+  // atomic commit.
+  MultiTxnManager recovery_mgr(std::move(pdt_tables), /*wal=*/nullptr);
   PDT_RETURN_NOT_OK(recovery_mgr.Recover(*wal_));
-  // Fold the recovered Write-PDT into the table before the manager dies.
+  // Fold the recovered Write-PDTs into the tables before the manager
+  // dies.
   return recovery_mgr.PropagateAndMaybeCheckpoint();
 }
 
@@ -65,7 +71,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& dir,
         db->Degrade(schema.status());
         return db;
       }
-      TableOptions topts = options.table_defaults;
+      TableOptions topts;
       topts.backend = t.backend;
       topts.store.chunk_rows = static_cast<size_t>(t.chunk_rows);
       topts.store.compression = t.compression;
@@ -114,17 +120,12 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const std::string& dir,
     db->Degrade(stats.status());
     return db;
   }
-  // Replay the committed transactions into each table. Txn() refuses
-  // VDT tables, so the log holds no records for them (and a transaction
-  // manager cannot drive one).
+  // Replay the committed transactions.
   if (db->wal_->RecordCount() > 0) {
-    for (auto& [name, table] : db->tables_) {
-      if (table->pdt() == nullptr) continue;
-      Status st = db->ReplayInto(table.get());
-      if (!st.ok()) {
-        db->Degrade(st);
-        return db;
-      }
+    Status st = db->ReplayWal();
+    if (!st.ok()) {
+      db->Degrade(st);
+      return db;
     }
   }
   // Attach the durable sink; new commits append after the replayed
@@ -220,7 +221,7 @@ Status Database::Save() {
 
 StatusOr<Table*> Database::CreateTable(const std::string& name,
                                        std::shared_ptr<const Schema> schema) {
-  return CreateTable(name, std::move(schema), options_.table_defaults);
+  return CreateTable(name, std::move(schema), TableOptions{});
 }
 
 StatusOr<Table*> Database::CreateTable(const std::string& name,
@@ -287,7 +288,7 @@ StatusOr<TxnManager*> Database::Txn(const std::string& name) {
     return Status::InvalidArgument(
         "transactions require the PDT backend: " + name);
   }
-  TxnManagerOptions opts = options_.txn_defaults;
+  TxnManagerOptions opts;
   opts.txn_id_counter = &txn_ids_;  // shared id space across tables
   if (wal_ == nullptr) wal_ = std::make_unique<Wal>();
   auto mgr = std::make_unique<TxnManager>(table, wal_.get(), opts);

@@ -38,11 +38,6 @@ namespace pdtstore {
 struct DatabaseOptions {
   /// Decoded-chunk cache capacity; 0 = unbounded.
   size_t buffer_pool_bytes = 0;
-  /// Defaults applied to tables created without explicit options.
-  TableOptions table_defaults;
-  /// Defaults for the per-table transaction managers handed out by
-  /// Txn(). Commits to a persistent database always use group commit.
-  TxnManagerOptions txn_defaults;
   /// File system for persistence; null = the real POSIX one. Tests pass
   /// a FaultInjectingFs here.
   FileSystem* fs = nullptr;
@@ -113,8 +108,9 @@ class Database {
  private:
   // Marks the database read-only with `why` (first cause wins).
   void Degrade(const Status& why);
-  // Replays the recovered WAL into `table` through a throwaway manager.
-  Status ReplayInto(Table* table);
+  // Replays the recovered WAL into every PDT table, in one pass through
+  // one throwaway manager.
+  Status ReplayWal();
   std::string PathOf(const std::string& file) const { return dir_ + "/" + file; }
   static std::string WalFileName(uint64_t epoch);
 

@@ -53,6 +53,13 @@ class FilterOp : public PipelineOp {
     return true;
   }
 
+  std::unique_ptr<BatchSource> IntoSerial(
+      std::unique_ptr<BatchSource> input) && override {
+    // The fused conjunction stays one node: one compaction per batch.
+    return std::make_unique<FilterNode>(std::move(input),
+                                        std::move(predicates_));
+  }
+
  private:
   std::vector<VecPredicate> predicates_;
 };
@@ -76,6 +83,11 @@ class ProjectOp : public PipelineOp {
     // The consumed input batch becomes next round's output scratch.
     std::swap(*batch, s->out);
     return Status::OK();
+  }
+
+  std::unique_ptr<BatchSource> IntoSerial(
+      std::unique_ptr<BatchSource> input) && override {
+    return std::make_unique<ProjectNode>(std::move(input), std::move(exprs_));
   }
 
  private:
@@ -113,6 +125,12 @@ class JoinProbeOp : public PipelineOp {
                    &s->scratch);
     std::swap(*batch, s->out);
     return Status::OK();
+  }
+
+  std::unique_ptr<BatchSource> IntoSerial(
+      std::unique_ptr<BatchSource> input) && override {
+    return std::make_unique<HashJoinNode>(std::move(input), std::move(build_),
+                                          std::move(probe_keys_), kind_);
   }
 
  private:
@@ -207,8 +225,8 @@ void RunPipelineWorker(const std::shared_ptr<RunShared>& rs) {
 Status RunPipeline(MorselPlan* plan,
                    const std::vector<std::unique_ptr<PipelineOp>>& ops,
                    PipelineSink* sink) {
-  // Serial plans never get here: they keep the serial operator tree
-  // (HashAggNode, SortNode, the one-partition join build).
+  // Serial plans never get here: they lower to the serial operator tree
+  // (Pipeline::SerialTree).
   assert(plan->serial == nullptr);
   for (const auto& op : ops) {
     PDT_RETURN_NOT_OK(op->Prepare());
@@ -250,35 +268,6 @@ std::unique_ptr<PipelineOp> MakeJoinProbeOp(
     JoinKind kind) {
   return std::make_unique<JoinProbeOp>(std::move(build),
                                        std::move(probe_keys), kind);
-}
-
-// ---------------------------------------------------------------------
-// OpChainSource.
-// ---------------------------------------------------------------------
-
-OpChainSource::OpChainSource(std::unique_ptr<BatchSource> input,
-                             std::vector<std::unique_ptr<PipelineOp>> ops)
-    : input_(std::move(input)), ops_(std::move(ops)) {}
-
-OpChainSource::~OpChainSource() = default;
-
-StatusOr<bool> OpChainSource::Next(Batch* out, size_t max_rows) {
-  if (!prepared_) {
-    for (const auto& op : ops_) {
-      PDT_RETURN_NOT_OK(op->Prepare());
-    }
-    states_.reserve(ops_.size());
-    for (const auto& op : ops_) states_.push_back(op->MakeState());
-    prepared_ = true;
-  }
-  while (true) {
-    PDT_ASSIGN_OR_RETURN(bool more, input_->Next(out, max_rows));
-    if (!more) return false;
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      PDT_RETURN_NOT_OK(ops_[i]->Execute(out, states_[i].get()));
-    }
-    if (out->num_rows() > 0) return true;
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -666,11 +655,15 @@ Pipeline& Pipeline::Add(std::unique_ptr<PipelineOp> op) {
   return *this;
 }
 
+std::unique_ptr<BatchSource> Pipeline::SerialTree() && {
+  std::unique_ptr<BatchSource> tree = std::move(plan_.serial);
+  for (auto& op : ops_) tree = std::move(*op).IntoSerial(std::move(tree));
+  ops_.clear();
+  return tree;
+}
+
 std::unique_ptr<BatchSource> Pipeline::Exchange() && {
-  if (plan_.serial != nullptr) {
-    return std::make_unique<OpChainSource>(std::move(plan_.serial),
-                                           std::move(ops_));
-  }
+  if (plan_.serial != nullptr) return std::move(*this).SerialTree();
   return std::make_unique<ParallelScanSource>(
       std::move(plan_.morsels), std::move(plan_.factory), plan_.options,
       plan_.renumber_rids, std::move(ops_));
@@ -679,10 +672,9 @@ std::unique_ptr<BatchSource> Pipeline::Exchange() && {
 std::unique_ptr<BatchSource> Pipeline::Aggregate(
     std::vector<size_t> group_by, std::vector<AggSpec> aggs) && {
   if (plan_.serial != nullptr) {
-    return std::make_unique<HashAggNode>(
-        std::make_unique<OpChainSource>(std::move(plan_.serial),
-                                        std::move(ops_)),
-        std::move(group_by), std::move(aggs));
+    return std::make_unique<HashAggNode>(std::move(*this).SerialTree(),
+                                         std::move(group_by),
+                                         std::move(aggs));
   }
   return std::make_unique<ParallelAggSource>(std::move(plan_),
                                              std::move(ops_),
@@ -693,11 +685,8 @@ std::unique_ptr<BatchSource> Pipeline::Aggregate(
 std::unique_ptr<BatchSource> Pipeline::IntoSortBuild(
     std::vector<SortKey> keys, size_t limit) && {
   if (plan_.serial != nullptr) {
-    // One thread: the unchanged serial materializing sort.
-    return std::make_unique<SortNode>(
-        std::make_unique<OpChainSource>(std::move(plan_.serial),
-                                        std::move(ops_)),
-        std::move(keys), limit);
+    return std::make_unique<SortNode>(std::move(*this).SerialTree(),
+                                      std::move(keys), limit);
   }
   return std::make_unique<ParallelSortSource>(
       std::move(plan_), std::move(ops_), std::move(keys), limit);
@@ -707,11 +696,9 @@ std::shared_ptr<JoinBuildHandle> Pipeline::IntoJoinBuild(
     std::unique_ptr<Pipeline> pipeline, std::vector<size_t> build_keys,
     size_t num_partitions) {
   if (pipeline->plan_.serial != nullptr) {
-    // One thread: the serial join's build, a single partition.
+    // The serial join's build: a single partition.
     return std::make_shared<JoinBuildHandle>(
-        std::make_unique<OpChainSource>(std::move(pipeline->plan_.serial),
-                                        std::move(pipeline->ops_)),
-        std::move(build_keys));
+        std::move(*pipeline).SerialTree(), std::move(build_keys));
   }
   std::shared_ptr<Pipeline> pipe = std::move(pipeline);
   // Budget captured here, on the query thread (the producer may run

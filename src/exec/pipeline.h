@@ -25,8 +25,10 @@
 // PipelineOpState (scratch buffers, partial tables). All workers come
 // from the process-wide ThreadPool::Global(); the driving thread always
 // participates, so pipelines finish even when the pool is saturated by
-// concurrent queries. With num_threads == 1 no pipeline is built at all
-// — callers keep the unchanged serial operator tree.
+// concurrent queries. A serial plan (one thread, or a source that cannot
+// be split) lowers each op to its serial node — FilterNode, ProjectNode,
+// HashJoinNode — under the breaker's serial node, so a one-thread
+// Pipeline is exactly the serial operator tree.
 #ifndef PDTSTORE_EXEC_PIPELINE_H_
 #define PDTSTORE_EXEC_PIPELINE_H_
 
@@ -78,6 +80,11 @@ class PipelineOp {
     (void)predicate;
     return false;
   }
+
+  /// Lowers the op to its serial operator node pulling from `input`:
+  /// the serial form of a one-thread Pipeline.
+  virtual std::unique_ptr<BatchSource> IntoSerial(
+      std::unique_ptr<BatchSource> input) && = 0;
 };
 
 /// Vectorized selection as a pipeline fragment (FilterNode's kernel).
@@ -118,29 +125,11 @@ class PipelineSink {
 /// Drives `plan` through `ops` into `sink` with up to
 /// plan.options.num_threads workers (global pool + the calling thread,
 /// which always participates). Parallel plans only: a serial plan
-/// (plan.serial set) keeps the serial operator tree instead. Calls every
-/// op's Prepare() first. Returns the first error.
+/// (plan.serial set) lowers to the serial operator tree instead. Calls
+/// every op's Prepare() first. Returns the first error.
 Status RunPipeline(MorselPlan* plan,
                    const std::vector<std::unique_ptr<PipelineOp>>& ops,
                    PipelineSink* sink);
-
-/// Applies an op chain on top of a serial source (the fallback used when
-/// a plan cannot be parallelized); also handy for 1-thread equivalence
-/// tests of the fragment kernels.
-class OpChainSource : public BatchSource {
- public:
-  OpChainSource(std::unique_ptr<BatchSource> input,
-                std::vector<std::unique_ptr<PipelineOp>> ops);
-  ~OpChainSource() override;
-
-  StatusOr<bool> Next(Batch* out, size_t max_rows) override;
-
- private:
-  std::unique_ptr<BatchSource> input_;
-  std::vector<std::unique_ptr<PipelineOp>> ops_;
-  std::vector<std::unique_ptr<PipelineOpState>> states_;
-  bool prepared_ = false;
-};
 
 /// A pipeline under construction: a planned morsel scan plus the
 /// fragment ops appended so far. Ends in exactly one breaker call.
@@ -162,7 +151,6 @@ class Pipeline {
   Pipeline& Probe(std::shared_ptr<JoinBuildHandle> build,
                   std::vector<size_t> probe_keys,
                   JoinKind kind = JoinKind::kInner);
-  Pipeline& Add(std::unique_ptr<PipelineOp> op);
 
   /// Breaker: stream the fragment's output to the pulling consumer
   /// through the exchange (plan.options.ordered picks delivery order).
@@ -185,8 +173,8 @@ class Pipeline {
   /// is grouped by build partition, so any key-tie group may come out
   /// permuted (and a LIMIT cutting through such a tie group may pick
   /// different tied rows than the serial tree) — only the multiset is
-  /// guaranteed there. Runs lazily on the first Next() pull. The
-  /// serial plan shape is the unchanged SortNode.
+  /// guaranteed there. Runs lazily on the first Next() pull. A serial
+  /// plan gets the SortNode over the serial tree.
   std::unique_ptr<BatchSource> IntoSortBuild(std::vector<SortKey> keys,
                                              size_t limit = 0) &&;
 
@@ -195,12 +183,17 @@ class Pipeline {
   /// (0 = auto: scales with the pipeline's worker count) while
   /// collecting; the partitions are finalized (concatenated + hashed)
   /// in parallel and published on first use of the returned handle.
-  /// A one-thread plan gets the serial single-partition build instead.
+  /// A serial plan gets the single-partition build over the serial tree.
   static std::shared_ptr<JoinBuildHandle> IntoJoinBuild(
       std::unique_ptr<Pipeline> pipeline, std::vector<size_t> build_keys,
       size_t num_partitions = 0);
 
  private:
+  Pipeline& Add(std::unique_ptr<PipelineOp> op);
+  /// A serial plan's operator tree: plan_.serial wrapped in each op's
+  /// serial node, in pipeline order.
+  std::unique_ptr<BatchSource> SerialTree() &&;
+
   MorselPlan plan_;
   std::vector<std::unique_ptr<PipelineOp>> ops_;
 };

@@ -12,13 +12,6 @@ StatusOr<Chunk> BuildChunkWithEncoding(const ColumnVector& values,
   chunk.type = values.type();
   chunk.encoding = encoding;
   PDT_RETURN_NOT_OK(EncodeColumn(values, chunk.encoding, &chunk.data));
-  size_t min_i = 0, max_i = 0;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values.CompareAt(i, values, min_i) < 0) min_i = i;
-    if (values.CompareAt(i, values, max_i) > 0) max_i = i;
-  }
-  chunk.min_value = values.GetValue(min_i);
-  chunk.max_value = values.GetValue(max_i);
   return chunk;
 }
 

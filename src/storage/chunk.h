@@ -8,7 +8,6 @@
 #include <string>
 
 #include "columnstore/column_vector.h"
-#include "columnstore/value.h"
 #include "storage/encoding.h"
 #include "util/status.h"
 
@@ -20,8 +19,6 @@ struct Chunk {
   size_t row_count = 0;     ///< number of values
   Encoding encoding = Encoding::kPlain;
   std::string data;         ///< encoded payload ("on disk")
-  Value min_value;          ///< column min within the chunk (zone map)
-  Value max_value;          ///< column max within the chunk (zone map)
   TypeId type = TypeId::kInt64;
 
   /// Size of the on-disk representation in bytes.
@@ -29,8 +26,7 @@ struct Chunk {
 };
 
 /// Encodes `values` into a chunk starting at `start_sid`, choosing an
-/// encoding per ChooseEncoding (always plain when `compression` is false)
-/// and computing the zone-map min/max.
+/// encoding per ChooseEncoding (always plain when `compression` is false).
 StatusOr<Chunk> BuildChunk(const ColumnVector& values, Sid start_sid,
                            bool compression);
 

@@ -71,7 +71,8 @@ class ColumnStore {
   StatusOr<std::shared_ptr<const ColumnVector>> FetchChunk(ColumnId col,
                                                            size_t ci) const;
 
-  /// Chunk metadata (zone map etc.) of column `col`, chunk `ci`.
+  /// Chunk metadata (SID range, encoding, payload) of column `col`, chunk
+  /// `ci`.
   const Chunk& chunk_meta(ColumnId col, size_t ci) const {
     return columns_[col][ci];
   }

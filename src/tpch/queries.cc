@@ -17,106 +17,53 @@ namespace {
 
 using Src = std::unique_ptr<BatchSource>;
 
-// A plan fragment: a serial operator chain (src) at one thread, or an
-// open parallel pipeline whose fragment ops run inside the morsel
-// workers (exec/pipeline.h). The query kernels below are written once
-// against this wrapper; QueryOptions::num_threads picks the shape.
-struct Plan {
-  Src src;
-  std::unique_ptr<Pipeline> pipe;
-};
+// A plan fragment is a Pipeline (exec/pipeline.h): its fragment ops run
+// inside the morsel workers, or — on a serial plan — lower to the serial
+// operator tree. QueryOptions::num_threads reaches the scan's MorselPlan,
+// which alone picks the shape.
+using Plan = Pipeline;
 
+// A breaker's output as the serial source of a new fragment.
 Plan P(Src src) {
-  Plan p;
-  p.src = std::move(src);
-  return p;
-}
-
-ScanOptions PipeScanOptions(const QueryOptions& o) {
-  ScanOptions so;
-  so.num_threads = o.num_threads;
-  so.ordered = false;  // pipeline fragments are order-insensitive
-  return so;
+  MorselPlan plan;
+  plan.serial = std::move(src);
+  return Plan(std::move(plan));
 }
 
 Plan Scan(const QueryOptions& o, Table* table, std::vector<ColumnId> proj,
           const KeyBounds* bounds = nullptr) {
-  const ScanOptions so = PipeScanOptions(o);
-  if (o.num_threads > 1) {
-    Plan p;
-    p.pipe = std::make_unique<Pipeline>(
-        table->PlanMorsels(std::move(proj), bounds, so));
-    return p;
-  }
-  return P(table->Scan(std::move(proj), bounds, so));
+  ScanOptions so;
+  so.num_threads = o.num_threads;
+  so.ordered = false;  // pipeline fragments are order-insensitive
+  return Plan(table->PlanMorsels(std::move(proj), bounds, so));
 }
 
 Plan Filter(Plan in, VecPredicate p) {
-  if (in.pipe) {
-    in.pipe->Filter(std::move(p));
-  } else {
-    in.src = std::make_unique<FilterNode>(std::move(in.src), std::move(p));
-  }
-  return in;
+  return std::move(in.Filter(std::move(p)));
 }
 
 Plan Project(Plan in, std::vector<ColumnExpr> exprs) {
-  if (in.pipe) {
-    in.pipe->Project(std::move(exprs));
-  } else {
-    in.src =
-        std::make_unique<ProjectNode>(std::move(in.src), std::move(exprs));
-  }
-  return in;
+  return std::move(in.Project(std::move(exprs)));
 }
 
-// Pipeline breaker: per-worker partial aggregation merged at finalize
-// (parallel), or the plain HashAggNode (serial).
 Plan Agg(Plan in, std::vector<size_t> keys, std::vector<AggSpec> aggs) {
-  if (in.pipe) {
-    return P(std::move(*in.pipe).Aggregate(std::move(keys),
-                                           std::move(aggs)));
-  }
-  return P(std::make_unique<HashAggNode>(std::move(in.src), std::move(keys),
-                                         std::move(aggs)));
+  return P(std::move(in).Aggregate(std::move(keys), std::move(aggs)));
 }
 
-// The build side becomes a deferred JoinBuildHandle (collected by its
-// own pipeline when parallel), resolved — the publish barrier — right
-// before the probe side starts; the probe runs as a fragment op inside
-// the probe pipeline's workers, or in the serial HashJoinNode.
+// The build side becomes a deferred JoinBuildHandle, resolved — the
+// publish barrier — right before the probe side starts.
 Plan Join(Plan probe, Plan build, std::vector<size_t> pk,
           std::vector<size_t> bk, JoinKind kind = JoinKind::kInner) {
-  std::shared_ptr<JoinBuildHandle> handle =
-      build.pipe != nullptr
-          ? Pipeline::IntoJoinBuild(std::move(build.pipe), std::move(bk))
-          : std::make_shared<JoinBuildHandle>(std::move(build.src),
-                                              std::move(bk));
-  if (probe.pipe) {
-    probe.pipe->Probe(std::move(handle), std::move(pk), kind);
-    return probe;
-  }
-  probe.src = std::make_unique<HashJoinNode>(
-      std::move(probe.src), std::move(handle), std::move(pk), kind);
-  return probe;
+  return std::move(probe.Probe(
+      Pipeline::IntoJoinBuild(std::make_unique<Pipeline>(std::move(build)),
+                              std::move(bk)),
+      std::move(pk), kind));
 }
 
-// Closes an open pipeline through the exchange (or passes the serial
-// chain through).
-Src Finish(Plan in) {
-  if (in.pipe) return std::move(*in.pipe).Exchange();
-  return std::move(in.src);
-}
+Src Finish(Plan in) { return std::move(in).Exchange(); }
 
-// ORDER BY [LIMIT]: an open pipeline ends in the IntoSortBuild breaker
-// (per-worker sorted runs, loser-tree merge); a serial chain keeps the
-// materializing SortNode.
 Src Sort(Plan in, std::vector<SortKey> keys, size_t limit = 0) {
-  if (in.pipe) {
-    return std::move(*in.pipe).IntoSortBuild(std::move(keys), limit);
-  }
-  return std::make_unique<SortNode>(Finish(std::move(in)), std::move(keys),
-                                    limit);
+  return std::move(in).IntoSortBuild(std::move(keys), limit);
 }
 
 // Drains a pipeline, counting rows and checksumming numeric cells.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "txn/layered.h"
 
@@ -334,19 +336,35 @@ void MultiTransaction::Abort() {
 // MultiTxnManager.
 // ---------------------------------------------------------------------
 
+namespace {
+
+// The constructor cannot return a Status, and a manager over a table it
+// cannot drive would corrupt state later (a null Read-PDT, or two
+// managers installing layers under two locks), so it stops here, in
+// every build mode. Database::Txn refuses VDT tables with a Status
+// before getting here.
+[[noreturn]] void RefuseTable(const Table& t, const char* why) {
+  std::fprintf(stderr, "MultiTxnManager: table '%s' %s\n", t.name().c_str(),
+               why);
+  std::abort();
+}
+
+}  // namespace
+
 MultiTxnManager::MultiTxnManager(std::vector<Table*> tables, Wal* wal,
                                  TxnManagerOptions opts)
     : opts_(opts), wal_(wal) {
   for (Table* t : tables) {
-    assert(t->pdt() != nullptr &&
-           "transaction management requires the PDT backend");
+    if (t->pdt() == nullptr) {
+      RefuseTable(*t, "has no PDT backend; transactions require one");
+    }
     // A table is driven by exactly one manager: this one claims the
     // driver slot, so every layer install (folds, checkpoints) happens
     // under this manager's mu_.
-    bool claimed = t->AcquireTxnDriver();
-    assert(claimed &&
-           "table is already driven by another transaction manager");
-    if (claimed) claimed_.push_back(t);
+    if (!t->AcquireTxnDriver()) {
+      RefuseTable(*t, "is already driven by another transaction manager");
+    }
+    claimed_.push_back(t);
     TableState st;
     st.table = t;
     st.write = std::make_unique<Pdt>(t->shared_schema());

@@ -234,6 +234,26 @@ TEST_F(MultiTxnTest, WritePdtMigrationAtQuietPoints) {
   EXPECT_EQ(Rows(*txn, "lines"), 15u);
 }
 
+// A manager refuses, in every build mode, a table it cannot drive.
+TEST(MultiTxnDriverTest, RefusesVdtTable) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  TableOptions vdt;
+  vdt.backend = DeltaBackend::kVdt;
+  Table orders("orders", OrdersMiniSchema(), vdt);
+  ASSERT_TRUE(orders.Load({{1, 10}}).ok());
+  EXPECT_DEATH(MultiTxnManager({&orders}, nullptr),
+               "table 'orders' has no PDT backend");
+}
+
+TEST(MultiTxnDriverTest, RefusesSecondDriver) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Table orders("orders", OrdersMiniSchema(), TableOptions{});
+  ASSERT_TRUE(orders.Load({{1, 10}}).ok());
+  MultiTxnManager first({&orders}, nullptr);
+  EXPECT_DEATH(MultiTxnManager({&orders}, nullptr),
+               "table 'orders' is already driven");
+}
+
 // TPC-H refresh streams as atomic transactions: the workload the paper
 // runs, with the atomicity the spec actually demands.
 TEST(MultiTxnTpchTest, RefreshStreamsAsTransactions) {

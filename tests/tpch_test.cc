@@ -117,8 +117,8 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
   auto streams = MakeUpdateStreams(gen, 2, 0.005);
   ASSERT_TRUE(streams.ok());
 
-  auto run_with = [&](DeltaBackend backend,
-                      bool checkpoint) -> QueryResult {
+  auto run_with = [&](DeltaBackend backend, bool checkpoint,
+                      int threads = 1) -> QueryResult {
     Database db;
     TableOptions opts;
     opts.backend = backend;
@@ -131,7 +131,9 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
       EXPECT_TRUE(tables->lineitem->Checkpoint().ok());
       EXPECT_TRUE(tables->orders->Checkpoint().ok());
     }
-    auto result = RunTpchQuery(q, *tables);
+    QueryOptions qopts;
+    qopts.num_threads = threads;
+    auto result = RunTpchQuery(q, *tables, qopts);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? *result : QueryResult{};
   };
@@ -139,6 +141,9 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
   QueryResult pdt = run_with(DeltaBackend::kPdt, false);
   QueryResult vdt = run_with(DeltaBackend::kVdt, false);
   QueryResult clean = run_with(DeltaBackend::kPdt, true);
+  // Every query shape also crosses the serial/parallel boundary: the
+  // same plan at four threads runs its fragments inside morsel workers.
+  QueryResult parallel = run_with(DeltaBackend::kPdt, false, 4);
 
   EXPECT_EQ(pdt.rows, vdt.rows) << "q" << q;
   EXPECT_NEAR(pdt.checksum, vdt.checksum,
@@ -147,6 +152,10 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
   // Checkpointing must not change any result either.
   EXPECT_EQ(pdt.rows, clean.rows) << "q" << q;
   EXPECT_NEAR(pdt.checksum, clean.checksum,
+              1e-6 * (1.0 + std::abs(pdt.checksum)))
+      << "q" << q;
+  EXPECT_EQ(pdt.rows, parallel.rows) << "q" << q;
+  EXPECT_NEAR(pdt.checksum, parallel.checksum,
               1e-6 * (1.0 + std::abs(pdt.checksum)))
       << "q" << q;
 }
