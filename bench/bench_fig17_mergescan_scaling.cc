@@ -9,11 +9,11 @@
 //
 // Laptop-scale substitution (DESIGN.md): sizes default to 1M/4M/16M.
 //
-// In addition, a morsel-driven parallel-scan sweep runs the same
-// workload at several worker-thread counts (both backends, ordered and
-// unordered delivery for the PDT) and records per-thread-count rows/sec
+// In addition, a morsel-driven parallel-scan sweep runs the PDT workload
+// at several worker-thread counts and records per-thread-count rows/sec
 // plus a `scalability` metric (4-thread / 1-thread throughput) under the
-// `parallel_merge_scan` benchmark name in the JSON output.
+// `parallel_merge_scan` benchmark name in the JSON output. The VDT scan
+// is serial at every thread count, so it has no arm there.
 //
 // Usage: bench_fig17_mergescan_scaling [--sizes=1000000,4000000,16000000]
 //                                      [--rates=0,0.5,1,1.5,2,2.5]
@@ -96,8 +96,8 @@ void RunSize(uint64_t rows, bool string_keys,
   std::printf("\n");
 }
 
-// Morsel-driven parallel MergeScan sweep: the first configured size at
-// 1 update per 100 tuples (the paper's mid rate), scanned with 1..N
+// Morsel-driven parallel PDT MergeScan sweep: the first configured size
+// at 1 update per 100 tuples (the paper's mid rate), scanned with 1..N
 // worker threads. Records per-thread-count Mrows/s and the 4-thread
 // scalability ratio under `parallel_merge_scan`.
 void RunParallelSweep(uint64_t rows, const std::vector<int>& threads,
@@ -105,57 +105,36 @@ void RunParallelSweep(uint64_t rows, const std::vector<int>& threads,
   std::printf("# parallel MergeScan sweep, %zu tuples, int key, "
               "1 update/100 tuples\n",
               static_cast<size_t>(rows));
-  std::printf("%-8s %-14s %-14s %-14s\n", "threads", "pdt_ord_mrps",
-              "pdt_unord_mrps", "vdt_ord_mrps");
+  std::printf("%-8s %-14s\n", "threads", "pdt_mrps");
   SyntheticSpec spec;
   spec.rows = rows;
   spec.payload_cols = 4;
   spec.backend = DeltaBackend::kPdt;
   auto pdt_table = BuildSynthetic(spec);
-  spec.backend = DeltaBackend::kVdt;
-  auto vdt_table = BuildSynthetic(spec);
-  auto updates = MakeUpdates(spec, rows / 100, /*seed=*/71);
-  ApplyUpdates(pdt_table.get(), updates);
-  ApplyUpdates(vdt_table.get(), updates);
+  ApplyUpdates(pdt_table.get(), MakeUpdates(spec, rows / 100, /*seed=*/71));
 
   std::vector<ColumnId> projection;
   for (int c = 0; c < spec.payload_cols; ++c) {
     projection.push_back(static_cast<ColumnId>(spec.key_cols + c));
   }
 
-  auto timed = [&](const Table& table, const ScanOptions& opts) {
-    (void)TimedScan(table, projection, opts);  // warm
-    double ms = 1e9;
-    for (int rep = 0; rep < 3; ++rep) {
-      ms = std::min(ms, TimedScan(table, projection, opts));
-    }
-    return static_cast<double>(rows) / ms / 1e3;  // Mrows/s
-  };
-
   double pdt_base = 0.0, pdt_at4 = 0.0;
   for (int t : threads) {
     ScanOptions opts;
     opts.num_threads = t;
-    opts.ordered = true;
-    double pdt_ord = timed(*pdt_table, opts);
-    double vdt_ord = timed(*vdt_table, opts);
-    opts.ordered = false;
-    double pdt_unord = timed(*pdt_table, opts);
-    std::printf("%-8d %-14.1f %-14.1f %-14.1f\n", opts.num_threads,
-                pdt_ord, pdt_unord, vdt_ord);
-    if (opts.num_threads == 1) pdt_base = pdt_ord;
-    if (opts.num_threads == 4) pdt_at4 = pdt_ord;
+    (void)TimedScan(*pdt_table, projection, opts);  // warm
+    double ms = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+      ms = std::min(ms, TimedScan(*pdt_table, projection, opts));
+    }
+    const double mrps = static_cast<double>(rows) / ms / 1e3;
+    std::printf("%-8d %-14.1f\n", t, mrps);
+    if (t == 1) pdt_base = mrps;
+    if (t == 4) pdt_at4 = mrps;
     if (json != nullptr) {
-      char key[48];
-      std::snprintf(key, sizeof(key), "pdt_ordered_t%d_mrps",
-                    opts.num_threads);
-      json->Metric("parallel_merge_scan", key, pdt_ord);
-      std::snprintf(key, sizeof(key), "pdt_unordered_t%d_mrps",
-                    opts.num_threads);
-      json->Metric("parallel_merge_scan", key, pdt_unord);
-      std::snprintf(key, sizeof(key), "vdt_ordered_t%d_mrps",
-                    opts.num_threads);
-      json->Metric("parallel_merge_scan", key, vdt_ord);
+      char key[32];
+      std::snprintf(key, sizeof(key), "pdt_t%d_mrps", t);
+      json->Metric("parallel_merge_scan", key, mrps);
     }
   }
   if (json != nullptr) {

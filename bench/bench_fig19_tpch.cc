@@ -322,7 +322,6 @@ void RunSortJoinSweep(const GenOptions& gen, double fraction,
   auto run_sort = [&](int t) {
     ScanOptions so;
     so.num_threads = t;
-    so.ordered = false;
     Pipeline pipe(line->PlanMorsels(sort_cols, nullptr, so));
     auto src = std::move(pipe).IntoSortBuild({{1, false}, {0, false}});
     return Drain(src.get());
@@ -330,7 +329,6 @@ void RunSortJoinSweep(const GenOptions& gen, double fraction,
   auto run_join = [&](int t) {
     ScanOptions so;
     so.num_threads = t;
-    so.ordered = false;
     auto bpipe =
         std::make_unique<Pipeline>(ord->PlanMorsels(build_cols, nullptr,
                                                     so));

@@ -77,7 +77,6 @@ RunResult RunFleet(const Table& table, WorkloadManager* mgr, int clients,
         ScopedQuery scope(std::move(ticket));
         ScanOptions so;
         so.num_threads = 4;
-        so.ordered = false;
         // Fixed fine morsels, not auto-tuned whole chunks, so the
         // recorded cells stay comparable across runs and revisions.
         so.morsel_rows = 4096;

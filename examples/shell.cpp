@@ -13,6 +13,7 @@
 // Commands read whitespace-separated tokens; string values are bare
 // words, integer columns parse as int64 and dbl columns as double. A
 // malformed or out-of-range number is an error, never a silent 0.
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -495,13 +496,20 @@ class Shell {
     ScopedQuery scope(ticket);
     std::vector<ColumnId> all(table->schema().num_columns());
     for (ColumnId c = 0; c < all.size(); ++c) all[c] = c;
-    // `.threads N` (N > 1) exercises the morsel-driven parallel scan;
-    // ordered delivery keeps the printed sequence identical to serial.
+    // `.threads N` (N > 1) exercises the morsel-driven parallel scan,
+    // which delivers batches as they complete. The sort key is unique,
+    // so sorting by it prints the serial sequence.
     ScanOptions opts;
     opts.num_threads = threads_;
-    opts.ordered = true;
     auto scan = table->Scan(all, nullptr, opts);
     PDT_ASSIGN_OR_RETURN(auto rows, CollectRows(scan.get()));
+    if (threads_ > 1) {
+      const Schema& schema = table->schema();
+      std::sort(rows.begin(), rows.end(),
+                [&](const Tuple& a, const Tuple& b) {
+                  return schema.CompareSortKey(a, b) < 0;
+                });
+    }
     for (const auto& row : rows) {
       std::printf("  %s\n", TupleToString(row).c_str());
     }

@@ -58,7 +58,7 @@ echo "== bench smoke (tiny sizes) =="
 "$BUILD_DIR/bench_exec_kernels" --rows=64 --reps=1 \
     --json="$BUILD_DIR/BENCH_exec_rows64.json"
 "$BUILD_DIR/bench_fig17_mergescan_scaling" --sizes=20000 --rates=0,1 \
-    --threads=1,2,4 --json="$BUILD_DIR/BENCH_fig17_smoke.json"
+    --threads=1,2,4,8 --json="$BUILD_DIR/BENCH_fig17_smoke.json"
 "$BUILD_DIR/bench_fig19_tpch" --sf=0.01 --config=uncompressed \
     --threads=1,2,4,8 --json="$BUILD_DIR/BENCH_fig19_smoke.json"
 # bench_write_path doubles as the key-loss check: after every workload it
@@ -209,6 +209,22 @@ check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
 check_keys BENCH_htap.json bench_htap "$BUILD_DIR/BENCH_htap_smoke.json"
 check_keys BENCH_workload.json bench_workload \
     "$BUILD_DIR/BENCH_workload_smoke.json"
+# The name check above cannot see stale metrics inside a cell: the
+# committed parallel_merge_scan cell must carry exactly the metric keys
+# the fig17 smoke (same thread sweep, 1,2,4,8) produces.
+python3 - BENCH_exec.json "$BUILD_DIR/BENCH_fig17_smoke.json" <<'PY' || keys_ok=0
+import json, sys
+def keys(path):
+    for b in json.load(open(path))["benches"]:
+        if b["name"] == "parallel_merge_scan":
+            return set(b["metrics"])
+    return set()
+committed, produced = keys(sys.argv[1]), keys(sys.argv[2])
+if not produced or committed != produced:
+    sys.exit("bench key check FAILED: parallel_merge_scan metric keys differ"
+             " (committed only: %s; smoke only: %s)"
+             % (sorted(committed - produced), sorted(produced - committed)))
+PY
 [[ "$keys_ok" == 1 ]] || exit 1
 echo "bench keys OK"
 

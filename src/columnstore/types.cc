@@ -14,16 +14,4 @@ const char* TypeIdToString(TypeId t) {
   return "UNKNOWN";
 }
 
-size_t TypeFixedWidth(TypeId t) {
-  switch (t) {
-    case TypeId::kInt64:
-      return 8;
-    case TypeId::kDouble:
-      return 8;
-    case TypeId::kString:
-      return 16;  // average payload estimate for accounting only
-  }
-  return 8;
-}
-
 }  // namespace pdtstore

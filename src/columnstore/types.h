@@ -19,11 +19,6 @@ enum class TypeId : uint8_t {
 /// Name of a TypeId ("INT64" etc).
 const char* TypeIdToString(TypeId t);
 
-/// Fixed width in bytes of a value of type `t` when stored plain;
-/// strings report the pointer-free average used for I/O accounting of
-/// variable-width data (actual chunk encoding tracks exact sizes).
-size_t TypeFixedWidth(TypeId t);
-
 /// Row position within the current (merged) table image. Volatile: shifts
 /// with every insert/delete before it.
 using Rid = uint64_t;

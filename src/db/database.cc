@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "util/thread_pool.h"
-
 namespace pdtstore {
 
 Database::Database(DatabaseOptions options)
@@ -173,7 +171,7 @@ Status Database::Save() {
     // Absorb the delta into the stable image, then write it out. Images
     // get fresh epoch-stamped names: an old image is never overwritten,
     // so a crash below leaves the previous checkpoint intact.
-    PDT_RETURN_NOT_OK(table->Checkpoint(ThreadPool::DefaultThreads()));
+    PDT_RETURN_NOT_OK(table->Checkpoint());
     ManifestTable t;
     t.name = name;
     t.backend = table->options().backend;

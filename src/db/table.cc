@@ -216,51 +216,14 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
                                        std::move(projection), range,
                                        scan_opts, {pdt});
   }
+  // VDT: the delta has no positions, so a morsel of stable SIDs cannot
+  // own differential entries; the value-based merge always runs serially.
   MorselPlan plan;
   plan.options = scan_opts;
-  if (!ResolveMorselPlan(range, store_->options().chunk_rows,
-                         vdt_->InsertCount() + vdt_->DeleteCount(),
-                         &plan)) {
-    plan.serial = std::make_unique<VdtMergeScan>(
-        store_.get(), vdt_.get(), std::move(projection), range,
-        bounds ? *bounds : KeyBounds{});
-    return plan;
-  }
-
-  // VDT: the delta has no positions, so morsel ownership of differential
-  // entries is by key — each morsel's fences are the stable SKs at its
-  // begin and at the next morsel's begin (see VdtMergeScan).
-  std::vector<std::vector<Value>> begin_keys(plan.morsels.size());
-  for (size_t i = 1; i < plan.morsels.size(); ++i) {
-    auto key = store_->GetSortKey(plan.morsels[i].begin);
-    if (!key.ok()) {
-      // Cannot fence: fall back to the serial scan.
-      plan.morsels.clear();
-      plan.serial = std::make_unique<VdtMergeScan>(
-          store_.get(), vdt_.get(), std::move(projection), range,
-          bounds ? *bounds : KeyBounds{});
-      return plan;
-    }
-    begin_keys[i] = std::move(*key);
-  }
-  const ColumnStore* store = store_.get();
-  const Vdt* vdt = vdt_.get();
-  KeyBounds user_bounds = bounds ? *bounds : KeyBounds{};
-  plan.factory =
-      [store, vdt, projection = std::move(projection), user_bounds,
-       begin_keys = std::move(begin_keys)](
-          size_t idx, const SidRange& morsel, bool final_morsel) {
-        std::vector<Value> fence_lo =
-            idx == 0 ? std::vector<Value>{} : begin_keys[idx];
-        std::vector<Value> fence_hi =
-            final_morsel ? std::vector<Value>{} : begin_keys[idx + 1];
-        return std::make_unique<VdtMergeScan>(
-            store, vdt, projection, morsel, user_bounds,
-            std::move(fence_lo), std::move(fence_hi));
-      };
-  // VDT batches carry morsel-local RIDs; the ordered exchange renumbers
-  // them (pipeline fragments ignore RIDs).
-  plan.renumber_rids = true;
+  plan.options.num_threads = 1;
+  plan.serial = std::make_unique<VdtMergeScan>(
+      store_.get(), vdt_.get(), std::move(projection), range,
+      bounds ? *bounds : KeyBounds{});
   return plan;
 }
 
@@ -268,18 +231,13 @@ MorselPlan Table::PlanMorsels(std::vector<ColumnId> projection,
 // Checkpoint.
 // ---------------------------------------------------------------------
 
-Status Table::Checkpoint(int num_threads) {
+Status Table::Checkpoint() {
   if (read_only_) return ReadOnlyError(name_);
-  // Materialize the merged image column-wise. With num_threads > 1 the
-  // merge runs as ordered morsels on the shared worker pool — the
-  // ordered exchange reproduces the serial scan's exact row sequence,
-  // so the rebuilt image is byte-identical to the serial one.
+  // Materialize the merged image column-wise, in SK order, through the
+  // serial merge scan.
   std::vector<ColumnId> all_cols(schema_->num_columns());
   for (ColumnId i = 0; i < all_cols.size(); ++i) all_cols[i] = i;
-  ScanOptions scan_opts;
-  scan_opts.num_threads = num_threads;
-  scan_opts.ordered = true;
-  auto scan = Scan(all_cols, nullptr, scan_opts);
+  auto scan = Scan(all_cols);
   std::vector<ColumnVector> cols;
   cols.reserve(all_cols.size());
   for (ColumnId c = 0; c < all_cols.size(); ++c) {

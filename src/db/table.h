@@ -3,7 +3,9 @@
 // schemes can be compared head-to-head), SK-addressed updates and
 // checkpointing (Sec. 2, "Checkpointing"). The PDT backend's updates run
 // the shared positional helpers of txn/layered.h (Algorithms 3-6) over
-// the one-layer stack {Read-PDT}.
+// the one-layer stack {Read-PDT}. A PDT table's scans may run
+// morsel-parallel (exec/parallel_scan.h); VDT scans and checkpoints run
+// serially.
 #ifndef PDTSTORE_DB_TABLE_H_
 #define PDTSTORE_DB_TABLE_H_
 
@@ -138,10 +140,10 @@ class Table {
   /// columns — the paper's core I/O asymmetry.
   ///
   /// `scan_opts.num_threads > 1` runs the morsel-driven parallel scan
-  /// (exec/parallel_scan.h): consecutive SID-range morsels are merged by a
-  /// worker pool; `scan_opts.ordered` picks SID-ordered or as-completed
-  /// delivery. Both modes produce exactly the serial scan's rows. The
-  /// scan must not overlap updates to this table's delta structure.
+  /// (exec/parallel_scan.h) on a PDT table: consecutive SID-range morsels
+  /// are merged by a worker pool and delivered as they complete, so the
+  /// rows are the serial scan's multiset, in no promised order. The scan
+  /// must not overlap updates to this table's delta structure.
   std::unique_ptr<BatchSource> Scan(std::vector<ColumnId> projection,
                                     const KeyBounds* bounds = nullptr,
                                     const ScanOptions& scan_opts = {}) const;
@@ -156,9 +158,9 @@ class Table {
 
   /// Plans the same scan as morsels + a per-morsel source factory, the
   /// input of the parallel pipelines (exec/pipeline.h): operator
-  /// fragments run inside whichever worker claims each morsel. Falls
-  /// back to a serial plan at one thread or when the source cannot be
-  /// split (VDT without key fences). `scan_opts.morsel_rows == 0`
+  /// fragments run inside whichever worker claims each morsel. Plans
+  /// serially at one thread and on the VDT backend, whose value-based
+  /// merge has no positions to split by. `scan_opts.morsel_rows == 0`
   /// auto-tunes the granularity from the chunk size and the delta's
   /// entry density.
   MorselPlan PlanMorsels(std::vector<ColumnId> projection,
@@ -171,11 +173,9 @@ class Table {
 
   /// Rebuilds the stable image from the merged state, resets the delta
   /// and re-derives the sparse index ("create a new image of the table
-  /// with all updates applied", Sec. 2). With `num_threads > 1` the
-  /// merged image is materialized by the ordered morsel-parallel scan on
-  /// the shared worker pool; the output is byte-identical to the serial
-  /// rebuild.
-  Status Checkpoint(int num_threads = 1);
+  /// with all updates applied", Sec. 2). The merged image comes from
+  /// the serial merge scan, in SK order.
+  Status Checkpoint();
 
   /// Heap footprint of the differential structure.
   size_t DeltaMemoryBytes() const;

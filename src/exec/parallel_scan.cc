@@ -79,10 +79,8 @@ bool ResolveMorselPlan(SidRange range, size_t chunk_rows,
 
 ParallelScanSource::ParallelScanSource(
     std::vector<SidRange> morsels, MorselSourceFactory factory,
-    ScanOptions options, bool renumber_rids,
-    std::vector<std::unique_ptr<PipelineOp>> ops)
-    : sh_(std::make_shared<Shared>()),
-      renumber_rids_(renumber_rids && ops.empty()) {
+    ScanOptions options, std::vector<std::unique_ptr<PipelineOp>> ops)
+    : sh_(std::make_shared<Shared>()) {
   sh_->morsels = std::move(morsels);
   sh_->factory = std::move(factory);
   sh_->ops = std::move(ops);
@@ -92,10 +90,7 @@ ParallelScanSource::ParallelScanSource(
   }
   sh_->num_workers = std::min<size_t>(
       static_cast<size_t>(sh_->opts.num_threads), sh_->morsels.size());
-  sh_->inflight_window =
-      std::max<size_t>(2 * sh_->num_workers, sh_->num_workers + 1);
   sh_->queue_cap = std::max<size_t>(4 * sh_->num_workers, 2);
-  sh_->states.resize(sh_->morsels.size());
 }
 
 ParallelScanSource::~ParallelScanSource() {
@@ -145,16 +140,7 @@ void ParallelScanSource::Shared::RunWorker() {
   while (true) {
     size_t m;
     {
-      std::unique_lock<std::mutex> lock(mu);
-      if (opts.ordered) {
-        // Window gate: never run ahead of the consumer by more than
-        // inflight_window morsels, bounding buffered output. The head
-        // morsel is always inside the window, so the scan cannot wedge.
-        producer_cv.wait(lock, [this] {
-          return abort || next_morsel >= morsels.size() ||
-                 next_morsel < head + inflight_window;
-        });
-      }
+      std::lock_guard<std::mutex> lock(mu);
       if (abort || next_morsel >= morsels.size()) break;
       m = next_morsel++;
     }
@@ -192,25 +178,20 @@ bool ParallelScanSource::Shared::ProcessMorsel(
       return false;
     }
     if (!*more) {
-      if (opts.ordered) states[m].done = true;
       ++morsels_done;
       consumer_cv.notify_all();
       return true;
     }
     if (!produced) continue;  // fragment filtered the whole batch out
-    if (opts.ordered) {
-      states[m].batches.push_back(std::move(local));
-    } else {
-      if (!helper) {
-        // Backpressure. The helper is the consumer itself, about to
-        // drain — it may exceed the cap rather than deadlock on it.
-        producer_cv.wait(lock, [this] {
-          return abort || ready.size() < queue_cap;
-        });
-        if (abort) return false;
-      }
-      ready.push_back(std::move(local));
+    if (!helper) {
+      // Backpressure. The helper is the consumer itself, about to
+      // drain — it may exceed the cap rather than deadlock on it.
+      producer_cv.wait(lock, [this] {
+        return abort || ready.size() < queue_cap;
+      });
+      if (abort) return false;
     }
+    ready.push_back(std::move(local));
     consumer_cv.notify_one();
     local = Batch();
   }
@@ -226,7 +207,6 @@ bool ParallelScanSource::EmitPendingSlice(Batch* out, size_t max_rows) {
                                pending_off_ + take);
   }
   pending_off_ += take;
-  rows_emitted_ += take;
   if (pending_off_ >= pending_.num_rows()) {
     spent_.push_back(std::move(pending_));
     pending_ = Batch();
@@ -246,36 +226,17 @@ StatusOr<bool> ParallelScanSource::Refill() {
   spent_.clear();
   while (true) {
     if (!s.error.ok()) return s.error;
-    size_t claim = s.morsels.size();  // sentinel: nothing to help with
-    if (s.opts.ordered) {
-      if (s.head >= s.morsels.size()) return false;
-      MorselState& st = s.states[s.head];
-      if (!st.batches.empty()) {
-        drained_.swap(st.batches);  // take everything the head has
-        return true;
-      }
-      if (st.done) {
-        ++s.head;
-        s.producer_cv.notify_all();  // claim window moved
-        continue;
-      }
-      // Nothing at the head: claim the next unclaimed morsel (within
-      // the buffering window) and process it on this thread, so the
-      // scan progresses even when the shared pool is busy elsewhere.
-      if (s.next_morsel < s.morsels.size() &&
-          s.next_morsel < s.head + s.inflight_window) {
-        claim = s.next_morsel++;
-      }
-    } else {
-      if (!s.ready.empty()) {
-        drained_.swap(s.ready);
-        s.producer_cv.notify_all();  // queue has room
-        return true;
-      }
-      if (s.morsels_done >= s.morsels.size()) return false;
-      if (s.next_morsel < s.morsels.size()) claim = s.next_morsel++;
+    if (!s.ready.empty()) {
+      drained_.swap(s.ready);
+      s.producer_cv.notify_all();  // queue has room
+      return true;
     }
-    if (claim < s.morsels.size()) {
+    if (s.morsels_done >= s.morsels.size()) return false;
+    // Nothing ready: claim the next unclaimed morsel and process it on
+    // this thread, so the scan progresses even when the shared pool is
+    // busy elsewhere.
+    if (s.next_morsel < s.morsels.size()) {
+      const size_t claim = s.next_morsel++;
       if (help_states_.empty() && !s.ops.empty()) {
         help_states_.reserve(s.ops.size());
         for (const auto& op : s.ops) help_states_.push_back(op->MakeState());
@@ -301,12 +262,9 @@ StatusOr<bool> ParallelScanSource::Next(Batch* out, size_t max_rows) {
   }
   Batch got = std::move(drained_.front());
   drained_.pop_front();
-
-  if (renumber_rids_) got.set_start_rid(rows_emitted_);
   if (got.num_rows() <= max_rows) {
     spent_.push_back(std::move(*out));  // recycle the consumer's storage
     *out = std::move(got);
-    rows_emitted_ += out->num_rows();
     return true;
   }
   // Worker batch exceeds the consumer's budget: serve it in slices.
@@ -318,8 +276,7 @@ StatusOr<bool> ParallelScanSource::Next(Batch* out, size_t max_rows) {
 std::unique_ptr<BatchSource> MakeScanSource(MorselPlan plan) {
   if (plan.serial != nullptr) return std::move(plan.serial);
   return std::make_unique<ParallelScanSource>(
-      std::move(plan.morsels), std::move(plan.factory), plan.options,
-      plan.renumber_rids);
+      std::move(plan.morsels), std::move(plan.factory), plan.options);
 }
 
 }  // namespace pdtstore

@@ -3,22 +3,22 @@
 // cut from the scan's one stable interval (PDT layers are read-only
 // during scans, so workers share them lock-free).
 //
-// Since PR 3 the exchange is also the spine of parallel *pipelines*
-// (exec/pipeline.h): each worker may run a chain of PipelineOps (filter,
-// project, join probe) over every batch it merges before handing it to
-// the pulling consumer, so whole pipeline fragments execute inside the
-// workers and the exchange is the pipeline breaker, not the scan.
+// The exchange is also the spine of parallel *pipelines*
+// (exec/pipeline.h): each worker may run a chain of PipelineOps
+// (filter, project, join probe) over every batch it merges before
+// handing it to the pulling consumer, so whole pipeline fragments
+// execute inside the workers and the exchange is the pipeline breaker,
+// not the scan.
 //
 // The consumer stays a plain single-threaded BatchSource: pull-based
-// operators sit on top unchanged — though the formerly serial breakers
-// now have parallel forms of their own (exec/pipeline.h): per-worker
-// pre-aggregation, the hash-partitioned join build, and per-worker
-// sorted runs merged by a loser tree. Two delivery modes:
-//   * ordered   — morsel outputs are emitted in morsel (= SID) order, so
-//                 SID/RID-ordered consumers see exactly the sequence the
-//                 single-threaded scan (or serial fragment) would produce;
-//   * unordered — batches are emitted as workers finish them (same
-//                 multiset of rows), for order-insensitive pipelines.
+// operators sit on top unchanged, and the breakers have parallel forms
+// of their own (exec/pipeline.h): per-worker pre-aggregation, the
+// hash-partitioned join build, and per-worker sorted runs merged by a
+// loser tree. Batches are delivered as workers finish them, as in
+// morsel-driven dispatch: the consumer sees the serial scan's multiset
+// of rows, not its sequence. A raw PDT merge batch carries the
+// serial RID of its first row. Order is the job of the breakers that
+// promise it (the sort).
 //
 // Workers are tasks on the process-wide ThreadPool::Global(), so
 // concurrent queries share threads. Liveness never depends on the pool:
@@ -57,8 +57,6 @@ struct ScanOptions {
   /// This is a per-query cap on workers drawn from the shared process
   /// pool, not a dedicated thread count.
   int num_threads = 1;
-  /// Emit morsels in SID order (true) or as completed (false).
-  bool ordered = true;
   /// Morsel granularity in stable SIDs. 0 (the default) auto-tunes from
   /// the chunk size and the observed delta entry density (AutoMorselRows).
   size_t morsel_rows = 0;
@@ -105,9 +103,6 @@ using MorselSourceFactory = std::function<std::unique_ptr<BatchSource>(
 struct MorselPlan {
   std::vector<SidRange> morsels;
   MorselSourceFactory factory;
-  /// Batches carry morsel-local start RIDs that the ordered exchange
-  /// must renumber into a running global count (the VDT merge).
-  bool renumber_rids = false;
   /// Resolved options (num_threads / morsel_rows no longer 0).
   ScanOptions options;
   /// Set => the scan runs serially through this source.
@@ -119,9 +114,8 @@ struct MorselPlan {
 /// each, and hand batches to the pulling consumer. Workers pull into
 /// recycled batches (Batch::ResetLike inside the sources) drawn from a
 /// free list that consumed batches return to, so the steady state
-/// allocates nothing. In ordered mode, morsel claiming is window-gated
-/// (head + 2×workers) to bound buffered output; in unordered mode a
-/// bounded ready queue applies backpressure.
+/// allocates nothing. Batches are handed on as they complete, through a
+/// bounded ready queue that applies backpressure.
 ///
 /// The first error from any worker or operator aborts the scan and is
 /// returned from Next(). Destruction aborts, waits only for workers that
@@ -129,25 +123,14 @@ struct MorselPlan {
 /// soon as the pool runs them), and never blocks on other queries.
 class ParallelScanSource : public BatchSource {
  public:
-  /// `renumber_rids` rewrites batch start RIDs with a running row count —
-  /// used for ordered scans of sources that emit morsel-local positions
-  /// (the VDT merge); PDT merge batches already carry global RIDs. It is
-  /// ignored when `ops` is non-empty (fragment outputs have no stable
-  /// RID meaning).
   ParallelScanSource(std::vector<SidRange> morsels,
                      MorselSourceFactory factory, ScanOptions options,
-                     bool renumber_rids = false,
                      std::vector<std::unique_ptr<PipelineOp>> ops = {});
   ~ParallelScanSource() override;
 
   StatusOr<bool> Next(Batch* out, size_t max_rows) override;
 
  private:
-  struct MorselState {
-    std::deque<Batch> batches;
-    bool done = false;
-  };
-
   // Everything the workers touch. Held by shared_ptr from every
   // submitted task, so a consumer that abandons the scan frees nothing a
   // late-starting task still needs.
@@ -159,15 +142,12 @@ class ParallelScanSource : public BatchSource {
     size_t num_workers = 0;
 
     std::mutex mu;
-    std::condition_variable producer_cv;  // workers: claim window / room
+    std::condition_variable producer_cv;  // workers: ready queue room
     std::condition_variable consumer_cv;  // consumer: output available
-    std::vector<MorselState> states;      // ordered mode, by morsel
-    std::deque<Batch> ready;              // unordered mode
+    std::deque<Batch> ready;              // completed batches
     std::vector<Batch> freelist;          // recycled batch storage
     size_t next_morsel = 0;               // next morsel to claim
-    size_t head = 0;                      // ordered: next morsel to emit
-    size_t inflight_window = 0;           // ordered claim window
-    size_t queue_cap = 0;                 // unordered backpressure bound
+    size_t queue_cap = 0;                 // backpressure bound
     size_t morsels_done = 0;              // fully processed morsels
     size_t active_workers = 0;            // tasks past their start check
     Status error = Status::OK();          // first failure
@@ -176,7 +156,8 @@ class ParallelScanSource : public BatchSource {
     // Body of one worker task (also reused by the consumer-help path
     // via ProcessMorsel).
     void RunWorker();
-    // Claims+merges one morsel through the op chain into the queues.
+    // Merges one claimed morsel through the op chain into the ready
+    // queue.
     // Returns false on abort/error.
     bool ProcessMorsel(size_t m,
                        std::vector<std::unique_ptr<PipelineOpState>>* st,
@@ -196,7 +177,6 @@ class ParallelScanSource : public BatchSource {
   bool EmitPendingSlice(Batch* out, size_t max_rows);
 
   std::shared_ptr<Shared> sh_;
-  const bool renumber_rids_;
   bool started_ = false;
 
   // Consumer-side state (only touched by the pulling thread).
@@ -205,7 +185,6 @@ class ParallelScanSource : public BatchSource {
   std::vector<Batch> spent_;   // consumed storage awaiting bulk recycle
   Batch pending_;
   size_t pending_off_ = 0;
-  uint64_t rows_emitted_ = 0;
 };
 
 /// Turns a MorselPlan into a BatchSource: the serial source as-is, or a

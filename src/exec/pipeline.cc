@@ -252,22 +252,11 @@ Status RunPipeline(MorselPlan* plan,
 }
 
 // ---------------------------------------------------------------------
-// Fragment op factories.
+// Fragment op factory.
 // ---------------------------------------------------------------------
-
-std::unique_ptr<PipelineOp> MakeFilterOp(VecPredicate predicate) {
-  return std::make_unique<FilterOp>(std::move(predicate));
-}
 
 std::unique_ptr<PipelineOp> MakeProjectOp(std::vector<ColumnExpr> exprs) {
   return std::make_unique<ProjectOp>(std::move(exprs));
-}
-
-std::unique_ptr<PipelineOp> MakeJoinProbeOp(
-    std::shared_ptr<JoinBuildHandle> build, std::vector<size_t> probe_keys,
-    JoinKind kind) {
-  return std::make_unique<JoinProbeOp>(std::move(build),
-                                       std::move(probe_keys), kind);
 }
 
 // ---------------------------------------------------------------------
@@ -638,7 +627,7 @@ Pipeline::~Pipeline() = default;
 Pipeline& Pipeline::Filter(VecPredicate predicate) {
   // Stacked filters fuse into the preceding filter op's conjunction.
   if (!ops_.empty() && ops_.back()->FuseFilter(&predicate)) return *this;
-  return Add(MakeFilterOp(std::move(predicate)));
+  return Add(std::make_unique<FilterOp>(std::move(predicate)));
 }
 
 Pipeline& Pipeline::Project(std::vector<ColumnExpr> exprs) {
@@ -647,7 +636,8 @@ Pipeline& Pipeline::Project(std::vector<ColumnExpr> exprs) {
 
 Pipeline& Pipeline::Probe(std::shared_ptr<JoinBuildHandle> build,
                           std::vector<size_t> probe_keys, JoinKind kind) {
-  return Add(MakeJoinProbeOp(std::move(build), std::move(probe_keys), kind));
+  return Add(std::make_unique<JoinProbeOp>(std::move(build),
+                                           std::move(probe_keys), kind));
 }
 
 Pipeline& Pipeline::Add(std::unique_ptr<PipelineOp> op) {
@@ -666,7 +656,7 @@ std::unique_ptr<BatchSource> Pipeline::Exchange() && {
   if (plan_.serial != nullptr) return std::move(*this).SerialTree();
   return std::make_unique<ParallelScanSource>(
       std::move(plan_.morsels), std::move(plan_.factory), plan_.options,
-      plan_.renumber_rids, std::move(ops_));
+      std::move(ops_));
 }
 
 std::unique_ptr<BatchSource> Pipeline::Aggregate(

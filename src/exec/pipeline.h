@@ -5,7 +5,7 @@
 // *inside* whichever worker claimed the morsel. Threads meet only at
 // pipeline breakers:
 //   * Exchange       — the bounded-queue exchange handing fragment
-//                      output to a pulling consumer (ordered or not);
+//                      output to a pulling consumer as it completes;
 //   * Aggregate      — per-worker partial (pre-)aggregation tables,
 //                      merged into one result at finalize;
 //   * IntoJoinBuild  — per-worker hash-partitioned build-side
@@ -25,10 +25,10 @@
 // PipelineOpState (scratch buffers, partial tables). All workers come
 // from the process-wide ThreadPool::Global(); the driving thread always
 // participates, so pipelines finish even when the pool is saturated by
-// concurrent queries. A serial plan (one thread, or a source that cannot
-// be split) lowers each op to its serial node — FilterNode, ProjectNode,
-// HashJoinNode — under the breaker's serial node, so a one-thread
-// Pipeline is exactly the serial operator tree.
+// concurrent queries. A serial plan (one thread, or a VDT table's scan,
+// which is never split) lowers each op to its serial node — FilterNode,
+// ProjectNode, HashJoinNode — under the breaker's serial node, so a
+// one-thread Pipeline is exactly the serial operator tree.
 #ifndef PDTSTORE_EXEC_PIPELINE_H_
 #define PDTSTORE_EXEC_PIPELINE_H_
 
@@ -87,18 +87,8 @@ class PipelineOp {
       std::unique_ptr<BatchSource> input) && = 0;
 };
 
-/// Vectorized selection as a pipeline fragment (FilterNode's kernel).
-/// Consecutive Pipeline::Filter calls fuse into one op: the predicates'
-/// keep bitmaps are folded word-wise (AND) and the batch is compacted
-/// once, with no intermediate selection or batch materialized.
-std::unique_ptr<PipelineOp> MakeFilterOp(VecPredicate predicate);
 /// Projection / expression evaluation (ProjectNode's kernel).
 std::unique_ptr<PipelineOp> MakeProjectOp(std::vector<ColumnExpr> exprs);
-/// Hash-join probe against a deferred build side; Prepare() resolves the
-/// handle (running the build pipeline if needed) before workers start.
-std::unique_ptr<PipelineOp> MakeJoinProbeOp(
-    std::shared_ptr<JoinBuildHandle> build, std::vector<size_t> probe_keys,
-    JoinKind kind = JoinKind::kInner);
 
 /// A run-to-completion sink: the pipeline-breaker side of Aggregate /
 /// IntoJoinBuild / IntoSortBuild. Sink() runs on workers with
@@ -148,12 +138,16 @@ class Pipeline {
   /// see the VecPredicate contract in exec/filter.h).
   Pipeline& Filter(VecPredicate predicate);
   Pipeline& Project(std::vector<ColumnExpr> exprs);
+  /// Appends a hash-join probe against a deferred build side; the op's
+  /// Prepare() resolves the handle (running the build pipeline if
+  /// needed) before workers start.
   Pipeline& Probe(std::shared_ptr<JoinBuildHandle> build,
                   std::vector<size_t> probe_keys,
                   JoinKind kind = JoinKind::kInner);
 
   /// Breaker: stream the fragment's output to the pulling consumer
-  /// through the exchange (plan.options.ordered picks delivery order).
+  /// through the exchange, as workers complete it (the serial multiset,
+  /// in no promised order).
   std::unique_ptr<BatchSource> Exchange() &&;
 
   /// Breaker: grouped aggregation with per-worker pre-aggregation

@@ -34,7 +34,6 @@ Plan Scan(const QueryOptions& o, Table* table, std::vector<ColumnId> proj,
           const KeyBounds* bounds = nullptr) {
   ScanOptions so;
   so.num_threads = o.num_threads;
-  so.ordered = false;  // pipeline fragments are order-insensitive
   return Plan(table->PlanMorsels(std::move(proj), bounds, so));
 }
 
@@ -66,14 +65,50 @@ Src Sort(Plan in, std::vector<SortKey> keys, size_t limit = 0) {
   return std::move(in).IntoSortBuild(std::move(keys), limit);
 }
 
-// Drains a pipeline, counting rows and checksumming numeric cells.
+// FNV-1a over `n` bytes, continuing from `h`. The digest has its own
+// hash, so a change to the engine's hash functions cannot move it.
+uint64_t DigestBytes(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001B3ULL;
+  return h;
+}
+
+// Folds every cell of `batch` into `h`, row by row in column order.
+uint64_t DigestRows(uint64_t h, const Batch& batch) {
+  for (size_t i = 0; i < batch.num_rows(); ++i) {
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      const ColumnVector& col = batch.column(c);
+      switch (col.type()) {
+        case TypeId::kInt64:
+          h = DigestBytes(h, col.ints_data() + i, sizeof(int64_t));
+          break;
+        case TypeId::kDouble:
+          h = DigestBytes(h, col.doubles_data() + i, sizeof(double));
+          break;
+        case TypeId::kString: {
+          const std::string& s = col.StringAt(i);
+          const uint64_t len = s.size();
+          h = DigestBytes(h, &len, sizeof(len));
+          h = DigestBytes(h, s.data(), s.size());
+          break;
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Drains a pipeline, counting rows, checksumming numeric cells and
+// digesting every cell in output order.
 StatusOr<QueryResult> Summarize(Src src) {
   QueryResult result;
+  result.digest = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   Batch batch;
   while (true) {
     PDT_ASSIGN_OR_RETURN(bool more, src->Next(&batch, kDefaultBatchSize));
     if (!more) break;
     result.rows += batch.num_rows();
+    result.digest = DigestRows(result.digest, batch);
     for (size_t c = 0; c < batch.num_columns(); ++c) {
       const ColumnVector& col = batch.column(c);
       if (col.type() == TypeId::kInt64) {

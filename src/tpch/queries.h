@@ -13,12 +13,16 @@
 namespace pdtstore {
 namespace tpch {
 
-/// Result digest of one query: row count of the final operator plus a
-/// numeric checksum, used to verify that PDT / VDT / no-update runs agree
-/// with each other where they must.
+/// Result digest of one query: row count of the final operator, a
+/// numeric checksum (the sum of every numeric cell, order-insensitive up
+/// to floating-point rounding) used to verify that PDT / VDT /
+/// no-update / parallel runs agree, and `digest`, an exact,
+/// order-sensitive hash of every cell of every row (strings by their
+/// bytes, doubles by their bit pattern) that pins serial answers.
 struct QueryResult {
   size_t rows = 0;
   double checksum = 0.0;
+  uint64_t digest = 0;
 };
 
 /// Query execution knobs. The default (1 thread) builds the unchanged

@@ -419,11 +419,6 @@ void Wal::MarkAllFlushed() {
   health_ = Status::OK();
 }
 
-uint64_t Wal::flushed_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flushed_bytes_;
-}
-
 uint64_t Wal::SizeBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return buffer_.size();
@@ -444,11 +439,6 @@ void Wal::SetWriter(WalWriter* writer) {
   // Never swap the sink while a leader is appending through it.
   flush_cv_.wait(lock, [this] { return !flushing_; });
   writer_ = writer;
-}
-
-bool Wal::has_writer() const {
-  std::lock_guard<std::mutex> lock(flush_mu_);
-  return writer_ != nullptr;
 }
 
 Status Wal::SyncTo(uint64_t upto) {

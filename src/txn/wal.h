@@ -165,7 +165,6 @@ class Wal {
   /// race an in-flight flush: SetWriter blocks until no flush is using
   /// the old writer. Call with the log quiet or freshly truncated.
   void SetWriter(WalWriter* writer);
-  bool has_writer() const;
 
   /// Blocks until the log is durable through offset `upto`: the first
   /// waiter becomes the flush leader, appends and fsyncs the whole
@@ -185,7 +184,6 @@ class Wal {
   /// just loaded from disk), and clears the sticky health status. Only
   /// valid at a quiet point — no commit in flight.
   void MarkAllFlushed();
-  uint64_t flushed_bytes() const;
 
   /// Returns the framed bytes appended since the last take and marks
   /// them flushed; `*end_offset` receives the log size they extend to.

@@ -52,11 +52,4 @@ std::string Random::NextString(size_t length) {
   return out;
 }
 
-uint64_t Random::Skewed(uint64_t n) {
-  // Halve the range a geometric number of times: small values more likely.
-  uint64_t range = n;
-  while (range > 1 && Bernoulli(0.5)) range /= 2;
-  return Uniform(range == 0 ? 1 : range);
-}
-
 }  // namespace pdtstore

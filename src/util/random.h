@@ -34,9 +34,6 @@ class Random {
   /// Random lowercase ASCII string of the given length.
   std::string NextString(size_t length);
 
-  /// Skewed (approximately Zipf-like via repeated halving) value in [0, n).
-  uint64_t Skewed(uint64_t n);
-
  private:
   uint64_t s_[4];
 };

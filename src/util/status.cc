@@ -20,8 +20,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IOError";
     case StatusCode::kCorruption:
       return "Corruption";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kResourceExhausted:

@@ -21,7 +21,6 @@ enum class StatusCode {
   kConflict,       ///< write-write transaction conflict (Serialize failure)
   kIOError,        ///< simulated or real I/O failure (WAL, chunk store)
   kCorruption,     ///< internal invariant violated in persistent state
-  kNotImplemented,
   kInternal,
   kResourceExhausted,  ///< memory budget / admission queue / pool cap hit
 };
@@ -61,9 +60,6 @@ class Status {
   }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

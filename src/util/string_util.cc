@@ -28,15 +28,4 @@ std::string StringPrintf(const char* fmt, ...) {
   return out;
 }
 
-std::string HumanBytes(uint64_t bytes) {
-  const char* units[] = {"B", "KB", "MB", "GB", "TB"};
-  double v = static_cast<double>(bytes);
-  int u = 0;
-  while (v >= 1024.0 && u < 4) {
-    v /= 1024.0;
-    ++u;
-  }
-  return StringPrintf("%.1f %s", v, units[u]);
-}
-
 }  // namespace pdtstore

@@ -16,9 +16,6 @@ std::string Join(const std::vector<std::string>& parts,
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Renders a byte count as "12.3 MB" style text.
-std::string HumanBytes(uint64_t bytes);
-
 }  // namespace pdtstore
 
 #endif  // PDTSTORE_UTIL_STRING_UTIL_H_

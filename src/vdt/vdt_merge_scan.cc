@@ -8,15 +8,11 @@ namespace pdtstore {
 
 VdtMergeScan::VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
                            std::vector<ColumnId> projection,
-                           SidRange range, KeyBounds bounds,
-                           std::vector<Value> fence_lo,
-                           std::vector<Value> fence_hi)
+                           SidRange range, KeyBounds bounds)
     : store_(store),
       vdt_(vdt),
       projection_(std::move(projection)),
-      bounds_(std::move(bounds)),
-      fence_lo_(std::move(fence_lo)),
-      fence_hi_(std::move(fence_hi)) {
+      bounds_(std::move(bounds)) {
   // The value-based merge *must* scan the SK columns: build the widened
   // scan projection and remember where the SK / user columns land.
   scan_projection_ = projection_;
@@ -44,23 +40,6 @@ VdtMergeScan::VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
   if (!bounds_.lo.empty()) {
     ins_it_ = vdt_->inserts().lower_bound(bounds_.lo);
     del_it_ = vdt_->deletes().lower_bound(bounds_.lo);
-  }
-  if (!fence_lo_.empty()) {
-    // The stricter of user lo and morsel fence wins; both are lower
-    // bounds over the same key-ordered maps, so the later iterator is
-    // simply the one produced by the larger key.
-    auto fi = vdt_->inserts().lower_bound(fence_lo_);
-    if (ins_it_ != vdt_->inserts().end() &&
-        (fi == vdt_->inserts().end() ||
-         CompareTuples(ins_it_->first, fi->first) < 0)) {
-      ins_it_ = fi;
-    }
-    auto fd = vdt_->deletes().lower_bound(fence_lo_);
-    if (del_it_ != vdt_->deletes().end() &&
-        (fd == vdt_->deletes().end() ||
-         CompareTuples(del_it_->first, fd->first) < 0)) {
-      del_it_ = fd;
-    }
   }
 }
 
@@ -105,9 +84,6 @@ void VdtMergeScan::EmitInsertTuple(Batch* out, const Tuple& t) {
 }
 
 bool VdtMergeScan::InsertInBounds(const std::vector<Value>& key) const {
-  if (!fence_hi_.empty() && CompareTuples(key, fence_hi_) >= 0) {
-    return false;  // beyond the morsel fence (exclusive)
-  }
   if (!bounds_.hi.empty()) {
     std::vector<Value> prefix(key.begin(),
                               key.begin() + std::min(key.size(),
@@ -196,8 +172,8 @@ StatusOr<bool> VdtMergeScan::Next(Batch* out, size_t max_rows) {
     if (!input_done_) continue;
 
     // Stable exhausted: drain remaining inserts (within bounds). The map
-    // is key-ordered, so the first insert past the fence / upper bound
-    // ends the drain — a morsel never walks another morsel's entries.
+    // is key-ordered, so the first insert past the upper bound ends the
+    // drain.
     if (ins_it_ != ins_end) {
       if (!InsertInBounds(ins_it_->first)) break;
       EmitInsertTuple(out, ins_it_->second);

@@ -3,7 +3,8 @@
 // gives for VDT table scans. The stable scan is forced to read the SK
 // columns in addition to the user projection (the extra I/O of Fig. 19
 // plots 2/5), and every row pays a key comparison (the extra CPU of
-// plots 1/3/4).
+// plots 1/3/4). The VDT has no positions to cut morsels by, so this scan
+// always runs serially.
 #ifndef PDTSTORE_VDT_VDT_MERGE_SCAN_H_
 #define PDTSTORE_VDT_VDT_MERGE_SCAN_H_
 
@@ -32,18 +33,9 @@ class VdtMergeScan : public BatchSource {
   /// `range` is the stable interval scanned (from the sparse index);
   /// `bounds` restricts which VDT entries participate (the key-space
   /// counterpart).
-  ///
-  /// `fence_lo` (inclusive) / `fence_hi` (exclusive) are full-SK morsel
-  /// fences for parallel scans: the VDT has no positions, so a morsel of
-  /// stable SIDs [lo, hi) owns exactly the differential entries with keys
-  /// in [SK(lo), SK(hi)) — fences make adjacent morsels partition the
-  /// insert/delete maps with no duplicate and no loss, on top of (not
-  /// instead of) the user-visible `bounds`. Empty = unfenced on that side.
   VdtMergeScan(const ColumnStore* store, const Vdt* vdt,
                std::vector<ColumnId> projection,
-               SidRange range, KeyBounds bounds = {},
-               std::vector<Value> fence_lo = {},
-               std::vector<Value> fence_hi = {});
+               SidRange range, KeyBounds bounds = {});
 
   StatusOr<bool> Next(Batch* out, size_t max_rows) override;
 
@@ -61,8 +53,6 @@ class VdtMergeScan : public BatchSource {
   std::vector<int> sk_batch_idx_;          // SK positions in scan batches
   std::vector<int> out_batch_idx_;         // projection positions in scan
   KeyBounds bounds_;
-  std::vector<Value> fence_lo_;            // morsel fence, inclusive
-  std::vector<Value> fence_hi_;            // morsel fence, exclusive
 
   std::unique_ptr<BatchSource> stable_;
   Batch proto_;  // output layout, reused via ResetLike

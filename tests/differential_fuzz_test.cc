@@ -8,7 +8,7 @@
 // serial reference over a byte-identical decoded twin (encoded_exec
 // off, key bounds off) built from a copy of the same Random.
 // Results must agree: the exact serial sequence where the engine
-// promises it (ordered exchange, deterministic sort), the multiset
+// promises it (the deterministic sort), the multiset
 // everywhere else. Because the decoded reference never sees borrowed
 // spans, dictionary codes, RLE run predicates, or a bounded scan
 // interval, any compressed-execution or bounded-scan divergence shows

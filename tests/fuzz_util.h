@@ -206,8 +206,8 @@ inline FuzzSource MakeFuzzSource(Random* rng, bool encoded_exec = true) {
 /// parallel pipeline — same decisions either way.
 struct FuzzPlanResult {
   std::vector<Tuple> rows;
-  /// The engine promises the exact serial sequence (ordered exchange or
-  /// deterministic sort); otherwise compare as multisets.
+  /// The engine promises the exact serial sequence (the deterministic
+  /// sort); otherwise compare as multisets.
   bool exact = false;
   /// The plan's key bounds lie inside the range the source's delete
   /// chain emptied, where the lower layers emit no row.
@@ -289,8 +289,6 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
   so.num_threads = threads;
   const size_t morsel_choices[] = {0, 48, 64, 100, 256};
   so.morsel_rows = morsel_choices[rng.Uniform(5)];
-  const bool ordered = rng.Bernoulli(0.5);
-  so.ordered = ordered;
 
   // Bounded-scan fuzz: sometimes pair an inclusive key-range predicate
   // with the matching KeyBounds, so the scan covers only the sparse
@@ -441,10 +439,7 @@ inline FuzzPlanResult RunFuzzPlan(uint64_t plan_seed, const FuzzSource& src,
   const uint64_t terminal = rng.Uniform(3);
   if (terminal == 0) {
     out = parallel ? std::move(*pipe).Exchange() : std::move(serial);
-    // Ordered exchange replays the serial sequence, except that a
-    // parallel partitioned inner join may permute duplicate matches
-    // within one probe row.
-    result.exact = ordered && !inner_join;
+    result.exact = false;  // batches arrive as workers complete them
   } else if (terminal == 1) {
     // Aggregate int columns only: double accumulators over integers are
     // exact, so parallel merge order cannot perturb the values.

@@ -1,8 +1,9 @@
 // Thread-count invariance of the morsel-driven parallel scan: the same
-// table + delta state scanned at 1/2/4/8 threads must yield identical
-// results — identical sequences in ordered mode, identical multisets in
-// unordered mode — across mixed insert/delete/modify delta states,
-// restricted scans, multi-layer transaction snapshots and both backends.
+// table + delta state scanned at 1/2/4/8 threads must yield the serial
+// scan's multiset of rows, with every batch carrying the serial RID of
+// its first row, across mixed insert/delete/modify delta states,
+// restricted scans and multi-layer transaction snapshots. A VDT table
+// always plans serially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,11 +70,35 @@ std::vector<Tuple> ScanRows(const Table& table, const ScanOptions& opts,
   return rows.ok() ? *rows : std::vector<Tuple>{};
 }
 
-void SortRows(std::vector<Tuple>* rows) {
-  std::sort(rows->begin(), rows->end(),
-            [](const Tuple& a, const Tuple& b) {
-              return CompareTuples(a, b) < 0;
-            });
+std::vector<Tuple> Sorted(std::vector<Tuple> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+    return CompareTuples(a, b) < 0;
+  });
+  return rows;
+}
+
+// Drains `src` in consumer batches of 100 rows (smaller than a worker
+// batch, so the exchange slices) and checks that every batch carries the
+// serial RID of its first row: the batch starting at RID r holds
+// reference[r], reference[r + 1], ..., and the batches cover every RID
+// exactly once.
+void ExpectSerialRids(BatchSource* src, const std::vector<Tuple>& reference) {
+  std::vector<bool> seen(reference.size(), false);
+  Batch batch;
+  while (true) {
+    auto more = src->Next(&batch, 100);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      const Rid rid = batch.start_rid() + i;
+      ASSERT_LT(rid, reference.size());
+      ASSERT_FALSE(seen[rid]) << "rid " << rid << " delivered twice";
+      seen[rid] = true;
+      ASSERT_EQ(batch.RowAsTuple(i), reference[rid]) << "rid " << rid;
+    }
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<std::ptrdiff_t>(reference.size()));
 }
 
 TEST(SplitIntoMorselsTest, SplitsAndPreservesDisjointness) {
@@ -101,51 +126,54 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-TEST(ParallelScanTest, OrderedMatchesSerialAcrossThreadCounts) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 800, 17);
-  ScanOptions serial;
-  auto reference = ScanRows(*table, serial);
-  ASSERT_EQ(reference.size(), table->RowCount());
-  for (int threads : {2, 4, 8}) {
-    ScanOptions opts;
-    opts.num_threads = threads;
-    opts.ordered = true;
-    opts.morsel_rows = 256;  // many morsels
-    EXPECT_EQ(ScanRows(*table, opts), reference) << threads << " threads";
-  }
-}
-
-TEST(ParallelScanTest, UnorderedMatchesSerialMultiset) {
+TEST(ParallelScanTest, MatchesSerialMultisetAcrossThreadCounts) {
   auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 800, 29);
   auto reference = ScanRows(*table, ScanOptions{});
-  SortRows(&reference);
+  ASSERT_EQ(reference.size(), table->RowCount());
+  reference = Sorted(std::move(reference));
   for (int threads : {2, 4, 8}) {
     ScanOptions opts;
     opts.num_threads = threads;
-    opts.ordered = false;
-    opts.morsel_rows = 256;
-    auto rows = ScanRows(*table, opts);
-    SortRows(&rows);
-    EXPECT_EQ(rows, reference) << threads << " threads";
+    opts.morsel_rows = 256;  // many morsels
+    EXPECT_EQ(Sorted(ScanRows(*table, opts)), reference)
+        << threads << " threads";
   }
 }
 
 TEST(ParallelScanTest, OrderedBatchRidsAreGloballyCorrect) {
+  // Table stack: the one-layer {Read-PDT}.
   auto table = BuildUpdatedTable(DeltaBackend::kPdt, 1500, 600, 31);
+  const auto cols = AllColumns(table->schema());
   ScanOptions opts;
   opts.num_threads = 4;
   opts.morsel_rows = 128;
-  auto src = table->Scan(AllColumns(table->schema()), nullptr, opts);
-  Batch batch;
-  Rid expect = 0;
-  while (true) {
-    auto more = src->Next(&batch, 100);  // < worker batch: forces slicing
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    EXPECT_EQ(batch.start_rid(), expect);
-    expect += batch.num_rows();
+  ExpectSerialRids(table->Scan(cols, nullptr, opts).get(),
+                   ScanRows(*table, ScanOptions{}));
+
+  // Transaction snapshot stack: committed Read/Write-PDT state plus an
+  // uncommitted Trans-PDT.
+  TableOptions topts;
+  topts.store.chunk_rows = 64;
+  auto base = std::make_unique<Table>("t", IntSchema(), topts);
+  ASSERT_TRUE(base->Load(IntRows(1500)).ok());
+  TxnManager mgr(base.get());
+  {
+    auto setup = mgr.Begin();
+    for (int i = 0; i < 80; ++i) {
+      ASSERT_TRUE(setup->Insert({int64_t{i * 1000 + 51}, int64_t{i}}).ok());
+      ASSERT_TRUE(
+          setup->DeleteByKey({Value(static_cast<int64_t>(i) * 700)}).ok());
+    }
+    ASSERT_TRUE(setup->Commit().ok());
   }
-  EXPECT_EQ(expect, table->RowCount());
+  auto txn = mgr.Begin();
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(txn->Insert({int64_t{i * 1000 + 77}, int64_t{-i}}).ok());
+  }
+  auto serial = CollectRows(txn->Scan(cols).get());
+  ASSERT_TRUE(serial.ok());
+  ExpectSerialRids(txn->Scan(cols, nullptr, opts).get(), *serial);
+  ASSERT_TRUE(txn->Commit().ok());
 }
 
 TEST(ParallelScanTest, HostilePdtStatesFromStressPatterns) {
@@ -166,18 +194,13 @@ TEST(ParallelScanTest, HostilePdtStatesFromStressPatterns) {
     ASSERT_TRUE(table->Insert({int64_t{6001 + i}, int64_t{i}}).ok());
     ASSERT_TRUE(table->ModifyAt(i % 100, 1, Value(int64_t{i})).ok());
   }
-  auto reference = ScanRows(*table, ScanOptions{});
+  auto reference = Sorted(ScanRows(*table, ScanOptions{}));
   for (int threads : {2, 4, 8}) {
     ScanOptions opts;
     opts.num_threads = threads;
     opts.morsel_rows = 64;  // whole morsels fall inside the ghost region
-    EXPECT_EQ(ScanRows(*table, opts), reference) << threads << " threads";
-    opts.ordered = false;
-    auto rows = ScanRows(*table, opts);
-    auto sorted_ref = reference;
-    SortRows(&rows);
-    SortRows(&sorted_ref);
-    EXPECT_EQ(rows, sorted_ref) << threads << " threads unordered";
+    EXPECT_EQ(Sorted(ScanRows(*table, opts)), reference)
+        << threads << " threads";
   }
 }
 
@@ -192,12 +215,12 @@ TEST(ParallelScanTest, AllStableRowsDeletedStillEmitsInserts) {
   for (int64_t k : {5, 1001, 19999}) {
     ASSERT_TRUE(table->Insert({k, k}).ok());
   }
-  auto reference = ScanRows(*table, ScanOptions{});
+  auto reference = Sorted(ScanRows(*table, ScanOptions{}));
   ASSERT_EQ(reference.size(), 3u);
   ScanOptions opts;
   opts.num_threads = 4;
   opts.morsel_rows = 32;
-  EXPECT_EQ(ScanRows(*table, opts), reference);
+  EXPECT_EQ(Sorted(ScanRows(*table, opts)), reference);
 }
 
 TEST(ParallelScanTest, RestrictedBoundsMatchSerial) {
@@ -205,48 +228,38 @@ TEST(ParallelScanTest, RestrictedBoundsMatchSerial) {
   KeyBounds bounds;
   bounds.lo = {Value(int64_t{50'000})};
   bounds.hi = {Value(int64_t{260'000})};
-  auto reference = ScanRows(*table, ScanOptions{}, &bounds);
+  auto reference = Sorted(ScanRows(*table, ScanOptions{}, &bounds));
   ASSERT_FALSE(reference.empty());
   for (int threads : {2, 4, 8}) {
     ScanOptions opts;
     opts.num_threads = threads;
     opts.morsel_rows = 128;
-    EXPECT_EQ(ScanRows(*table, opts, &bounds), reference)
+    EXPECT_EQ(Sorted(ScanRows(*table, opts, &bounds)), reference)
         << threads << " threads";
   }
 }
 
-TEST(ParallelScanTest, VdtBackendMatchesSerial) {
-  auto table = BuildUpdatedTable(DeltaBackend::kVdt, 2000, 800, 41);
-  auto reference = ScanRows(*table, ScanOptions{});
-  ASSERT_EQ(reference.size(), table->RowCount());
-  for (int threads : {2, 4, 8}) {
-    ScanOptions opts;
-    opts.num_threads = threads;
-    opts.morsel_rows = 256;
-    EXPECT_EQ(ScanRows(*table, opts), reference) << threads << " threads";
-    opts.ordered = false;
-    auto rows = ScanRows(*table, opts);
-    auto sorted_ref = reference;
-    SortRows(&rows);
-    SortRows(&sorted_ref);
-    EXPECT_EQ(rows, sorted_ref) << threads << " threads unordered";
-  }
-}
-
-TEST(ParallelScanTest, VdtRestrictedBoundsMatchSerial) {
+TEST(ParallelScanTest, VdtPlansSerially) {
+  // The VDT has no positions to cut morsels by: a 4-thread plan is the
+  // serial value-based merge, and it gives the serial rows in order.
   auto table = BuildUpdatedTable(DeltaBackend::kVdt, 3000, 900, 43);
+  const auto cols = AllColumns(table->schema());
   KeyBounds bounds;
   bounds.lo = {Value(int64_t{40'000})};
   bounds.hi = {Value(int64_t{200'000})};
-  auto reference = ScanRows(*table, ScanOptions{}, &bounds);
-  ASSERT_FALSE(reference.empty());
-  for (int threads : {2, 4, 8}) {
+  for (const KeyBounds* b : {static_cast<const KeyBounds*>(nullptr),
+                             static_cast<const KeyBounds*>(&bounds)}) {
+    auto reference = ScanRows(*table, ScanOptions{}, b);
+    ASSERT_FALSE(reference.empty());
     ScanOptions opts;
-    opts.num_threads = threads;
+    opts.num_threads = 4;
     opts.morsel_rows = 128;
-    EXPECT_EQ(ScanRows(*table, opts, &bounds), reference)
-        << threads << " threads";
+    MorselPlan plan = table->PlanMorsels(cols, b, opts);
+    EXPECT_NE(plan.serial, nullptr);
+    EXPECT_TRUE(plan.morsels.empty());
+    auto rows = CollectRows(MakeScanSource(std::move(plan)).get());
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, reference);
   }
 }
 
@@ -286,20 +299,21 @@ TEST(ParallelScanTest, TxnSnapshotStackMatchesSerial) {
     opts.morsel_rows = 64;
     auto rows = CollectRows(txn->Scan(cols, nullptr, opts).get());
     ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(*rows, *serial) << threads << " threads";
+    EXPECT_EQ(Sorted(*rows), Sorted(*serial)) << threads << " threads";
   }
   ASSERT_TRUE(txn->Commit().ok());
 }
 
 TEST(ParallelScanTest, MoreThreadsThanMorselsAndTinyBatches) {
   auto table = BuildUpdatedTable(DeltaBackend::kPdt, 300, 150, 47);
-  auto reference = ScanRows(*table, ScanOptions{});
+  auto reference = Sorted(ScanRows(*table, ScanOptions{}));
   ScanOptions opts;
   opts.num_threads = 8;
   opts.morsel_rows = 1 << 20;  // single morsel
-  EXPECT_EQ(ScanRows(*table, opts), reference);
+  EXPECT_EQ(Sorted(ScanRows(*table, opts)), reference);
   opts.morsel_rows = 16;  // tiny morsels, tiny consumer batches
-  EXPECT_EQ(ScanRows(*table, opts, nullptr, /*batch_size=*/7), reference);
+  EXPECT_EQ(Sorted(ScanRows(*table, opts, nullptr, /*batch_size=*/7)),
+            reference);
 }
 
 TEST(ParallelScanTest, AbandonedScanShutsDownCleanly) {

@@ -79,7 +79,6 @@ void SortRows(std::vector<Tuple>* rows) {
 ScanOptions PipeOpts(int threads, size_t morsel_rows = 64) {
   ScanOptions so;
   so.num_threads = threads;
-  so.ordered = false;
   so.morsel_rows = morsel_rows;
   return so;
 }

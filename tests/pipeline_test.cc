@@ -1,9 +1,8 @@
 // Parallel pipeline equivalence: operator fragments (filter, project,
 // join probe) and breaker sinks (partial aggregation, join build)
 // running inside the morsel workers must produce the same results as the
-// serial operator tree — identical multisets at any thread count,
-// identical sequences through the ordered exchange — across hostile PDT
-// delta states, the VDT backend, 3-layer transaction snapshots, and
+// serial operator tree — identical multisets at any thread count —
+// across hostile PDT delta states, 3-layer transaction snapshots, and
 // concurrent queries sharing the process-wide pool.
 //
 // Aggregates here run over integer values, so double accumulators are
@@ -41,12 +40,10 @@ std::vector<Tuple> IntRows(int n, int64_t gap = 100) {
   return rows;
 }
 
-// Builds a PDT- or VDT-backed table with `n` rows in small chunks (many
-// morsel boundaries) and applies `ops` random mixed updates.
-std::unique_ptr<Table> BuildUpdatedTable(DeltaBackend backend, int n,
-                                         int ops, uint64_t seed) {
+// Builds a PDT-backed table with `n` rows in small chunks (many morsel
+// boundaries) and applies `ops` random mixed updates.
+std::unique_ptr<Table> BuildUpdatedTable(int n, int ops, uint64_t seed) {
   TableOptions opts;
-  opts.backend = backend;
   opts.store.chunk_rows = 64;
   auto table = std::make_unique<Table>("t", IntSchema(), opts);
   EXPECT_TRUE(table->Load(IntRows(n)).ok());
@@ -83,7 +80,6 @@ std::vector<Tuple> Collect(std::unique_ptr<BatchSource> src) {
 ScanOptions PipeOpts(int threads, size_t morsel_rows = 64) {
   ScanOptions so;
   so.num_threads = threads;
-  so.ordered = false;
   so.morsel_rows = morsel_rows;
   return so;
 }
@@ -138,7 +134,7 @@ TEST(AutoMorselRowsTest, ClampsAlignsAndShrinksWithDensity) {
 }
 
 TEST(PipelineTest, FilterProjectAggMatchesSerialAcrossThreadCounts) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 800, 17);
+  auto table = BuildUpdatedTable(2000, 800, 17);
   auto cols = AllColumns(table->schema());
   // Serial reference: FilterNode -> ProjectNode -> HashAggNode.
   auto serial = Collect(std::make_unique<HashAggNode>(
@@ -196,7 +192,7 @@ std::vector<ColumnExpr> RefHeavyExprs() {
 TEST(PipelineTest, ProjectRefKeepsBorrowedScanColumns) {
   // A clean table scans as zero-copy borrows of the chunk storage; a
   // projection that passes the column through must not copy it.
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 500, 0, 23);
+  auto table = BuildUpdatedTable(500, 0, 23);
   std::vector<Batch> raw = ScanBatches(table.get());
   ASSERT_FALSE(raw.empty());
   ASSERT_TRUE(raw[0].column(0).is_borrowed());
@@ -232,7 +228,7 @@ TEST(PipelineTest, ProjectNodeAndPipelineProjectGiveIdenticalBatches) {
   // serial node and the pipeline op share ProjectBatch; fed the same
   // batches in the same order, they must emit the same batches: layout,
   // ids, start rid, borrowedness and values.
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 300, 29);
+  auto table = BuildUpdatedTable(2000, 300, 29);
   std::vector<Batch> raw = ScanBatches(table.get());
   ASSERT_GT(raw.size(), 1u);
   ProjectNode node(std::make_unique<BatchListSource>(raw), RefHeavyExprs());
@@ -264,7 +260,7 @@ TEST(PipelineTest, ProjectNodeAndPipelineProjectGiveIdenticalBatches) {
 }
 
 TEST(PipelineTest, GlobalAggregationIncludingEmptyInput) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 500, 200, 19);
+  auto table = BuildUpdatedTable(500, 200, 19);
   auto cols = AllColumns(table->schema());
   auto serial = Collect(std::make_unique<HashAggNode>(
       std::make_unique<FilterNode>(table->Scan(cols), EvenPayload()),
@@ -292,28 +288,13 @@ TEST(PipelineTest, GlobalAggregationIncludingEmptyInput) {
   }
 }
 
-TEST(PipelineTest, OrderedExchangeFragmentKeepsSerialSequence) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 1500, 600, 23);
-  auto cols = AllColumns(table->schema());
-  auto serial = Collect(std::make_unique<FilterNode>(table->Scan(cols),
-                                                     EvenPayload()));
-  for (int threads : {2, 4, 8}) {
-    ScanOptions so = PipeOpts(threads);
-    so.ordered = true;  // fragment outputs in exact serial sequence
-    Pipeline pipe(table->PlanMorsels(cols, nullptr, so));
-    pipe.Filter(EvenPayload());
-    EXPECT_EQ(Collect(std::move(pipe).Exchange()), serial)
-        << threads << " threads";
-  }
-}
-
-TEST(PipelineTest, UnorderedExchangeFragmentMatchesMultiset) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 1500, 600, 27);
+TEST(PipelineTest, ExchangeFragmentMatchesMultiset) {
+  auto table = BuildUpdatedTable(1500, 600, 27);
   auto cols = AllColumns(table->schema());
   auto serial = Collect(std::make_unique<FilterNode>(table->Scan(cols),
                                                      EvenPayload()));
   SortRows(&serial);
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 4, 8}) {
     Pipeline pipe(table->PlanMorsels(cols, nullptr, PipeOpts(threads)));
     pipe.Filter(EvenPayload());
     auto rows = Collect(std::move(pipe).Exchange());
@@ -323,8 +304,8 @@ TEST(PipelineTest, UnorderedExchangeFragmentMatchesMultiset) {
 }
 
 TEST(PipelineTest, BuildProbeJoinMatchesSerialAllKinds) {
-  auto probe_table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 700, 31);
-  auto build_table = BuildUpdatedTable(DeltaBackend::kPdt, 400, 300, 37);
+  auto probe_table = BuildUpdatedTable(2000, 700, 31);
+  auto build_table = BuildUpdatedTable(400, 300, 37);
   auto pcols = AllColumns(probe_table->schema());
   auto bcols = AllColumns(build_table->schema());
   // Join probe payload-mod against build payload-mod (plenty of matches
@@ -401,24 +382,6 @@ TEST(PipelineTest, HostilePdtStatesFromStressPatterns) {
   }
 }
 
-TEST(PipelineTest, VdtBackendFragmentsMatchSerial) {
-  auto table = BuildUpdatedTable(DeltaBackend::kVdt, 2000, 800, 41);
-  auto cols = AllColumns(table->schema());
-  auto serial = Collect(std::make_unique<HashAggNode>(
-      std::make_unique<FilterNode>(table->Scan(cols), EvenPayload()),
-      std::vector<size_t>{0},
-      std::vector<AggSpec>{{AggKind::kSum, 1}, {AggKind::kCount, 0}}));
-  SortRows(&serial);
-  for (int threads : {2, 8}) {
-    Pipeline pipe(table->PlanMorsels(cols, nullptr, PipeOpts(threads)));
-    pipe.Filter(EvenPayload());
-    auto rows = Collect(std::move(pipe).Aggregate(
-        {0}, {{AggKind::kSum, 1}, {AggKind::kCount, 0}}));
-    SortRows(&rows);
-    EXPECT_EQ(rows, serial) << threads << " threads";
-  }
-}
-
 TEST(PipelineTest, TxnSnapshotStackFragmentsMatchSerial) {
   // Three-layer stack: Read-PDT (propagated commits), Write-PDT
   // snapshot and an uncommitted Trans-PDT, with fragments running on
@@ -469,7 +432,7 @@ TEST(PipelineTest, ConcurrentQueriesShareProcessPool) {
   // drawing workers from the shared pool; each must match the serial
   // reference regardless of pool contention (the consumer-help path
   // guarantees progress even when all pool workers are taken).
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 3000, 900, 43);
+  auto table = BuildUpdatedTable(3000, 900, 43);
   auto cols = AllColumns(table->schema());
   auto serial = Collect(std::make_unique<HashAggNode>(
       std::make_unique<FilterNode>(table->Scan(cols), EvenPayload()),
@@ -503,7 +466,7 @@ TEST(PipelineTest, ConcurrentQueriesShareProcessPool) {
 }
 
 TEST(PipelineTest, AbandonedPipelineExchangeShutsDownCleanly) {
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 2000, 400, 53);
+  auto table = BuildUpdatedTable(2000, 400, 53);
   Pipeline pipe(table->PlanMorsels(AllColumns(table->schema()), nullptr,
                                    PipeOpts(4)));
   pipe.Filter(EvenPayload());
@@ -518,7 +481,7 @@ TEST(PipelineTest, AbandonedPipelineExchangeShutsDownCleanly) {
 TEST(PipelineTest, SerialSingleThreadPlanIsServedSerially) {
   // num_threads == 1 must not build an exchange at all: the plan carries
   // the serial source and the fragment chain runs on the caller.
-  auto table = BuildUpdatedTable(DeltaBackend::kPdt, 500, 200, 59);
+  auto table = BuildUpdatedTable(500, 200, 59);
   auto cols = AllColumns(table->schema());
   MorselPlan plan = table->PlanMorsels(cols, nullptr, PipeOpts(1));
   EXPECT_NE(plan.serial, nullptr);

@@ -1,7 +1,7 @@
 // TPC-H workload tests: generator determinism and structure, refresh
-// streams, and the key evaluation invariant — every query kernel returns
-// identical results on PDT-backed, VDT-backed and checkpointed tables
-// under the same update load.
+// streams, pinned one-thread answers, and the key evaluation invariant —
+// every query kernel returns identical results on PDT-backed, VDT-backed
+// and checkpointed tables under the same update load.
 #include <gtest/gtest.h>
 
 #include "db/database.h"
@@ -109,6 +109,41 @@ TEST(UpdateStreamTest, ApplyChangesRowCountsAsExpected) {
   EXPECT_TRUE(tables->lineitem->pdt()->CheckInvariants().ok());
 }
 
+// Each query's one-thread (rows, digest) over SmallGen after the two
+// 0.005 refresh streams below. The digest hashes every cell in output
+// order, so a wrong sort direction, string column or low bit fails
+// here even where every backend agrees. A change that moves an answer
+// on purpose (say, a new summation order) regenerates this table and
+// says why.
+struct PinnedAnswer {
+  size_t rows;
+  uint64_t digest;
+};
+constexpr PinnedAnswer kPinnedAnswers[22] = {
+    {4, 0x9320395d2ec8ed94ULL},  // Q1
+    {9, 0xf124831b3320bf47ULL},  // Q2
+    {10, 0xda3a9772601e984cULL},  // Q3
+    {5, 0x20b3443f7fa41a71ULL},  // Q4
+    {25, 0x63c44cc2b0b8a1ebULL},  // Q5
+    {1, 0x8067b12add71e337ULL},  // Q6
+    {2, 0xdb397d87afa3710eULL},  // Q7
+    {2, 0xb148914159fc1611ULL},  // Q8
+    {7, 0x09ebe4c20a8796a9ULL},  // Q9
+    {20, 0x8ce0fb5529e021a4ULL},  // Q10
+    {16, 0x5e380dde6722a435ULL},  // Q11
+    {2, 0x092ba9a302222996ULL},  // Q12
+    {22, 0xa8ba821f736bc8aaULL},  // Q13
+    {1, 0xda8b364e316037eaULL},  // Q14
+    {1, 0xfb832539cd16995cULL},  // Q15
+    {56, 0xc7724c161022787eULL},  // Q16
+    {1, 0xa8c7f832281a39c5ULL},  // Q17
+    {14, 0x3017c98e1d596a93ULL},  // Q18
+    {1, 0xa1c2b4300a23fbafULL},  // Q19
+    {25, 0xfd53ea923b16ee5cULL},  // Q20
+    {25, 0x7ecd4abc5a1f5519ULL},  // Q21
+    {24, 0x94f2e0edcc94e9c2ULL},  // Q22
+};
+
 class TpchQueryTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
@@ -145,6 +180,8 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
   // same plan at four threads runs its fragments inside morsel workers.
   QueryResult parallel = run_with(DeltaBackend::kPdt, false, 4);
 
+  EXPECT_EQ(pdt.rows, kPinnedAnswers[q - 1].rows) << "q" << q;
+  EXPECT_EQ(pdt.digest, kPinnedAnswers[q - 1].digest) << "q" << q;
   EXPECT_EQ(pdt.rows, vdt.rows) << "q" << q;
   EXPECT_NEAR(pdt.checksum, vdt.checksum,
               1e-6 * (1.0 + std::abs(pdt.checksum)))

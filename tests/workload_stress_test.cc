@@ -215,7 +215,6 @@ TEST(WorkloadStress, ConcurrentQueriesDegradeGracefully) {
     Random rng(seed ^ (qid * 0x9E3779B97F4A7C15ULL + 1));
     ScanOptions so;
     so.num_threads = 1 + static_cast<int>(rng.Uniform(4));
-    so.ordered = false;
 
     Status st;
     if (qid % 7 == 0) {
@@ -246,7 +245,7 @@ TEST(WorkloadStress, ConcurrentQueriesDegradeGracefully) {
           st = CollectRows(out.get()).status();
           break;
         }
-        default: {  // plain unordered exchange drain
+        default: {  // plain exchange drain
           Pipeline pipe(table->PlanMorsels({0, 1}, nullptr, so));
           auto out = std::move(pipe).Exchange();
           st = CollectRows(out.get()).status();
