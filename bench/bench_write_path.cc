@@ -4,7 +4,8 @@
 // the first committer to take the lock decides every queued record in
 // order, and the fsync waits run outside the lock so concurrent commits
 // share one group-commit fsync. Reports commits/sec, p99 commit latency,
-// the time commit work held the lock, and fsyncs per transaction:
+// the time commit work held the lock, fsyncs per transaction and the WAL
+// bytes each commit adds to the log:
 //
 //   bench_write_path [--txns=N] [--ops=K] [--writers=1,2,4,8] [--json=PATH]
 //
@@ -39,6 +40,7 @@ struct RunResult {
   double p99_commit_ms = 0;
   double lock_us_per_commit = 0;
   double syncs_per_txn = 0;
+  double wal_bytes_per_txn = 0;
   double wall_ms = 0;
 };
 
@@ -129,6 +131,7 @@ RunResult RunWorkload(int writers, int total_txns, int ops_per_txn,
   r.lock_us_per_commit =
       static_cast<double>(stats.commit_lock_ns) / 1e3 / committed;
   r.syncs_per_txn = static_cast<double>(stats.wal_syncs) / committed;
+  r.wal_bytes_per_txn = static_cast<double>(wal.SizeBytes()) / committed;
   return r;
 }
 
@@ -156,8 +159,9 @@ int Main(int argc, char** argv) {
   const std::string wal_path = dir + "/commit.wal";
 
   JsonResultWriter json;
-  std::printf("%-12s %8s %12s %10s %14s %10s\n", "cell", "writers",
-              "commits/sec", "p99 ms", "lock us/commit", "syncs/txn");
+  std::printf("%-12s %8s %12s %10s %14s %10s %10s\n", "cell", "writers",
+              "commits/sec", "p99 ms", "lock us/commit", "syncs/txn",
+              "B/txn");
   for (int writers : writer_counts) {
     // Warm-up run settles file creation + allocator noise, then the
     // measured run.
@@ -165,13 +169,14 @@ int Main(int argc, char** argv) {
                       wal_path);
     RunResult r = RunWorkload(writers, total_txns, ops_per_txn, wal_path);
     const std::string bench = "commit_w" + std::to_string(writers);
-    std::printf("%-12s %8d %12.0f %10.3f %14.2f %10.3f\n", bench.c_str(),
-                writers, r.commits_per_sec, r.p99_commit_ms,
-                r.lock_us_per_commit, r.syncs_per_txn);
+    std::printf("%-12s %8d %12.0f %10.3f %14.2f %10.3f %10.1f\n",
+                bench.c_str(), writers, r.commits_per_sec, r.p99_commit_ms,
+                r.lock_us_per_commit, r.syncs_per_txn, r.wal_bytes_per_txn);
     json.Metric(bench, "commits_per_sec", r.commits_per_sec);
     json.Metric(bench, "p99_commit_ms", r.p99_commit_ms);
     json.Metric(bench, "lock_us_per_commit", r.lock_us_per_commit);
     json.Metric(bench, "syncs_per_txn", r.syncs_per_txn);
+    json.Metric(bench, "wal_bytes_per_txn", r.wal_bytes_per_txn);
     json.Metric(bench, "wall_ms", r.wall_ms);
   }
   std::filesystem::remove_all(dir);

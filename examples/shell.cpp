@@ -211,7 +211,7 @@ class Shell {
         std::printf("  WARNING: opened read-only: %s\n",
                     db_->recovery_status().ToString().c_str());
       }
-      std::printf("  opened %s (%zu tables, wal records=%zu)\n",
+      std::printf("  opened %s (%zu tables, wal txn frames=%zu)\n",
                   t[1].c_str(), db_->TableNames().size(),
                   db_->wal() != nullptr ? db_->wal()->RecordCount() : 0);
       return Status::OK();
@@ -251,7 +251,7 @@ class Shell {
                 : 0.0);
         if (s.wal_records > 0 || s.wal_syncs > 0) {
           const uint64_t txns = s.committed + s.aborted;
-          std::printf("    wal: records=%llu syncs=%llu syncs/txn=%.3f\n",
+          std::printf("    wal: txn_frames=%llu syncs=%llu syncs/txn=%.3f\n",
                       static_cast<unsigned long long>(s.wal_records),
                       static_cast<unsigned long long>(s.wal_syncs),
                       txns > 0 ? static_cast<double>(s.wal_syncs) /

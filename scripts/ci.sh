@@ -209,22 +209,34 @@ check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
 check_keys BENCH_htap.json bench_htap "$BUILD_DIR/BENCH_htap_smoke.json"
 check_keys BENCH_workload.json bench_workload \
     "$BUILD_DIR/BENCH_workload_smoke.json"
-# The name check above cannot see stale metrics inside a cell: the
-# committed parallel_merge_scan cell must carry exactly the metric keys
-# the fig17 smoke (same thread sweep, 1,2,4,8) produces.
-python3 - BENCH_exec.json "$BUILD_DIR/BENCH_fig17_smoke.json" <<'PY' || keys_ok=0
-import json, sys
-def keys(path):
-    for b in json.load(open(path))["benches"]:
-        if b["name"] == "parallel_merge_scan":
-            return set(b["metrics"])
-    return set()
-committed, produced = keys(sys.argv[1]), keys(sys.argv[2])
-if not produced or committed != produced:
-    sys.exit("bench key check FAILED: parallel_merge_scan metric keys differ"
-             " (committed only: %s; smoke only: %s)"
-             % (sorted(committed - produced), sorted(produced - committed)))
+# The name check above cannot see stale metrics inside a cell: a
+# committed cell must carry exactly the metric keys its smoke produces.
+# This covers the parallel_merge_scan cell (the fig17 smoke runs the same
+# 1,2,4,8 thread sweep) and every commit_w<N> cell of BENCH_write.json,
+# whose wal_bytes_per_txn records the WAL traffic of a commit.
+metric_keys_match() {
+  python3 - "$@" <<'PY' || keys_ok=0
+import json, re, sys
+committed_path, produced_path, pattern = sys.argv[1:4]
+def cells(path):
+    return {b["name"]: set(b["metrics"])
+            for b in json.load(open(path))["benches"]
+            if re.fullmatch(pattern, b["name"])}
+committed, produced = cells(committed_path), cells(produced_path)
+if not produced:
+    sys.exit("bench key check FAILED: the smoke produced no %s cell" % pattern)
+for name, keys in sorted(committed.items()):
+    got = produced.get(name, set())
+    if keys != got:
+        sys.exit("bench key check FAILED: %s metric keys differ"
+                 " (committed only: %s; smoke only: %s)"
+                 % (name, sorted(keys - got), sorted(got - keys)))
 PY
+}
+metric_keys_match BENCH_exec.json "$BUILD_DIR/BENCH_fig17_smoke.json" \
+    parallel_merge_scan
+metric_keys_match BENCH_write.json "$BUILD_DIR/BENCH_write_smoke.json" \
+    'commit_w[0-9]+'
 [[ "$keys_ok" == 1 ]] || exit 1
 echo "bench keys OK"
 

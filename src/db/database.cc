@@ -286,10 +286,8 @@ StatusOr<TxnManager*> Database::Txn(const std::string& name) {
     return Status::InvalidArgument(
         "transactions require the PDT backend: " + name);
   }
-  TxnManagerOptions opts;
-  opts.txn_id_counter = &txn_ids_;  // shared id space across tables
   if (wal_ == nullptr) wal_ = std::make_unique<Wal>();
-  auto mgr = std::make_unique<TxnManager>(table, wal_.get(), opts);
+  auto mgr = std::make_unique<TxnManager>(table, wal_.get());
   if (wal_writer_ != nullptr) mgr->SetWalWriter(wal_writer_.get());
   TxnManager* ptr = mgr.get();
   managers_[name] = std::move(mgr);

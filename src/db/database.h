@@ -23,7 +23,6 @@
 #ifndef PDTSTORE_DB_DATABASE_H_
 #define PDTSTORE_DB_DATABASE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -125,7 +124,6 @@ class Database {
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<WalWriter> wal_writer_;
   std::map<std::string, std::unique_ptr<TxnManager>> managers_;
-  std::atomic<uint64_t> txn_ids_{0};  ///< shared id space for all managers
   bool read_only_ = false;
   Status recovery_status_ = Status::OK();
 };

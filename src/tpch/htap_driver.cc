@@ -54,8 +54,6 @@ StatusOr<HtapReport> RunHtapScenario(const GenOptions& gen,
   MultiTxnApplyOptions aopts;
   aopts.orders_per_txn = opts.orders_per_txn;
   aopts.max_conflict_retries = opts.max_conflict_retries;
-  aopts.orders_table = tables->orders->name();
-  aopts.lineitem_table = tables->lineitem->name();
 
   // --- writer threads: one refresh group per (gated) transaction ---
   std::vector<MultiTxnApplyStats> wstats(opts.writers);
@@ -158,7 +156,6 @@ StatusOr<HtapReport> RunHtapScenario(const GenOptions& gen,
             maintenance_failed.store(true);
             return;
           }
-          if (wal != nullptr) wal->LogCheckpoint(t->name());
           ++report.checkpoints;
         }
         report.checkpoint_stall_ms_max =

@@ -98,8 +98,8 @@ uint64_t DigestRows(uint64_t h, const Batch& batch) {
   return h;
 }
 
-// Drains a pipeline, counting rows, checksumming numeric cells and
-// digesting every cell in output order.
+// Drains a pipeline, counting rows, checksumming numeric cells,
+// digesting every cell in output order and keeping the rows.
 StatusOr<QueryResult> Summarize(Src src) {
   QueryResult result;
   result.digest = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
@@ -109,6 +109,9 @@ StatusOr<QueryResult> Summarize(Src src) {
     if (!more) break;
     result.rows += batch.num_rows();
     result.digest = DigestRows(result.digest, batch);
+    for (size_t i = 0; i < batch.num_rows(); ++i) {
+      result.output.push_back(batch.RowAsTuple(i));
+    }
     for (size_t c = 0; c < batch.num_columns(); ++c) {
       const ColumnVector& col = batch.column(c);
       if (col.type() == TypeId::kInt64) {

@@ -16,13 +16,15 @@ namespace tpch {
 /// Result digest of one query: row count of the final operator, a
 /// numeric checksum (the sum of every numeric cell, order-insensitive up
 /// to floating-point rounding) used to verify that PDT / VDT /
-/// no-update / parallel runs agree, and `digest`, an exact,
-/// order-sensitive hash of every cell of every row (strings by their
-/// bytes, doubles by their bit pattern) that pins serial answers.
+/// no-update / parallel runs agree, `digest`, an exact, order-sensitive
+/// hash of every cell of every row (strings by their bytes, doubles by
+/// their bit pattern) that pins serial answers, and `output`, the rows
+/// themselves, which an independent evaluator can compare cell by cell.
 struct QueryResult {
   size_t rows = 0;
   double checksum = 0.0;
   uint64_t digest = 0;
+  std::vector<Tuple> output;  ///< in output order; every answer is small
 };
 
 /// Query execution knobs. The default (1 thread) builds the unchanged

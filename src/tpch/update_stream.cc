@@ -206,12 +206,12 @@ Status ApplyRefreshGroupMultiTxn(const UpdateStream& stream,
       const GeneratedOrder& o =
           group.inserts ? stream.inserts[i] : stream.deletes[i];
       if (group.inserts) {
-        if (Status st = txn->Insert(opts.orders_table, o.order); !st.ok()) {
+        if (Status st = txn->Insert("orders", o.order); !st.ok()) {
           txn->Abort();
           return st;
         }
         for (const Tuple& l : o.lineitems) {
-          if (Status st = txn->Insert(opts.lineitem_table, l); !st.ok()) {
+          if (Status st = txn->Insert("lineitem", l); !st.ok()) {
             txn->Abort();
             return st;
           }
@@ -219,7 +219,7 @@ Status ApplyRefreshGroupMultiTxn(const UpdateStream& stream,
         inserted += 1 + o.lineitems.size();
       } else {
         Status st = txn->DeleteByKey(
-            opts.orders_table,
+            "orders",
             {o.order[kOOrderdate], o.order[kOOrderkey]});
         if (st.code() == StatusCode::kNotFound) continue;  // already gone
         if (!st.ok()) {
@@ -228,7 +228,7 @@ Status ApplyRefreshGroupMultiTxn(const UpdateStream& stream,
         }
         for (const Tuple& l : o.lineitems) {
           if (Status lst = txn->DeleteByKey(
-                  opts.lineitem_table, {l[kLOrderkey], l[kLLinenumber]});
+                  "lineitem", {l[kLOrderkey], l[kLLinenumber]});
               !lst.ok()) {
             txn->Abort();
             return lst;

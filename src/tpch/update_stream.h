@@ -66,8 +66,6 @@ struct MultiTxnApplyOptions {
   /// A refresh group that loses a write-write conflict is retried from a
   /// fresh snapshot up to this many times before the conflict surfaces.
   int max_conflict_retries = 8;
-  std::string orders_table = "orders";
-  std::string lineitem_table = "lineitem";
 };
 
 struct MultiTxnApplyStats {
@@ -77,8 +75,8 @@ struct MultiTxnApplyStats {
   uint64_t rows_deleted = 0;
 };
 
-/// Applies one refresh group as ONE transaction touching orders *and*
-/// lineitem — all-or-nothing under conflict, exactly the atomicity the
+/// Applies one refresh group as ONE transaction touching the tables
+/// GenerateInto creates, "orders" *and* "lineitem" — all-or-nothing under conflict, exactly the atomicity the
 /// TPC-H refresh functions demand. Deletes whose order is already gone
 /// are skipped (their lineitems too). Conflicts are retried from a
 /// fresh snapshot per `opts.max_conflict_retries`.

@@ -19,15 +19,15 @@ namespace internal {
 struct MultiDeltaRecord {
   enum State { kPublished, kCommitted, kAborted };
 
-  uint64_t txn_id = 0;
   uint64_t start_time = 0;
   // The sealed Trans-PDTs, keyed by table name. The verdict covers all
   // of them together: a conflict on any table aborts every table.
   std::map<std::string, std::unique_ptr<Pdt>> trans;
 
-  // The WAL frames (begin, ops, commit), encoded by Publish() outside
-  // every lock; the commit appends the finished bytes under it.
-  std::vector<std::string> payloads;
+  // The transaction's WAL payload, encoded op by op outside every lock;
+  // the commit appends it as one frame under the lock. Empty without a
+  // WAL or without updates: such a commit appends nothing.
+  std::string payload;
 
   State state = kPublished;
   Status result = Status::OK();
@@ -70,9 +70,8 @@ StatusOr<std::unique_ptr<Pdt>> FoldLayers(const Pdt& read,
 // MultiTransaction.
 // ---------------------------------------------------------------------
 
-MultiTransaction::MultiTransaction(MultiTxnManager* mgr, uint64_t id,
-                                   uint64_t start_time)
-    : mgr_(mgr), id_(id), start_time_(start_time) {}
+MultiTransaction::MultiTransaction(MultiTxnManager* mgr, uint64_t start_time)
+    : mgr_(mgr), start_time_(start_time) {}
 
 MultiTransaction::~MultiTransaction() {
   if (!finished_) Abort();
@@ -131,18 +130,14 @@ std::vector<const Pdt*> MultiTransaction::UpdateLayers(const TableView& v) {
 }
 
 // The positional work of every update lives in txn/layered.h; these
-// wrappers only pick the update stack and record the logical redo.
+// wrappers only pick the update stack and encode the logical redo.
 
 Status MultiTransaction::Insert(const std::string& table,
                                 const Tuple& tuple) {
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
   PDT_RETURN_NOT_OK(internal::LayeredInsert(
       v->table->store(), UpdateLayers(*v), UpdateTarget(*v), tuple));
-  WalRecord r;
-  r.type = WalRecordType::kInsert;
-  r.table = table;
-  r.tuple = tuple;
-  redo_.push_back(std::move(r));
+  if (mgr_->wal_ != nullptr) Wal::EncodeInsert(&redo_, table, tuple);
   return Status::OK();
 }
 
@@ -151,11 +146,7 @@ Status MultiTransaction::DeleteByKey(const std::string& table,
   PDT_ASSIGN_OR_RETURN(TableView * v, OpenView(table));
   PDT_RETURN_NOT_OK(internal::LayeredDelete(
       v->table->store(), UpdateLayers(*v), UpdateTarget(*v), key));
-  WalRecord r;
-  r.type = WalRecordType::kDelete;
-  r.table = table;
-  r.key = key;
-  redo_.push_back(std::move(r));
+  if (mgr_->wal_ != nullptr) Wal::EncodeDelete(&redo_, table, key);
   return Status::OK();
 }
 
@@ -169,13 +160,9 @@ Status MultiTransaction::ModifyByKey(const std::string& table,
                                             value));
   // One record even for an SK column: replay re-runs ModifyByKey, which
   // repeats the delete + insert.
-  WalRecord r;
-  r.type = WalRecordType::kModify;
-  r.table = table;
-  r.key = key;
-  r.column = col;
-  r.value = value;
-  redo_.push_back(std::move(r));
+  if (mgr_->wal_ != nullptr) {
+    Wal::EncodeModify(&redo_, table, key, col, value);
+  }
   return Status::OK();
 }
 
@@ -266,8 +253,13 @@ Status MultiTransaction::Publish() {
           "finish the active Query-PDT before committing");
     }
   }
+  if (redo_.size() > Wal::kMaxPayloadBytes) {
+    // Recovery would read the oversized frame as corruption.
+    return Status::InvalidArgument(
+        "transaction too large for one WAL frame: " +
+        std::to_string(redo_.size()) + " bytes");
+  }
   rec_ = std::make_unique<MultiDeltaRecord>();
-  rec_->txn_id = id_;
   rec_->start_time = start_time_;
   // Seal: record per-table row counts, then move every table's
   // Trans-PDT into the record (a commit may serialize them concurrently).
@@ -276,24 +268,7 @@ Status MultiTransaction::Publish() {
         v.table->store().num_rows(), Layers(v));
     rec_->trans.emplace(name, std::move(v.trans));
   }
-  if (mgr_->wal_ != nullptr) {
-    // Encode the commit's WAL frames here, outside every lock; the
-    // commit appends the finished bytes under the lock.
-    rec_->payloads.reserve(redo_.size() + 2);
-    WalRecord b;
-    b.type = WalRecordType::kBegin;
-    b.txn_id = id_;
-    rec_->payloads.push_back(Wal::EncodeRecordPayload(b));
-    for (WalRecord& r : redo_) {
-      r.txn_id = id_;
-      rec_->payloads.push_back(Wal::EncodeRecordPayload(r));
-    }
-    WalRecord c;
-    c.type = WalRecordType::kCommit;
-    c.txn_id = id_;
-    rec_->payloads.push_back(Wal::EncodeRecordPayload(c));
-  }
-  redo_.clear();
+  rec_->payload = std::move(redo_);
   std::lock_guard<std::mutex> lock(mgr_->mu_);
   mgr_->sealed_.push_back(rec_.get());
   return Status::OK();
@@ -329,7 +304,6 @@ void MultiTransaction::Abort() {
   mgr_->FinishActiveLocked(start_time_);
   finished_ = true;
   mgr_->aborted_count_.fetch_add(1, std::memory_order_relaxed);
-  if (mgr_->wal_ != nullptr) mgr_->wal_->LogAbort(id_);
 }
 
 // ---------------------------------------------------------------------
@@ -379,11 +353,8 @@ MultiTxnManager::~MultiTxnManager() {
 std::unique_ptr<MultiTransaction> MultiTxnManager::Begin() {
   std::lock_guard<std::mutex> lock(mu_);
   ++active_;
-  uint64_t id = opts_.txn_id_counter != nullptr
-                    ? opts_.txn_id_counter->fetch_add(1) + 1
-                    : next_txn_id_++;
-  auto txn = std::unique_ptr<MultiTransaction>(
-      new MultiTransaction(this, id, clock_));
+  auto txn =
+      std::unique_ptr<MultiTransaction>(new MultiTransaction(this, clock_));
   // Snapshot every managed table NOW, at the same clock the conflict
   // check will serialize against. Lazy per-table snapshots would let
   // one transaction observe the tables at different commit horizons —
@@ -483,19 +454,16 @@ void MultiTxnManager::CommitRecordLocked(MultiDeltaRecord* rec) {
     if (!conflict.ok()) break;
   }
   if (!conflict.ok()) {
-    // Internal failure, not a write-write conflict: surface as-is.
-    if (conflict.code() != StatusCode::kConflict) {
-      return abort(conflict, false);
-    }
-    if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
-    return abort(conflict, true);
+    // Only a write-write conflict counts as an abort; an internal
+    // failure is surfaced as-is.
+    return abort(conflict, conflict.code() == StatusCode::kConflict);
   }
   // Durability first: the WAL append is the commit point (footnote 2).
-  // One begin / ops / commit frame sequence covers every table of the
-  // record, so replay reapplies it atomically too.
-  if (wal_ != nullptr) {
-    const uint64_t end = wal_->AppendEncoded(rec->payloads);
-    rec->payloads.clear();
+  // One frame covers every table of the record, so replay reapplies it
+  // atomically too; a record without updates appends nothing.
+  if (!rec->payload.empty()) {
+    const uint64_t end = wal_->Append(rec->payload);
+    rec->payload.clear();
     // The owner waits for durability up to this offset outside the
     // commit lock (group commit).
     if (writer_ != nullptr) rec->durable_upto = end;
@@ -544,7 +512,6 @@ void MultiTxnManager::AbortPublished(MultiTransaction* txn) {
     sealed_.erase(it);
     FinishActiveLocked(rec->start_time);
     aborted_count_.fetch_add(1, std::memory_order_relaxed);
-    if (wal_ != nullptr) wal_->LogAbort(rec->txn_id);
     rec->result = Status::InvalidArgument("transaction aborted");
     rec->state = MultiDeltaRecord::kAborted;
   }
@@ -620,7 +587,6 @@ Status MultiTxnManager::PropagateAndMaybeCheckpoint() {
     if (writer_ == nullptr &&
         st.table->pdt()->EntryCount() > opts_.read_pdt_max_entries) {
       PDT_RETURN_NOT_OK(st.table->Checkpoint());
-      if (wal_ != nullptr) wal_->LogCheckpoint(name);
     }
   }
   return Status::OK();
@@ -651,57 +617,28 @@ Status MultiTxnManager::Recover(const Wal& wal) {
     }
     recovered_ = true;
   }
-  // Group records per transaction; apply committed ones in commit order.
-  std::map<uint64_t, std::vector<WalRecord>> pending;
-  return wal.Replay([&](const WalRecord& r) -> Status {
-    switch (r.type) {
-      case WalRecordType::kBegin:
-        pending[r.txn_id] = {};
-        break;
-      case WalRecordType::kInsert:
-      case WalRecordType::kDelete:
-      case WalRecordType::kModify:
-        // Several managers can share one log; each replays only the
-        // records addressed to its tables.
-        if (state_.count(r.table) > 0) pending[r.txn_id].push_back(r);
-        break;
-      case WalRecordType::kAbort:
-        pending.erase(r.txn_id);
-        break;
-      case WalRecordType::kCommit: {
-        auto it = pending.find(r.txn_id);
-        if (it == pending.end()) break;
-        if (it->second.empty()) {
-          // The transaction touched no managed table.
-          pending.erase(it);
+  // One frame is one committed transaction, in commit order.
+  return wal.Replay([&](const std::vector<WalRecord>& ops) -> Status {
+    std::unique_ptr<MultiTransaction> txn;
+    for (const WalRecord& op : ops) {
+      // Several managers can share one log; each replays only the
+      // records addressed to its tables.
+      if (state_.count(op.table) == 0) continue;
+      if (txn == nullptr) txn = Begin();
+      switch (op.type) {
+        case WalRecordType::kInsert:
+          PDT_RETURN_NOT_OK(txn->Insert(op.table, op.tuple));
           break;
-        }
-        auto txn = Begin();
-        for (const WalRecord& op : it->second) {
-          Status st;
-          switch (op.type) {
-            case WalRecordType::kInsert:
-              st = txn->Insert(op.table, op.tuple);
-              break;
-            case WalRecordType::kDelete:
-              st = txn->DeleteByKey(op.table, op.key);
-              break;
-            case WalRecordType::kModify:
-              st = txn->ModifyByKey(op.table, op.key, op.column, op.value);
-              break;
-            default:
-              break;
-          }
-          if (!st.ok()) return st;
-        }
-        PDT_RETURN_NOT_OK(txn->Commit());
-        pending.erase(it);
-        break;
+        case WalRecordType::kDelete:
+          PDT_RETURN_NOT_OK(txn->DeleteByKey(op.table, op.key));
+          break;
+        case WalRecordType::kModify:
+          PDT_RETURN_NOT_OK(
+              txn->ModifyByKey(op.table, op.key, op.column, op.value));
+          break;
       }
-      case WalRecordType::kCheckpoint:
-        break;
     }
-    return Status::OK();
+    return txn != nullptr ? txn->Commit() : Status::OK();
   });
 }
 

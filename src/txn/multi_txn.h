@@ -22,13 +22,14 @@
 // Write-PDT under one commit lock, giving all-or-nothing visibility.
 //
 // Concurrent write path (see DESIGN.md "Concurrent write path"): commits
-// are two-phase. The build phase (positioning updates, encoding WAL
-// frames) runs outside the manager lock; Publish() seals the
-// transaction's Trans-PDTs into a delta record and appends it to the
-// manager's commit FIFO, and the first AwaitCommit() to find its record
-// undecided runs Algorithm 9 for every sealed record in publication
-// order. The fsync waits happen outside the lock, so concurrent commits
-// share one group-commit fsync.
+// are two-phase. The build phase (positioning updates, encoding each
+// into the transaction's one WAL payload) runs outside the manager lock;
+// Publish() seals the transaction's Trans-PDTs and payload into a delta
+// record and appends it to the manager's commit FIFO, and the first
+// AwaitCommit() to find its record undecided runs Algorithm 9 for every
+// sealed record in publication order, appending one WAL frame per
+// record with updates. The fsync waits happen outside the lock, so
+// concurrent commits share one group-commit fsync.
 //
 // Install-only propagation: an installed Read-PDT is never mutated.
 // Every Write→Read fold runs inline under the manager lock, right after
@@ -66,12 +67,6 @@ struct TxnManagerOptions {
   size_t write_pdt_max_entries = 4096;
   /// Checkpoint a table when its Read-PDT exceeds this many entries.
   size_t read_pdt_max_entries = 1 << 20;
-  /// When several managers share one WAL, they must also share a
-  /// transaction-id source — concurrent transactions with colliding ids
-  /// would be merged by replay. Database wires all its managers to one
-  /// counter; a standalone manager can leave this null and allocate ids
-  /// locally.
-  std::atomic<uint64_t>* txn_id_counter = nullptr;
 };
 
 /// Per-table layer counters of a MultiTxnManager (see GetStats()).
@@ -97,7 +92,7 @@ struct MultiTxnStats {
   uint64_t folded_records = 0;  ///< records decided by those drains
   uint64_t commit_lock_ns = 0;  ///< total ns commit work held the lock
   uint64_t wal_syncs = 0;       ///< fsyncs through the attached writer
-  uint64_t wal_records = 0;
+  uint64_t wal_records = 0;     ///< WAL frames: one per committed update txn
   std::vector<MultiTxnTableStats> tables;
 };
 
@@ -146,11 +141,13 @@ class MultiTransaction {
   Status Commit();
 
   /// First half of the two-phase commit: seals every table's Trans-PDT
-  /// into one delta record, encodes its WAL frames outside the lock, and
-  /// appends it to the manager's commit FIFO — no verdict is produced
-  /// yet. After Publish() the transaction accepts no further updates or
-  /// reads; the only legal follow-ups are AwaitCommit() and Abort()
-  /// (which withdraws the record if it is still undecided).
+  /// and the WAL payload into one delta record and appends it to the
+  /// manager's commit FIFO — no verdict is produced yet. After Publish()
+  /// the transaction accepts no further updates or reads; the only legal
+  /// follow-ups are AwaitCommit() and Abort() (which withdraws the record
+  /// if it is still undecided). Refuses, leaving the transaction open
+  /// for Abort(), while a Query-PDT is active or when the payload would
+  /// exceed Wal::kMaxPayloadBytes (one frame carries one transaction).
   Status Publish();
 
   /// Second half: if the record is still undecided, decides every sealed
@@ -177,7 +174,6 @@ class MultiTransaction {
   Status EndQueryPdt(const std::string& table);
   bool query_pdt_active(const std::string& table) const;
 
-  uint64_t id() const { return id_; }
   bool finished() const { return finished_; }
 
  private:
@@ -193,7 +189,7 @@ class MultiTransaction {
     std::unique_ptr<Pdt> query;          // optional Query-PDT (footnote 5)
   };
 
-  MultiTransaction(MultiTxnManager* mgr, uint64_t id, uint64_t start_time);
+  MultiTransaction(MultiTxnManager* mgr, uint64_t start_time);
 
   StatusOr<TableView*> View(const std::string& table) const;
   // View() for updates and point reads: refuses a finished or
@@ -207,15 +203,15 @@ class MultiTransaction {
   }
 
   MultiTxnManager* mgr_;
-  uint64_t id_;
   uint64_t start_time_;
   // Keyed by table name; every managed table is snapshot together at
   // Begin(), so the transaction sees one instant across tables (lazy
   // per-table snapshots would let a reader observe, say, a lineitem row
   // whose order isn't visible yet).
   mutable std::map<std::string, TableView> views_;
-  // Logical redo records for the WAL, in op order (until Publish).
-  std::vector<WalRecord> redo_;
+  // The WAL payload: every successful update, encoded in op order as it
+  // happens (until Publish). Stays empty when the manager has no WAL.
+  std::string redo_;
   // The published delta record; owned here, queued in the manager's
   // commit FIFO until a commit decides it (or an abort withdraws it).
   std::unique_ptr<internal::MultiDeltaRecord> rec_;
@@ -235,7 +231,8 @@ class MultiTransaction {
 /// locks.
 class MultiTxnManager {
  public:
-  /// `wal` is optional; when given, commits append logical redo records.
+  /// `wal` is optional; when given, every commit with updates appends
+  /// one frame of logical redo records.
   MultiTxnManager(std::vector<Table*> tables, Wal* wal = nullptr,
                   TxnManagerOptions opts = {});
   /// Releases the tables' driver slots.
@@ -256,11 +253,11 @@ class MultiTxnManager {
   /// The sticky WAL health status: OK until a flush or fsync failed.
   Status wal_status() const;
 
-  /// Replays a WAL (recovery): applies the updates of committed
-  /// transactions, in commit order, skipping aborted ones. Several
-  /// managers may share one log: only records addressed to managed
-  /// tables are applied, and transactions that touched none of them are
-  /// skipped; a multi-table transaction replays as one atomic commit.
+  /// Replays a WAL (recovery): applies each frame — one committed
+  /// transaction — in log order. Several managers may share one log:
+  /// only records addressed to managed tables are applied, and frames
+  /// with none are skipped; a multi-table transaction replays as one
+  /// atomic commit.
   /// Runs at most once, only on a pristine manager, and never from the
   /// manager's own WAL — anything else returns InvalidArgument instead
   /// of double-applying updates.
@@ -271,9 +268,8 @@ class MultiTxnManager {
   /// only: returns InvalidArgument while transactions are active (a
   /// published-but-unfolded commit still counts). The checkpoint fast
   /// path is reserved for managers without a durable writer — durable
-  /// checkpointing is Database::Save's manifest protocol — and logs
-  /// kCheckpoint without truncating the WAL, which other tables' redo
-  /// may share.
+  /// checkpointing is Database::Save's manifest protocol — and leaves
+  /// the WAL alone, since other tables' redo may share it.
   Status PropagateAndMaybeCheckpoint();
 
   size_t active_transactions() const;
@@ -322,7 +318,7 @@ class MultiTxnManager {
   Status AwaitVerdict(internal::MultiDeltaRecord* rec,
                       uint64_t* durable_upto);
   // Algorithm 9 for one record, across all its tables: per-table
-  // conflict check against TZ, WAL append, fold into each table's
+  // conflict check against TZ, WAL frame append, fold into each table's
   // Write-PDT — all-or-nothing. Verdict lands in the record. Caller
   // holds mu_.
   void CommitRecordLocked(internal::MultiDeltaRecord* rec);
@@ -358,7 +354,6 @@ class MultiTxnManager {
   std::deque<internal::MultiDeltaRecord*> sealed_;
 
   uint64_t clock_ = 1;  // logical commit clock
-  uint64_t next_txn_id_ = 1;
   size_t active_ = 0;
   std::atomic<uint64_t> committed_count_{0};
   std::atomic<uint64_t> aborted_count_{0};

@@ -64,7 +64,6 @@ class Transaction {
   Status EndQueryPdt() { return txn_->EndQueryPdt(table_); }
   bool query_pdt_active() const { return txn_->query_pdt_active(table_); }
 
-  uint64_t id() const { return txn_->id(); }
   bool finished() const { return txn_->finished(); }
 
  private:
@@ -92,7 +91,7 @@ struct TxnManagerStats {
   size_t merge_pending_entries = 0;  ///< always 0 (every fold is inline)
   uint64_t background_merges = 0;    ///< Write→Read folds installed
   uint64_t wal_syncs = 0;          ///< fsyncs through the attached writer
-  uint64_t wal_records = 0;
+  uint64_t wal_records = 0;        ///< WAL frames: one per update txn
 };
 
 /// Manages transactions over one PDT-backed Table: a MultiTxnManager over
@@ -100,7 +99,8 @@ struct TxnManagerStats {
 /// propagation contracts.
 class TxnManager : private MultiTxnManager {
  public:
-  /// `wal` is optional; when given, commits append logical redo records.
+  /// `wal` is optional; when given, every commit with updates appends
+  /// one frame of logical redo records.
   TxnManager(Table* table, Wal* wal = nullptr, TxnManagerOptions opts = {})
       : MultiTxnManager({table}, wal, opts), table_(table) {}
 

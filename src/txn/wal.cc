@@ -90,82 +90,58 @@ Status GetValues(const std::string& in, size_t* pos, std::vector<Value>* vs) {
   return Status::OK();
 }
 
-void EncodePayload(std::string* out, const WalRecord& record) {
-  out->push_back(static_cast<char>(record.type));
-  PutVarint64(out, record.txn_id);
-  PutVarint64(out, record.table.size());
-  out->append(record.table);
-  switch (record.type) {
-    case WalRecordType::kInsert:
-      PutValues(out, record.tuple);
-      break;
-    case WalRecordType::kDelete:
-      PutValues(out, record.key);
-      break;
-    case WalRecordType::kModify:
-      PutValues(out, record.key);
-      PutVarint64(out, record.column);
-      PutValue(out, record.value);
-      break;
-    default:
-      break;
-  }
+// An op's `[type][table]` prefix; its values follow.
+void PutOpHeader(std::string* out, WalRecordType type,
+                 const std::string& table) {
+  out->push_back(static_cast<char>(type));
+  PutVarint64(out, table.size());
+  out->append(table);
 }
 
-Status DecodePayload(const std::string& payload, WalRecord* r) {
-  if (payload.empty()) return Status::Corruption("empty WAL record");
-  size_t pos = 0;
-  r->type = static_cast<WalRecordType>(payload[pos]);
-  ++pos;
-  PDT_RETURN_NOT_OK(GetVarint64(payload, &pos, &r->txn_id));
+// Decodes one `[type][table][values]` op starting at `*pos`.
+Status DecodeOp(const std::string& payload, size_t* pos, WalRecord* r) {
+  // The enum's underlying type is uint8_t, so any byte is a value of it.
+  r->type = static_cast<WalRecordType>(payload[*pos]);
+  ++*pos;
   uint64_t tlen;
-  PDT_RETURN_NOT_OK(GetVarint64(payload, &pos, &tlen));
-  if (tlen > payload.size() - pos) {
+  PDT_RETURN_NOT_OK(GetVarint64(payload, pos, &tlen));
+  if (tlen > payload.size() - *pos) {
     return Status::Corruption("truncated WAL table name");
   }
-  r->table = payload.substr(pos, tlen);
-  pos += tlen;
+  r->table = payload.substr(*pos, tlen);
+  *pos += tlen;
   switch (r->type) {
     case WalRecordType::kInsert:
-      PDT_RETURN_NOT_OK(GetValues(payload, &pos, &r->tuple));
-      break;
+      return GetValues(payload, pos, &r->tuple);
     case WalRecordType::kDelete:
-      PDT_RETURN_NOT_OK(GetValues(payload, &pos, &r->key));
-      break;
+      return GetValues(payload, pos, &r->key);
     case WalRecordType::kModify: {
-      PDT_RETURN_NOT_OK(GetValues(payload, &pos, &r->key));
+      PDT_RETURN_NOT_OK(GetValues(payload, pos, &r->key));
       uint64_t col;
-      PDT_RETURN_NOT_OK(GetVarint64(payload, &pos, &col));
+      PDT_RETURN_NOT_OK(GetVarint64(payload, pos, &col));
       r->column = static_cast<ColumnId>(col);
-      PDT_RETURN_NOT_OK(GetValue(payload, &pos, &r->value));
-      break;
+      return GetValue(payload, pos, &r->value);
     }
-    case WalRecordType::kBegin:
-    case WalRecordType::kCommit:
-    case WalRecordType::kAbort:
-    case WalRecordType::kCheckpoint:
-      break;
-    default:
-      return Status::Corruption("bad WAL record type");
   }
-  if (pos != payload.size()) {
-    return Status::Corruption("trailing bytes in WAL record");
+  return Status::Corruption("bad WAL record type");
+}
+
+// Decodes a frame's payload: one transaction's ops, until it ends.
+Status DecodePayload(const std::string& payload, std::vector<WalRecord>* ops) {
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    ops->emplace_back();
+    PDT_RETURN_NOT_OK(DecodeOp(payload, &pos, &ops->back()));
   }
   return Status::OK();
 }
 
 // --- framing ---
 
-constexpr size_t kFrameHeader = 16;         // u32 len + u32 crc + u64 lsn
-constexpr uint32_t kMaxFrameLen = 1u << 30;  // sanity bound on corrupt lens
+constexpr size_t kFrameHeader = 16;  // u32 len + u32 crc + u64 lsn
 // Fixed-width frame fields use the explicit little-endian codecs from
 // storage/encoding.h, so a segment reads identically on any host.
 
-/// Walks the framed stream, calling `fn` per intact record. With
-/// `tolerate_tail`, a torn final frame stops the scan cleanly
-/// (`*tail_truncated` set, `*valid_bytes` = intact prefix); corruption
-/// anywhere before the tail is always a hard error. Without it, any
-/// anomaly is Corruption.
 // True if an intact frame — CRC valid and LSN proving its position —
 // starts at any offset in [from, buffer.size()). Used to classify a bad
 // frame: a torn write only ever damages the very end of the log, so
@@ -176,7 +152,8 @@ bool ValidFrameAfter(const std::string& buffer, size_t from) {
   for (size_t q = from; q + kFrameHeader <= buffer.size(); ++q) {
     if (DecodeFixed64(buffer.data() + q + 8) != q) continue;
     const uint32_t len = DecodeFixed32(buffer.data() + q);
-    if (len > kMaxFrameLen || len > buffer.size() - q - kFrameHeader) {
+    if (len > Wal::kMaxPayloadBytes ||
+        len > buffer.size() - q - kFrameHeader) {
       continue;
     }
     const uint32_t crc = DecodeFixed32(buffer.data() + q + 4);
@@ -185,9 +162,15 @@ bool ValidFrameAfter(const std::string& buffer, size_t from) {
   return false;
 }
 
-Status ScanFrames(const std::string& buffer, bool tolerate_tail,
-                  uint64_t* valid_bytes, bool* tail_truncated,
-                  const std::function<Status(const WalRecord&)>& fn) {
+/// Walks the framed stream, calling `fn` with each intact frame's ops.
+/// With `tolerate_tail`, a torn final frame stops the scan cleanly
+/// (`*tail_truncated` set, `*valid_bytes` = intact prefix); corruption
+/// anywhere before the tail is always a hard error. Without it, any
+/// anomaly is Corruption.
+Status ScanFrames(
+    const std::string& buffer, bool tolerate_tail, uint64_t* valid_bytes,
+    bool* tail_truncated,
+    const std::function<Status(const std::vector<WalRecord>&)>& fn) {
   size_t pos = 0;
   if (tail_truncated != nullptr) *tail_truncated = false;
   while (pos < buffer.size()) {
@@ -199,7 +182,7 @@ Status ScanFrames(const std::string& buffer, bool tolerate_tail,
       torn_reason = "truncated WAL frame header";
     } else {
       const uint32_t len = DecodeFixed32(buffer.data() + pos);
-      if (len > kMaxFrameLen || len > remaining - kFrameHeader) {
+      if (len > Wal::kMaxPayloadBytes || len > remaining - kFrameHeader) {
         // A torn header often reads as a garbage length; only a frame
         // overshooting the end of the log can be a tail.
         torn = true;
@@ -225,10 +208,10 @@ Status ScanFrames(const std::string& buffer, bool tolerate_tail,
           return Status::Corruption("WAL frame LSN mismatch at offset " +
                                     std::to_string(pos));
         } else {
-          WalRecord r;
+          std::vector<WalRecord> ops;
           PDT_RETURN_NOT_OK(DecodePayload(
-              buffer.substr(pos + kFrameHeader, len), &r));
-          PDT_RETURN_NOT_OK(fn(r));
+              buffer.substr(pos + kFrameHeader, len), &ops));
+          PDT_RETURN_NOT_OK(fn(ops));
           pos += kFrameHeader + len;
           if (valid_bytes != nullptr) *valid_bytes = pos;
           continue;
@@ -280,101 +263,43 @@ Status WalWriter::Sync() {
 // Wal.
 // ---------------------------------------------------------------------
 
-uint64_t Wal::Append(const WalRecord& record) {
-  std::string payload;
-  EncodePayload(&payload, record);
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendPayloadLocked(payload);
+void Wal::EncodeInsert(std::string* payload, const std::string& table,
+                       const Tuple& tuple) {
+  PutOpHeader(payload, WalRecordType::kInsert, table);
+  PutValues(payload, tuple);
 }
 
-uint64_t Wal::AppendPayloadLocked(const std::string& payload) {
-  const uint64_t lsn = buffer_.size();
+void Wal::EncodeDelete(std::string* payload, const std::string& table,
+                       const std::vector<Value>& key) {
+  PutOpHeader(payload, WalRecordType::kDelete, table);
+  PutValues(payload, key);
+}
+
+void Wal::EncodeModify(std::string* payload, const std::string& table,
+                       const std::vector<Value>& key, ColumnId col,
+                       const Value& v) {
+  PutOpHeader(payload, WalRecordType::kModify, table);
+  PutValues(payload, key);
+  PutVarint64(payload, col);
+  PutValue(payload, v);
+}
+
+uint64_t Wal::Append(std::string_view payload) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::string lsn;  // 8 bytes: no heap allocation
+  PutFixed64(&lsn, buffer_.size());
   PutFixed32(&buffer_, static_cast<uint32_t>(payload.size()));
   // CRC spans (lsn || payload) so a frame also vouches for its position.
-  std::string checked;
-  checked.reserve(8 + payload.size());
-  PutFixed64(&checked, lsn);
-  checked.append(payload);
-  PutFixed32(&buffer_, Crc32c(checked.data(), checked.size()));
-  buffer_.append(checked);
+  PutFixed32(&buffer_, Crc32cExtend(Crc32c(lsn.data(), lsn.size()),
+                                    payload.data(), payload.size()));
+  buffer_.append(lsn);
+  buffer_.append(payload);
   ++record_count_;
-  return lsn;
-}
-
-std::string Wal::EncodeRecordPayload(const WalRecord& record) {
-  std::string payload;
-  EncodePayload(&payload, record);
-  return payload;
-}
-
-uint64_t Wal::AppendEncoded(const std::vector<std::string>& payloads) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& payload : payloads) AppendPayloadLocked(payload);
   return buffer_.size();
 }
 
-uint64_t Wal::LogBegin(uint64_t txn_id) {
-  WalRecord r;
-  r.type = WalRecordType::kBegin;
-  r.txn_id = txn_id;
-  return Append(r);
-}
-
-uint64_t Wal::LogInsert(uint64_t txn_id, const std::string& table,
-                        const Tuple& tuple) {
-  WalRecord r;
-  r.type = WalRecordType::kInsert;
-  r.txn_id = txn_id;
-  r.table = table;
-  r.tuple = tuple;
-  return Append(r);
-}
-
-uint64_t Wal::LogDelete(uint64_t txn_id, const std::string& table,
-                        const std::vector<Value>& key) {
-  WalRecord r;
-  r.type = WalRecordType::kDelete;
-  r.txn_id = txn_id;
-  r.table = table;
-  r.key = key;
-  return Append(r);
-}
-
-uint64_t Wal::LogModify(uint64_t txn_id, const std::string& table,
-                        const std::vector<Value>& key, ColumnId col,
-                        const Value& v) {
-  WalRecord r;
-  r.type = WalRecordType::kModify;
-  r.txn_id = txn_id;
-  r.table = table;
-  r.key = key;
-  r.column = col;
-  r.value = v;
-  return Append(r);
-}
-
-uint64_t Wal::LogCommit(uint64_t txn_id) {
-  WalRecord r;
-  r.type = WalRecordType::kCommit;
-  r.txn_id = txn_id;
-  return Append(r);
-}
-
-uint64_t Wal::LogAbort(uint64_t txn_id) {
-  WalRecord r;
-  r.type = WalRecordType::kAbort;
-  r.txn_id = txn_id;
-  return Append(r);
-}
-
-uint64_t Wal::LogCheckpoint(const std::string& table) {
-  WalRecord r;
-  r.type = WalRecordType::kCheckpoint;
-  r.table = table;
-  return Append(r);
-}
-
-Status Wal::Replay(const std::function<Status(const WalRecord&)>& fn) const {
+Status Wal::Replay(
+    const std::function<Status(const std::vector<WalRecord>&)>& fn) const {
   // Snapshot the buffer so the (possibly reentrant) callback never runs
   // under the buffer lock.
   std::string snapshot;
@@ -522,7 +447,7 @@ StatusOr<WalRecoveryStats> Wal::RecoverFrom(FileSystem* fs,
   bool torn = false;
   uint64_t valid = 0;
   PDT_RETURN_NOT_OK(ScanFrames(bytes, /*tolerate_tail=*/true, &valid, &torn,
-                               [&count](const WalRecord&) {
+                               [&count](const std::vector<WalRecord>&) {
                                  ++count;
                                  return Status::OK();
                                }));

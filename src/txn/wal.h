@@ -4,12 +4,20 @@
 // unlike in-place columnar updates. Records are logical (key-addressed)
 // so replay works regardless of how positions shifted.
 //
-// On-disk format (v2): every record is one self-checking frame
+// On-disk format (v3): every committed transaction is one self-checking
+// frame
 //
 //   [u32 payload_len][u32 crc32c(lsn || payload)][u64 lsn][payload]
 //
-// with the LSN equal to the frame's byte offset in the log, so a frame
-// also proves it sits where it was written. Recovery distinguishes two
+// whose payload is the transaction's updates in op order, each
+// `[type][table][values]`, decoded until the payload ends. A commit
+// appends its whole frame under the buffer lock, so frames never
+// interleave and the frame CRC alone decides whether a transaction is in
+// the log: there are no begin/commit markers and no transaction ids.
+// Aborts and commits without updates write nothing.
+//
+// The LSN equals the frame's byte offset in the log, so a frame also
+// proves it sits where it was written. Recovery distinguishes two
 // corruption shapes: a bad or incomplete frame that reaches the end of
 // the log is a *torn tail* — the expected residue of a crash mid-append
 // — and is truncated away, recovering the committed prefix; a bad frame with
@@ -37,21 +45,16 @@
 
 namespace pdtstore {
 
-/// Kind of a WAL record.
+/// Kind of a logged update.
 enum class WalRecordType : uint8_t {
-  kBegin = 1,
   kInsert = 2,
   kDelete = 3,
   kModify = 4,
-  kCommit = 5,
-  kAbort = 6,
-  kCheckpoint = 7,  ///< updates up to this LSN are in the stable image
 };
 
-/// One logical WAL record.
+/// One logical update of a committed transaction, as replay decodes it.
 struct WalRecord {
-  WalRecordType type = WalRecordType::kBegin;
-  uint64_t txn_id = 0;
+  WalRecordType type = WalRecordType::kInsert;
   std::string table;
   Tuple tuple;              ///< kInsert: the full tuple
   std::vector<Value> key;   ///< kDelete / kModify: the sort key
@@ -91,7 +94,7 @@ class WalWriter {
 /// What loading a WAL segment from disk found.
 struct WalRecoveryStats {
   uint64_t valid_bytes = 0;   ///< bytes of intact committed frames
-  size_t records = 0;         ///< records in the valid prefix
+  size_t records = 0;         ///< frames (transactions) in the valid prefix
   bool tail_truncated = false;  ///< a torn tail was cut off
 };
 
@@ -106,45 +109,34 @@ class Wal {
  public:
   Wal() = default;
 
-  /// Appends a record as one frame; returns its LSN (byte offset). The
-  /// record is encoded immediately (the sequential WAL write); file
-  /// flushing is explicit and separate.
-  uint64_t Append(const WalRecord& record);
+  /// Largest payload one frame can carry; recovery reads a longer
+  /// length as corruption, so a commit must never write one.
+  static constexpr uint32_t kMaxPayloadBytes = 1u << 30;
 
-  /// Encodes a record's logical payload (everything but the frame
-  /// header) without touching any log. Byte-identical to what Append
-  /// would write, so a committer can do the value encoding — the bulk
-  /// of the append cost — outside every lock and hand the finished
-  /// payloads to AppendEncoded under the commit critical section.
-  static std::string EncodeRecordPayload(const WalRecord& record);
+  /// Op encoders: append one update to a transaction's payload. A
+  /// committer encodes each update as it happens, outside every lock.
+  static void EncodeInsert(std::string* payload, const std::string& table,
+                           const Tuple& tuple);
+  static void EncodeDelete(std::string* payload, const std::string& table,
+                           const std::vector<Value>& key);
+  static void EncodeModify(std::string* payload, const std::string& table,
+                           const std::vector<Value>& key, ColumnId col,
+                           const Value& v);
 
-  /// Appends pre-encoded payloads (from EncodeRecordPayload) as
-  /// consecutive frames under one buffer-lock acquisition; LSNs and
-  /// frame CRCs are assigned here, where the offsets become known.
-  /// Returns the log size the frames extend to (the batch's durability
-  /// target for SyncTo).
-  uint64_t AppendEncoded(const std::vector<std::string>& payloads);
+  /// Appends one transaction's payload (at most kMaxPayloadBytes) as one
+  /// frame under the buffer lock; the LSN and frame CRC are assigned
+  /// here. Returns the log size the frame extends to (the durability
+  /// target for SyncTo). File flushing is explicit and separate.
+  uint64_t Append(std::string_view payload);
 
-  /// Convenience appenders.
-  uint64_t LogBegin(uint64_t txn_id);
-  uint64_t LogInsert(uint64_t txn_id, const std::string& table,
-                     const Tuple& tuple);
-  uint64_t LogDelete(uint64_t txn_id, const std::string& table,
-                     const std::vector<Value>& key);
-  uint64_t LogModify(uint64_t txn_id, const std::string& table,
-                     const std::vector<Value>& key, ColumnId col,
-                     const Value& v);
-  uint64_t LogCommit(uint64_t txn_id);
-  uint64_t LogAbort(uint64_t txn_id);
-  uint64_t LogCheckpoint(const std::string& table);
+  /// Invokes `fn` with each frame's updates, in LSN order — one call per
+  /// committed transaction — verifying every frame checksum. Strict: any
+  /// corruption (including a torn tail) aborts with Corruption.
+  Status Replay(
+      const std::function<Status(const std::vector<WalRecord>&)>& fn) const;
 
-  /// Invokes `fn` for every record in LSN order, verifying every frame
-  /// checksum. Strict: any corruption (including a torn tail) aborts
-  /// with Corruption.
-  Status Replay(const std::function<Status(const WalRecord&)>& fn) const;
-
-  /// Drops all records up to the current end. Only legal after every
-  /// buffered record was absorbed into a durable checkpoint. Blocks
+  /// Drops all frames up to the current end. Only legal after every
+  /// buffered frame was absorbed into a durable checkpoint. Blocks
   /// until in-flight SyncTo waits have drained, so no committer is left
   /// waiting on an offset the truncation erased (and the writer can be
   /// swapped safely afterwards).
@@ -191,11 +183,12 @@ class Wal {
   std::string TakeUnflushed(uint64_t* end_offset);
 
   uint64_t SizeBytes() const;
+  /// Frames in the log: one per committed transaction with updates.
   size_t RecordCount() const;
 
  private:
   // Frames one payload at the current end of the buffer. Caller holds mu_.
-  uint64_t AppendPayloadLocked(const std::string& payload);
+  void AppendPayloadLocked(std::string_view payload);
 
   // Buffer state. Held only for short, non-blocking operations.
   mutable std::mutex mu_;

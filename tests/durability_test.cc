@@ -575,7 +575,7 @@ TEST(DatabaseDurabilityTest, TornWalTailLosesOnlyTheTornCommit) {
             .ok());
     wal_path = dir + "/wal.000000";
   }
-  // Tear the last frame (the second commit marker) as a crash would.
+  // Tear the last frame (the second commit's) as a crash would.
   std::string data;
   ASSERT_TRUE(
       FileSystem::Default()->ReadFileToString(wal_path, &data).ok());
@@ -591,6 +591,121 @@ TEST(DatabaseDurabilityTest, TornWalTailLosesOnlyTheTornCommit) {
   auto rows = TableRows(*table);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0], Value("Oslo"));
+}
+
+// Every table's rows as a MultiTxnManager transaction sees them.
+std::vector<std::vector<Tuple>> SnapshotRows(MultiTxnManager* mgr,
+                                             const std::vector<Table*>& ts) {
+  auto txn = mgr->Begin();
+  std::vector<std::vector<Tuple>> out;
+  for (Table* t : ts) {
+    auto src = txn->Scan(t->name(), AllColumns(t->schema()));
+    auto rows = CollectRows(src.get());
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    out.push_back(rows.ok() ? *rows : std::vector<Tuple>{});
+  }
+  EXPECT_TRUE(txn->Commit().ok());
+  return out;
+}
+
+TEST(WalAtomicityTest, TornMultiTableFrameReplaysNoOpOfItsTransaction) {
+  // Atomicity rests on the frame CRC: a transaction is in the log iff
+  // its one frame is intact. Tear the frame of a multi-op, two-table
+  // transaction at several offsets; recovery must replay every earlier
+  // transaction and no op of the torn one.
+  const std::string dir = FreshDir("wal_torn_multi");
+  FileSystem* fs = FileSystem::Default();
+  ASSERT_TRUE(fs->CreateDir(dir).ok());
+  const std::string path = dir + "/wal";
+  auto make_tables = [](std::unique_ptr<Table>* inv,
+                        std::unique_ptr<Table>* stock) {
+    *inv = std::make_unique<Table>("inventory", InventorySchema(),
+                                   TableOptions{});
+    *stock = std::make_unique<Table>("stock", InventorySchema(),
+                                     TableOptions{});
+    ASSERT_TRUE((*inv)->Load(InventoryRows()).ok());
+    ASSERT_TRUE((*stock)->Load(InventoryRows()).ok());
+  };
+
+  std::unique_ptr<Table> inv, stock;
+  make_tables(&inv, &stock);
+  std::vector<std::vector<Tuple>> before_torn, after_torn;
+  uint64_t prefix = 0;
+  uint64_t full = 0;
+  {
+    auto writer = WalWriter::Open(fs, path, /*truncate=*/true);
+    ASSERT_TRUE(writer.ok());
+    Wal wal;
+    MultiTxnManager mgr({inv.get(), stock.get()}, &wal);
+    mgr.SetWalWriter(writer->get());
+    auto t1 = mgr.Begin();
+    ASSERT_TRUE(t1->Insert("inventory", {"Oslo", "bench", "N", 1}).ok());
+    ASSERT_TRUE(t1->Commit().ok());
+    auto t2 = mgr.Begin();
+    ASSERT_TRUE(t2->Insert("stock", {"Bergen", "rack", "Y", 3}).ok());
+    ASSERT_TRUE(
+        t2->ModifyByKey("inventory", {Value("Paris"), Value("rug")}, 3,
+                        Value(8))
+            .ok());
+    ASSERT_TRUE(t2->Commit().ok());
+    before_torn = SnapshotRows(&mgr, {inv.get(), stock.get()});
+    prefix = wal.SizeBytes();
+    auto t3 = mgr.Begin();
+    ASSERT_TRUE(t3->Insert("inventory", {"Aix", "lamp", "Y", 4}).ok());
+    ASSERT_TRUE(t3->Insert("stock", {"Aix", "lamp", "Y", 4}).ok());
+    ASSERT_TRUE(
+        t3->DeleteByKey("inventory", {Value("London"), Value("table")}).ok());
+    ASSERT_TRUE(t3->ModifyByKey("stock", {Value("Paris"), Value("stool")},
+                                3, Value(0))
+                    .ok());
+    ASSERT_TRUE(
+        t3->DeleteByKey("stock", {Value("London"), Value("chair")}).ok());
+    ASSERT_TRUE(t3->Commit().ok());
+    after_torn = SnapshotRows(&mgr, {inv.get(), stock.get()});
+    full = wal.SizeBytes();
+    EXPECT_EQ(wal.RecordCount(), 3u);  // one frame per transaction
+  }
+  ASSERT_NE(before_torn, after_torn);
+  std::string data;
+  ASSERT_TRUE(fs->ReadFileToString(path, &data).ok());
+  ASSERT_EQ(data.size(), full);
+  const uint64_t payload_begin = prefix + 16;
+  ASSERT_GT(full - payload_begin, 8u);
+
+  // `damaged` replaces the log; recovery must land on `want`.
+  auto check = [&](const std::string& damaged, bool torn,
+                   const std::vector<std::vector<Tuple>>& want,
+                   const std::string& what) {
+    SCOPED_TRACE(what);
+    const std::string torn_path = dir + "/torn";
+    auto f = fs->NewWritableFile(torn_path, /*truncate=*/true);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->Append(damaged).ok());
+    ASSERT_TRUE((*f)->Close().ok());
+    Wal loaded;
+    auto stats = loaded.RecoverFrom(fs, torn_path);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->tail_truncated, torn);
+    EXPECT_EQ(stats->records, torn ? 2u : 3u);
+    std::unique_ptr<Table> fresh_inv, fresh_stock;
+    make_tables(&fresh_inv, &fresh_stock);
+    MultiTxnManager fresh({fresh_inv.get(), fresh_stock.get()}, nullptr);
+    ASSERT_TRUE(fresh.Recover(loaded).ok());
+    EXPECT_EQ(SnapshotRows(&fresh, {fresh_inv.get(), fresh_stock.get()}),
+              want);
+  };
+  check(data, false, after_torn, "intact log");
+  const uint64_t len = full - payload_begin;
+  for (uint64_t cut : {payload_begin + 1, payload_begin + len / 3,
+                       payload_begin + len / 2, full - 1}) {
+    check(data.substr(0, cut), true, before_torn,
+          "cut at " + std::to_string(cut));
+  }
+  for (uint64_t flip : {payload_begin, payload_begin + len / 2, full - 1}) {
+    std::string flipped = data;
+    flipped[flip] ^= 0x10;
+    check(flipped, true, before_torn, "flip at " + std::to_string(flip));
+  }
 }
 
 TEST(DatabaseDurabilityTest, MidLogWalCorruptionDegradesToReadOnly) {
@@ -849,9 +964,9 @@ TEST(WalSyncToTest, StaleOffsetAfterTruncateReturnsOkInsteadOfSpinning) {
   ASSERT_TRUE(writer.ok());
   Wal wal;
   wal.SetWriter(writer->get());
-  wal.LogBegin(1);
-  wal.LogCommit(1);
-  const uint64_t upto = wal.SizeBytes();
+  std::string payload;
+  Wal::EncodeInsert(&payload, "inventory", {"Oslo", "bench", "N", 1});
+  const uint64_t upto = wal.Append(payload);
   ASSERT_GT(upto, 0u);
   // A checkpoint absorbed the log and truncated it while a committer
   // still held this offset. The records are durable via the checkpoint:
@@ -860,8 +975,7 @@ TEST(WalSyncToTest, StaleOffsetAfterTruncateReturnsOkInsteadOfSpinning) {
   wal.Truncate();
   EXPECT_TRUE(wal.SyncTo(upto).ok());
   // A fresh append still flushes through the writer normally.
-  wal.LogBegin(2);
-  wal.LogCommit(2);
+  wal.Append(payload);
   EXPECT_TRUE(wal.SyncTo(wal.SizeBytes()).ok());
 }
 

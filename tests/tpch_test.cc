@@ -1,8 +1,13 @@
 // TPC-H workload tests: generator determinism and structure, refresh
-// streams, pinned one-thread answers, and the key evaluation invariant —
-// every query kernel returns identical results on PDT-backed, VDT-backed
-// and checkpointed tables under the same update load.
+// streams, pinned one-thread answers, an independent row-at-a-time
+// oracle for Q1 and Q6, and the key evaluation invariant — every query
+// kernel returns identical results on PDT-backed, VDT-backed and
+// checkpointed tables under the same update load.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <map>
+#include <utility>
 
 #include "db/database.h"
 #include "tpch/queries.h"
@@ -199,6 +204,113 @@ TEST_P(TpchQueryTest, BackendsAgreeUnderUpdateLoad) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::Range(1, 23));
+
+// --- Independent oracle for Q1 and Q6 ---
+// A row-at-a-time evaluator written from the TPC-H text, over the
+// tuples Table::Scan merges: no vectorized predicate, projection, hash
+// aggregation or sort of the engine is involved, so a wrong bound or a
+// lost group shows up here even where every backend agrees with the
+// pinned digest of a wrong answer.
+
+std::vector<Tuple> ScanLineitem(const TpchTables& t,
+                                std::vector<ColumnId> cols) {
+  auto src = t.lineitem->Scan(std::move(cols));
+  auto rows = CollectRows(src.get());
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  return rows.ok() ? *rows : std::vector<Tuple>{};
+}
+
+// Q1: l_shipdate <= 1998-12-01 minus 90 days, grouped by
+// (l_returnflag, l_linestatus) in key order.
+std::vector<Tuple> OracleQ1(const TpchTables& t) {
+  struct Group {
+    double qty = 0, price = 0, disc_price = 0, charge = 0, disc = 0;
+    int64_t count = 0;
+  };
+  std::map<std::pair<std::string, std::string>, Group> groups;
+  const int64_t last_day = DayNumber(1998, 9, 2);
+  for (const Tuple& r :
+       ScanLineitem(t, {kLReturnflag, kLLinestatus, kLQuantity,
+                        kLExtendedprice, kLDiscount, kLTax, kLShipdate})) {
+    if (r[6].AsInt64() > last_day) continue;
+    Group& g = groups[{r[0].AsString(), r[1].AsString()}];
+    const double price = r[3].AsDouble();
+    const double disc = r[4].AsDouble();
+    g.qty += r[2].AsDouble();
+    g.price += price;
+    g.disc_price += price * (1 - disc);
+    g.charge += price * (1 - disc) * (1 + r[5].AsDouble());
+    g.disc += disc;
+    ++g.count;
+  }
+  std::vector<Tuple> out;
+  for (const auto& [key, g] : groups) {
+    const double n = static_cast<double>(g.count);
+    out.push_back({key.first, key.second, g.qty, g.price, g.disc_price,
+                   g.charge, g.qty / n, g.price / n, g.disc / n, g.count});
+  }
+  return out;
+}
+
+// Q6: shipped in 1994, discount within 0.06 +- 0.01, quantity < 24.
+std::vector<Tuple> OracleQ6(const TpchTables& t) {
+  const int64_t first = DayNumber(1994, 1, 1);
+  const int64_t next_year = DayNumber(1995, 1, 1);
+  double revenue = 0;
+  for (const Tuple& r : ScanLineitem(
+           t, {kLShipdate, kLDiscount, kLQuantity, kLExtendedprice})) {
+    const int64_t day = r[0].AsInt64();
+    const double disc = r[1].AsDouble();
+    if (day < first || day >= next_year) continue;
+    if (disc < 0.05 - 1e-9 || disc > 0.07 + 1e-9) continue;
+    if (r[2].AsDouble() >= 24) continue;
+    revenue += r[3].AsDouble() * disc;
+  }
+  return {{revenue}};
+}
+
+// Same rows; strings and integers exactly, doubles within 1e-9 relative.
+void ExpectSameAnswer(const std::vector<Tuple>& got,
+                      const std::vector<Tuple>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << "row " << i;
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      const Value& g = got[i][c];
+      const Value& w = want[i][c];
+      ASSERT_EQ(g.type(), w.type()) << "row " << i << " col " << c;
+      if (w.type() == TypeId::kDouble) {
+        EXPECT_NEAR(g.AsDouble(), w.AsDouble(),
+                    1e-9 * std::abs(w.AsDouble()))
+            << "row " << i << " col " << c;
+      } else {
+        EXPECT_EQ(g, w) << "row " << i << " col " << c;
+      }
+    }
+  }
+}
+
+TEST(TpchOracleTest, Q1AndQ6MatchARowAtATimeEvaluator) {
+  GenOptions gen = SmallGen();
+  auto streams = MakeUpdateStreams(gen, 2, 0.005);
+  ASSERT_TRUE(streams.ok());
+  Database db;
+  auto tables = GenerateInto(&db, gen, TableOptions{});
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  for (const auto& s : *streams) {
+    ASSERT_TRUE(ApplyUpdateStream(s, &*tables).ok());
+  }
+  auto q1 = RunTpchQuery(1, *tables);
+  ASSERT_TRUE(q1.ok()) << q1.status().ToString();
+  const std::vector<Tuple> want1 = OracleQ1(*tables);
+  ASSERT_EQ(want1.size(), 4u);  // A-F, N-F, N-O, R-F
+  ExpectSameAnswer(q1->output, want1);
+  auto q6 = RunTpchQuery(6, *tables);
+  ASSERT_TRUE(q6.ok()) << q6.status().ToString();
+  const std::vector<Tuple> want6 = OracleQ6(*tables);
+  ASSERT_GT(want6[0][0].AsDouble(), 0.0);
+  ExpectSameAnswer(q6->output, want6);
+}
 
 TEST(TpchDeterminismTest, Q11SerialAndParallelAgreeExactly) {
   // Q11 keeps the top 50 of many tied values (retail prices repeat every

@@ -268,9 +268,9 @@ TEST_F(TxnTest, RecoverRefusesManagerWithHistory) {
   // Recovery only makes sense into a pristine manager: one that already
   // processed commits would re-apply them on top of live state.
   Wal other;
-  other.LogBegin(1);
-  other.LogInsert(1, "inventory", {"Oslo", "bench", "N", 1});
-  other.LogCommit(1);
+  std::string payload;
+  Wal::EncodeInsert(&payload, "inventory", {"Oslo", "bench", "N", 1});
+  other.Append(payload);
   {
     auto t = mgr_->Begin();
     ASSERT_TRUE(t->Insert({"Berlin", "cloth", "Y", 5}).ok());
@@ -286,51 +286,72 @@ TEST_F(TxnTest, RecoverRefusesManagerWithHistory) {
   EXPECT_EQ(self_mgr.Recover(wal_).code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(TxnTest, RecoveryHandlesInterleavedAbortAndCommit) {
-  // Interleaved begin/abort/commit markers across transactions: only
-  // the committed transactions' effects may surface after recovery.
-  Wal log;
-  log.LogBegin(1);
-  log.LogBegin(2);
-  log.LogInsert(1, "inventory", {"Oslo", "bench", "N", 1});
-  log.LogInsert(2, "inventory", {"Bergen", "rack", "Y", 3});
-  log.LogBegin(3);
-  log.LogInsert(3, "inventory", {"Tromso", "bin", "N", 2});
-  log.LogCommit(2);
-  log.LogAbort(1);
-  log.LogCheckpoint("inventory");  // informational; replay skips it
-  log.LogCommit(3);
-  // Txn 4 began but neither committed nor aborted (in-flight at crash):
-  // its updates must be dropped.
-  log.LogBegin(4);
-  log.LogInsert(4, "inventory", {"Vardo", "box", "N", 9});
-
-  Table fresh("inventory", schema_, TableOptions{});
-  ASSERT_TRUE(fresh.Load(InventoryRows()).ok());
-  TxnManager fresh_mgr(&fresh, nullptr);
-  ASSERT_TRUE(fresh_mgr.Recover(log).ok());
-  auto check = fresh_mgr.Begin();
-  auto rows = TxnScan(*check, *schema_);
-  EXPECT_EQ(rows.size(), 7u);  // 5 base + txns 2 and 3
-  for (const Tuple& r : rows) {
-    EXPECT_NE(r[0], Value("Oslo"));   // aborted
-    EXPECT_NE(r[0], Value("Vardo"));  // in-flight, never committed
+TEST_F(TxnTest, AbortsAndReadOnlyCommitsWriteNothing) {
+  // A WAL frame is one committed transaction with updates: nothing else
+  // reaches the log.
+  const std::vector<Value> rug = {Value("Paris"), Value("rug")};
+  const uint64_t empty = wal_.SizeBytes();
+  {
+    auto t = mgr_->Begin();  // unpublished abort
+    ASSERT_TRUE(t->Insert({"Oslo", "bench", "N", 1}).ok());
+    t->Abort();
   }
+  EXPECT_EQ(wal_.SizeBytes(), empty);
+  {
+    auto t = mgr_->Begin();  // published, then withdrawn
+    ASSERT_TRUE(t->Insert({"Oslo", "bench", "N", 1}).ok());
+    ASSERT_TRUE(t->Publish().ok());
+    t->Abort();
+  }
+  EXPECT_EQ(wal_.SizeBytes(), empty);
+  {
+    auto t = mgr_->Begin();  // commit with no updates
+    EXPECT_EQ(TxnScan(*t, *schema_).size(), 5u);
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  EXPECT_EQ(wal_.SizeBytes(), empty);
+  EXPECT_EQ(wal_.RecordCount(), 0u);
+
+  // A conflict-aborted commit: the winner's frame is the only one.
+  auto winner = mgr_->Begin();
+  auto loser = mgr_->Begin();
+  ASSERT_TRUE(winner->ModifyByKey(rug, 3, Value(1)).ok());
+  ASSERT_TRUE(loser->ModifyByKey(rug, 3, Value(2)).ok());
+  ASSERT_TRUE(winner->Commit().ok());
+  const uint64_t after_winner = wal_.SizeBytes();
+  EXPECT_GT(after_winner, empty);
+  EXPECT_EQ(loser->Commit().code(), StatusCode::kConflict);
+  EXPECT_EQ(wal_.SizeBytes(), after_winner);
+
+  // Every commit with updates appends exactly one frame.
+  constexpr int kCommits = 4;
+  for (int i = 0; i < kCommits; ++i) {
+    auto t = mgr_->Begin();
+    ASSERT_TRUE(t->Insert({"Oslo", "bin" + std::to_string(i), "N", i}).ok());
+    ASSERT_TRUE(t->ModifyByKey(rug, 3, Value(i)).ok());
+    ASSERT_TRUE(t->Commit().ok());
+  }
+  EXPECT_EQ(wal_.RecordCount(), size_t{1 + kCommits});
+  EXPECT_EQ(mgr_->aborted_count(), 3u);
 }
 
 TEST_F(TxnTest, RecoveryIgnoresOtherTablesRecords) {
   // Several tables share one log; replay into this manager must apply
-  // only the records addressed to its table.
+  // only the records addressed to its table, and skip a frame with none.
   Wal log;
-  log.LogBegin(1);
-  log.LogInsert(1, "inventory", {"Oslo", "bench", "N", 1});
-  log.LogInsert(1, "orders", {"not-even-the-right-schema"});
-  log.LogCommit(1);
+  std::string mixed;
+  Wal::EncodeInsert(&mixed, "inventory", {"Oslo", "bench", "N", 1});
+  Wal::EncodeInsert(&mixed, "orders", {"not-even-the-right-schema"});
+  log.Append(mixed);
+  std::string foreign;
+  Wal::EncodeDelete(&foreign, "orders", {Value("no-such-key")});
+  log.Append(foreign);
 
   Table fresh("inventory", schema_, TableOptions{});
   ASSERT_TRUE(fresh.Load(InventoryRows()).ok());
   TxnManager fresh_mgr(&fresh, nullptr);
   ASSERT_TRUE(fresh_mgr.Recover(log).ok());
+  EXPECT_EQ(fresh_mgr.committed_count(), 1u);  // the foreign frame skipped
   auto check = fresh_mgr.Begin();
   EXPECT_EQ(TxnScan(*check, *schema_).size(), 6u);
 }
@@ -514,7 +535,7 @@ TEST_F(TxnTest, AbortAfterFoldIsANoOp) {
 
 TEST_F(TxnTest, AwaitOnLaterRecordDecidesEarlierFirst) {
   // Awaiting the newest record decides every record published before
-  // it, in publication order: the WAL's commit markers read a, b, c.
+  // it, in publication order: the WAL's frames insert A3, B3, C3.
   auto a = mgr_->Begin();
   auto b = mgr_->Begin();
   auto c = mgr_->Begin();
@@ -531,15 +552,15 @@ TEST_F(TxnTest, AwaitOnLaterRecordDecidesEarlierFirst) {
   EXPECT_EQ(s.pending_deltas, 0u);
   EXPECT_EQ(s.fold_batches, 1u);
   EXPECT_EQ(s.folded_records, 3u);
-  std::vector<uint64_t> commits;
-  ASSERT_TRUE(wal_.Replay([&](const WalRecord& r) -> Status {
-                    if (r.type == WalRecordType::kCommit) {
-                      commits.push_back(r.txn_id);
-                    }
+  std::vector<Value> commits;
+  ASSERT_TRUE(wal_.Replay([&](const std::vector<WalRecord>& ops) -> Status {
+                    EXPECT_EQ(ops.size(), 1u);
+                    commits.push_back(ops.at(0).tuple.at(0));
                     return Status::OK();
                   })
                   .ok());
-  EXPECT_EQ(commits, (std::vector<uint64_t>{a->id(), b->id(), c->id()}));
+  EXPECT_EQ(commits,
+            (std::vector<Value>{Value("A3"), Value("B3"), Value("C3")}));
   ASSERT_TRUE(a->AwaitCommit().ok());
   ASSERT_TRUE(b->AwaitCommit().ok());
   EXPECT_EQ(mgr_->committed_count(), 3u);
@@ -779,16 +800,12 @@ TEST_F(TxnTest, CheckpointKeepsSharedWalForOtherTables) {
   // committed redo, which recovery then replays.
   mgr_.reset();
   Wal shared;
-  std::atomic<uint64_t> ids{0};
   Table stock("stock", schema_, TableOptions{});
   ASSERT_TRUE(stock.Load(InventoryRows()).ok());
   TxnManagerOptions checkpointing;
   checkpointing.read_pdt_max_entries = 0;  // always checkpoint
-  checkpointing.txn_id_counter = &ids;
-  TxnManagerOptions plain;
-  plain.txn_id_counter = &ids;
   TxnManager inventory_mgr(table_.get(), &shared, checkpointing);
-  TxnManager stock_mgr(&stock, &shared, plain);
+  TxnManager stock_mgr(&stock, &shared);
   for (TxnManager* m : {&stock_mgr, &inventory_mgr}) {
     auto txn = m->Begin();
     ASSERT_TRUE(txn->Insert({"Berlin", "cloth", "Y", 5}).ok());

@@ -1,7 +1,7 @@
-// WAL unit tests: record encode/replay roundtrips for every record kind
-// and value type, truncation, file persistence, and corruption handling —
-// including the recovery split between a torn tail (truncated, prefix
-// kept) and mid-log corruption (hard error).
+// WAL unit tests: op encode/replay roundtrips for every op kind and
+// value type, one frame per transaction, truncation, file persistence,
+// and corruption handling — including the recovery split between a torn
+// tail (truncated, prefix kept) and mid-log corruption (hard error).
 #include "txn/wal.h"
 
 #include <gtest/gtest.h>
@@ -24,14 +24,30 @@ void PersistLog(Wal* wal, const std::string& path) {
   wal->SetWriter(nullptr);
 }
 
-// A three-record committed log written to `path`; returns its size.
+// One transaction's payload: a single insert of `k`.
+std::string InsertPayload(int64_t k) {
+  std::string payload;
+  Wal::EncodeInsert(&payload, "t", {k, std::string("row")});
+  return payload;
+}
+
+// A three-transaction log written to `path`; returns its size.
 uint64_t WriteSampleLog(const std::string& path) {
   Wal wal;
-  wal.LogBegin(1);
-  wal.LogInsert(1, "t", {int64_t{1}, std::string("one")});
-  wal.LogCommit(1);
+  for (int64_t k = 1; k <= 3; ++k) wal.Append(InsertPayload(k));
   PersistLog(&wal, path);
   return wal.SizeBytes();
+}
+
+// Every frame of `wal`, one op list per frame.
+std::vector<std::vector<WalRecord>> Frames(const Wal& wal) {
+  std::vector<std::vector<WalRecord>> frames;
+  EXPECT_TRUE(wal.Replay([&](const std::vector<WalRecord>& ops) {
+                   frames.push_back(ops);
+                   return Status::OK();
+                 })
+                  .ok());
+  return frames;
 }
 
 std::string ReadAll(const std::string& path) {
@@ -47,73 +63,62 @@ void WriteAll(const std::string& path, const std::string& data) {
   ASSERT_TRUE((*f)->Close().ok());
 }
 
-TEST(WalTest, RoundtripsAllRecordKinds) {
+TEST(WalTest, RoundtripsAllOpKindsInOneFrame) {
   Wal wal;
-  wal.LogBegin(7);
-  wal.LogInsert(7, "t", {int64_t{42}, 3.5, std::string("hi")});
-  wal.LogModify(7, "t", {Value(42)}, 2, Value("patched"));
-  wal.LogDelete(7, "t", {Value(42)});
-  wal.LogCommit(7);
-  wal.LogAbort(8);
-  wal.LogCheckpoint("t");
-  EXPECT_EQ(wal.RecordCount(), 7u);
+  std::string payload;
+  Wal::EncodeInsert(&payload, "t", {int64_t{42}, 3.5, std::string("hi")});
+  Wal::EncodeModify(&payload, "u", {Value(42)}, 2, Value("patched"));
+  Wal::EncodeDelete(&payload, "t", {Value(42)});
+  wal.Append(payload);
+  EXPECT_EQ(wal.RecordCount(), 1u);
 
-  std::vector<WalRecord> records;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord& r) {
-                   records.push_back(r);
-                   return Status::OK();
-                 })
-                  .ok());
-  ASSERT_EQ(records.size(), 7u);
-  EXPECT_EQ(records[0].type, WalRecordType::kBegin);
-  EXPECT_EQ(records[0].txn_id, 7u);
-  EXPECT_EQ(records[1].type, WalRecordType::kInsert);
-  ASSERT_EQ(records[1].tuple.size(), 3u);
-  EXPECT_EQ(records[1].tuple[0], Value(42));
-  EXPECT_DOUBLE_EQ(records[1].tuple[1].AsDouble(), 3.5);
-  EXPECT_EQ(records[1].tuple[2], Value("hi"));
-  EXPECT_EQ(records[2].type, WalRecordType::kModify);
-  EXPECT_EQ(records[2].column, 2u);
-  EXPECT_EQ(records[2].value, Value("patched"));
-  EXPECT_EQ(records[3].type, WalRecordType::kDelete);
-  EXPECT_EQ(records[3].key[0], Value(42));
-  EXPECT_EQ(records[4].type, WalRecordType::kCommit);
-  EXPECT_EQ(records[5].type, WalRecordType::kAbort);
-  EXPECT_EQ(records[5].txn_id, 8u);
-  EXPECT_EQ(records[6].type, WalRecordType::kCheckpoint);
-  EXPECT_EQ(records[6].table, "t");
+  const auto frames = Frames(wal);
+  ASSERT_EQ(frames.size(), 1u);
+  const std::vector<WalRecord>& ops = frames[0];
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].type, WalRecordType::kInsert);
+  EXPECT_EQ(ops[0].table, "t");
+  ASSERT_EQ(ops[0].tuple.size(), 3u);
+  EXPECT_EQ(ops[0].tuple[0], Value(42));
+  EXPECT_DOUBLE_EQ(ops[0].tuple[1].AsDouble(), 3.5);
+  EXPECT_EQ(ops[0].tuple[2], Value("hi"));
+  EXPECT_EQ(ops[1].type, WalRecordType::kModify);
+  EXPECT_EQ(ops[1].table, "u");
+  EXPECT_EQ(ops[1].key[0], Value(42));
+  EXPECT_EQ(ops[1].column, 2u);
+  EXPECT_EQ(ops[1].value, Value("patched"));
+  EXPECT_EQ(ops[2].type, WalRecordType::kDelete);
+  EXPECT_EQ(ops[2].table, "t");
+  EXPECT_EQ(ops[2].key[0], Value(42));
 }
 
-TEST(WalTest, LsnsAreMonotonic) {
+TEST(WalTest, AppendReturnsGrowingEndOffsets) {
   Wal wal;
-  uint64_t a = wal.LogBegin(1);
-  uint64_t b = wal.LogCommit(1);
-  uint64_t c = wal.LogBegin(2);
+  const std::string first = InsertPayload(1);
+  const uint64_t a = wal.Append(first);
+  EXPECT_EQ(a, 16 + first.size());  // frame header + payload
+  const uint64_t b = wal.Append(InsertPayload(2));
   EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
+  EXPECT_EQ(b, wal.SizeBytes());
 }
 
 TEST(WalTest, TruncateEmptiesLog) {
   Wal wal;
-  wal.LogBegin(1);
-  wal.LogCommit(1);
+  wal.Append(InsertPayload(1));
   wal.Truncate();
   EXPECT_EQ(wal.SizeBytes(), 0u);
   EXPECT_EQ(wal.RecordCount(), 0u);
-  int seen = 0;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord&) {
-                   ++seen;
-                   return Status::OK();
-                 })
-                  .ok());
-  EXPECT_EQ(seen, 0);
+  EXPECT_TRUE(Frames(wal).empty());
 }
 
 TEST(WalTest, FileRoundtrip) {
   Wal wal;
-  wal.LogBegin(1);
-  wal.LogInsert(1, "accounts", {std::string("alice"), int64_t{100}});
-  wal.LogCommit(1);
+  std::string payload;
+  Wal::EncodeInsert(&payload, "accounts",
+                    {std::string("alice"), int64_t{100}});
+  Wal::EncodeDelete(&payload, "accounts", {Value("bob")});
+  wal.Append(payload);
+  wal.Append(InsertPayload(7));
   std::string path = ::testing::TempDir() + "/wal_roundtrip.bin";
   PersistLog(&wal, path);
   Wal loaded;
@@ -121,59 +126,76 @@ TEST(WalTest, FileRoundtrip) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_FALSE(stats->tail_truncated);
   EXPECT_EQ(loaded.SizeBytes(), wal.SizeBytes());
-  EXPECT_EQ(loaded.RecordCount(), 3u);
+  EXPECT_EQ(loaded.RecordCount(), 2u);
+  const auto frames = Frames(loaded);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].size(), 2u);
+  EXPECT_EQ(frames[1].size(), 1u);
 }
 
 TEST(WalTest, ReplayCallbackErrorPropagates) {
   Wal wal;
-  wal.LogBegin(1);
-  wal.LogCommit(1);
-  Status st = wal.Replay([](const WalRecord& r) {
-    if (r.type == WalRecordType::kCommit) {
-      return Status::Internal("stop");
-    }
-    return Status::OK();
+  wal.Append(InsertPayload(1));
+  wal.Append(InsertPayload(2));
+  int calls = 0;
+  Status st = wal.Replay([&](const std::vector<WalRecord>&) {
+    return ++calls == 2 ? Status::Internal("stop") : Status::OK();
   });
   EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(WalTest, NegativeAndExtremeValuesRoundtrip) {
   Wal wal;
-  wal.LogInsert(1, "t",
-                {int64_t{-1}, int64_t{INT64_MIN}, int64_t{INT64_MAX},
-                 -0.0, 1e-300, std::string()});
-  std::vector<WalRecord> records;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord& r) {
-                   records.push_back(r);
-                   return Status::OK();
-                 })
-                  .ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].tuple[0], Value(int64_t{-1}));
-  EXPECT_EQ(records[0].tuple[1], Value(int64_t{INT64_MIN}));
-  EXPECT_EQ(records[0].tuple[2], Value(int64_t{INT64_MAX}));
-  EXPECT_DOUBLE_EQ(records[0].tuple[3].AsDouble(), -0.0);
-  EXPECT_DOUBLE_EQ(records[0].tuple[4].AsDouble(), 1e-300);
-  EXPECT_EQ(records[0].tuple[5], Value(""));
+  std::string payload;
+  Wal::EncodeInsert(&payload, "t",
+                    {int64_t{-1}, int64_t{INT64_MIN}, int64_t{INT64_MAX},
+                     -0.0, 1e-300, std::string()});
+  wal.Append(payload);
+  const auto frames = Frames(wal);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].size(), 1u);
+  const Tuple& tuple = frames[0][0].tuple;
+  EXPECT_EQ(tuple[0], Value(int64_t{-1}));
+  EXPECT_EQ(tuple[1], Value(int64_t{INT64_MIN}));
+  EXPECT_EQ(tuple[2], Value(int64_t{INT64_MAX}));
+  EXPECT_DOUBLE_EQ(tuple[3].AsDouble(), -0.0);
+  EXPECT_DOUBLE_EQ(tuple[4].AsDouble(), 1e-300);
+  EXPECT_EQ(tuple[5], Value(""));
 }
 
 TEST(WalTest, ReplayReappendReproducesIdenticalBytes) {
-  // The frame codec is canonical: decoding every record and appending
-  // them into a fresh log reproduces the original bytes exactly, so a
+  // The frame codec is canonical: decoding every frame and re-encoding
+  // its ops into a fresh log reproduces the original bytes exactly, so a
   // recovered log continues at precisely the old offsets.
   Wal wal;
-  wal.LogBegin(3);
-  wal.LogInsert(3, "t", {int64_t{-9}, 2.25, std::string("x")});
-  wal.LogModify(3, "t", {Value(int64_t{-9})}, 1, Value(7.5));
-  wal.LogDelete(3, "t", {Value(int64_t{-9})});
-  wal.LogCommit(3);
-  wal.LogCheckpoint("t");
+  std::string payload;
+  Wal::EncodeInsert(&payload, "t", {int64_t{-9}, 2.25, std::string("x")});
+  Wal::EncodeModify(&payload, "t", {Value(int64_t{-9})}, 1, Value(7.5));
+  Wal::EncodeDelete(&payload, "t", {Value(int64_t{-9})});
+  wal.Append(payload);
+  wal.Append(InsertPayload(3));
   std::string a = ::testing::TempDir() + "/wal_bytes_a.bin";
   std::string b = ::testing::TempDir() + "/wal_bytes_b.bin";
   PersistLog(&wal, a);
   Wal rebuilt;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord& r) {
-                   rebuilt.Append(r);
+  ASSERT_TRUE(wal.Replay([&](const std::vector<WalRecord>& ops) {
+                   std::string p;
+                   for (const WalRecord& r : ops) {
+                     switch (r.type) {
+                       case WalRecordType::kInsert:
+                         Wal::EncodeInsert(&p, r.table, r.tuple);
+                         break;
+                       case WalRecordType::kDelete:
+                         Wal::EncodeDelete(&p, r.table, r.key);
+                         break;
+                       case WalRecordType::kModify:
+                         Wal::EncodeModify(&p, r.table, r.key, r.column,
+                                           r.value);
+                         break;
+                     }
+                   }
+                   rebuilt.Append(p);
                    return Status::OK();
                  })
                   .ok());
@@ -183,7 +205,7 @@ TEST(WalTest, ReplayReappendReproducesIdenticalBytes) {
 
 TEST(WalTest, RecoverFromMissingFileIsEmptyLog) {
   Wal wal;
-  wal.LogBegin(9);  // stale contents must be dropped by recovery
+  wal.Append(InsertPayload(9));  // stale contents must be dropped
   auto stats =
       wal.RecoverFrom(FileSystem::Default(),
                       ::testing::TempDir() + "/no_such_wal.bin");
@@ -216,19 +238,13 @@ TEST(WalTest, RecoverTruncatesTornTail) {
   auto stats = wal.RecoverFrom(FileSystem::Default(), path);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_TRUE(stats->tail_truncated);
-  EXPECT_EQ(stats->records, 2u);  // begin + insert survive; commit torn
+  EXPECT_EQ(stats->records, 2u);  // the first two transactions survive
   EXPECT_LT(stats->valid_bytes, full);
   EXPECT_EQ(wal.SizeBytes(), stats->valid_bytes);
   // The file itself was truncated to the valid prefix.
   EXPECT_EQ(ReadAll(path).size(), stats->valid_bytes);
   // And the recovered log replays cleanly (strict scan passes now).
-  size_t seen = 0;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord&) {
-                   ++seen;
-                   return Status::OK();
-                 })
-                  .ok());
-  EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(Frames(wal).size(), 2u);
 }
 
 TEST(WalTest, RecoverTreatsCorruptFinalFrameAsTornTail) {
@@ -298,36 +314,16 @@ TEST(WalTest, RecoverRejectsInsaneFrameLength) {
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
 }
 
-TEST(WalTest, CheckpointRecordMidLogReplaysInOrder) {
-  Wal wal;
-  wal.LogBegin(1);
-  wal.LogInsert(1, "t", {int64_t{1}});
-  wal.LogCommit(1);
-  wal.LogCheckpoint("t");
-  wal.LogBegin(2);
-  wal.LogInsert(2, "t", {int64_t{2}});
-  wal.LogCommit(2);
-  std::vector<WalRecordType> types;
-  ASSERT_TRUE(wal.Replay([&](const WalRecord& r) {
-                   types.push_back(r.type);
-                   return Status::OK();
-                 })
-                  .ok());
-  ASSERT_EQ(types.size(), 7u);
-  EXPECT_EQ(types[3], WalRecordType::kCheckpoint);
-  EXPECT_EQ(types[6], WalRecordType::kCommit);
-}
-
 TEST(WalTest, TakeUnflushedHandsOutEachSuffixOnce) {
   Wal wal;
-  wal.LogBegin(1);
+  wal.Append(InsertPayload(1));
   uint64_t end = 0;
   std::string first = wal.TakeUnflushed(&end);
   EXPECT_EQ(first.size(), end);
   EXPECT_EQ(end, wal.SizeBytes());
   // Nothing new appended: the second take is empty.
   EXPECT_TRUE(wal.TakeUnflushed(&end).empty());
-  wal.LogCommit(1);
+  wal.Append(InsertPayload(2));
   std::string second = wal.TakeUnflushed(&end);
   EXPECT_FALSE(second.empty());
   EXPECT_EQ(first.size() + second.size(), wal.SizeBytes());
