@@ -209,11 +209,13 @@ check_keys BENCH_write.json bench_write_path "$BUILD_DIR/BENCH_write_smoke.json"
 check_keys BENCH_htap.json bench_htap "$BUILD_DIR/BENCH_htap_smoke.json"
 check_keys BENCH_workload.json bench_workload \
     "$BUILD_DIR/BENCH_workload_smoke.json"
-# The name check above cannot see stale metrics inside a cell: a
-# committed cell must carry exactly the metric keys its smoke produces.
-# This covers the parallel_merge_scan cell (the fig17 smoke runs the same
-# 1,2,4,8 thread sweep) and every commit_w<N> cell of BENCH_write.json,
-# whose wal_bytes_per_txn records the WAL traffic of a commit.
+# The name check above cannot see stale metrics inside a cell, nor a
+# committed file that lost a cell: for each pattern below, the committed
+# file must hold exactly the cells the smoke produces, each carrying
+# exactly the smoke's metric keys. This covers the parallel_merge_scan
+# cell (the fig17 smoke runs the same 1,2,4,8 thread sweep) and the
+# commit_w1/2/4/8 cells of BENCH_write.json (the smoke runs the same
+# writer counts), whose wal_bytes_per_txn records a commit's WAL traffic.
 metric_keys_match() {
   python3 - "$@" <<'PY' || keys_ok=0
 import json, re, sys
@@ -225,8 +227,13 @@ def cells(path):
 committed, produced = cells(committed_path), cells(produced_path)
 if not produced:
     sys.exit("bench key check FAILED: the smoke produced no %s cell" % pattern)
+if set(committed) != set(produced):
+    sys.exit("bench key check FAILED: %s cells differ from the smoke's"
+             " (committed only: %s; smoke only: %s)"
+             % (pattern, sorted(set(committed) - set(produced)),
+                sorted(set(produced) - set(committed))))
 for name, keys in sorted(committed.items()):
-    got = produced.get(name, set())
+    got = produced[name]
     if keys != got:
         sys.exit("bench key check FAILED: %s metric keys differ"
                  " (committed only: %s; smoke only: %s)"

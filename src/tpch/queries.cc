@@ -98,8 +98,8 @@ uint64_t DigestRows(uint64_t h, const Batch& batch) {
   return h;
 }
 
-// Drains a pipeline, counting rows, checksumming numeric cells,
-// digesting every cell in output order and keeping the rows.
+// Drains a pipeline, counting rows, checksumming numeric cells and
+// digesting every cell in output order.
 StatusOr<QueryResult> Summarize(Src src) {
   QueryResult result;
   result.digest = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
@@ -109,9 +109,6 @@ StatusOr<QueryResult> Summarize(Src src) {
     if (!more) break;
     result.rows += batch.num_rows();
     result.digest = DigestRows(result.digest, batch);
-    for (size_t i = 0; i < batch.num_rows(); ++i) {
-      result.output.push_back(batch.RowAsTuple(i));
-    }
     for (size_t c = 0; c < batch.num_columns(); ++c) {
       const ColumnVector& col = batch.column(c);
       if (col.type() == TypeId::kInt64) {
@@ -128,12 +125,8 @@ StatusOr<QueryResult> Summarize(Src src) {
   return result;
 }
 
-StatusOr<QueryResult> Summarize(Plan in) {
-  return Summarize(Finish(std::move(in)));
-}
-
 // Q1: pricing summary report. Full lineitem scan minus the last ~90 days.
-StatusOr<QueryResult> Q1(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q1(const TpchTables& t, const QueryOptions& o) {
   Plan scan = Scan(o, t.lineitem,
                    {kLReturnflag, kLLinestatus, kLQuantity, kLExtendedprice,
                     kLDiscount, kLTax, kLShipdate});
@@ -151,11 +144,11 @@ StatusOr<QueryResult> Q1(const TpchTables& t, const QueryOptions& o) {
                   {AggKind::kAvg, 3},
                   {AggKind::kAvg, 6},
                   {AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{0}, {1}}));
+  return Sort(std::move(agg), {{0}, {1}});
 }
 
 // Q2: minimum-cost supplier (part x supplier; no updated tables).
-StatusOr<QueryResult> Q2(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q2(const TpchTables& t, const QueryOptions& o) {
   Plan part = Scan(o, t.part, {kPPartkey, kPType, kPSize});
   Plan flt = Filter(std::move(part), Int64Between(2, 15, 15));
   Plan supp = Scan(o, t.supplier, {kSSuppkey, kSNationkey, kSAcctbal});
@@ -176,11 +169,11 @@ StatusOr<QueryResult> Q2(const TpchTables& t, const QueryOptions& o) {
   Plan joined = Join(std::move(proj), std::move(supp), {1}, {0});
   Plan agg = Agg(std::move(joined), {3},
                  {{AggKind::kMin, 4}, {AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{0}}, 100));
+  return Sort(std::move(agg), {{0}}, 100);
 }
 
 // Q3: shipping priority. customer(segment) x orders(date<) x lineitem.
-StatusOr<QueryResult> Q3(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q3(const TpchTables& t, const QueryOptions& o) {
   int64_t cutoff = DayNumber(1995, 3, 15);
   Plan cust = Filter(Scan(o, t.customer, {kCCustkey, kCMktsegment}),
                      StringEquals(1, "BUILDING"));
@@ -203,11 +196,11 @@ StatusOr<QueryResult> Q3(const TpchTables& t, const QueryOptions& o) {
                        ColumnRef(7)});
   Plan agg = Agg(std::move(proj), {0, 2, 3},
                  {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{3, true}, {1}}, 10));
+  return Sort(std::move(agg), {{3, true}, {1}}, 10);
 }
 
 // Q4: order priority checking. orders(quarter) semi-join late lineitems.
-StatusOr<QueryResult> Q4(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q4(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1993, 7, 1), hi = DayNumber(1993, 10, 1) - 1;
   KeyBounds bounds;
   bounds.lo = {Value(lo)};
@@ -226,11 +219,11 @@ StatusOr<QueryResult> Q4(const TpchTables& t, const QueryOptions& o) {
   Plan semi = Join(std::move(ord_flt), std::move(late), {1}, {0},
                    JoinKind::kLeftSemi);
   Plan agg = Agg(std::move(semi), {2}, {{AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{0}}));
+  return Sort(std::move(agg), {{0}});
 }
 
 // Q5: local supplier volume. lineitem x orders(year) x customer nation.
-StatusOr<QueryResult> Q5(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q5(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1994, 1, 1), hi = DayNumber(1995, 1, 1) - 1;
   KeyBounds bounds;
   bounds.lo = {Value(lo)};
@@ -246,12 +239,12 @@ StatusOr<QueryResult> Q5(const TpchTables& t, const QueryOptions& o) {
   // nation of the customer groups the revenue.
   Plan proj = Project(std::move(joined), {ColumnRef(8), Revenue(2, 3)});
   Plan agg = Agg(std::move(proj), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{1, true}}));
+  return Sort(std::move(agg), {{1, true}});
 }
 
 // Q6: forecasting revenue change. Pure lineitem scan (the paper's
 // poster-child for merge CPU overhead).
-StatusOr<QueryResult> Q6(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q6(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1994, 1, 1), hi = DayNumber(1995, 1, 1) - 1;
   Plan scan = Scan(o, t.lineitem,
                    {kLShipdate, kLDiscount, kLQuantity, kLExtendedprice});
@@ -271,11 +264,11 @@ StatusOr<QueryResult> Q6(const TpchTables& t, const QueryOptions& o) {
     }
     return out;
   }});
-  return Summarize(Agg(std::move(proj), {}, {{AggKind::kSum, 0}}));
+  return Finish(Agg(std::move(proj), {}, {{AggKind::kSum, 0}}));
 }
 
 // Q7: volume shipping between two nations, grouped by year.
-StatusOr<QueryResult> Q7(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q7(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1995, 1, 1), hi = DayNumber(1996, 12, 31);
   Plan line = Filter(Scan(o, t.lineitem,
                           {kLOrderkey, kLSuppkey, kLShipdate,
@@ -300,11 +293,11 @@ StatusOr<QueryResult> Q7(const TpchTables& t, const QueryOptions& o) {
                       },
                       Revenue(3, 4)});
   Plan agg = Agg(std::move(proj), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{0}}));
+  return Sort(std::move(agg), {{0}});
 }
 
 // Q8: national market share by year.
-StatusOr<QueryResult> Q8(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q8(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1995, 1, 1), hi = DayNumber(1996, 12, 31);
   Plan part = Filter(Scan(o, t.part, {kPPartkey, kPType}),
                      StringEquals(1, "ECONOMY ANODIZED STEEL"));
@@ -332,11 +325,11 @@ StatusOr<QueryResult> Q8(const TpchTables& t, const QueryOptions& o) {
                       Revenue(2, 3)});
   Plan agg = Agg(std::move(proj), {0},
                  {{AggKind::kSum, 1}, {AggKind::kAvg, 1}});
-  return Summarize(Sort(std::move(agg), {{0}}));
+  return Sort(std::move(agg), {{0}});
 }
 
 // Q9: product type profit measure, by year.
-StatusOr<QueryResult> Q9(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q9(const TpchTables& t, const QueryOptions& o) {
   // StringMatch runs the substring test once per dictionary entry on
   // dict-encoded part names, not once per row.
   Plan part = Filter(Scan(o, t.part, {kPPartkey, kPName}),
@@ -377,11 +370,11 @@ StatusOr<QueryResult> Q9(const TpchTables& t, const QueryOptions& o) {
                         return out;
                       }});
   Plan agg = Agg(std::move(proj), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{0, true}}));
+  return Sort(std::move(agg), {{0, true}});
 }
 
 // Q10: returned item reporting. Top customers by lost revenue.
-StatusOr<QueryResult> Q10(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q10(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1993, 10, 1), hi = DayNumber(1994, 1, 1) - 1;
   KeyBounds bounds;
   bounds.lo = {Value(lo)};
@@ -396,11 +389,11 @@ StatusOr<QueryResult> Q10(const TpchTables& t, const QueryOptions& o) {
   Plan joined = Join(std::move(line), std::move(ord), {0}, {1});
   Plan proj = Project(std::move(joined), {ColumnRef(6), Revenue(1, 2)});
   Plan agg = Agg(std::move(proj), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{1, true}}, 20));
+  return Sort(std::move(agg), {{1, true}}, 20);
 }
 
 // Q11: important stock identification (part x supplier only).
-StatusOr<QueryResult> Q11(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q11(const TpchTables& t, const QueryOptions& o) {
   Plan supp = Filter(Scan(o, t.supplier, {kSSuppkey, kSNationkey}),
                      Int64Between(1, 7, 7));
   Plan part = Scan(o, t.part, {kPPartkey, kPRetailprice});
@@ -421,11 +414,11 @@ StatusOr<QueryResult> Q11(const TpchTables& t, const QueryOptions& o) {
   Plan agg = Agg(std::move(joined), {0}, {{AggKind::kSum, 1}});
   // Many parts share a value: the group key breaks the ties, so LIMIT
   // keeps the same rows whatever order the groups arrive in.
-  return Summarize(Sort(std::move(agg), {{1, true}, {0}}, 50));
+  return Sort(std::move(agg), {{1, true}, {0}}, 50);
 }
 
 // Q12: shipping modes and order priority.
-StatusOr<QueryResult> Q12(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q12(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1994, 1, 1), hi = DayNumber(1995, 1, 1) - 1;
   Plan line = Filter(
       Scan(o, t.lineitem,
@@ -462,19 +455,19 @@ StatusOr<QueryResult> Q12(const TpchTables& t, const QueryOptions& o) {
                        }});
   Plan agg = Agg(std::move(proj), {0},
                  {{AggKind::kSum, 1}, {AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{0}}));
+  return Sort(std::move(agg), {{0}});
 }
 
 // Q13: customer distribution (orders only among updated tables).
-StatusOr<QueryResult> Q13(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q13(const TpchTables& t, const QueryOptions& o) {
   Plan ord = Scan(o, t.orders, {kOCustkey});
   Plan per_cust = Agg(std::move(ord), {0}, {{AggKind::kCount, 0}});
   Plan dist = Agg(std::move(per_cust), {1}, {{AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(dist), {{1, true}, {0, true}}));
+  return Sort(std::move(dist), {{1, true}, {0, true}});
 }
 
 // Q14: promotion effect.
-StatusOr<QueryResult> Q14(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q14(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1995, 9, 1), hi = DayNumber(1995, 10, 1) - 1;
   Plan line = Filter(Scan(o, t.lineitem,
                           {kLPartkey, kLExtendedprice, kLDiscount,
@@ -500,12 +493,12 @@ StatusOr<QueryResult> Q14(const TpchTables& t, const QueryOptions& o) {
                         return out;
                       },
                       Revenue(1, 2)});
-  return Summarize(
+  return Finish(
       Agg(std::move(proj), {}, {{AggKind::kSum, 0}, {AggKind::kSum, 1}}));
 }
 
 // Q15: top supplier by quarterly revenue.
-StatusOr<QueryResult> Q15(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q15(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1996, 1, 1), hi = DayNumber(1996, 4, 1) - 1;
   Plan line = Filter(Scan(o, t.lineitem,
                           {kLSuppkey, kLExtendedprice, kLDiscount,
@@ -513,11 +506,11 @@ StatusOr<QueryResult> Q15(const TpchTables& t, const QueryOptions& o) {
                      Int64Between(3, lo, hi));
   Plan proj = Project(std::move(line), {ColumnRef(0), Revenue(1, 2)});
   Plan agg = Agg(std::move(proj), {0}, {{AggKind::kSum, 1}});
-  return Summarize(Sort(std::move(agg), {{1, true}}, 1));
+  return Sort(std::move(agg), {{1, true}}, 1);
 }
 
 // Q16: parts/supplier relationship (no updated tables).
-StatusOr<QueryResult> Q16(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q16(const TpchTables& t, const QueryOptions& o) {
   Plan part = Filter(Scan(o, t.part, {kPPartkey, kPBrand, kPType, kPSize}),
                      [](const Batch& b, KeepBitmap* keep) {
                        const ColumnVector& brand = b.column(1);
@@ -531,12 +524,12 @@ StatusOr<QueryResult> Q16(const TpchTables& t, const QueryOptions& o) {
                        });
                      });
   Plan agg = Agg(std::move(part), {1, 3}, {{AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{2, true}, {0}}));
+  return Sort(std::move(agg), {{2, true}, {0}});
 }
 
 // Q17: small-quantity-order revenue: lineitems below 20% of the average
 // quantity of their part.
-StatusOr<QueryResult> Q17(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q17(const TpchTables& t, const QueryOptions& o) {
   Plan part = Filter(Scan(o, t.part, {kPPartkey, kPBrand, kPContainer}),
                      And({StringEquals(1, "Brand#23"),
                           StringEquals(2, "MED BOX")}));
@@ -557,14 +550,14 @@ StatusOr<QueryResult> Q17(const TpchTables& t, const QueryOptions& o) {
                       keep->FillFrom(
                           [&](size_t i) { return qty[i] < 0.2 * avg_q[i]; });
                     });
-  return Summarize(Agg(std::move(flt), {}, {{AggKind::kSum, 2}}));
+  return Finish(Agg(std::move(flt), {}, {{AggKind::kSum, 2}}));
 }
 
 // Q18: large volume customers. The orders scan stays the probe side so
 // the plan is one open pipeline — probe fragment straight into the
 // parallel sort breaker — with the (small) large-order aggregate as the
 // build side.
-StatusOr<QueryResult> Q18(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q18(const TpchTables& t, const QueryOptions& o) {
   Plan line = Scan(o, t.lineitem, {kLOrderkey, kLQuantity});
   Plan per_order = Agg(std::move(line), {0}, {{AggKind::kSum, 1}});
   Plan big = Filter(std::move(per_order), DoubleInRange(1, 250.0, 1e18));
@@ -573,11 +566,11 @@ StatusOr<QueryResult> Q18(const TpchTables& t, const QueryOptions& o) {
   Plan joined = Join(std::move(ord), std::move(big), {0}, {0});
   // Output: orders columns then (orderkey, sum_qty); totalprice is 3,
   // orderdate 2.
-  return Summarize(Sort(std::move(joined), {{3, true}, {2}}, 100));
+  return Sort(std::move(joined), {{3, true}, {2}}, 100);
 }
 
 // Q19: discounted revenue (disjunctive part/lineitem predicates).
-StatusOr<QueryResult> Q19(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q19(const TpchTables& t, const QueryOptions& o) {
   Plan line = Filter(Scan(o, t.lineitem,
                           {kLPartkey, kLQuantity, kLExtendedprice,
                            kLDiscount, kLShipmode}),
@@ -602,11 +595,11 @@ StatusOr<QueryResult> Q19(const TpchTables& t, const QueryOptions& o) {
                       });
                     });
   Plan proj = Project(std::move(flt), {Revenue(2, 3)});
-  return Summarize(Agg(std::move(proj), {}, {{AggKind::kSum, 0}}));
+  return Finish(Agg(std::move(proj), {}, {{AggKind::kSum, 0}}));
 }
 
 // Q20: potential part promotion: suppliers with surplus stock.
-StatusOr<QueryResult> Q20(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q20(const TpchTables& t, const QueryOptions& o) {
   int64_t lo = DayNumber(1994, 1, 1), hi = DayNumber(1995, 1, 1) - 1;
   // On dictionary-encoded part names the match runs once per distinct
   // entry rather than once per row.
@@ -627,11 +620,11 @@ StatusOr<QueryResult> Q20(const TpchTables& t, const QueryOptions& o) {
   // suppkey is unique on both sides, so the join multiset is the same
   // either way.
   Plan joined = Join(std::move(supp), std::move(per_supp), {0}, {0});
-  return Summarize(Sort(std::move(joined), {{0}}));
+  return Sort(std::move(joined), {{0}});
 }
 
 // Q21: suppliers who kept orders waiting.
-StatusOr<QueryResult> Q21(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q21(const TpchTables& t, const QueryOptions& o) {
   Plan ord = Filter(Scan(o, t.orders, {kOOrderkey, kOOrderstatus}),
                     StringEquals(1, "F"));
   Plan line = Filter(Scan(o, t.lineitem,
@@ -646,11 +639,11 @@ StatusOr<QueryResult> Q21(const TpchTables& t, const QueryOptions& o) {
   Plan joined = Join(std::move(line), std::move(ord), {0}, {0},
                      JoinKind::kLeftSemi);
   Plan agg = Agg(std::move(joined), {1}, {{AggKind::kCount, 0}});
-  return Summarize(Sort(std::move(agg), {{1, true}, {0}}, 100));
+  return Sort(std::move(agg), {{1, true}, {0}}, 100);
 }
 
 // Q22: global sales opportunity: well-off customers without orders.
-StatusOr<QueryResult> Q22(const TpchTables& t, const QueryOptions& o) {
+StatusOr<Src> Q22(const TpchTables& t, const QueryOptions& o) {
   Plan cust = Filter(Scan(o, t.customer,
                           {kCCustkey, kCNationkey, kCAcctbal}),
                      DoubleInRange(2, 0.0, 1e18));
@@ -659,7 +652,7 @@ StatusOr<QueryResult> Q22(const TpchTables& t, const QueryOptions& o) {
                    JoinKind::kLeftAnti);
   Plan agg = Agg(std::move(anti), {1},
                  {{AggKind::kCount, 0}, {AggKind::kSum, 2}});
-  return Summarize(Sort(std::move(agg), {{0}}));
+  return Sort(std::move(agg), {{0}});
 }
 
 }  // namespace
@@ -670,6 +663,12 @@ bool QueryTouchesUpdatedTables(int q) {
 
 StatusOr<QueryResult> RunTpchQuery(int q, const TpchTables& tables,
                                    const QueryOptions& opts) {
+  PDT_ASSIGN_OR_RETURN(Src src, PlanTpchQuery(q, tables, opts));
+  return Summarize(std::move(src));
+}
+
+StatusOr<std::unique_ptr<BatchSource>> PlanTpchQuery(
+    int q, const TpchTables& tables, const QueryOptions& opts) {
   switch (q) {
     case 1:
       return Q1(tables, opts);

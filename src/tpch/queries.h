@@ -16,15 +16,13 @@ namespace tpch {
 /// Result digest of one query: row count of the final operator, a
 /// numeric checksum (the sum of every numeric cell, order-insensitive up
 /// to floating-point rounding) used to verify that PDT / VDT /
-/// no-update / parallel runs agree, `digest`, an exact, order-sensitive
-/// hash of every cell of every row (strings by their bytes, doubles by
-/// their bit pattern) that pins serial answers, and `output`, the rows
-/// themselves, which an independent evaluator can compare cell by cell.
+/// no-update / parallel runs agree, and `digest`, an exact,
+/// order-sensitive hash of every cell of every row (strings by their
+/// bytes, doubles by their bit pattern) that pins serial answers.
 struct QueryResult {
   size_t rows = 0;
   double checksum = 0.0;
   uint64_t digest = 0;
-  std::vector<Tuple> output;  ///< in output order; every answer is small
 };
 
 /// Query execution knobs. The default (1 thread) builds the unchanged
@@ -37,9 +35,16 @@ struct QueryOptions {
   int num_threads = 1;
 };
 
-/// Runs query `q` (1-22). InvalidArgument for unknown numbers.
+/// Runs query `q` (1-22): drains PlanTpchQuery's source into its
+/// digest. InvalidArgument for unknown numbers.
 StatusOr<QueryResult> RunTpchQuery(int q, const TpchTables& tables,
                                    const QueryOptions& opts = {});
+
+/// Builds query `q`'s plan and returns its final source, whose rows are
+/// the answer in output order (an independent evaluator can compare
+/// them cell by cell). InvalidArgument for unknown numbers.
+StatusOr<std::unique_ptr<BatchSource>> PlanTpchQuery(
+    int q, const TpchTables& tables, const QueryOptions& opts = {});
 
 /// True if query `q` scans lineitem or orders.
 bool QueryTouchesUpdatedTables(int q);

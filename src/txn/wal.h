@@ -187,9 +187,6 @@ class Wal {
   size_t RecordCount() const;
 
  private:
-  // Frames one payload at the current end of the buffer. Caller holds mu_.
-  void AppendPayloadLocked(std::string_view payload);
-
   // Buffer state. Held only for short, non-blocking operations.
   mutable std::mutex mu_;
   std::string buffer_;
